@@ -51,7 +51,7 @@ class Instance:
     """
 
     __slots__ = ("num_vars", "constant", "unaries", "binaries", "labels",
-                 "_index_by_label", "neighbors")
+                 "_index_by_label", "neighbors", "_native")
 
     def __init__(
         self,
@@ -117,6 +117,13 @@ class Instance:
             nbrs[i].append((j, w))
             nbrs[j].append((i, w))
         self.neighbors = tuple(tuple(sorted(v)) for v in nbrs)
+        # the native steepest-ascent kernel's arrays, built by search on first use
+        self._native = None
+
+    def __reduce__(self):
+        """Pickle by content; the kernel's ctypes arrays are rebuilt on use."""
+        return (Instance, (self.num_vars, self.constant, self.unaries, self.binaries,
+                           self.labels))
 
     def _check_index(self, i: int) -> None:
         if not (0 <= i < self.num_vars):

@@ -4,6 +4,11 @@ All engines share one incremental state: per-variable gradients plus the set
 of currently improving variables, updated in O(degree) per flip.  Fitness
 strictly increases every step, so every run terminates.
 
+Steepest ascent also has a native int64 kernel (_steepest.c), compiled with
+the platform's C compiler on first use and loaded through ctypes.  It runs
+only where int64 arithmetic is exact and gives the same Trace as the Python
+loop, which stays the reference and the fallback when no kernel can be built.
+
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
 its seed, and trial batches derive per-trial seeds by counter from the master
@@ -11,14 +16,21 @@ seed (seed * 2^32 + trial index).
 """
 from __future__ import annotations
 
+import ctypes
 import csv
+import functools
+import hashlib
+import os
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
+from pathlib import Path
 from typing import Callable, Sequence
 
 from .core import Bits, Instance
-from .errors import EmptyTrialError, TieEncounteredError
+from .errors import EmptyTrialError, RangeError, TieEncounteredError
 
 TIE_POLICIES = ("lowest-index", "error")
 METHODS = ("steepest", "random", "first")
@@ -67,9 +79,168 @@ def _setup(inst: Instance, start: Sequence[int]):
     return x, grad, imp, fit
 
 
+def _step_limit(max_steps: int | None) -> int:
+    """The engines' step limit: -1 for none, else max_steps, which must be >= 0."""
+    if max_steps is None:
+        return -1
+    if max_steps < 0:
+        raise RangeError(f"max_steps must be >= 0, got {max_steps}")
+    return max_steps
+
+
 def _finish(method, start, x, nsteps, fit0, fit, min_gain, ties, steps, seed, complete):
     return Trace(method, tuple(start), tuple(x), nsteps, fit0, fit, min_gain,
                  ties, tuple(steps) if steps is not None else None, seed, complete)
+
+
+# --- native steepest-ascent kernel --------------------------------------------
+
+_NATIVE_BOUND = 2 ** 62  # |constant| + sum of |weights| below this: int64 is exact
+_CHUNK = 2 ** 14  # recorded steps per kernel call
+_PEAK, _LIMIT, _TIE = 0, 1, 2  # the kernel's stop reasons, as in _steepest.c
+_SRC = Path(__file__).with_name("_steepest.c")
+
+
+@functools.cache
+def _native_kernel():
+    """The kernel's ctypes function, or None when it cannot be built or loaded.
+
+    Compiled on the first call, with the C compiler Python was built with,
+    into __pycache__/ under a name keyed by the sha256 of the source and the
+    platform; the outcome, either way, is kept for the life of the process.
+    """
+    import sysconfig
+
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        return None
+    try:
+        key = hashlib.sha256(_SRC.read_bytes() + sysconfig.get_platform().encode())
+        lib = _SRC.parent / "__pycache__" / f"_steepest-{key.hexdigest()[:16]}.so"
+        if not lib.exists():
+            _compile(cc, lib)
+        fn = ctypes.CDLL(str(lib)).vcsp_steepest
+    except OSError:
+        return None
+    p = ctypes.c_void_p
+    fn.argtypes = [ctypes.c_int32, ctypes.c_int64, p, p, p, p, p, p, p, p,
+                   ctypes.c_int64, ctypes.c_int32, p, p, p]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _compile(cc: str, lib: Path) -> None:
+    """Compile _SRC into the shared library lib; raises OSError on failure.
+
+    The compiler writes a temporary file that is then renamed into place, so
+    processes building at the same time never load a half-written library.
+    """
+    import shlex
+    import subprocess
+    import tempfile
+
+    lib.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=lib.parent)
+    os.close(fd)
+    try:
+        subprocess.run([*shlex.split(cc), "-O2", "-shared", "-fPIC", "-o", tmp, str(_SRC)],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(tmp, lib)
+    except subprocess.SubprocessError as e:
+        raise OSError(f"cannot compile {_SRC}: {e}") from e
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+class _NativeArrays:
+    """One instance's CSR neighbour, weight and unary arrays for the kernel,
+    with its scratch space; the lock keeps two threads off the scratch."""
+
+    __slots__ = ("lock", "off", "nbr", "w", "unary", "x", "gain", "imp", "pos", "res")
+
+    def __init__(self, inst: Instance):
+        d = inst.num_vars
+        off, nbr, w = [0], [], []
+        for row in inst.neighbors:
+            for j, wt in row:
+                nbr.append(j)
+                w.append(wt)
+            off.append(len(nbr))
+        self.lock = threading.Lock()
+        self.off = (ctypes.c_int32 * (d + 1))(*off)
+        self.nbr = (ctypes.c_int32 * len(nbr))(*nbr)
+        self.w = (ctypes.c_int64 * len(w))(*w)
+        self.unary = (ctypes.c_int64 * d)()
+        for i, u in inst.unaries.items():
+            self.unary[i] = u
+        self.x = ctypes.create_string_buffer(d)
+        self.gain = (ctypes.c_int64 * d)()
+        self.imp = (ctypes.c_int32 * d)()
+        self.pos = (ctypes.c_int32 * d)()
+        self.res = (ctypes.c_int64 * 7)()
+
+
+def _native_arrays(inst: Instance) -> _NativeArrays | None:
+    """The instance's kernel arrays, built once; None when the kernel must not
+    run on it (no variables, or weights large enough to overflow int64)."""
+    arrays = inst._native
+    if arrays is None:
+        total = (abs(inst.constant) + sum(map(abs, inst.unaries.values()))
+                 + sum(map(abs, inst.binaries.values())))
+        ok = inst.num_vars > 0 and total < _NATIVE_BOUND
+        arrays = inst._native = _NativeArrays(inst) if ok else False
+    return arrays or None
+
+
+def _steepest_native(kernel, a: _NativeArrays, inst: Instance, start: Sequence[int],
+                     raise_on_tie: bool, record_steps: bool, limit: int) -> Trace:
+    """steepest_ascent on the kernel.  Recorded runs go in calls of at most
+    _CHUNK steps, each continuing from the last end; steepest ascent depends
+    only on the current assignment, so the path is the same as in one call."""
+    inst.check_assignment(start)
+    start = tuple(start)
+    if limit >= 2 ** 63:
+        limit = -1  # unreachable: under the bound a run has fewer than 2^63 steps
+    steps = out_var = out_gain = None
+    if record_steps:
+        size = _CHUNK if limit < 0 else max(1, min(_CHUNK, limit))
+        out_var = (ctypes.c_int32 * size)()
+        out_gain = (ctypes.c_int64 * size)()
+        steps = []
+    res = a.res
+    nsteps = ties = 0
+    fit0 = min_gain = None
+    with a.lock:
+        a.x.raw = bytes(start)
+        while True:
+            left = -1 if limit < 0 else limit - nsteps
+            part = left if steps is None else (size if left < 0 else min(size, left))
+            status = kernel(inst.num_vars, inst.constant, a.off, a.nbr, a.w, a.unary, a.x, a.gain,
+                            a.imp, a.pos, part, raise_on_tie, out_var, out_gain, res)
+            k, fit_start, fit, least, ties_k = res[0:5]
+            if fit0 is None:
+                fit0 = fit_start
+            if k:
+                if steps is not None:
+                    gains = out_gain[:k]
+                    steps.extend(zip(out_var[:k], gains,
+                                     islice(accumulate(gains, initial=fit_start), 1, None)))
+                if min_gain is None or least < min_gain:
+                    min_gain = least
+            nsteps += k
+            ties += ties_k
+            if status == _TIE:
+                raise _tie_error(nsteps + 1, res[5], res[6])
+            if status == _PEAK or nsteps == limit:
+                break
+        end = a.x.raw
+    return _finish("steepest", start, end, nsteps, fit0, fit, min_gain, ties, steps, None,
+                   status == _PEAK)
+
+
+def _tie_error(step: int, moves: int, gain: int) -> TieEncounteredError:
+    return TieEncounteredError(f"step {step}: {moves} moves share the maximal gain {gain}")
 
 
 def steepest_ascent(
@@ -85,9 +256,19 @@ def steepest_ascent(
     "error") and counted either way.  The loop is the package's hot path:
     only the flipped variable's neighbors change gradient, so each step costs
     O(degree) plus a scan of the improving set.
+
+    Instances with at least one variable and |constant| + sum of |weights|
+    below 2^62 run on the native kernel when it is available; the loop below
+    is the reference and the fallback, and both give the same Trace.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
+    limit = _step_limit(max_steps)
+    kernel = _native_kernel()
+    arrays = _native_arrays(inst) if kernel else None
+    if arrays is not None:
+        return _steepest_native(kernel, arrays, inst, start, tie_policy == "error",
+                                record_steps, limit)
     x, grad, imp, fit = _setup(inst, start)
     fit0 = fit
     start = tuple(start)
@@ -98,7 +279,6 @@ def steepest_ascent(
     ties = 0
     min_gain = None
     complete = True
-    limit = -1 if max_steps is None else max_steps
     while imp:
         if nsteps == limit:
             complete = False
@@ -117,8 +297,7 @@ def steepest_ascent(
                     best = v
         if nmax > 1:
             if raise_on_tie:
-                raise TieEncounteredError(
-                    f"step {nsteps + 1}: {nmax} moves share the maximal gain {best_g}")
+                raise _tie_error(nsteps + 1, nmax, best_g)
             ties += 1
         del imp[best]
         fit += best_g
@@ -160,7 +339,7 @@ def random_ascent(
     nsteps = 0
     min_gain = None
     complete = True
-    limit = -1 if max_steps is None else max_steps
+    limit = _step_limit(max_steps)
     while imp:
         if nsteps == limit:
             complete = False
@@ -213,7 +392,7 @@ def first_improvement_ascent(
     nsteps = 0
     min_gain = None
     complete = True
-    limit = -1 if max_steps is None else max_steps
+    limit = _step_limit(max_steps)
     pos = 0
     misses = 0
     while misses < d and d:
@@ -250,11 +429,17 @@ def replay(inst: Instance, trace: Trace) -> None:
     if trace.steps is None:
         raise ValueError("trace has no recorded steps to replay")
     x = list(trace.start)
-    fit = inst.fitness(x)
+    fit = inst.fitness(x)  # validates the start once; flips keep it valid
     if fit != trace.fitness_start:
         raise ValueError(f"recorded start fitness {trace.fitness_start}, computed {fit}")
+    unaries = inst.unaries
+    neighbors = inst.neighbors
     for t, (v, gain, after) in enumerate(trace.steps, start=1):
-        g = inst.gradient(v, x)
+        inst._check_index(v)
+        g = unaries.get(v, 0)
+        for j, w in neighbors[v]:
+            if x[j]:
+                g += w
         actual = -g if x[v] else g
         if actual != gain:
             raise ValueError(f"step {t}: recorded gain {gain}, computed {actual}")

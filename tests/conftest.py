@@ -44,18 +44,18 @@ def brute_peaks(inst: Instance) -> list[tuple[int, ...]]:
     return peaks
 
 
-def random_instance(rng: random.Random, max_vars: int = 10) -> Instance:
+def random_instance(rng: random.Random, max_vars: int = 10, max_weight: int = 20) -> Instance:
     d = rng.randint(1, max_vars)
     unaries = []
     for i in range(d):
         if rng.random() < 0.7:
-            w = rng.randint(-20, 20)
+            w = rng.randint(-max_weight, max_weight)
             if w:
                 unaries.append((i, w))
     binaries = []
     for i, j in itertools.combinations(range(d), 2):
         if rng.random() < min(1.0, 4.0 / d):
-            w = rng.randint(-20, 20)
+            w = rng.randint(-max_weight, max_weight)
             if w:
                 binaries.append((i, j, w))
     return Instance(d, rng.randint(-5, 5), unaries, binaries)

@@ -1,6 +1,6 @@
 import pytest
 
-from vcsp_landscape import build_chain, write_instance
+from vcsp_landscape import Instance, build_chain, search, write_instance
 from vcsp_landscape.cli import main
 
 
@@ -104,6 +104,47 @@ def test_ascend_writes_trace(tmp_path, capsys):
     text = trace.read_text()
     assert text.startswith("# method=steepest\n")
     assert "step,var_index,var_label,gain,fitness_after" in text
+
+
+@pytest.mark.parametrize("method", ["steepest", "random", "first"])
+def test_ascend_rejects_negative_max_steps(tmp_path, capsys, method):
+    path = tmp_path / "g.vcsp"
+    write_instance(build_chain(3, 3, "+"), path)
+    code, stdout, stderr = run(capsys, "ascend", "--instance", str(path), "--start", "0" * 18,
+                               "--method", method, "--max-steps", "-5")
+    assert code != 0
+    assert "RangeError" in stderr
+    assert stdout == ""
+
+
+def test_steepest_commands_native_match_reference(tmp_path, capsys, monkeypatch):
+    # stdout, exit status and trace CSV bytes are the same with the native
+    # kernel and with the Python loop
+    chain = tmp_path / "c.vcsp"
+    write_instance(build_chain(7, 7, "-"), chain)
+    tied = tmp_path / "t.vcsp"
+    write_instance(Instance(3, 0, [(0, 2), (1, 2), (2, 1)], [(0, 2, -1)]), tied)
+    commands = [("verify", "--n", "6"), ("verify", "--n", "7", "--m", "3")]
+    for extra in ((), ("--max-steps", "300"), ("--max-steps", "0"), ("--trials", "3")):
+        commands.append(("ascend", "--instance", str(chain), "--start", "1111100" * 6,
+                         "--trace", str(tmp_path / "c.csv")) + extra)
+    for tie in ("lowest", "error"):
+        commands.append(("ascend", "--instance", str(tied), "--start", "000", "--tie", tie,
+                         "--trace", str(tmp_path / "t.csv")))
+
+    def session():
+        out = []
+        for argv in commands:
+            for csv in tmp_path.glob("*.csv"):
+                csv.unlink()
+            out.append((run(capsys, *argv), sorted((p.name, p.read_bytes())
+                                                    for p in tmp_path.glob("*.csv"))))
+        return out
+
+    native = session()
+    monkeypatch.setattr(search, "_native_kernel", lambda: None)
+    assert session() == native
+    assert [code for (code, _, _), _ in native] == [0] * 7 + [1]
 
 
 def test_ascend_random_deterministic(tmp_path, capsys):

@@ -1,9 +1,17 @@
 import csv
+import dataclasses
+import pickle
 import random
+import shlex
+import shutil
+import sys
+import sysconfig
+import threading
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_bits, random_instance
 from vcsp_landscape import (
     Instance,
     build_chain,
@@ -15,10 +23,42 @@ from vcsp_landscape import (
     random_ascent,
     replay,
     run_trials,
+    search,
     steepest_ascent,
     write_trace_csv,
 )
-from vcsp_landscape.errors import EmptyTrialError, TieEncounteredError
+from vcsp_landscape.errors import (
+    EmptyTrialError,
+    IndexOutOfRangeError,
+    RangeError,
+    TieEncounteredError,
+)
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """steepest_ascent on the Python loop, with the native kernel switched off."""
+    def run(*args, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(search, "_native_kernel", lambda: None)
+            return steepest_ascent(*args, **kwargs)
+    return run
+
+
+def native(inst, start, **kwargs):
+    """steepest_ascent as dispatched; checks that it ran on the kernel whenever
+    one was built here (test_native_kernel_loads checks that one was)."""
+    tr = steepest_ascent(inst, start, **kwargs)
+    assert bool(inst._native) == (search._native_kernel() is not None)
+    return tr
+
+
+def outcome(run, *args, **kwargs):
+    """A run's Trace, or the message of the TieEncounteredError it raised."""
+    try:
+        return run(*args, **kwargs)
+    except TieEncounteredError as e:
+        return f"TieEncounteredError: {e}"
 
 
 def test_steepest_gadget_plus_trace(gadget_plus):
@@ -152,7 +192,6 @@ def test_all_methods_end_at_the_oriented_peak():
 
 
 def test_replay_detects_corruption(gadget_plus):
-    import dataclasses
     tr = steepest_ascent(gadget_plus, (0,) * 6)
     truncated = dataclasses.replace(tr, steps=tr.steps[:-1])
     with pytest.raises(ValueError):
@@ -161,6 +200,13 @@ def test_replay_detects_corruption(gadget_plus):
     wrong_gain = dataclasses.replace(tr, steps=tr.steps[:3] + ((v, g + 1, f),) + tr.steps[4:])
     with pytest.raises(ValueError):
         replay(gadget_plus, wrong_gain)
+    wrong_fitness = dataclasses.replace(tr, steps=tr.steps[:3] + ((v, g, f + 1),) + tr.steps[4:])
+    with pytest.raises(ValueError):
+        replay(gadget_plus, wrong_fitness)
+    for bad in (-1, 6):
+        bad_var = dataclasses.replace(tr, steps=tr.steps[:3] + ((bad, g, f),) + tr.steps[4:])
+        with pytest.raises(IndexOutOfRangeError):
+            replay(gadget_plus, bad_var)
 
 
 def test_replay_requires_recorded_steps(gadget_plus):
@@ -215,3 +261,179 @@ def test_trace_csv(tmp_path, gadget_plus):
     assert len(rows) == 7
     assert rows[0] == ["1", "0", "(1,1)", "3", "3"]
     assert rows[6] == ["7", "5", "(1,6)", "3", "18"]
+
+
+@pytest.mark.parametrize("engine", [
+    steepest_ascent,
+    lambda inst, start, **kw: random_ascent(inst, start, seed=1, **kw),
+    first_improvement_ascent,
+])
+def test_negative_max_steps_rejected(engine, chain22_plus):
+    with pytest.raises(RangeError):
+        engine(chain22_plus, (0,) * 12, max_steps=-1)
+    assert engine(chain22_plus, (0,) * 12, max_steps=0).num_steps == 0
+
+
+def test_native_kernel_loads():
+    # without the kernel, every differential test below compares the Python
+    # loop with itself
+    cc = sysconfig.get_config_var("CC")
+    if not cc or shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip("no C compiler: steepest ascent runs on the Python loop")
+    assert search._native_kernel() is not None
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_native_matches_reference_on_chains(reference, n, sign):
+    for m in range(1, n + 1):
+        inst = build_chain(n, m, sign)
+        start = expected_peak(n, m, "-" if sign == "+" else "+")
+        for record in (False, True):
+            assert native(inst, start, record_steps=record) == \
+                reference(inst, start, record_steps=record)
+
+
+@pytest.mark.parametrize("part", [1, 7, 1000, 2 ** 14 + 3])
+def test_native_max_steps_continuation(reference, part):
+    # runs of at most `part` steps, each continuing from the last end, walk
+    # the path of one unbroken run; recorded runs above 2^14 steps span
+    # several kernel calls
+    inst = build_chain(12, 12, "+")
+    start = expected_peak(12, 12, "-")
+    whole = native(inst, start)
+    steps, x = [], start
+    while True:
+        tr = native(inst, x, max_steps=part)
+        assert tr == reference(inst, x, max_steps=part)
+        steps += tr.steps
+        x = tr.end
+        if tr.complete:
+            break
+        assert tr.num_steps == part
+    assert tuple(steps) == whole.steps
+    assert x == whole.end
+    assert native(inst, start, max_steps=2 ** 64) == whole  # beyond int64: no limit
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_native_matches_reference_with_ties(reference, monkeypatch, chunk):
+    if chunk:  # recorded runs cross kernel calls every `chunk` steps
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+    rng = random.Random(20260)
+    tied = stopped = 0
+    for _ in range(400):
+        inst = random_instance(rng, max_weight=3)  # small weights: many ties
+        start = random_bits(rng, inst.num_vars)
+        limit = rng.choice([None, None, 0, 1, 3])
+        for policy in ("lowest-index", "error"):
+            for record in (False, True):
+                kw = dict(tie_policy=policy, record_steps=record, max_steps=limit)
+                got = outcome(native, inst, start, **kw)
+                assert got == outcome(reference, inst, start, **kw)
+                if isinstance(got, str):
+                    stopped += 1
+                elif got.tie_events:
+                    tied += 1
+    assert tied >= 100 and stopped >= 100
+
+
+def scaled(inst, k):
+    return Instance(inst.num_vars, inst.constant * k,
+                    {i: w * k for i, w in inst.unaries.items()},
+                    {ij: w * k for ij, w in inst.binaries.items()}, inst.labels)
+
+
+def test_native_bound(reference):
+    big = 2 ** 64 + 1
+    inst = build_chain(6, 6, "+")
+    start = expected_peak(6, 6, "-")
+    small = native(inst, start)
+    huge = scaled(inst, big)
+    tr = steepest_ascent(huge, start)
+    assert not huge._native  # ran on the Python loop
+    assert [(v, g * big, f * big) for v, g, f in small.steps] == list(tr.steps)
+    assert (tr.end, tr.tie_events, tr.min_gain) == (small.end, 0, small.min_gain * big)
+    # |constant| + sum of |weights| just below 2^62 runs on the kernel, at 2^62
+    # on the Python loop, and both agree with the reference
+    for total, on_kernel in ((2 ** 62 - 1, True), (2 ** 62, False)):
+        c, u0, u1, b01 = -(2 ** 60), 2 ** 60, 2 ** 60 - 1, -(2 ** 59)
+        b12 = total - sum(map(abs, (c, u0, u1, b01)))
+        edge = Instance(3, c, [(0, u0), (1, u1)], [(0, 1, b01), (1, 2, b12)])
+        for start in ((0, 0, 0), (1, 0, 1), (0, 1, 1)):
+            assert steepest_ascent(edge, start) == reference(edge, start)
+        assert bool(edge._native) == (on_kernel and search._native_kernel() is not None)
+
+
+def test_forced_fallback_gives_same_results(monkeypatch):
+    runs = {}
+    for sign in "+-":
+        start = expected_peak(8, 8, "-" if sign == "+" else "+")
+        inst = build_chain(8, 8, sign)
+        runs[sign] = start, native(inst, start), native(inst, start, record_steps=False)
+    monkeypatch.setattr(search, "_native_kernel", lambda: None)
+    for sign, (start, recorded, summary) in runs.items():
+        inst = build_chain(8, 8, sign)
+        assert steepest_ascent(inst, start) == recorded
+        assert steepest_ascent(inst, start, record_steps=False) == summary
+        assert inst._native is None  # the kernel's arrays were never built
+
+
+def test_native_loader_falls_back_when_the_build_fails(monkeypatch, tmp_path):
+    load = search._native_kernel.__wrapped__
+    src = tmp_path / "_steepest.c"
+    monkeypatch.setattr(search, "_SRC", src)
+    src.write_text("this is not C\n")
+    assert load() is None
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "no-such-compiler-4e1f" if name == "CC" else None)
+    assert load() is None
+    assert not [p for p in (tmp_path / "__pycache__").iterdir()]  # no temp file left
+
+
+def test_native_loader_builds_into_pycache(monkeypatch, tmp_path):
+    if search._native_kernel() is None:
+        pytest.skip("no native kernel on this machine")
+    src = tmp_path / "_steepest.c"
+    src.write_bytes(search._SRC.read_bytes())
+    monkeypatch.setattr(search, "_SRC", src)
+    assert search._native_kernel.__wrapped__() is not None
+    assert [p.suffix for p in (tmp_path / "__pycache__").iterdir()] == [".so"]
+
+
+def test_native_threads_share_an_instance():
+    # the kernel's scratch arrays belong to the instance; concurrent ascents
+    # from different starts must not see each other's state
+    inst = build_chain(8, 8, "+")
+    rng = random.Random(5)
+    starts = [random_bits(rng, inst.num_vars) for _ in range(6)]
+    runs = [(x, rec) for x in starts for rec in (False, True)]
+    want = [native(inst, x, record_steps=rec) for x, rec in runs]
+    bad = []
+
+    def work():
+        for _ in range(20):
+            got = [steepest_ascent(inst, x, record_steps=rec) for x, rec in runs]
+            if got != want:
+                bad.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+
+
+def test_instance_pickles_after_a_native_run():
+    inst = build_chain(3, 3, "+")
+    tr = steepest_ascent(inst, (0,) * 18)
+    copy = pickle.loads(pickle.dumps(inst))
+    assert copy == inst and copy._native is None
+    assert steepest_ascent(copy, (0,) * 18) == tr
