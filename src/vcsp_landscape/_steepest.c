@@ -1,19 +1,88 @@
-/* Steepest ascent on a binary Boolean VCSP, in int64 arithmetic.
+/* Steepest ascent on a binary Boolean VCSP, in exact fixed-width arithmetic.
 
    The native twin of the Python loop in search.steepest_ascent, which stays
    the reference: the same lowest-index tie rule, tie count, minimum gain,
-   max_steps guard and "error" tie policy.  The caller guarantees
-   |constant| + sum|unary| + sum|binary| < 2^62, so no fitness, gradient or
-   gain can overflow.  Every buffer belongs to the caller; nothing is
-   allocated here.
+   max_steps guard and "error" tie policy.  Every buffer belongs to the
+   caller; nothing is allocated here.
+
+   The loop is written once, at the end of this file, and compiled at two
+   widths by including the file into itself:
+     vcsp_steepest     int64_t values; the caller guarantees
+                       |constant| + sum|unary| + sum|binary| < 2^62;
+     vcsp_steepest128  __int128 values, where the compiler has them, on
+                       little-endian machines; the caller guarantees the same
+                       sum < 2^126.  Each value is 16 little-endian bytes,
+                       read and written with memcpy, since the caller's
+                       buffers need not be 16-byte aligned.
+   Under its bound no fitness, gradient or gain can overflow its width.
 
    Compiled on first use by search._native_kernel and called through ctypes. */
+#ifndef VALUE
+
 #include <stdint.h>
+#include <string.h>
 
 enum { PEAK = 0, LIMIT = 1, TIE = 2 };  /* why the run stopped */
 
 /* Slots of res[]. */
 enum { R_STEPS, R_FIT_START, R_FIT_END, R_MIN_GAIN, R_TIES, R_TIE_MOVES, R_TIE_GAIN };
+
+/* vcsp_steepest is the loop itself at int64, on arrays of int64_t. */
+#define VALUE int64_t
+#define CELL int64_t
+#define LOAD(p, i) ((p)[i])
+#define STORE(p, i, v) ((p)[i] = (v))
+#define STEEPEST vcsp_steepest
+#define LINKAGE
+#include "_steepest.c"  /* this file: the loop below, at this width */
+#undef LINKAGE
+#undef VALUE
+#undef CELL
+#undef LOAD
+#undef STORE
+#undef STEEPEST
+
+#if defined(__SIZEOF_INT128__) && defined(__BYTE_ORDER__) \
+    && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+
+__extension__ typedef __int128 int128;
+
+/* One 16-byte value as it lies in the caller's buffers: alignment 1. */
+typedef struct { unsigned char bytes[16]; } cell128;
+
+static int128 load128(const cell128 *p)
+{
+    int128 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static void store128(cell128 *p, int128 v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+#define VALUE int128
+#define CELL cell128
+#define LOAD(p, i) load128(&(p)[i])
+#define STORE(p, i, v) store128(&(p)[i], (v))
+#define STEEPEST steepest128
+#define LINKAGE static
+#include "_steepest.c"  /* this file: the loop below, at this width */
+
+/* vcsp_steepest with 16-byte values; the constant is passed by address. */
+int vcsp_steepest128(int32_t d, const cell128 *constant, const int32_t *off,
+                     const int32_t *nbr, const cell128 *w, const cell128 *unary, uint8_t *x,
+                     cell128 *gain, int32_t *imp, int32_t *pos, int64_t max_steps,
+                     int32_t stop_on_tie, int32_t *out_var, cell128 *out_gain, cell128 *res)
+{
+    return steepest128(d, load128(constant), off, nbr, w, unary, x, gain, imp, pos, max_steps,
+                       stop_on_tie, out_var, out_gain, res);
+}
+
+#endif
+
+#else  /* the loop: function STEEPEST at width VALUE, over arrays of CELL */
 
 /* d variables; binary neighbours of i are nbr[off[i] .. off[i+1]) with weights
    w[] (CSR).  x holds the start on entry and the end on return.  gain, imp and
@@ -23,36 +92,37 @@ enum { R_STEPS, R_FIT_START, R_FIT_END, R_MIN_GAIN, R_TIES, R_TIE_MOVES, R_TIE_G
    writes its variable and gain to out_var[t] and out_gain[t], which must hold
    max_steps entries.  On a tie with stop_on_tie set, the run stops before the
    tied step and reports the tie's size and gain. */
-int vcsp_steepest(int32_t d, int64_t constant, const int32_t *off, const int32_t *nbr,
-                  const int64_t *w, const int64_t *unary, uint8_t *x, int64_t *gain,
-                  int32_t *imp, int32_t *pos, int64_t max_steps, int32_t stop_on_tie,
-                  int32_t *out_var, int64_t *out_gain, int64_t *res)
+LINKAGE int STEEPEST(int32_t d, VALUE constant, const int32_t *off, const int32_t *nbr,
+                     const CELL *w, const CELL *unary, uint8_t *x, CELL *gain,
+                     int32_t *imp, int32_t *pos, int64_t max_steps, int32_t stop_on_tie,
+                     int32_t *out_var, CELL *out_gain, CELL *res)
 {
-    int64_t fit = constant;
+    VALUE fit = constant;
     int32_t n_imp = 0;
     for (int32_t i = 0; i < d; i++) {
-        int64_t g = unary[i];
+        VALUE g = LOAD(unary, i);
         for (int32_t k = off[i]; k < off[i + 1]; k++) {
             if (x[nbr[k]]) {
-                g += w[k];
+                g += LOAD(w, k);
                 if (x[i] && nbr[k] > i)
-                    fit += w[k];
+                    fit += LOAD(w, k);
             }
         }
         if (x[i]) {
-            fit += unary[i];
+            fit += LOAD(unary, i);
             g = -g;
         }
-        gain[i] = g;
+        STORE(gain, i, g);
         pos[i] = -1;
         if (g > 0) {
             pos[i] = n_imp;
             imp[n_imp++] = i;
         }
     }
-    res[R_FIT_START] = fit;
+    STORE(res, R_FIT_START, fit);
 
-    int64_t steps = 0, ties = 0, min_gain = 0;
+    int64_t steps = 0, ties = 0;
+    VALUE min_gain = 0;
     int status = PEAK;
     while (n_imp > 0) {
         if (steps == max_steps) {
@@ -60,10 +130,11 @@ int vcsp_steepest(int32_t d, int64_t constant, const int32_t *off, const int32_t
             break;
         }
         int32_t best = -1;
-        int64_t best_g = 0, nmax = 1;
+        VALUE best_g = 0;
+        int64_t nmax = 1;
         for (int32_t k = 0; k < n_imp; k++) {
             int32_t v = imp[k];
-            int64_t g = gain[v];
+            VALUE g = LOAD(gain, v);
             if (g > best_g) {
                 best = v;
                 best_g = g;
@@ -76,8 +147,8 @@ int vcsp_steepest(int32_t d, int64_t constant, const int32_t *off, const int32_t
         }
         if (nmax > 1) {
             if (stop_on_tie) {
-                res[R_TIE_MOVES] = nmax;
-                res[R_TIE_GAIN] = best_g;
+                STORE(res, R_TIE_MOVES, nmax);
+                STORE(res, R_TIE_GAIN, best_g);
                 status = TIE;
                 break;
             }
@@ -91,11 +162,12 @@ int vcsp_steepest(int32_t d, int64_t constant, const int32_t *off, const int32_t
 
         fit += best_g;
         x[best] ^= 1;
-        gain[best] = -best_g;
+        STORE(gain, best, -best_g);
         for (int32_t k = off[best]; k < off[best + 1]; k++) {
             int32_t u = nbr[k];
-            int64_t dg = x[best] ? w[k] : -w[k];  /* change of u's gradient */
-            int64_t g = gain[u] += x[u] ? -dg : dg;
+            VALUE dg = x[best] ? LOAD(w, k) : -LOAD(w, k);  /* change of u's gradient */
+            VALUE g = LOAD(gain, u) + (x[u] ? -dg : dg);
+            STORE(gain, u, g);
             if (g > 0 && pos[u] < 0) {
                 pos[u] = n_imp;
                 imp[n_imp++] = u;
@@ -109,15 +181,17 @@ int vcsp_steepest(int32_t d, int64_t constant, const int32_t *off, const int32_t
 
         if (out_var) {
             out_var[steps] = best;
-            out_gain[steps] = best_g;
+            STORE(out_gain, steps, best_g);
         }
         steps++;
         if (min_gain == 0 || best_g < min_gain)
             min_gain = best_g;
     }
-    res[R_STEPS] = steps;
-    res[R_FIT_END] = fit;
-    res[R_MIN_GAIN] = min_gain;
-    res[R_TIES] = ties;
+    STORE(res, R_STEPS, steps);
+    STORE(res, R_FIT_END, fit);
+    STORE(res, R_MIN_GAIN, min_gain);
+    STORE(res, R_TIES, ties);
     return status;
 }
+
+#endif

@@ -60,8 +60,8 @@ def cmd_ascend(args) -> int:
     inst = core.read_instance(args.instance)
     x = _parse_start(inst, args.start, args.raw_order)
     if args.trials is not None:
-        stats = search.run_trials(inst, x, method=args.method,
-                                  trials=args.trials, seed=args.seed)
+        stats = search.run_trials(inst, x, method=args.method, trials=args.trials,
+                                  seed=args.seed, max_steps=args.max_steps)
         print(f"trials={stats.trials} method={stats.method} mean={stats.mean} "
               f"min={stats.min} max={stats.max}")
         return 0

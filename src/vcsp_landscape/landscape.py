@@ -7,7 +7,8 @@ self-validation asserts it), but arbitrary instances may.
 
 The brute-force oracles (peak enumeration, semismoothness, ascent graphs) are
 exponential by nature and guarded by size caps; they exist to certify the
-polynomial-time paths on small instances.
+polynomial-time paths on small instances.  They are the only users of numpy,
+which they import on first call, so importing the package does not load it.
 """
 from __future__ import annotations
 
@@ -15,9 +16,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Bits, Instance, flip
 from .errors import (
@@ -26,6 +25,9 @@ from .errors import (
     UnreachableError,
     ZeroGradientError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PEAKS_CAP = 24
 SEMISMOOTH_CAP = 12
@@ -169,6 +171,8 @@ def peak_of_oriented(inst: Instance, orientation: Orientation | None = None) -> 
 # ---------------------------------------------------------------------------
 
 def _fitness_cube(inst: Instance) -> np.ndarray:
+    import numpy as np
+
     d = inst.num_vars
     bound = abs(inst.constant) + sum(abs(w) for w in inst.unaries.values()) \
         + sum(abs(w) for w in inst.binaries.values())
@@ -197,6 +201,8 @@ def enumerate_peaks(inst: Instance, cap: int = PEAKS_CAP) -> list[Bits]:
     d = inst.num_vars
     if d > cap:
         raise TooLargeError(f"{d} variables exceeds the enumeration cap {cap}")
+    import numpy as np
+
     cube = _fitness_cube(inst)
     peak = np.ones((2,) * d, dtype=bool)
     for v in range(d):
@@ -233,6 +239,8 @@ def check_semismooth(inst: Instance, cap: int = SEMISMOOTH_CAP) -> SemismoothRes
     d = inst.num_vars
     if d > cap:
         raise TooLargeError(f"{d} variables exceeds the semismoothness cap {cap}")
+    import numpy as np
+
     cube = _fitness_cube(inst)
     cmp = [np.asarray(cube >= np.flip(cube, axis=v), dtype=bool) for v in range(d)]
     for mask in range(1, 1 << d):

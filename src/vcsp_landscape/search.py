@@ -4,10 +4,14 @@ All engines share one incremental state: per-variable gradients plus the set
 of currently improving variables, updated in O(degree) per flip.  Fitness
 strictly increases every step, so every run terminates.
 
-Steepest ascent also has a native int64 kernel (_steepest.c), compiled with
-the platform's C compiler on first use and loaded through ctypes.  It runs
-only where int64 arithmetic is exact and gives the same Trace as the Python
-loop, which stays the reference and the fallback when no kernel can be built.
+Steepest ascent also has a native kernel (_steepest.c), compiled with the
+platform's C compiler on first use and loaded through ctypes, at two widths:
+int64 for instances with |constant| + sum of |weights| below 2^62, and
+128-bit (where the compiler has __int128) below 2^126.  Within its bound a
+width's arithmetic is exact, and both give the same Trace as the Python loop.
+That loop stays the reference, and it runs everything else: instances at or
+above 2^126, above 2^62 when there is no 128-bit width, and all of them when
+no kernel can be built.
 
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
@@ -17,7 +21,6 @@ seed (seed * 2^32 + trial index).
 from __future__ import annotations
 
 import ctypes
-import csv
 import functools
 import hashlib
 import os
@@ -62,8 +65,11 @@ class Trace:
 
 
 def _setup(inst: Instance, start: Sequence[int]):
+    """The start as a tuple of ints (numpy integers and bools converted), the
+    working assignment, gradients, improving moves and start fitness."""
     fit = inst.fitness(start)  # validates length and bit values
-    x = bytearray(start)
+    x = bytearray(tuple(start))  # tuple() first: bytearray() of a numpy array copies its buffer
+    start = tuple(x)
     grad = []
     imp = {}
     unaries = inst.unaries
@@ -76,7 +82,7 @@ def _setup(inst: Instance, start: Sequence[int]):
         gain = -g if x[i] else g
         if gain > 0:
             imp[i] = gain
-    return x, grad, imp, fit
+    return start, x, grad, imp, fit
 
 
 def _step_limit(max_steps: int | None) -> int:
@@ -89,21 +95,90 @@ def _step_limit(max_steps: int | None) -> int:
 
 
 def _finish(method, start, x, nsteps, fit0, fit, min_gain, ties, steps, seed, complete):
-    return Trace(method, tuple(start), tuple(x), nsteps, fit0, fit, min_gain,
+    return Trace(method, start, tuple(x), nsteps, fit0, fit, min_gain,
                  ties, tuple(steps) if steps is not None else None, seed, complete)
 
 
 # --- native steepest-ascent kernel --------------------------------------------
 
-_NATIVE_BOUND = 2 ** 62  # |constant| + sum of |weights| below this: int64 is exact
 _CHUNK = 2 ** 14  # recorded steps per kernel call
 _PEAK, _LIMIT, _TIE = 0, 1, 2  # the kernel's stop reasons, as in _steepest.c
 _SRC = Path(__file__).with_name("_steepest.c")
 
 
+def _c_array(ctype, values: Sequence[int]):
+    """A ctypes array of values; filled by slice, which is several times
+    faster than passing the values to the array's constructor."""
+    array = (ctype * len(values))()
+    array[:] = values
+    return array
+
+
+class _Int64:
+    """The kernel at int64 (vcsp_steepest): exact while |constant| + sum of
+    |weights| < 2^62.  Its integers are ctypes int64 arrays; the constant is
+    passed by value."""
+
+    symbol = "vcsp_steepest"
+    bound = 2 ** 62
+    constant_type = ctypes.c_int64
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    @staticmethod
+    def array(values: Sequence[int]):
+        return _c_array(ctypes.c_int64, values)
+
+    @staticmethod
+    def zeros(n: int):
+        return (ctypes.c_int64 * n)()
+
+    @staticmethod
+    def read(array, k: int) -> list[int]:
+        """The first k integers of array."""
+        return array[:k]
+
+    @staticmethod
+    def constant(c: int) -> int:
+        return c
+
+
+class _Int128(_Int64):
+    """The kernel at 128 bits (vcsp_steepest128): exact while |constant| + sum
+    of |weights| < 2^126.  Each integer is 16 little-endian bytes in a char
+    buffer, which need not be 16-byte aligned (the kernel copies values in
+    and out with memcpy); the constant is passed by address."""
+
+    symbol = "vcsp_steepest128"
+    bound = 2 ** 126
+    constant_type = ctypes.c_void_p
+
+    @staticmethod
+    def array(values: Sequence[int]):
+        data = b"".join(v.to_bytes(16, "little", signed=True) for v in values)
+        return (ctypes.c_char * len(data)).from_buffer_copy(data)
+
+    @staticmethod
+    def zeros(n: int):
+        return (ctypes.c_char * (16 * n))()
+
+    @staticmethod
+    def read(array, k: int) -> list[int]:
+        raw = ctypes.string_at(array, 16 * k)
+        return [int.from_bytes(raw[i:i + 16], "little", signed=True)
+                for i in range(0, 16 * k, 16)]
+
+    @staticmethod
+    def constant(c: int):
+        return _Int128.array([c])
+
+
 @functools.cache
 def _native_kernel():
-    """The kernel's ctypes function, or None when it cannot be built or loaded.
+    """The kernel's widths, narrowest first, or None when it cannot be built
+    or loaded.  The 128-bit width is there only where the compiler has
+    __int128 on a little-endian machine (not, for example, on a 32-bit target).
 
     Compiled on the first call, with the C compiler Python was built with,
     into __pycache__/ under a name keyed by the sha256 of the source and the
@@ -119,14 +194,19 @@ def _native_kernel():
         lib = _SRC.parent / "__pycache__" / f"_steepest-{key.hexdigest()[:16]}.so"
         if not lib.exists():
             _compile(cc, lib)
-        fn = ctypes.CDLL(str(lib)).vcsp_steepest
+        lib = ctypes.CDLL(str(lib))
     except OSError:
         return None
     p = ctypes.c_void_p
-    fn.argtypes = [ctypes.c_int32, ctypes.c_int64, p, p, p, p, p, p, p, p,
-                   ctypes.c_int64, ctypes.c_int32, p, p, p]
-    fn.restype = ctypes.c_int
-    return fn
+    widths = []
+    for width in (_Int64, _Int128):
+        fn = getattr(lib, width.symbol, None)
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int32, width.constant_type, p, p, p, p, p, p, p, p,
+                           ctypes.c_int64, ctypes.c_int32, p, p, p]
+            fn.restype = ctypes.c_int
+            widths.append(width(fn))
+    return tuple(widths) or None
 
 
 def _compile(cc: str, lib: Path) -> None:
@@ -154,12 +234,14 @@ def _compile(cc: str, lib: Path) -> None:
 
 
 class _NativeArrays:
-    """One instance's CSR neighbour, weight and unary arrays for the kernel,
-    with its scratch space; the lock keeps two threads off the scratch."""
+    """One instance's CSR neighbour, weight and unary arrays for the kernel at
+    one width, with its scratch space; the lock keeps two threads off the
+    scratch."""
 
-    __slots__ = ("lock", "off", "nbr", "w", "unary", "x", "gain", "imp", "pos", "res")
+    __slots__ = ("lock", "width", "constant", "off", "nbr", "w", "unary", "x", "gain",
+                 "imp", "pos", "res")
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, width):
         d = inst.num_vars
         off, nbr, w = [0], [], []
         for row in inst.neighbors:
@@ -168,62 +250,65 @@ class _NativeArrays:
                 w.append(wt)
             off.append(len(nbr))
         self.lock = threading.Lock()
-        self.off = (ctypes.c_int32 * (d + 1))(*off)
-        self.nbr = (ctypes.c_int32 * len(nbr))(*nbr)
-        self.w = (ctypes.c_int64 * len(w))(*w)
-        self.unary = (ctypes.c_int64 * d)()
-        for i, u in inst.unaries.items():
-            self.unary[i] = u
+        self.width = width
+        self.constant = width.constant(inst.constant)
+        self.off = _c_array(ctypes.c_int32, off)
+        self.nbr = _c_array(ctypes.c_int32, nbr)
+        self.w = width.array(w)
+        self.unary = width.array([inst.unaries.get(i, 0) for i in range(d)])
         self.x = ctypes.create_string_buffer(d)
-        self.gain = (ctypes.c_int64 * d)()
+        self.gain = width.zeros(d)
         self.imp = (ctypes.c_int32 * d)()
         self.pos = (ctypes.c_int32 * d)()
-        self.res = (ctypes.c_int64 * 7)()
+        self.res = width.zeros(7)
 
 
-def _native_arrays(inst: Instance) -> _NativeArrays | None:
-    """The instance's kernel arrays, built once; None when the kernel must not
-    run on it (no variables, or weights large enough to overflow int64)."""
+def _native_arrays(inst: Instance, widths) -> _NativeArrays | None:
+    """The instance's kernel arrays, built once at the narrowest of widths
+    that is exact on it; None when the kernel must not run on it (no
+    variables, or weights too large for every width)."""
     arrays = inst._native
     if arrays is None:
         total = (abs(inst.constant) + sum(map(abs, inst.unaries.values()))
                  + sum(map(abs, inst.binaries.values())))
-        ok = inst.num_vars > 0 and total < _NATIVE_BOUND
-        arrays = inst._native = _NativeArrays(inst) if ok else False
+        width = next((w for w in widths if total < w.bound), None) if inst.num_vars else None
+        arrays = inst._native = _NativeArrays(inst, width) if width else False
     return arrays or None
 
 
-def _steepest_native(kernel, a: _NativeArrays, inst: Instance, start: Sequence[int],
+def _steepest_native(a: _NativeArrays, inst: Instance, start: Sequence[int],
                      raise_on_tie: bool, record_steps: bool, limit: int) -> Trace:
     """steepest_ascent on the kernel.  Recorded runs go in calls of at most
     _CHUNK steps, each continuing from the last end; steepest ascent depends
     only on the current assignment, so the path is the same as in one call."""
     inst.check_assignment(start)
-    start = tuple(start)
+    x = bytes(tuple(start))  # as in _setup
+    start = tuple(x)
     if limit >= 2 ** 63:
-        limit = -1  # unreachable: under the bound a run has fewer than 2^63 steps
+        limit = -1  # no limit in practice: at 30M steps/s, 2^63 steps take about 10^4 years
+    width = a.width
     steps = out_var = out_gain = None
     if record_steps:
         size = _CHUNK if limit < 0 else max(1, min(_CHUNK, limit))
         out_var = (ctypes.c_int32 * size)()
-        out_gain = (ctypes.c_int64 * size)()
+        out_gain = width.zeros(size)
         steps = []
-    res = a.res
     nsteps = ties = 0
     fit0 = min_gain = None
     with a.lock:
-        a.x.raw = bytes(start)
+        a.x.raw = x
         while True:
             left = -1 if limit < 0 else limit - nsteps
             part = left if steps is None else (size if left < 0 else min(size, left))
-            status = kernel(inst.num_vars, inst.constant, a.off, a.nbr, a.w, a.unary, a.x, a.gain,
-                            a.imp, a.pos, part, raise_on_tie, out_var, out_gain, res)
-            k, fit_start, fit, least, ties_k = res[0:5]
+            status = width.fn(inst.num_vars, a.constant, a.off, a.nbr, a.w, a.unary, a.x,
+                              a.gain, a.imp, a.pos, part, raise_on_tie, out_var, out_gain,
+                              a.res)
+            k, fit_start, fit, least, ties_k, tie_moves, tie_gain = width.read(a.res, 7)
             if fit0 is None:
                 fit0 = fit_start
             if k:
                 if steps is not None:
-                    gains = out_gain[:k]
+                    gains = width.read(out_gain, k)
                     steps.extend(zip(out_var[:k], gains,
                                      islice(accumulate(gains, initial=fit_start), 1, None)))
                 if min_gain is None or least < min_gain:
@@ -231,7 +316,7 @@ def _steepest_native(kernel, a: _NativeArrays, inst: Instance, start: Sequence[i
             nsteps += k
             ties += ties_k
             if status == _TIE:
-                raise _tie_error(nsteps + 1, res[5], res[6])
+                raise _tie_error(nsteps + 1, tie_moves, tie_gain)
             if status == _PEAK or nsteps == limit:
                 break
         end = a.x.raw
@@ -257,21 +342,21 @@ def steepest_ascent(
     only the flipped variable's neighbors change gradient, so each step costs
     O(degree) plus a scan of the improving set.
 
-    Instances with at least one variable and |constant| + sum of |weights|
-    below 2^62 run on the native kernel when it is available; the loop below
-    is the reference and the fallback, and both give the same Trace.
+    Instances with at least one variable run on the native kernel when it is
+    available: at int64 while |constant| + sum of |weights| is below 2^62,
+    else at 128 bits while it is below 2^126.  The loop below runs the rest
+    (and everything when the kernel or its 128-bit width is missing); it is
+    the reference, and every path gives the same Trace.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
     limit = _step_limit(max_steps)
-    kernel = _native_kernel()
-    arrays = _native_arrays(inst) if kernel else None
+    widths = _native_kernel()
+    arrays = _native_arrays(inst, widths) if widths else None
     if arrays is not None:
-        return _steepest_native(kernel, arrays, inst, start, tie_policy == "error",
-                                record_steps, limit)
-    x, grad, imp, fit = _setup(inst, start)
+        return _steepest_native(arrays, inst, start, tie_policy == "error", record_steps, limit)
+    start, x, grad, imp, fit = _setup(inst, start)
     fit0 = fit
-    start = tuple(start)
     neighbors = inst.neighbors
     raise_on_tie = tie_policy == "error"
     steps: list[tuple[int, int, int]] | None = [] if record_steps else None
@@ -331,9 +416,8 @@ def random_ascent(
     set), so experiment runs are reproducible in CI.
     """
     rng = random.Random(seed)
-    x, grad, imp, fit = _setup(inst, start)
+    start, x, grad, imp, fit = _setup(inst, start)
     fit0 = fit
-    start = tuple(start)
     neighbors = inst.neighbors
     steps: list[tuple[int, int, int]] | None = [] if record_steps else None
     nsteps = 0
@@ -384,9 +468,8 @@ def first_improvement_ascent(
         order = tuple(scan_order)
         if sorted(order) != list(range(d)):
             raise ValueError("scan_order must be a permutation of the variable indices")
-    x, grad, imp, fit = _setup(inst, start)
+    start, x, grad, imp, fit = _setup(inst, start)
     fit0 = fit
-    start = tuple(start)
     neighbors = inst.neighbors
     steps: list[tuple[int, int, int]] | None = [] if record_steps else None
     nsteps = 0
@@ -511,12 +594,13 @@ def write_trace_csv(trace: Trace, inst: Instance, path) -> None:
     """
     if trace.steps is None:
         raise ValueError("trace has no recorded steps to write")
+    # rows as csv.writer writes them: "\r\n" after each, and the label,
+    # which holds a comma, in double quotes
+    label = {v: f'"({k},{i})"' for v, (k, i) in inst.labels.items()}
     with open(path, "w", newline="") as fh:
         fh.write(f"# method={trace.method}\n")
         fh.write(f"# seed={trace.seed if trace.seed is not None else ''}\n")
         fh.write(f"# instance=sha256:{inst.content_hash()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step", "var_index", "var_label", "gain", "fitness_after"])
-        for t, (v, gain, after) in enumerate(trace.steps, start=1):
-            lab = inst.labels.get(v)
-            writer.writerow([t, v, f"({lab[0]},{lab[1]})" if lab else "", gain, after])
+        fh.write("step,var_index,var_label,gain,fitness_after\r\n")
+        fh.writelines(f"{t},{v},{label.get(v, '')},{gain},{after}\r\n"
+                      for t, (v, gain, after) in enumerate(trace.steps, start=1))

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import vcsp_landscape
 from vcsp_landscape import Instance, build_chain, search, write_instance
 from vcsp_landscape.cli import main
 
@@ -22,6 +27,26 @@ def test_gen_writes_instance(tmp_path, capsys):
     assert code == 0
     assert stdout == "vars=18 unaries=18 binaries=20\n"
     assert len(constraint_lines(out)) == 38
+
+
+def test_numpy_is_only_imported_by_the_oracles(tmp_path):
+    # importing the package, a steepest ascent and `vcsp gen` leave numpy
+    # unloaded; the first brute-force oracle loads it
+    script = f"""
+import sys
+import vcsp_landscape as v
+from vcsp_landscape.cli import main
+v.steepest_ascent(v.build_chain(3, 3, "+"), (0,) * 18)
+assert main(["gen", "--n", "3", "--sign", "+", "--out", {str(tmp_path / "c.vcsp")!r}]) == 0
+assert "numpy" not in sys.modules, "numpy imported"
+v.enumerate_peaks(v.build_chain(1, 1, "+"))
+assert "numpy" in sys.modules
+"""
+    src = str(Path(vcsp_landscape.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "vars=18 unaries=18 binaries=20\n"
 
 
 def test_gen_single_gadget(tmp_path, capsys):
@@ -169,6 +194,26 @@ def test_ascend_trials(tmp_path, capsys):
     assert out1.startswith("trials=20 method=random mean=")
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("method,plain", [
+    ("random", "trials=5 method=random mean=56/5 min=8 max=14\n"),
+    ("steepest", "trials=5 method=steepest mean=50 min=50 max=50\n"),
+    ("first", "trials=5 method=first mean=6 min=6 max=6\n"),
+])
+def test_ascend_trials_max_steps(tmp_path, capsys, method, plain):
+    # --max-steps applies to every trial; without it the output is as before
+    path = tmp_path / "c.vcsp"
+    write_instance(build_chain(3, 3, "-"), path)
+    args = ("ascend", "--instance", str(path), "--start", "1" * 6 + "0" * 12,
+            "--method", method, "--trials", "5", "--seed", "11")
+    assert run(capsys, *args) == (0, plain, "")
+    code, out, _ = run(capsys, *args, "--max-steps", "2")
+    assert code == 0
+    assert out.startswith("trials=5 method=") and out.endswith(" max=2\n")
+    code, out, err = run(capsys, *args, "--max-steps", "-5")
+    assert (code, out) == (1, "")
+    assert "RangeError" in err
 
 
 def test_eval_raw_order(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import pickle
 import random
 import shlex
@@ -45,11 +46,36 @@ def reference(monkeypatch):
     return run
 
 
+BIG = 2 ** 64 + 1  # scales an instance past int64, into the 128-bit kernel
+
+
+def scaled(inst, k):
+    return Instance(inst.num_vars, inst.constant * k,
+                    {i: w * k for i, w in inst.unaries.items()},
+                    {ij: w * k for ij, w in inst.binaries.items()}, inst.labels)
+
+
+def both_widths():
+    """Whether the kernel was built here at both widths (int64 and 128-bit)."""
+    return len(search._native_kernel() or ()) == 2
+
+
+def width_bound(inst):
+    """The bound of the kernel width that steepest ascent ran on for inst, or
+    None for the Python loop."""
+    return inst._native.width.bound if inst._native else None
+
+
 def native(inst, start, **kwargs):
-    """steepest_ascent as dispatched; checks that it ran on the kernel whenever
-    one was built here (test_native_kernel_loads checks that one was)."""
+    """steepest_ascent as dispatched; checks that it ran on the narrowest
+    kernel width built here that is exact on inst (test_native_kernel_loads
+    checks that both widths were built)."""
     tr = steepest_ascent(inst, start, **kwargs)
-    assert bool(inst._native) == (search._native_kernel() is not None)
+    total = (abs(inst.constant) + sum(map(abs, inst.unaries.values()))
+             + sum(map(abs, inst.binaries.values())))
+    widths = search._native_kernel() or ()
+    want = next((w.bound for w in widths if inst.num_vars and total < w.bound), None)
+    assert width_bound(inst) == want
     return tr
 
 
@@ -276,11 +302,14 @@ def test_negative_max_steps_rejected(engine, chain22_plus):
 
 def test_native_kernel_loads():
     # without the kernel, every differential test below compares the Python
-    # loop with itself
+    # loop with itself; without the 128-bit width, the scaled ones do
     cc = sysconfig.get_config_var("CC")
     if not cc or shutil.which(shlex.split(cc)[0]) is None:
         pytest.skip("no C compiler: steepest ascent runs on the Python loop")
-    assert search._native_kernel() is not None
+    widths = search._native_kernel()
+    assert widths is not None
+    if sys.maxsize > 2 ** 32 and sys.byteorder == "little":  # gcc and clang have __int128
+        assert [w.bound for w in widths] == [2 ** 62, 2 ** 126]
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -294,13 +323,21 @@ def test_native_matches_reference_on_chains(reference, n, sign):
                 reference(inst, start, record_steps=record)
 
 
-@pytest.mark.parametrize("part", [1, 7, 1000, 2 ** 14 + 3])
-def test_native_max_steps_continuation(reference, part):
-    # runs of at most `part` steps, each continuing from the last end, walk
-    # the path of one unbroken run; recorded runs above 2^14 steps span
-    # several kernel calls
-    inst = build_chain(12, 12, "+")
-    start = expected_peak(12, 12, "-")
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_native128_matches_reference_on_scaled_chains(reference, n, sign):
+    # every weight times 2^64 + 1: no fitness or gain fits in int64
+    for m in range(1, n + 1):
+        inst = scaled(build_chain(n, m, sign), BIG)
+        start = expected_peak(n, m, "-" if sign == "+" else "+")
+        for record in (False, True):
+            assert native(inst, start, record_steps=record) == \
+                reference(inst, start, record_steps=record)
+
+
+def check_continuation(reference, inst, start, part):
+    """Runs of at most `part` steps, each continuing from the last end, walk
+    the path of one unbroken run, and each agrees with the reference."""
     whole = native(inst, start)
     steps, x = [], start
     while True:
@@ -316,14 +353,25 @@ def test_native_max_steps_continuation(reference, part):
     assert native(inst, start, max_steps=2 ** 64) == whole  # beyond int64: no limit
 
 
-@pytest.mark.parametrize("chunk", [None, 2])
-def test_native_matches_reference_with_ties(reference, monkeypatch, chunk):
-    if chunk:  # recorded runs cross kernel calls every `chunk` steps
-        monkeypatch.setattr(search, "_CHUNK", chunk)
+@pytest.mark.parametrize("part", [1, 7, 1000, 2 ** 14 + 3])
+def test_native_max_steps_continuation(reference, part):
+    # recorded runs above 2^14 steps span several kernel calls
+    check_continuation(reference, build_chain(12, 12, "+"), expected_peak(12, 12, "-"), part)
+
+
+@pytest.mark.parametrize("part", [1, 7, 1000, 2 ** 14 + 3])
+def test_native128_max_steps_continuation(reference, part):
+    inst = scaled(build_chain(10, 10, "+"), BIG)
+    check_continuation(reference, inst, expected_peak(10, 10, "-"), part)
+
+
+def check_ties(reference, scale):
+    """Native and reference agree on 400 seeded instances with many ties,
+    with every weight times scale, under both tie policies."""
     rng = random.Random(20260)
     tied = stopped = 0
     for _ in range(400):
-        inst = random_instance(rng, max_weight=3)  # small weights: many ties
+        inst = scaled(random_instance(rng, max_weight=3), scale)  # small weights: many ties
         start = random_bits(rng, inst.num_vars)
         limit = rng.choice([None, None, 0, 1, 3])
         for policy in ("lowest-index", "error"):
@@ -338,31 +386,51 @@ def test_native_matches_reference_with_ties(reference, monkeypatch, chunk):
     assert tied >= 100 and stopped >= 100
 
 
-def scaled(inst, k):
-    return Instance(inst.num_vars, inst.constant * k,
-                    {i: w * k for i, w in inst.unaries.items()},
-                    {ij: w * k for ij, w in inst.binaries.items()}, inst.labels)
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_native_matches_reference_with_ties(reference, monkeypatch, chunk):
+    if chunk:  # recorded runs cross kernel calls every `chunk` steps
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+    check_ties(reference, 1)
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_native128_matches_reference_with_ties(reference, monkeypatch, chunk):
+    # every gain in a TieEncounteredError message is past int64
+    if chunk:
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+    check_ties(reference, BIG)
 
 
 def test_native_bound(reference):
-    big = 2 ** 64 + 1
+    # the chain times 2^64 + 1 runs on the 128-bit kernel, times 2^130 on the
+    # Python loop; both walk the unscaled path with scaled gains
     inst = build_chain(6, 6, "+")
     start = expected_peak(6, 6, "-")
     small = native(inst, start)
-    huge = scaled(inst, big)
-    tr = steepest_ascent(huge, start)
-    assert not huge._native  # ran on the Python loop
-    assert [(v, g * big, f * big) for v, g, f in small.steps] == list(tr.steps)
-    assert (tr.end, tr.tie_events, tr.min_gain) == (small.end, 0, small.min_gain * big)
-    # |constant| + sum of |weights| just below 2^62 runs on the kernel, at 2^62
-    # on the Python loop, and both agree with the reference
-    for total, on_kernel in ((2 ** 62 - 1, True), (2 ** 62, False)):
-        c, u0, u1, b01 = -(2 ** 60), 2 ** 60, 2 ** 60 - 1, -(2 ** 59)
-        b12 = total - sum(map(abs, (c, u0, u1, b01)))
-        edge = Instance(3, c, [(0, u0), (1, u1)], [(0, 1, b01), (1, 2, b12)])
-        for start in ((0, 0, 0), (1, 0, 1), (0, 1, 1)):
-            assert steepest_ascent(edge, start) == reference(edge, start)
-        assert bool(edge._native) == (on_kernel and search._native_kernel() is not None)
+    for scale, bound in ((BIG, 2 ** 126), (2 ** 130, None)):
+        huge = scaled(inst, scale)
+        tr = native(huge, start)
+        if both_widths():
+            assert width_bound(huge) == bound
+        assert [(v, g * scale, f * scale) for v, g, f in small.steps] == list(tr.steps)
+        assert (tr.end, tr.tie_events, tr.min_gain) == (small.end, 0, small.min_gain * scale)
+        assert tr == reference(huge, start)
+
+
+@pytest.mark.parametrize("total,bound", [
+    (2 ** 62 - 1, 2 ** 62), (2 ** 62, 2 ** 126), (2 ** 126 - 1, 2 ** 126), (2 ** 126, None)])
+def test_native_width_edges(reference, total, bound):
+    # |constant| + sum of |weights| just below 2^62 runs at int64, from 2^62 to
+    # just below 2^126 at 128 bits, from 2^126 on the Python loop; every run
+    # agrees with the reference
+    e = 60 if total <= 2 ** 62 else 124
+    c, u0, u1, b01 = -(2 ** e), 2 ** e, 2 ** e - 1, -(2 ** (e - 1))
+    b12 = total - sum(map(abs, (c, u0, u1, b01)))
+    edge = Instance(3, c, [(0, u0), (1, u1)], [(0, 1, b01), (1, 2, b12)])
+    for start in ((0, 0, 0), (1, 0, 1), (0, 1, 1)):
+        assert native(edge, start) == reference(edge, start)
+    if both_widths():
+        assert width_bound(edge) == bound
 
 
 def test_forced_fallback_gives_same_results(monkeypatch):
@@ -377,6 +445,47 @@ def test_forced_fallback_gives_same_results(monkeypatch):
         assert steepest_ascent(inst, start) == recorded
         assert steepest_ascent(inst, start, record_steps=False) == summary
         assert inst._native is None  # the kernel's arrays were never built
+
+
+def test_native_without_the_128_bit_width(reference, monkeypatch, tmp_path):
+    # a library built where the compiler has no __int128 (a 32-bit target, say)
+    # has only the int64 width; instances past 2^62 then run on the Python loop
+    if search._native_kernel() is None:
+        pytest.skip("no native kernel on this machine")
+    src = tmp_path / "_steepest.c"
+    src.write_bytes(b"#undef __SIZEOF_INT128__\n" + search._SRC.read_bytes())
+    monkeypatch.setattr(search, "_SRC", src)
+    widths = search._native_kernel.__wrapped__()
+    assert [w.bound for w in widths] == [2 ** 62]
+    monkeypatch.setattr(search, "_native_kernel", lambda: widths)
+    start = expected_peak(6, 6, "-")
+    for scale, bound in ((1, 2 ** 62), (BIG, None)):
+        inst = scaled(build_chain(6, 6, "+"), scale)
+        for record in (False, True):
+            assert native(inst, start, record_steps=record) == \
+                reference(inst, start, record_steps=record)
+        assert width_bound(inst) == bound
+
+
+@pytest.mark.parametrize("engine", [
+    steepest_ascent,
+    lambda inst, start, **kw: random_ascent(inst, start, seed=3, **kw),
+    first_improvement_ascent,
+])
+@pytest.mark.parametrize("kernel", [True, False])
+def test_numpy_start(monkeypatch, engine, kernel):
+    # a numpy array start gives the Trace of the same tuple of ints, on the
+    # kernel and on the Python loops
+    np = pytest.importorskip("numpy")
+    if not kernel:
+        monkeypatch.setattr(search, "_native_kernel", lambda: None)
+    inst = build_chain(2, 2, "+")
+    want = expected_peak(2, 2, "-")
+    for record in (False, True):
+        tr = engine(inst, np.array(want, dtype=np.int64), record_steps=record)
+        assert tr == engine(inst, want, record_steps=record)
+        assert tr.num_steps > 0 and len(tr.end) == inst.num_vars
+        assert {type(b) for b in tr.start + tr.end} == {int}
 
 
 def test_native_loader_falls_back_when_the_build_fails(monkeypatch, tmp_path):
@@ -401,10 +510,10 @@ def test_native_loader_builds_into_pycache(monkeypatch, tmp_path):
     assert [p.suffix for p in (tmp_path / "__pycache__").iterdir()] == [".so"]
 
 
-def test_native_threads_share_an_instance():
-    # the kernel's scratch arrays belong to the instance; concurrent ascents
-    # from different starts must not see each other's state
-    inst = build_chain(8, 8, "+")
+def check_threads(inst):
+    """Four threads run ascents from different starts on the shared inst and
+    see the same Traces as one thread: the kernel's scratch arrays belong to
+    the instance, so they must not see each other's state."""
     rng = random.Random(5)
     starts = [random_bits(rng, inst.num_vars) for _ in range(6)]
     runs = [(x, rec) for x in starts for rec in (False, True)]
@@ -431,9 +540,36 @@ def test_native_threads_share_an_instance():
     assert not bad
 
 
+def test_native_threads_share_an_instance():
+    check_threads(build_chain(8, 8, "+"))
+
+
+def test_native128_threads_share_an_instance():
+    check_threads(scaled(build_chain(8, 8, "+"), BIG))
+
+
 def test_instance_pickles_after_a_native_run():
     inst = build_chain(3, 3, "+")
     tr = steepest_ascent(inst, (0,) * 18)
     copy = pickle.loads(pickle.dumps(inst))
     assert copy == inst and copy._native is None
     assert steepest_ascent(copy, (0,) * 18) == tr
+
+
+@pytest.mark.parametrize("case,digest", [
+    ("chain", "4edff4586822c71e461a5ded9c27855099263497068d7c05633e654e0a408d1b"),
+    ("random", "5ebf838659048b17093408d431f768a34fe26f43b55c5d0ff872cd74672fb64c"),
+])
+def test_trace_csv_bytes_are_pinned(tmp_path, case, digest):
+    # the exact bytes of two trace files: quoted "(k,i)" labels, empty labels,
+    # negative fitness, "\n" after the comments and "\r\n" after every row
+    if case == "chain":
+        inst = build_chain(3, 3, "+")
+        tr = steepest_ascent(inst, expected_peak(3, 3, "-"))
+    else:
+        rng = random.Random(4)
+        inst = random_instance(rng, max_vars=40, max_weight=50)
+        tr = random_ascent(inst, random_bits(rng, inst.num_vars), seed=99)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(tr, inst, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
