@@ -13,7 +13,6 @@ from .core import (
     format_assignment,
     from_constraint_tables,
     from_text,
-    new_instance,
     parse_assignment,
     parse_bits,
     read_instance,

@@ -31,14 +31,6 @@ class VerifyReport:
         return all(ok for _, _, _, ok in self.checks)
 
 
-def _parse_start(inst, text, raw):
-    return core.parse_assignment(inst, text, raw=raw)
-
-
-def _fmt(inst, x, raw):
-    return core.format_assignment(inst, x, raw=raw)
-
-
 def cmd_gen(args) -> int:
     inst = generator.build_chain(args.n, args.m, args.sign, validate=not args.no_validate)
     core.write_instance(inst, args.out)
@@ -51,23 +43,24 @@ def cmd_gen(args) -> int:
 
 def cmd_eval(args) -> int:
     inst = core.read_instance(args.instance)
-    x = _parse_start(inst, args.assign, args.raw_order)
+    x = core.parse_assignment(inst, args.assign, raw=args.raw_order)
     print(f"fitness={inst.fitness(x)}")
     return 0
 
 
 def cmd_ascend(args) -> int:
     inst = core.read_instance(args.instance)
-    x = _parse_start(inst, args.start, args.raw_order)
+    x = core.parse_assignment(inst, args.start, raw=args.raw_order)
+    policy = "error" if args.tie == "error" else "lowest-index"
     if args.trials is not None:
+        extra = {"tie_policy": policy} if args.method == "steepest" else {}
         stats = search.run_trials(inst, x, method=args.method, trials=args.trials,
-                                  seed=args.seed, max_steps=args.max_steps)
+                                  seed=args.seed, max_steps=args.max_steps, **extra)
         print(f"trials={stats.trials} method={stats.method} mean={stats.mean} "
               f"min={stats.min} max={stats.max}")
         return 0
     record = args.trace is not None
     if args.method == "steepest":
-        policy = "error" if args.tie == "error" else "lowest-index"
         tr = search.steepest_ascent(inst, x, tie_policy=policy,
                                     record_steps=record, max_steps=args.max_steps)
     elif args.method == "random":
@@ -78,7 +71,7 @@ def cmd_ascend(args) -> int:
                                              max_steps=args.max_steps)
     if args.trace:
         search.write_trace_csv(tr, inst, args.trace)
-    end = _fmt(inst, tr.end, args.raw_order)
+    end = core.format_assignment(inst, tr.end, raw=args.raw_order)
     if tr.complete:
         print(f"steps={tr.num_steps} final_fitness={tr.fitness_end} peak={end} "
               f"ties={tr.tie_events}")
@@ -115,14 +108,15 @@ def cmd_verify(args) -> int:
         report.add(f"orientation[{sign}]", "expected-arcs", got)
         peak = landscape.peak_of_oriented(inst, o) if o.oriented else None
         want = peak_plus if sign == "+" else peak_minus
-        report.add(f"peak[{sign}]", _fmt(inst, want, False),
-                   _fmt(inst, peak, False) if peak is not None else "none")
+        report.add(f"peak[{sign}]", core.format_assignment(inst, want),
+                   core.format_assignment(inst, peak) if peak is not None else "none")
 
     for sign, inst, start, goal in (("+", plus, peak_minus, peak_plus),
                                     ("-", minus, peak_plus, peak_minus)):
         tr = search.steepest_ascent(inst, start, record_steps=False)
         report.add(f"ascent[{sign}]-steps", length, tr.num_steps)
-        report.add(f"ascent[{sign}]-end", _fmt(inst, goal, False), _fmt(inst, tr.end, False))
+        report.add(f"ascent[{sign}]-end", core.format_assignment(inst, goal),
+                   core.format_assignment(inst, tr.end))
         report.add(f"ascent[{sign}]-ties", 0, tr.tie_events)
         report.add(f"ascent[{sign}]-min-gain", f">={s_m}",
                    f">={s_m}" if (tr.min_gain or 0) >= s_m else str(tr.min_gain))
@@ -137,12 +131,13 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = core.read_instance(args.instance)
+    raw = args.raw_order
     if args.peaks:
         cap = args.cap if args.cap is not None else landscape.PEAKS_CAP
         peaks = landscape.enumerate_peaks(inst, cap=cap)
         print(f"peaks={len(peaks)}")
         for p in peaks:
-            print(f"peak {_fmt(inst, p, args.raw_order)} {inst.fitness(p)}")
+            print(f"peak {core.format_assignment(inst, p, raw)} {inst.fitness(p)}")
         return 0
     if args.semismooth:
         cap = args.cap if args.cap is not None else landscape.SEMISMOOTH_CAP
@@ -153,18 +148,18 @@ def cmd_oracle(args) -> int:
         v = result.violation
         print("semismooth=false")
         pattern = ["*" if i in v.free_vars else str(v.fixed[i]) for i in range(inst.num_vars)]
-        order = range(inst.num_vars) if args.raw_order else inst.display_order()
+        order = range(inst.num_vars) if raw else inst.display_order()
         print(f"face {''.join(pattern[i] for i in order)} peaks={len(v.peaks)}")
         for p in v.peaks:
-            print(f"face-peak {_fmt(inst, p, args.raw_order)} {inst.fitness(p)}")
+            print(f"face-peak {core.format_assignment(inst, p, raw)} {inst.fitness(p)}")
         return 1
     # --ascent-graph START
-    start = _parse_start(inst, args.ascent_graph, args.raw_order)
+    start = core.parse_assignment(inst, args.ascent_graph, raw)
     cap = args.cap if args.cap is not None else landscape.ASCENT_GRAPH_CAP
     graph = landscape.ascent_graph(inst, start, cap=cap)
     print(f"nodes={len(graph.nodes)} edges={len(graph.edges)} sinks={len(graph.sinks)}")
     for s in graph.sinks:
-        print(f"sink {_fmt(inst, s, args.raw_order)} {graph.nodes[s]}")
+        print(f"sink {core.format_assignment(inst, s, raw)} {graph.nodes[s]}")
     return 0
 
 

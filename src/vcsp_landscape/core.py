@@ -18,20 +18,26 @@ by decreasing k and, within a gadget, increasing i.
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    BitValueError,
     DuplicateScopeError,
     IndexOutOfRangeError,
     LengthMismatchError,
     MalformedTableError,
     ParseError,
     SelfLoopError,
+    TooLargeError,
     ZeroWeightError,
 )
 
 Bits = tuple[int, ...]
 Label = tuple[int, int]
+
+# largest degree whose 2^degree gradient table is built (about 40 MB at 20)
+TABLE_DEGREE_CAP = 20
 
 
 class Instance:
@@ -133,9 +139,20 @@ class Instance:
         if len(x) != self.num_vars:
             raise LengthMismatchError(
                 f"assignment has length {len(x)}, instance has {self.num_vars} variables")
+        try:
+            # bytes() takes integers (bools and numpy integers too) in range(256)
+            # and rejects floats, which would compare equal to 0 and 1
+            if not bytes(tuple(x)).translate(None, b"\0\1"):
+                return
+        except (TypeError, ValueError):
+            pass
         for b in x:
-            if b != 0 and b != 1:
-                raise ValueError(f"assignment entries must be 0 or 1, got {b!r}")
+            try:
+                if operator.index(b) in (0, 1):
+                    continue
+            except TypeError:
+                pass
+            raise BitValueError(f"assignment entries must be integers 0 or 1, got {b!r}")
 
     def fitness(self, x: Sequence[int]) -> int:
         self.check_assignment(x)
@@ -218,9 +235,21 @@ class Instance:
                 f"unaries={len(self.unaries)}, binaries={len(self.binaries)})")
 
 
-def new_instance(num_vars, constant=0, unaries=(), binaries=(), labels=None) -> Instance:
-    """Convenience alias for the Instance constructor."""
-    return Instance(num_vars, constant, unaries, binaries, labels)
+def _gradient_table(inst: Instance, v: int) -> list[int]:
+    """The gradient of v at every assignment of its neighbors, in mask order:
+    bit b of the index is the value of inst.neighbors[v][b].
+
+    Built by doubling, one addition per entry.  Raises TooLargeError above
+    TABLE_DEGREE_CAP neighbors rather than allocate 2^degree entries.
+    """
+    nbrs = inst.neighbors[v]
+    if len(nbrs) > TABLE_DEGREE_CAP:
+        raise TooLargeError(f"variable {v} has {len(nbrs)} neighbors; tables over "
+                            f"neighborhood assignments are capped at {TABLE_DEGREE_CAP}")
+    sums = [inst.unaries.get(v, 0)]
+    for _, w in nbrs:
+        sums += [s + w for s in sums]
+    return sums
 
 
 def flip(x: Sequence[int], i: int) -> Bits:

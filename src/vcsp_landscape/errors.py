@@ -25,6 +25,10 @@ class LengthMismatchError(VcspError):
     """An assignment's length does not match the instance's variable count."""
 
 
+class BitValueError(VcspError, ValueError):
+    """An assignment entry is not an integer equal to 0 or 1."""
+
+
 class MalformedTableError(VcspError):
     """A constraint value table is incomplete or otherwise malformed."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .core import Bits, Instance
+from .core import Bits, Instance, _gradient_table
 from .errors import RangeError, SelfValidationError
 from .structure import PathDecomposition
 
@@ -252,12 +252,7 @@ def _validate_weights(inst: Instance, n: int, sign: str, top_label, gadget_of) -
 
         k = gadget_of(v)
         s_k = n + 1 - k
-        nbrs = inst.neighbors[v]
-        for mask in range(1 << len(nbrs)):
-            g = u
-            for b, (j, w) in enumerate(nbrs):
-                if mask >> b & 1:
-                    g += w
+        for g in _gradient_table(inst, v):
             if g == 0:
                 raise SelfValidationError(
                     f"zero gradient on {inst.labels[v]} for some neighborhood assignment")

@@ -93,6 +93,9 @@ def validate_path_decomposition(
     containing both endpoints, and each vertex's bags form a contiguous run.
     Otherwise returns the first violated property with a concrete witness.
     Violations are reported as values, never raised.
+
+    One pass over the bags lists each vertex's bag positions; the edge check
+    then looks only at the bags of the endpoint that is in fewer of them.
     """
     if not bags:
         raise ValueError("bags must be nonempty")
@@ -101,25 +104,29 @@ def validate_path_decomposition(
     def fail(kind, detail, witness):
         return DecompositionCheck(False, None, DecompositionViolation(kind, detail, witness))
 
+    n = g.num_vars
+    positions: list[list[int]] = [[] for _ in range(n)]
     for r, bag in enumerate(bag_sets):
-        for v in sorted(bag):
-            if not (0 <= v < g.num_vars):
-                return fail("unknown-vertex", f"bag {r} contains unknown vertex {v}", (r, v))
+        for v in bag:
+            if not (0 <= v < n):
+                bad = min(u for u in bag if not (0 <= u < n))
+                return fail("unknown-vertex", f"bag {r} contains unknown vertex {bad}", (r, bad))
+            positions[v].append(r)
 
-    covered: set[int] = set().union(*bag_sets) if bag_sets else set()
-    for v in range(g.num_vars):
-        if v not in covered:
+    for v in range(n):
+        if not positions[v]:
             return fail("uncovered-vertex", f"vertex {v} is in no bag", (v,))
 
     for i, j in g.edges:
-        if not any(i in bag and j in bag for bag in bag_sets):
+        a, b = (i, j) if len(positions[i]) <= len(positions[j]) else (j, i)
+        if not any(b in bag_sets[r] for r in positions[a]):
             return fail("uncovered-edge", f"edge {{{i},{j}}} has no common bag", (i, j))
 
-    for v in range(g.num_vars):
-        positions = [r for r, bag in enumerate(bag_sets) if v in bag]
-        lo, hi = positions[0], positions[-1]
-        if hi - lo + 1 != len(positions):
-            gap = next(r for r in range(lo, hi + 1) if v not in bag_sets[r])
+    for v in range(n):
+        pos = positions[v]
+        lo, hi = pos[0], pos[-1]
+        if hi - lo + 1 != len(pos):
+            gap = next(lo + k for k, r in enumerate(pos) if r != lo + k)
             return fail("broken-interval",
                         f"vertex {v} is in bags {lo} and {hi} but not bag {gap}",
                         (v, lo, gap, hi))

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 import vcsp_landscape
 from vcsp_landscape import Instance, build_chain, search, write_instance
 from vcsp_landscape.cli import main
+
+GOLDEN_SHA256 = "5a1332b53acb30bbbede013bbd1ceb6e4034d1a34951daf35b9488bcf5494245"
 
 
 def run(capsys, *argv):
@@ -341,3 +344,66 @@ def test_usage_error_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--n", "2"])  # missing required --sign/--out
     assert exc.value.code == 2
+
+
+def golden_session(tmp_path, capsys) -> str:
+    """A fixed `vcsp` command set; stdout and exit code of each, in order."""
+    c3, c2, bags = (str(tmp_path / f) for f in ("c3.vcsp", "c2.vcsp", "c3.bags"))
+    twist = tmp_path / "twist.vcsp"
+    twist.write_text("vcsp 1\nn 12\n"
+                     + "".join(f"label {i} 1 {i + 1}\n" for i in range(6))
+                     + "".join(f"label {6 + i} 2 {i + 1}\n" for i in range(6))
+                     + "u 0 7\n" + "".join(f"u {i} {i % 3 - 3}\n" for i in range(1, 12))
+                     + "b 0 7 -9\nb 6 11 5\nb 1 6 4\n")
+    commands = [
+        ("gen", "--n", "3", "--sign", "+", "--out", c3, "--decomposition", bags),
+        ("gen", "--n", "2", "--sign", "-", "--out", c2),
+        ("structure", "--instance", c3, "--decomposition", bags),
+        ("structure", "--instance", c2),
+        ("eval", "--instance", c3, "--assign", "101" * 6),
+        ("eval", "--instance", str(twist), "--assign", "100000010001", "--raw-order"),
+        ("ascend", "--instance", c3, "--start", "0" * 18),
+        ("ascend", "--instance", c3, "--start", "0" * 18, "--max-steps", "9"),
+        ("ascend", "--instance", c3, "--start", "1" * 18, "--method", "random", "--seed", "4"),
+        ("ascend", "--instance", c3, "--start", "1" * 18, "--method", "first"),
+        ("ascend", "--instance", str(twist), "--start", "111111111111", "--raw-order"),
+        ("ascend", "--instance", c3, "--start", "1" * 18, "--method", "random",
+         "--trials", "7", "--seed", "3"),
+        ("ascend", "--instance", c3, "--start", "0" * 18, "--trials", "2"),
+        ("ascend", "--instance", c3, "--start", "0" * 18, "--method", "first", "--trials", "2"),
+        ("ascend", "--instance", c3, "--start", "000"),
+        ("verify", "--n", "6"),
+        ("verify", "--n", "4", "--m", "2"),
+        ("oracle", "--instance", c2, "--peaks"),
+        ("oracle", "--instance", str(twist), "--peaks", "--raw-order"),
+        ("oracle", "--instance", c2, "--ascent-graph", "111110000000"),
+        ("oracle", "--instance", str(twist), "--ascent-graph", "0" * 12, "--raw-order"),
+    ]
+    out = []
+    for argv in commands:
+        code, stdout, _ = run(capsys, *argv)
+        out.append(f"$ {' '.join(a.replace(str(tmp_path), '.') for a in argv)}\n"
+                   f"{stdout}exit={code}\n")
+    return "".join(out)
+
+
+def test_golden_cli_session(tmp_path, capsys):
+    # pins the stdout and exit codes of a fixed command set, byte for byte
+    text = golden_session(tmp_path, capsys)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256, text
+
+
+def test_ascend_trials_tie_policy(tmp_path, capsys):
+    # --tie applies to steepest trials; random trials take no tie policy
+    path = tmp_path / "t.vcsp"
+    write_instance(Instance(3, 0, [(0, 2), (1, 2), (2, 1)], [(0, 2, -1)]), path)
+    args = ("ascend", "--instance", str(path), "--start", "000", "--trials", "2")
+    assert run(capsys, *args) == (0, "trials=2 method=steepest mean=2 min=2 max=2\n", "")
+    code, out, err = run(capsys, *args, "--tie", "error")
+    assert (code, out) == (1, "")
+    assert err == "error: TieEncounteredError: step 1: 2 moves share the maximal gain 2\n"
+    assert run(capsys, *args[:-2], "--tie", "error") == (code, out, err)
+    rand = args + ("--method", "random", "--seed", "3")
+    plain = run(capsys, *rand)
+    assert plain[0] == 0 and plain[1].startswith("trials=2 method=random ")
+    assert run(capsys, *rand, "--tie", "error") == plain

@@ -13,13 +13,16 @@ from vcsp_landscape import (
     parse_assignment,
     to_text,
 )
+from vcsp_landscape.core import _gradient_table
 from vcsp_landscape.errors import (
+    BitValueError,
     DuplicateScopeError,
     IndexOutOfRangeError,
     LengthMismatchError,
     MalformedTableError,
     ParseError,
     SelfLoopError,
+    VcspError,
     ZeroWeightError,
 )
 
@@ -87,6 +90,44 @@ def test_fitness_length_mismatch(gadget_plus):
         gadget_plus.fitness((0,) * 5)
     with pytest.raises(ValueError):
         gadget_plus.fitness((0, 0, 0, 0, 0, 2))
+
+
+def test_assignment_entries_must_be_integer_bits():
+    # floats equal to 0 or 1 are rejected like any other non-bit; bools and
+    # numpy integers are integers
+    assert issubclass(BitValueError, VcspError) and issubclass(BitValueError, ValueError)
+    inst = build_chain(1, 1, "+")
+    for x in ((1.0,) * 6, (1, 1, 1, 1, 1, 0.0), (0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 0, "1")):
+        with pytest.raises(BitValueError):
+            inst.fitness(x)
+        with pytest.raises(BitValueError):
+            inst.gradient(0, x)
+        with pytest.raises(BitValueError):
+            inst.improving_moves(x)
+    assert inst.fitness((True,) * 5 + (False,)) == inst.fitness((1,) * 5 + (0,))
+    np = pytest.importorskip("numpy")
+    ones = np.array((1,) * 5 + (0,), dtype=np.uint8)
+    assert inst.fitness(ones) == inst.gradient(0, ones) + inst.fitness((0,) + (1,) * 4 + (0,))
+
+
+def test_gradient_table_in_mask_order():
+    # entry m is the fitness difference at the background where neighbor b
+    # of inst.neighbors[v] is set exactly when bit b of m is
+    rng = random.Random(8)
+    for _ in range(200):
+        inst = random_instance(rng)
+        for v in range(inst.num_vars):
+            nbrs = [j for j, _ in inst.neighbors[v]]
+            table = _gradient_table(inst, v)
+            assert len(table) == 2 ** len(nbrs)
+            for m, g in enumerate(table):
+                x = [rng.randint(0, 1) for _ in range(inst.num_vars)]
+                for b, j in enumerate(nbrs):
+                    x[j] = m >> b & 1
+                x[v] = 1
+                one = brute_fitness(inst, x)
+                x[v] = 0
+                assert g == one - brute_fitness(inst, x)
 
 
 def test_gradient_known_values(gadget_plus, gadget_minus):

@@ -206,3 +206,43 @@ def test_sublandscape_splicing(n, sign):
             if ref is None:
                 ref = delta
             assert delta == ref  # constant offset means identical landscape
+
+
+def mutated(n, m, sign, unaries=(), binaries=()):
+    """build_chain(n, m, sign) with some weights replaced (None deletes)."""
+    good = build_chain(n, m, sign)
+    u, b = dict(good.unaries), dict(good.binaries)
+    for table, changes in ((u, unaries), (b, binaries)):
+        for key, w in changes:
+            if w is None:
+                del table[key]
+            else:
+                table[key] = w(table[key]) if callable(w) else w
+    return Instance(good.num_vars, 0, u, b, good.labels)
+
+
+@pytest.mark.parametrize("n,m,sign,unaries,binaries,message", [
+    (2, 2, "-", (), [((0, 1), None)],
+     "expected 12 unaries and 13 binaries, got 12 and 12"),
+    (3, 3, "-", [(2, 58)], (), "unary on (3, 3) must be negative, got 58"),
+    (3, 2, "+", [(0, 6)], (), "unary on (2, 1) must be 7, got 6"),
+    (3, 3, "-", [(2, -1)], (),
+     "unary magnitude on (3, 3) does not dominate its outgoing binaries"),
+    (2, 2, "-", (), [((0, 1), 1)],
+     "incoming binaries (1,) on (2, 2) fall in the dominance gap (0, 81]"),
+    (3, 3, "-", (), [((6, 7), 60)],
+     "incoming binaries (60,) on (2, 2) fall in the dominance gap (0, 114]"),
+    (4, 2, "+", (), [((0, 1), -9)],
+     "zero gradient on (2, 1) for some neighborhood assignment"),
+    (3, 3, "-", [(1, lambda w: w - 1)], (),
+     "gradient magnitude 5 on (3, 2) is neither the small step 1 nor >= the "
+     "large-step floor 6"),
+    (3, 3, "-", [(9, lambda w: w + 1)], (),
+     "gradient magnitude 3 on (2, 4) is neither the small step 2 nor >= the "
+     "large-step floor 5"),
+])
+def test_self_validation_messages(n, m, sign, unaries, binaries, message):
+    # one mutated chain per failing check, with the exact first message
+    with pytest.raises(SelfValidationError) as err:
+        validate_chain(mutated(n, m, sign, unaries, binaries), n, m, sign)
+    assert str(err.value) == message

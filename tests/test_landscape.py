@@ -5,10 +5,12 @@ import pytest
 
 from vcsp_landscape import (
     Instance,
+    Orientation,
     ascent_graph,
     build_chain,
     build_gadget,
     check_semismooth,
+    core,
     enumerate_peaks,
     expected_arcs,
     expected_peak,
@@ -20,7 +22,7 @@ from vcsp_landscape import (
 )
 from vcsp_landscape.errors import TooLargeError, UnreachableError, ZeroGradientError
 
-from conftest import brute_peaks
+from conftest import brute_peaks, random_instance
 
 
 def test_sign_depends_inside_gadget(gadget_minus):
@@ -240,3 +242,87 @@ def test_oriented_small_instances_have_unique_peak():
         peaks = enumerate_peaks(inst)
         assert peaks == [peak_of_oriented(inst)]
         assert check_semismooth(inst).semismooth
+
+
+def reference_orient(inst):
+    """orient rebuilt edge by edge from sign_depends, with a plain
+    lowest-index-first topological order."""
+    arcs = []
+    for i, j in sorted(inst.binaries):
+        j_on_i, i_on_j = sign_depends(inst, j, i), sign_depends(inst, i, j)
+        if j_on_i and i_on_j:
+            return Orientation(False, conflict=(i, j), conflict_witnesses=(i_on_j, j_on_i))
+        if j_on_i:
+            arcs.append((i, j))
+        elif i_on_j:
+            arcs.append((j, i))
+    preds = [{a for a, b in arcs if b == v} for v in range(inst.num_vars)]
+    topo, placed = [], set()
+    while len(topo) < inst.num_vars:
+        v = min(v for v in range(inst.num_vars) if v not in placed and preds[v] <= placed)
+        topo.append(v)
+        placed.add(v)
+    return Orientation(True, tuple(arcs), tuple(topo))
+
+
+def test_orient_matches_reference_on_generated_instances():
+    for n in range(1, 41):
+        for sign in "+-":
+            for m in range(1, min(n, 6) + 1):
+                inst = build_chain(n, m, sign)
+                assert orient(inst) == reference_orient(inst), (n, m, sign)
+            for k in range(1, n + 1):
+                inst = build_gadget(n, k, sign)
+                assert orient(inst) == reference_orient(inst), (n, k, sign)
+
+
+def test_orient_matches_reference_on_random_instances():
+    # small weights give zero gradients, ties and two-way dependence; the
+    # witnesses of a conflict are compared too
+    rng = random.Random(4)
+    kinds = {True: 0, False: 0}
+    for t in range(2400):
+        inst = random_instance(rng, max_vars=9, max_weight=(3, 20)[t % 2])
+        o = orient(inst)
+        assert o == reference_orient(inst), t
+        kinds[o.oriented] += 1
+    assert min(kinds.values()) >= 300, kinds
+
+
+def test_orient_caps_the_neighborhood(monkeypatch):
+    # a variable with 21 neighbors would need a 2^21-entry gradient table
+    def star(d):
+        return Instance(d + 1, 0, [(0, 1)], [(0, j, 1) for j in range(1, d + 1)])
+    with pytest.raises(TooLargeError, match="variable 0 has 21 neighbors"):
+        orient(star(21))
+    monkeypatch.setattr(core, "TABLE_DEGREE_CAP", 4)
+    with pytest.raises(TooLargeError):
+        orient(star(5))
+    o = orient(star(4))
+    assert o == reference_orient(star(4))
+    assert o.arcs == ((0, 1), (0, 2), (0, 3), (0, 4))
+
+
+def test_peak_of_oriented_on_random_instances():
+    # for every oriented instance on 2 to 5 variables, the polynomial peak is
+    # the only local peak, or some gradient is 0 and no peak is defined
+    rng = random.Random(5)
+    seen = {"peak": 0, "zero": 0, "not-oriented": 0}
+    for t in range(3000):
+        inst = random_instance(rng, max_vars=5, max_weight=(2, 4, 20)[t % 3])
+        if inst.num_vars < 2:
+            continue
+        o = orient(inst)
+        if not o.oriented:
+            seen["not-oriented"] += 1
+            continue
+        try:
+            peak = peak_of_oriented(inst, o)
+        except ZeroGradientError:
+            seen["zero"] += 1
+            assert any(inst.gradient(v, x) == 0 for v in range(inst.num_vars)
+                       for x in itertools.product((0, 1), repeat=inst.num_vars)), t
+            continue
+        seen["peak"] += 1
+        assert enumerate_peaks(inst) == [peak], t
+    assert min(seen.values()) >= 200, seen

@@ -29,6 +29,7 @@ from vcsp_landscape import (
     write_trace_csv,
 )
 from vcsp_landscape.errors import (
+    BitValueError,
     EmptyTrialError,
     IndexOutOfRangeError,
     RangeError,
@@ -486,6 +487,25 @@ def test_numpy_start(monkeypatch, engine, kernel):
         assert tr == engine(inst, want, record_steps=record)
         assert tr.num_steps > 0 and len(tr.end) == inst.num_vars
         assert {type(b) for b in tr.start + tr.end} == {int}
+
+
+@pytest.mark.parametrize("engine", [
+    steepest_ascent,
+    lambda inst, start, **kw: random_ascent(inst, start, seed=3, **kw),
+    first_improvement_ascent,
+])
+@pytest.mark.parametrize("kernel", [True, False])
+def test_float_start_is_rejected(monkeypatch, engine, kernel):
+    # 1.0 == 1, but a float is not a bit: every engine raises BitValueError
+    # on the kernel and on the Python loops, while bools stay accepted
+    if not kernel:
+        monkeypatch.setattr(search, "_native_kernel", lambda: None)
+    inst = build_chain(1, 1, "+")
+    for start in ((1.0,) * 6, (0, 0, 0, 0, 0, 0.0)):
+        for record in (False, True):
+            with pytest.raises(BitValueError, match="integers 0 or 1"):
+                engine(inst, start, record_steps=record)
+    assert engine(inst, (False,) * 6) == engine(inst, (0,) * 6)
 
 
 def test_native_loader_falls_back_when_the_build_fails(monkeypatch, tmp_path):

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from vcsp_landscape import (
+    ConstraintGraph,
+    DecompositionCheck,
     Instance,
     PathDecomposition,
     build_chain,
@@ -16,7 +20,11 @@ from vcsp_landscape import (
     write_decomposition,
 )
 from vcsp_landscape.errors import ParseError
-from vcsp_landscape.structure import decomposition_from_text, decomposition_to_text
+from vcsp_landscape.structure import (
+    DecompositionViolation,
+    decomposition_from_text,
+    decomposition_to_text,
+)
 
 
 def test_gadget_graph_is_a_six_cycle(gadget_minus):
@@ -91,6 +99,106 @@ def test_empty_bag_list_rejected():
     g = constraint_graph(Instance(2, 0, [], [(0, 1, 1)]))
     with pytest.raises(ValueError):
         validate_path_decomposition(g, [])
+
+
+def brute_check(g, bags):
+    """The path-decomposition definition, checked property by property with
+    a scan of every bag: unknown vertices, covered vertices, covered edges,
+    contiguous runs, in that order."""
+    bag_sets = [frozenset(b) for b in bags]
+
+    def fail(kind, detail, witness):
+        return DecompositionCheck(False, None, DecompositionViolation(kind, detail, witness))
+
+    for r, bag in enumerate(bag_sets):
+        for v in sorted(bag):
+            if not (0 <= v < g.num_vars):
+                return fail("unknown-vertex", f"bag {r} contains unknown vertex {v}", (r, v))
+    for v in range(g.num_vars):
+        if not any(v in bag for bag in bag_sets):
+            return fail("uncovered-vertex", f"vertex {v} is in no bag", (v,))
+    for i, j in g.edges:
+        if not any(i in bag and j in bag for bag in bag_sets):
+            return fail("uncovered-edge", f"edge {{{i},{j}}} has no common bag", (i, j))
+    for v in range(g.num_vars):
+        positions = [r for r, bag in enumerate(bag_sets) if v in bag]
+        lo, hi = positions[0], positions[-1]
+        for gap in range(lo, hi + 1):
+            if v not in bag_sets[gap]:
+                return fail("broken-interval",
+                            f"vertex {v} is in bags {lo} and {hi} but not bag {gap}",
+                            (v, lo, gap, hi))
+    return DecompositionCheck(True, max(len(b) for b in bag_sets) - 1, None)
+
+
+def random_decomposition(rng):
+    """A random graph with a valid path decomposition: each vertex gets an
+    interval of bags, and edges join only vertices whose intervals meet."""
+    n, nbags = rng.randint(1, 12), rng.randint(1, 10)
+    spans = []
+    for _ in range(n):
+        lo = rng.randrange(nbags)
+        spans.append((lo, rng.randint(lo, min(nbags - 1, lo + rng.randint(0, 3)))))
+    bags = [{v for v, (lo, hi) in enumerate(spans) if lo <= r <= hi} for r in range(nbags)]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if max(spans[i][0], spans[j][0]) <= min(spans[i][1], spans[j][1])
+             and rng.random() < 0.5]
+    return n, edges, bags, spans
+
+
+def corrupt(rng, n, edges, bags, spans, kind):
+    """The same graph and bags with one violation of the given kind put in
+    (others may follow from it: dropping a vertex also uncovers its edges)."""
+    bags = [set(b) for b in bags]
+    if kind == "unknown-vertex":
+        rng.choice(bags).update(rng.sample([-3, -1, n, n + 2, n + 7], rng.randint(1, 2)))
+    elif kind == "uncovered-vertex":
+        v = rng.randrange(n)
+        for b in bags:
+            b.discard(v)
+    elif kind == "uncovered-edge":
+        apart = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if max(spans[i][0], spans[j][0]) > min(spans[i][1], spans[j][1])]
+        if apart:
+            edges = sorted(set(edges) | {rng.choice(apart)})
+    else:
+        long = [v for v, (lo, hi) in enumerate(spans) if hi - lo >= 2]
+        if long:
+            v = rng.choice(long)
+            lo, hi = spans[v]
+            for r in rng.sample(range(lo + 1, hi), rng.randint(1, hi - lo - 1)):
+                bags[r].discard(v)
+    return edges, bags
+
+
+def test_validate_path_decomposition_matches_the_definition():
+    rng = random.Random(6)
+    kinds = {None: 0, "unknown-vertex": 0, "uncovered-vertex": 0, "uncovered-edge": 0,
+             "broken-interval": 0}
+    for t in range(3000):
+        n, edges, bags, spans = random_decomposition(rng)
+        todo = rng.sample(list(kinds)[1:], rng.choice((0, 1, 1, 1, 2)))
+        for kind in todo:
+            edges, bags = corrupt(rng, n, edges, bags, spans, kind)
+        g = ConstraintGraph(n, tuple(edges))
+        want = brute_check(g, bags)
+        assert validate_path_decomposition(g, bags) == want, t
+        kinds[want.violation.kind if want.violation else None] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_validate_path_decomposition_at_scale():
+    # the canonical decomposition of a 1000-gadget chain: 6,000 vertices and
+    # 4,999 bags, checked in one pass over the bags
+    m = 1000
+    g = constraint_graph(build_chain(m, m, "-", validate=False))
+    bags = canonical_decomposition(m).bags
+    assert validate_path_decomposition(g, bags) == DecompositionCheck(True, 2, None)
+    broken = list(bags)
+    broken[2501] = broken[2501] - {3003}  # (500,4) stays in bags 2500 and 2502
+    assert validate_path_decomposition(g, broken).violation == DecompositionViolation(
+        "broken-interval", "vertex 3003 is in bags 2500 and 2502 but not bag 2501",
+        (3003, 2500, 2501, 2502))
 
 
 def test_decomposition_text_round_trip(tmp_path):
