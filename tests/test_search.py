@@ -593,3 +593,30 @@ def test_trace_csv_bytes_are_pinned(tmp_path, case, digest):
     path = tmp_path / "trace.csv"
     write_trace_csv(tr, inst, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_random_and_first_traces_are_pinned():
+    # the exact Traces of random and first-improvement ascent on seeded random
+    # instances: recorded and summary runs, default and shuffled scan orders,
+    # unlimited and stopped by a max_steps below the unlimited length
+    rng = random.Random(2024)
+    traces = []
+    for _ in range(300):
+        inst = random_instance(rng, max_vars=12, max_weight=rng.choice((3, 20)))
+        start = random_bits(rng, inst.num_vars)
+        seed = rng.randrange(2 ** 32)
+        order = list(range(inst.num_vars))
+        rng.shuffle(order)
+        runs = [
+            lambda **kw: random_ascent(inst, start, seed=seed, **kw),
+            lambda **kw: first_improvement_ascent(inst, start, **kw),
+            lambda **kw: first_improvement_ascent(inst, start, scan_order=order, **kw),
+        ]
+        for run in runs:
+            full = run(record_steps=False).num_steps
+            for limit in (None, rng.randrange(full)) if full else (None,):
+                for record in (True, False):
+                    traces.append(run(record_steps=record, max_steps=limit))
+    assert len(traces) == 3270
+    assert hashlib.sha256(repr(traces).encode()).hexdigest() == \
+        "a83128e81757270ab0771019d2cc4fbac9ba0affb875d6c81643474984873e41"
