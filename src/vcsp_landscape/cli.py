@@ -9,26 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from . import core, generator, landscape, search, structure
 from .errors import VcspError
-
-
-@dataclass
-class VerifyReport:
-    """One row per structural or ascent check for a (n, m) parameter pair."""
-    params: dict
-    checks: list[tuple[str, str, str, bool]] = field(default_factory=list)
-
-    def add(self, name: str, expected, observed) -> None:
-        def fmt(v):
-            return str(v).lower() if isinstance(v, bool) else str(v)
-        self.checks.append((name, fmt(expected), fmt(observed), fmt(expected) == fmt(observed)))
-
-    @property
-    def overall(self) -> bool:
-        return all(ok for _, _, _, ok in self.checks)
 
 
 def cmd_gen(args) -> int:
@@ -83,7 +66,11 @@ def cmd_ascend(args) -> int:
 
 def cmd_verify(args) -> int:
     n, m = args.n, args.m
-    report = VerifyReport({"n": n, "m": m})
+    rows = []  # (check, expected, observed, passed), printed in this order
+
+    def same(name, expected, observed):
+        rows.append((name, expected, observed, expected == observed))
+
     plus = generator.build_chain(n, m, "+")
     minus = generator.build_chain(n, m, "-")
     peak_plus = generator.expected_peak(n, m, "+")
@@ -92,41 +79,42 @@ def cmd_verify(args) -> int:
     s_m = n + 1 - m
 
     g = structure.constraint_graph(minus)
-    report.add("max-degree", 2 if m == 1 else 3, structure.max_degree(g))
-    report.add("constraints", f"{6*m}u+{7*m-1}b",
-               f"{len(minus.unaries)}u+{len(minus.binaries)}b")
+    same("max-degree", 2 if m == 1 else 3, structure.max_degree(g))
+    same("constraints", f"{6*m}u+{7*m-1}b", f"{len(minus.unaries)}u+{len(minus.binaries)}b")
     check = structure.validate_path_decomposition(g, generator.canonical_decomposition(m).bags)
-    report.add("decomposition-width", "valid:2",
-               f"valid:{check.width}" if check.valid else f"invalid:{check.violation.kind}")
-    report.add("cycle", True, structure.has_cycle(g))
+    same("decomposition-width", "valid:2",
+         f"valid:{check.width}" if check.valid else f"invalid:{check.violation.kind}")
+    same("cycle", "true", "true" if structure.has_cycle(g) else "false")
 
     want_arcs = generator.expected_arcs(m)
     for sign, inst in (("+", plus), ("-", minus)):
         o = landscape.orient(inst)
         got = "not-oriented" if not o.oriented else \
             ("expected-arcs" if set(o.arcs) == want_arcs else "unexpected-arcs")
-        report.add(f"orientation[{sign}]", "expected-arcs", got)
+        same(f"orientation[{sign}]", "expected-arcs", got)
         peak = landscape.peak_of_oriented(inst, o) if o.oriented else None
         want = peak_plus if sign == "+" else peak_minus
-        report.add(f"peak[{sign}]", core.format_assignment(inst, want),
-                   core.format_assignment(inst, peak) if peak is not None else "none")
+        same(f"peak[{sign}]", core.format_assignment(inst, want),
+             core.format_assignment(inst, peak) if peak is not None else "none")
 
     for sign, inst, start, goal in (("+", plus, peak_minus, peak_plus),
                                     ("-", minus, peak_plus, peak_minus)):
         tr = search.steepest_ascent(inst, start, record_steps=False)
-        report.add(f"ascent[{sign}]-steps", length, tr.num_steps)
-        report.add(f"ascent[{sign}]-end", core.format_assignment(inst, goal),
-                   core.format_assignment(inst, tr.end))
-        report.add(f"ascent[{sign}]-ties", 0, tr.tie_events)
-        report.add(f"ascent[{sign}]-min-gain", f">={s_m}",
-                   f">={s_m}" if (tr.min_gain or 0) >= s_m else str(tr.min_gain))
+        same(f"ascent[{sign}]-steps", length, tr.num_steps)
+        same(f"ascent[{sign}]-end", core.format_assignment(inst, goal),
+             core.format_assignment(inst, tr.end))
+        same(f"ascent[{sign}]-ties", 0, tr.tie_events)
+        ok = tr.min_gain is not None and tr.min_gain >= s_m
+        rows.append((f"ascent[{sign}]-min-gain", f">={s_m}",
+                     f">={s_m}" if ok else tr.min_gain, ok))
 
     print(f"n={n} m={m}")
-    for name, expected, observed, ok in report.checks:
+    for name, expected, observed, ok in rows:
         print(f"check={name} expected={expected} observed={observed} "
               f"pass={'true' if ok else 'false'}")
-    print(f"overall={'pass' if report.overall else 'fail'}")
-    return 0 if report.overall else 1
+    overall = all(row[3] for row in rows)
+    print(f"overall={'pass' if overall else 'fail'}")
+    return 0 if overall else 1
 
 
 def cmd_oracle(args) -> int:

@@ -235,17 +235,24 @@ class Instance:
                 f"unaries={len(self.unaries)}, binaries={len(self.binaries)})")
 
 
-def _gradient_table(inst: Instance, v: int) -> list[int]:
-    """The gradient of v at every assignment of its neighbors, in mask order:
-    bit b of the index is the value of inst.neighbors[v][b].
-
-    Built by doubling, one addition per entry.  Raises TooLargeError above
-    TABLE_DEGREE_CAP neighbors rather than allocate 2^degree entries.
-    """
+def _neighborhood(inst: Instance, v: int) -> list[tuple[int, int]]:
+    """The (neighbor, weight) pairs of v, for a caller about to go through
+    all 2^degree assignments of them; raises TooLargeError instead above
+    TABLE_DEGREE_CAP neighbors."""
     nbrs = inst.neighbors[v]
     if len(nbrs) > TABLE_DEGREE_CAP:
         raise TooLargeError(f"variable {v} has {len(nbrs)} neighbors; tables over "
                             f"neighborhood assignments are capped at {TABLE_DEGREE_CAP}")
+    return nbrs
+
+
+def _gradient_table(inst: Instance, v: int) -> list[int]:
+    """The gradient of v at every assignment of its neighbors, in mask order:
+    bit b of the index is the value of inst.neighbors[v][b].
+
+    Built by doubling, one addition per entry, under _neighborhood's cap.
+    """
+    nbrs = _neighborhood(inst, v)
     sums = [inst.unaries.get(v, 0)]
     for _, w in nbrs:
         sums += [s + w for s in sums]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Bits, Instance, _gradient_table, flip
+from .core import Bits, Instance, _gradient_table, _neighborhood, flip
 from .errors import (
     CyclicOrientationError,
     TooLargeError,
@@ -59,12 +59,13 @@ def sign_depends(inst: Instance, i: int, j: int) -> SignDependence | None:
 
     Only assignments to i's neighborhood are enumerated (at most 2^deg(i),
     never the full hypercube); the gradient of i depends on nothing else.
+    Raises TooLargeError when i has more than core.TABLE_DEGREE_CAP neighbors.
     """
     if i == j:
         raise ValueError("sign dependence needs two distinct variables")
     inst._check_index(i)
     inst._check_index(j)
-    nbrs = inst.neighbors[i]
+    nbrs = _neighborhood(inst, i)
     if j not in [v for v, _ in nbrs]:
         return None
     base = inst.unaries.get(i, 0)

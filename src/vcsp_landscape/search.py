@@ -1,17 +1,26 @@
 """Local-search ascent engines with full trace recording.
 
-All engines share one incremental state: per-variable gradients plus the set
-of currently improving variables, updated in O(degree) per flip.  Fitness
-strictly increases every step, so every run terminates.
+The three engines share one Python loop, _ascend.  It keeps per-variable
+gradients and the set of currently improving variables with their gains,
+updated in O(degree) per flip, and takes a selection rule that picks the
+variable to flip from that set each step:
+
+- steepest: a variable of maximal gain, the lowest index on ties (counted,
+  or raised under the "error" tie policy);
+- random: a uniformly random one, drawn from the seeded generator;
+- first: the next one in cyclic scan order, just past the last flip.
+
+Fitness strictly increases every step, so every run terminates, and a run
+ends at a peak unless a max_steps limit stops it while a move still improves.
 
 Steepest ascent also has a native kernel (_steepest.c), compiled with the
 platform's C compiler on first use and loaded through ctypes, at two widths:
 int64 for instances with |constant| + sum of |weights| below 2^62, and
 128-bit (where the compiler has __int128) below 2^126.  Within its bound a
-width's arithmetic is exact, and both give the same Trace as the Python loop.
-That loop stays the reference, and it runs everything else: instances at or
-above 2^126, above 2^62 when there is no 128-bit width, and all of them when
-no kernel can be built.
+width's arithmetic is exact, and both give the same Trace as _ascend with
+the steepest rule.  That is the reference, and it runs everything else:
+instances at or above 2^126, above 2^62 when there is no 128-bit width, and
+all of them when no kernel can be built.
 
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
@@ -47,9 +56,9 @@ class Trace:
     recording is on, else None (summary fields are always filled, which keeps
     multi-million-step runs in constant memory).  tie_events counts steps
     where two or more moves shared the maximal gain; it is only meaningful
-    for the steepest engine and 0 elsewhere.  complete is False only when a
-    max_steps guard stopped the run early, in which case end need not be a
-    peak.
+    for the steepest engine and 0 elsewhere.  complete is False exactly when
+    a max_steps limit stopped the run while some move still improved;
+    otherwise end is a peak.
     """
     method: str
     start: Bits
@@ -64,27 +73,6 @@ class Trace:
     complete: bool = True
 
 
-def _setup(inst: Instance, start: Sequence[int]):
-    """The start as a tuple of ints (numpy integers and bools converted), the
-    working assignment, gradients, improving moves and start fitness."""
-    fit = inst.fitness(start)  # validates length and bit values
-    x = bytearray(tuple(start))  # tuple() first: bytearray() of a numpy array copies its buffer
-    start = tuple(x)
-    grad = []
-    imp = {}
-    unaries = inst.unaries
-    for i, nbrs in enumerate(inst.neighbors):
-        g = unaries.get(i, 0)
-        for j, w in nbrs:
-            if x[j]:
-                g += w
-        grad.append(g)
-        gain = -g if x[i] else g
-        if gain > 0:
-            imp[i] = gain
-    return start, x, grad, imp, fit
-
-
 def _step_limit(max_steps: int | None) -> int:
     """The engines' step limit: -1 for none, else max_steps, which must be >= 0."""
     if max_steps is None:
@@ -94,9 +82,58 @@ def _step_limit(max_steps: int | None) -> int:
     return max_steps
 
 
-def _finish(method, start, x, nsteps, fit0, fit, min_gain, ties, steps, seed, complete):
+def _ascend(method: str, inst: Instance, start: Sequence[int],
+            choose: Callable[[dict[int, int]], int], record_steps: bool, limit: int,
+            seed: int | None = None) -> Trace:
+    """The ascent loop of every engine in Python.
+
+    imp maps each improving variable to its gain.  While it is not empty and
+    fewer than limit steps (-1: no limit) have been taken, the selection rule
+    choose(imp) names the variable to flip.  Only the flipped variable's
+    neighbours change gradient, so a step costs O(degree) plus the rule.  The
+    run is complete when it ends at a peak, also when that is at the limit.
+    A rule with a ties attribute (steepest's) gives the Trace its tie_events.
+    """
+    fit0 = fit = inst.fitness(start)  # validates length and bit values
+    x = bytearray(tuple(start))  # tuple() first: bytearray() of a numpy array copies its buffer
+    start = tuple(x)
+    unaries = inst.unaries
+    neighbors = inst.neighbors
+    grad = []
+    imp = {}
+    for i, nbrs in enumerate(neighbors):
+        g = unaries.get(i, 0)
+        for j, w in nbrs:
+            if x[j]:
+                g += w
+        grad.append(g)
+        gain = -g if x[i] else g
+        if gain > 0:
+            imp[i] = gain
+    steps: list[tuple[int, int, int]] | None = [] if record_steps else None
+    nsteps = 0
+    min_gain = None
+    while imp and nsteps != limit:
+        v = choose(imp)
+        gain = imp.pop(v)
+        fit += gain
+        bit = x[v] = x[v] ^ 1
+        for u, w in neighbors[v]:
+            g = grad[u] = grad[u] + (w if bit else -w)
+            if x[u]:
+                g = -g
+            if g > 0:
+                imp[u] = g
+            elif u in imp:
+                del imp[u]
+        nsteps += 1
+        if min_gain is None or gain < min_gain:
+            min_gain = gain
+        if steps is not None:
+            steps.append((v, gain, fit))
     return Trace(method, start, tuple(x), nsteps, fit0, fit, min_gain,
-                 ties, tuple(steps) if steps is not None else None, seed, complete)
+                 getattr(choose, "ties", 0), None if steps is None else tuple(steps), seed,
+                 not imp)
 
 
 # --- native steepest-ascent kernel --------------------------------------------
@@ -282,7 +319,7 @@ def _steepest_native(a: _NativeArrays, inst: Instance, start: Sequence[int],
     _CHUNK steps, each continuing from the last end; steepest ascent depends
     only on the current assignment, so the path is the same as in one call."""
     inst.check_assignment(start)
-    x = bytes(tuple(start))  # as in _setup
+    x = bytes(tuple(start))  # as in _ascend
     start = tuple(x)
     if limit >= 2 ** 63:
         limit = -1  # no limit in practice: at 30M steps/s, 2^63 steps take about 10^4 years
@@ -320,54 +357,26 @@ def _steepest_native(a: _NativeArrays, inst: Instance, start: Sequence[int],
             if status == _PEAK or nsteps == limit:
                 break
         end = a.x.raw
-    return _finish("steepest", start, end, nsteps, fit0, fit, min_gain, ties, steps, None,
-                   status == _PEAK)
+    return Trace("steepest", start, tuple(end), nsteps, fit0, fit, min_gain, ties,
+                 None if steps is None else tuple(steps), None, status == _PEAK)
 
 
 def _tie_error(step: int, moves: int, gain: int) -> TieEncounteredError:
     return TieEncounteredError(f"step {step}: {moves} moves share the maximal gain {gain}")
 
 
-def steepest_ascent(
-    inst: Instance,
-    start: Sequence[int],
-    tie_policy: str = "lowest-index",
-    record_steps: bool = True,
-    max_steps: int | None = None,
-) -> Trace:
-    """Follow the steepest ascent: always flip a variable of maximal gain.
+class _Steepest:
+    """Steepest ascent's selection rule: a variable of maximal gain, the
+    lowest index on ties.  It counts the steps with tied moves in ties, or,
+    under raise_on_tie, raises TieEncounteredError at the first."""
 
-    Ties are resolved by lowest variable index (or raised, under policy
-    "error") and counted either way.  The loop is the package's hot path:
-    only the flipped variable's neighbors change gradient, so each step costs
-    O(degree) plus a scan of the improving set.
+    def __init__(self, raise_on_tie: bool):
+        self.raise_on_tie = raise_on_tie
+        self.calls = 0
+        self.ties = 0
 
-    Instances with at least one variable run on the native kernel when it is
-    available: at int64 while |constant| + sum of |weights| is below 2^62,
-    else at 128 bits while it is below 2^126.  The loop below runs the rest
-    (and everything when the kernel or its 128-bit width is missing); it is
-    the reference, and every path gives the same Trace.
-    """
-    if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
-    limit = _step_limit(max_steps)
-    widths = _native_kernel()
-    arrays = _native_arrays(inst, widths) if widths else None
-    if arrays is not None:
-        return _steepest_native(arrays, inst, start, tie_policy == "error", record_steps, limit)
-    start, x, grad, imp, fit = _setup(inst, start)
-    fit0 = fit
-    neighbors = inst.neighbors
-    raise_on_tie = tie_policy == "error"
-    steps: list[tuple[int, int, int]] | None = [] if record_steps else None
-    nsteps = 0
-    ties = 0
-    min_gain = None
-    complete = True
-    while imp:
-        if nsteps == limit:
-            complete = False
-            break
+    def __call__(self, imp: dict[int, int]) -> int:
+        self.calls += 1
         best = -1
         best_g = 0
         nmax = 1
@@ -381,26 +390,38 @@ def steepest_ascent(
                 if v < best:
                     best = v
         if nmax > 1:
-            if raise_on_tie:
-                raise _tie_error(nsteps + 1, nmax, best_g)
-            ties += 1
-        del imp[best]
-        fit += best_g
-        bit = x[best] = x[best] ^ 1
-        for u, w in neighbors[best]:
-            g = grad[u] = grad[u] + (w if bit else -w)
-            if x[u]:
-                g = -g
-            if g > 0:
-                imp[u] = g
-            elif u in imp:
-                del imp[u]
-        nsteps += 1
-        if min_gain is None or best_g < min_gain:
-            min_gain = best_g
-        if steps is not None:
-            steps.append((best, best_g, fit))
-    return _finish("steepest", start, x, nsteps, fit0, fit, min_gain, ties, steps, None, complete)
+            if self.raise_on_tie:
+                raise _tie_error(self.calls, nmax, best_g)
+            self.ties += 1
+        return best
+
+
+def steepest_ascent(
+    inst: Instance,
+    start: Sequence[int],
+    tie_policy: str = "lowest-index",
+    record_steps: bool = True,
+    max_steps: int | None = None,
+) -> Trace:
+    """Follow the steepest ascent: always flip a variable of maximal gain.
+
+    Ties are resolved by lowest variable index (or raised, under policy
+    "error") and counted either way.  This is the package's hot path.
+
+    Instances with at least one variable run on the native kernel when it is
+    available: at int64 while |constant| + sum of |weights| is below 2^62,
+    else at 128 bits while it is below 2^126.  _ascend with the _Steepest rule
+    runs the rest (and everything when the kernel or its 128-bit width is
+    missing); it is the reference, and every path gives the same Trace.
+    """
+    if tie_policy not in TIE_POLICIES:
+        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
+    limit = _step_limit(max_steps)
+    widths = _native_kernel()
+    arrays = _native_arrays(inst, widths) if widths else None
+    if arrays is not None:
+        return _steepest_native(arrays, inst, start, tie_policy == "error", record_steps, limit)
+    return _ascend("steepest", inst, start, _Steepest(tie_policy == "error"), record_steps, limit)
 
 
 def random_ascent(
@@ -415,38 +436,10 @@ def random_ascent(
     Deterministic given the seed (Mersenne Twister over the sorted improving
     set), so experiment runs are reproducible in CI.
     """
-    rng = random.Random(seed)
-    start, x, grad, imp, fit = _setup(inst, start)
-    fit0 = fit
-    neighbors = inst.neighbors
-    steps: list[tuple[int, int, int]] | None = [] if record_steps else None
-    nsteps = 0
-    min_gain = None
-    complete = True
     limit = _step_limit(max_steps)
-    while imp:
-        if nsteps == limit:
-            complete = False
-            break
-        cands = sorted(imp)
-        v = cands[rng.randrange(len(cands))]
-        gain = imp.pop(v)
-        fit += gain
-        bit = x[v] = x[v] ^ 1
-        for u, w in neighbors[v]:
-            g = grad[u] = grad[u] + (w if bit else -w)
-            if x[u]:
-                g = -g
-            if g > 0:
-                imp[u] = g
-            elif u in imp:
-                del imp[u]
-        nsteps += 1
-        if min_gain is None or gain < min_gain:
-            min_gain = gain
-        if steps is not None:
-            steps.append((v, gain, fit))
-    return _finish("random", start, x, nsteps, fit0, fit, min_gain, 0, steps, seed, complete)
+    randrange = random.Random(seed).randrange
+    return _ascend("random", inst, start, lambda imp: sorted(imp)[randrange(len(imp))],
+                   record_steps, limit, seed)
 
 
 def first_improvement_ascent(
@@ -458,8 +451,8 @@ def first_improvement_ascent(
 ) -> Trace:
     """Flip the first improving variable found in cyclic scan order.
 
-    After a flip, scanning resumes just past the flipped position; the run
-    ends once a full cycle finds nothing improving.
+    Scanning starts at the first position and, after a flip, resumes just past
+    the flipped position; the run ends once no variable improves.
     """
     d = inst.num_vars
     if scan_order is None:
@@ -468,38 +461,20 @@ def first_improvement_ascent(
         order = tuple(scan_order)
         if sorted(order) != list(range(d)):
             raise ValueError("scan_order must be a permutation of the variable indices")
-    start, x, grad, imp, fit = _setup(inst, start)
-    fit0 = fit
-    neighbors = inst.neighbors
-    steps: list[tuple[int, int, int]] | None = [] if record_steps else None
-    nsteps = 0
-    min_gain = None
-    complete = True
     limit = _step_limit(max_steps)
     pos = 0
-    misses = 0
-    while misses < d and d:
-        if nsteps == limit:
-            complete = False
-            break
-        v = order[pos]
-        pos = (pos + 1) % d
-        g = grad[v]
-        gain = -g if x[v] else g
-        if gain <= 0:
-            misses += 1
-            continue
-        misses = 0
-        fit += gain
-        bit = x[v] = x[v] ^ 1
-        for u, w in neighbors[v]:
-            grad[u] += w if bit else -w
-        nsteps += 1
-        if min_gain is None or gain < min_gain:
-            min_gain = gain
-        if steps is not None:
-            steps.append((v, gain, fit))
-    return _finish("first", start, x, nsteps, fit0, fit, min_gain, 0, steps, None, complete)
+
+    def choose(imp: dict[int, int]) -> int:
+        nonlocal pos
+        while True:
+            v = order[pos]
+            pos += 1
+            if pos == d:
+                pos = 0
+            if v in imp:
+                return v
+
+    return _ascend("first", inst, start, choose, record_steps, limit)
 
 
 def replay(inst: Instance, trace: Trace) -> None:

@@ -246,6 +246,29 @@ def test_verify_passes(capsys):
     assert all("pass=true" in ln for ln in lines if ln.startswith("check="))
 
 
+@pytest.mark.parametrize("max_steps", [5, 0])
+def test_verify_reports_failed_checks(capsys, monkeypatch, max_steps):
+    # ascents cut short fail the step and end checks (and, with no step at
+    # all, the min-gain check), the overall verdict, and the exit status
+    steepest = search.steepest_ascent
+    monkeypatch.setattr(search, "steepest_ascent",
+                        lambda *args, **kw: steepest(*args, **kw, max_steps=max_steps))
+    code, stdout, _ = run(capsys, "verify", "--n", "4")
+    assert code == 1
+    lines = stdout.splitlines()
+    assert lines[-1] == "overall=fail"
+    failed = [ln for ln in lines if ln.endswith("pass=false")]
+    assert failed[:2] == [
+        f"check=ascent[+]-steps expected=105 observed={max_steps} pass=false",
+        "check=ascent[+]-end expected=111110000000000000000000 observed="
+        + ("111001100000000000000000" if max_steps else "0" * 24) + " pass=false",
+    ]
+    min_gain = "check=ascent[-]-min-gain expected=>=1 observed=None pass=false"
+    assert len(failed) == (4 if max_steps else 6)
+    assert (min_gain in failed) == (max_steps == 0)
+    assert sum("pass=true" in ln for ln in lines) == 16 - len(failed)
+
+
 def test_verify_rejects_m_above_n(capsys):
     code, _, stderr = run(capsys, "verify", "--n", "1", "--m", "2")
     assert code != 0

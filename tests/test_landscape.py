@@ -289,10 +289,13 @@ def test_orient_matches_reference_on_random_instances():
     assert min(kinds.values()) >= 300, kinds
 
 
+def star(d):
+    """Variable 0 joined to each of d leaves."""
+    return Instance(d + 1, 0, [(0, 1)], [(0, j, 1) for j in range(1, d + 1)])
+
+
 def test_orient_caps_the_neighborhood(monkeypatch):
     # a variable with 21 neighbors would need a 2^21-entry gradient table
-    def star(d):
-        return Instance(d + 1, 0, [(0, 1)], [(0, j, 1) for j in range(1, d + 1)])
     with pytest.raises(TooLargeError, match="variable 0 has 21 neighbors"):
         orient(star(21))
     monkeypatch.setattr(core, "TABLE_DEGREE_CAP", 4)
@@ -301,6 +304,18 @@ def test_orient_caps_the_neighborhood(monkeypatch):
     o = orient(star(4))
     assert o == reference_orient(star(4))
     assert o.arcs == ((0, 1), (0, 2), (0, 3), (0, 4))
+
+
+def test_sign_depends_caps_the_neighborhood(monkeypatch):
+    # the 2^21 assignments of the centre's neighborhood are not enumerated
+    # (variable 0 never changes sign, so without the cap this returns None)
+    with pytest.raises(TooLargeError, match="variable 0 has 21 neighbors"):
+        sign_depends(star(21), 0, 1)
+    assert sign_depends(star(21), 1, 0) is not None  # a leaf has one neighbor
+    monkeypatch.setattr(core, "TABLE_DEGREE_CAP", 4)
+    with pytest.raises(TooLargeError):
+        sign_depends(star(5), 0, 1)
+    assert sign_depends(star(4), 0, 1) is None
 
 
 def test_peak_of_oriented_on_random_instances():

@@ -620,3 +620,20 @@ def test_random_and_first_traces_are_pinned():
     assert len(traces) == 3270
     assert hashlib.sha256(repr(traces).encode()).hexdigest() == \
         "a83128e81757270ab0771019d2cc4fbac9ba0affb875d6c81643474984873e41"
+
+
+@pytest.mark.parametrize("engine", [
+    steepest_ascent,
+    lambda inst, start, **kw: random_ascent(inst, start, seed=5, **kw),
+    first_improvement_ascent,
+])
+def test_limit_reached_at_a_peak_is_complete(engine, chain22_plus):
+    # a limit stops a run only while an improving move remains: a run that
+    # reaches a peak at exactly max_steps steps is complete
+    start = (0,) * 12
+    full = engine(chain22_plus, start)
+    assert full.complete and full.num_steps > 0
+    assert engine(chain22_plus, start, max_steps=full.num_steps) == full
+    assert engine(chain22_plus, full.end, max_steps=0).complete
+    cut = engine(chain22_plus, start, max_steps=full.num_steps - 1)
+    assert not cut.complete and cut.num_steps == full.num_steps - 1
