@@ -2,16 +2,17 @@
 
    The native twin of the Python loop in search.steepest_ascent, which stays
    the reference: the same lowest-index tie rule, tie count, minimum gain,
-   max_steps guard and "error" tie policy.  Every buffer belongs to the
-   caller; nothing is allocated here.
+   max_steps guard and "error" tie policy.  The instance's arrays are only
+   read, so threads may share them.  The caller's other buffers belong to one
+   call, and so does the scratch, which each call allocates and frees.
 
    The loop is written once, at the end of this file, and compiled at two
-   widths by including the file into itself:
-     vcsp_steepest     int64_t values; the caller guarantees
+   widths, with one signature, by including the file into itself:
+     vcsp_steepest     int64_t cells; the caller guarantees
                        |constant| + sum|unary| + sum|binary| < 2^62;
      vcsp_steepest128  __int128 values, where the compiler has them, on
                        little-endian machines; the caller guarantees the same
-                       sum < 2^126.  Each value is 16 little-endian bytes,
+                       sum < 2^126.  Each cell is 16 little-endian bytes,
                        read and written with memcpy, since the caller's
                        buffers need not be 16-byte aligned.
    Under its bound no fitness, gradient or gain can overflow its width.
@@ -20,22 +21,21 @@
 #ifndef VALUE
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
-enum { PEAK = 0, LIMIT = 1, TIE = 2 };  /* why the run stopped */
+enum { PEAK = 0, LIMIT = 1, TIE = 2, NO_MEMORY = 3 };  /* why the run stopped */
 
 /* Slots of res[]. */
 enum { R_STEPS, R_FIT_START, R_FIT_END, R_MIN_GAIN, R_TIES, R_TIE_MOVES, R_TIE_GAIN };
 
-/* vcsp_steepest is the loop itself at int64, on arrays of int64_t. */
+/* vcsp_steepest: the loop at int64, on arrays of int64_t. */
 #define VALUE int64_t
 #define CELL int64_t
 #define LOAD(p, i) ((p)[i])
 #define STORE(p, i, v) ((p)[i] = (v))
 #define STEEPEST vcsp_steepest
-#define LINKAGE
 #include "_steepest.c"  /* this file: the loop below, at this width */
-#undef LINKAGE
 #undef VALUE
 #undef CELL
 #undef LOAD
@@ -66,38 +66,39 @@ static void store128(cell128 *p, int128 v)
 #define CELL cell128
 #define LOAD(p, i) load128(&(p)[i])
 #define STORE(p, i, v) store128(&(p)[i], (v))
-#define STEEPEST steepest128
-#define LINKAGE static
+#define STEEPEST vcsp_steepest128
 #include "_steepest.c"  /* this file: the loop below, at this width */
-
-/* vcsp_steepest with 16-byte values; the constant is passed by address. */
-int vcsp_steepest128(int32_t d, const cell128 *constant, const int32_t *off,
-                     const int32_t *nbr, const cell128 *w, const cell128 *unary, uint8_t *x,
-                     cell128 *gain, int32_t *imp, int32_t *pos, int64_t max_steps,
-                     int32_t stop_on_tie, int32_t *out_var, cell128 *out_gain, cell128 *res)
-{
-    return steepest128(d, load128(constant), off, nbr, w, unary, x, gain, imp, pos, max_steps,
-                       stop_on_tie, out_var, out_gain, res);
-}
 
 #endif
 
 #else  /* the loop: function STEEPEST at width VALUE, over arrays of CELL */
 
-/* d variables; binary neighbours of i are nbr[off[i] .. off[i+1]) with weights
-   w[] (CSR).  x holds the start on entry and the end on return.  gain, imp and
-   pos are scratch of length d: gain[v] is the fitness change of flipping v,
-   imp lists the improving variables in any order, and pos[v] is v's slot in
-   imp or -1.  max_steps < 0 means no limit.  When out_var is not NULL, step t
-   writes its variable and gain to out_var[t] and out_gain[t], which must hold
-   max_steps entries.  On a tie with stop_on_tie set, the run stops before the
-   tied step and reports the tie's size and gain. */
-LINKAGE int STEEPEST(int32_t d, VALUE constant, const int32_t *off, const int32_t *nbr,
-                     const CELL *w, const CELL *unary, uint8_t *x, CELL *gain,
-                     int32_t *imp, int32_t *pos, int64_t max_steps, int32_t stop_on_tie,
-                     int32_t *out_var, CELL *out_gain, CELL *res)
+/* d variables and the constant in constant[0]; binary neighbours of i are
+   nbr[off[i] .. off[i+1]) with weights w[] (CSR); these and unary[] are only
+   read.  x holds the start on entry and the end on return.  The scratch has
+   length d: gain[v] is the fitness change of flipping v, imp lists the
+   improving variables in any order, and pos[v] is v's slot in imp or -1; the
+   run stops with NO_MEMORY if it cannot be allocated.  max_steps < 0 means
+   no limit.  When out_var is not NULL, step t writes its variable and gain to
+   out_var[t] and out_gain[t], which must hold max_steps entries.  On a tie
+   with stop_on_tie set, the run stops before the tied step and reports the
+   tie's size and gain. */
+int STEEPEST(int32_t d, const CELL *constant, const int32_t *off, const int32_t *nbr,
+             const CELL *w, const CELL *unary, uint8_t *x, int64_t max_steps,
+             int32_t stop_on_tie, int32_t *out_var, CELL *out_gain, CELL *res)
 {
-    VALUE fit = constant;
+    /* Two blocks, not one: the compiler then knows that gain and imp do not
+       alias, and the loop ran about 10% faster than with one shared block. */
+    size_t n = d > 0 ? (size_t)d : 1;  /* malloc(0) may return NULL */
+    CELL *gain = malloc(n * sizeof *gain);
+    int32_t *imp = malloc(2 * n * sizeof *imp);
+    if (!gain || !imp) {
+        free(gain);
+        free(imp);
+        return NO_MEMORY;
+    }
+    int32_t *pos = imp + n;
+    VALUE fit = LOAD(constant, 0);
     int32_t n_imp = 0;
     for (int32_t i = 0; i < d; i++) {
         VALUE g = LOAD(unary, i);
@@ -191,6 +192,8 @@ LINKAGE int STEEPEST(int32_t d, VALUE constant, const int32_t *off, const int32_
     STORE(res, R_FIT_END, fit);
     STORE(res, R_MIN_GAIN, min_gain);
     STORE(res, R_TIES, ties);
+    free(gain);
+    free(imp);
     return status;
 }
 

@@ -206,9 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for --method random")
     p.add_argument("--tie", choices=["lowest", "error"], default="lowest",
                    help="steepest-ascent tie policy")
-    p.add_argument("--trace", help="write the step-by-step trace CSV here")
-    p.add_argument("--trials", type=int, default=None,
-                   help="instead of one run, aggregate step counts over this many trials")
+    runs = p.add_mutually_exclusive_group()
+    runs.add_argument("--trace", help="write the step-by-step trace CSV here")
+    runs.add_argument("--trials", type=int, default=None,
+                      help="instead of one run, aggregate step counts over this many trials")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--raw-order", action="store_true")
     p.set_defaults(func=cmd_ascend)

@@ -123,7 +123,8 @@ class Instance:
             nbrs[i].append((j, w))
             nbrs[j].append((i, w))
         self.neighbors = tuple(tuple(sorted(v)) for v in nbrs)
-        # the native steepest-ascent kernel's arrays, built by search on first use
+        # the native steepest-ascent kernel's read-only arrays, built by search on
+        # first use (a thread that races another builds an equal copy)
         self._native = None
 
     def __reduce__(self):

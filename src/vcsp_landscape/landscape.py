@@ -303,7 +303,8 @@ class AscentGraph:
     """All assignments reachable from start by improving flips.
 
     Every edge strictly increases fitness, so the graph is acyclic; sinks are
-    the reachable local peaks.
+    the reachable local peaks.  edges lists each node's out-edges together,
+    the nodes in breadth-first order from start.
     """
     start: Bits
     nodes: dict[Bits, int]                          # assignment -> fitness
@@ -337,21 +338,19 @@ def ascent_graph(inst: Instance, start: Sequence[int], cap: int = ASCENT_GRAPH_C
 
 
 def shortest_ascent_length(graph: AscentGraph, target: Sequence[int]) -> int:
-    """Length of the shortest improving path from the graph's start to target."""
+    """Length of the shortest improving path from the graph's start to target.
+
+    The edges come in breadth-first order of their sources, so the first edge
+    into a node comes from a nearest predecessor: one pass, up to the first
+    edge into target, gives its distance.
+    """
     target = tuple(target)
     if target not in graph.nodes:
         raise UnreachableError("target is not reachable from the start")
-    adj: dict[Bits, list[Bits]] = {}
-    for a, b, _, _ in graph.edges:
-        adj.setdefault(a, []).append(b)
     dist = {graph.start: 0}
-    queue = deque([graph.start])
-    while queue:
-        x = queue.popleft()
-        if x == target:
-            return dist[x]
-        for y in adj.get(x, ()):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    raise UnreachableError("target is not reachable from the start")
+    for a, b, _, _ in graph.edges:
+        if b not in dist:
+            dist[b] = dist[a] + 1
+            if b == target:
+                break
+    return dist[target]

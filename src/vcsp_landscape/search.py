@@ -34,7 +34,6 @@ import functools
 import hashlib
 import os
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -139,7 +138,7 @@ def _ascend(method: str, inst: Instance, start: Sequence[int],
 # --- native steepest-ascent kernel --------------------------------------------
 
 _CHUNK = 2 ** 14  # recorded steps per kernel call
-_PEAK, _LIMIT, _TIE = 0, 1, 2  # the kernel's stop reasons, as in _steepest.c
+_PEAK, _LIMIT, _TIE, _NO_MEMORY = 0, 1, 2, 3  # the kernel's stop reasons, as in _steepest.c
 _SRC = Path(__file__).with_name("_steepest.c")
 
 
@@ -153,12 +152,11 @@ def _c_array(ctype, values: Sequence[int]):
 
 class _Int64:
     """The kernel at int64 (vcsp_steepest): exact while |constant| + sum of
-    |weights| < 2^62.  Its integers are ctypes int64 arrays; the constant is
-    passed by value."""
+    |weights| < 2^62.  Its integers, the constant included, are ctypes int64
+    arrays."""
 
     symbol = "vcsp_steepest"
     bound = 2 ** 62
-    constant_type = ctypes.c_int64
 
     def __init__(self, fn):
         self.fn = fn
@@ -176,20 +174,15 @@ class _Int64:
         """The first k integers of array."""
         return array[:k]
 
-    @staticmethod
-    def constant(c: int) -> int:
-        return c
-
 
 class _Int128(_Int64):
     """The kernel at 128 bits (vcsp_steepest128): exact while |constant| + sum
     of |weights| < 2^126.  Each integer is 16 little-endian bytes in a char
     buffer, which need not be 16-byte aligned (the kernel copies values in
-    and out with memcpy); the constant is passed by address."""
+    and out with memcpy)."""
 
     symbol = "vcsp_steepest128"
     bound = 2 ** 126
-    constant_type = ctypes.c_void_p
 
     @staticmethod
     def array(values: Sequence[int]):
@@ -205,10 +198,6 @@ class _Int128(_Int64):
         raw = ctypes.string_at(array, 16 * k)
         return [int.from_bytes(raw[i:i + 16], "little", signed=True)
                 for i in range(0, 16 * k, 16)]
-
-    @staticmethod
-    def constant(c: int):
-        return _Int128.array([c])
 
 
 @functools.cache
@@ -239,8 +228,8 @@ def _native_kernel():
     for width in (_Int64, _Int128):
         fn = getattr(lib, width.symbol, None)
         if fn is not None:
-            fn.argtypes = [ctypes.c_int32, width.constant_type, p, p, p, p, p, p, p, p,
-                           ctypes.c_int64, ctypes.c_int32, p, p, p]
+            fn.argtypes = [ctypes.c_int32, p, p, p, p, p, p, ctypes.c_int64, ctypes.c_int32,
+                           p, p, p]
             fn.restype = ctypes.c_int
             widths.append(width(fn))
     return tuple(widths) or None
@@ -271,44 +260,36 @@ def _compile(cc: str, lib: Path) -> None:
 
 
 class _NativeArrays:
-    """One instance's CSR neighbour, weight and unary arrays for the kernel at
-    one width, with its scratch space; the lock keeps two threads off the
-    scratch."""
+    """One instance's constant and CSR neighbour, weight and unary arrays for
+    the kernel at one width.  The kernel only reads them, so threads can share
+    them; the buffers it writes belong to one call."""
 
-    __slots__ = ("lock", "width", "constant", "off", "nbr", "w", "unary", "x", "gain",
-                 "imp", "pos", "res")
+    __slots__ = ("width", "constant", "off", "nbr", "w", "unary")
 
     def __init__(self, inst: Instance, width):
-        d = inst.num_vars
         off, nbr, w = [0], [], []
         for row in inst.neighbors:
             for j, wt in row:
                 nbr.append(j)
                 w.append(wt)
             off.append(len(nbr))
-        self.lock = threading.Lock()
         self.width = width
-        self.constant = width.constant(inst.constant)
+        self.constant = width.array([inst.constant])
         self.off = _c_array(ctypes.c_int32, off)
         self.nbr = _c_array(ctypes.c_int32, nbr)
         self.w = width.array(w)
-        self.unary = width.array([inst.unaries.get(i, 0) for i in range(d)])
-        self.x = ctypes.create_string_buffer(d)
-        self.gain = width.zeros(d)
-        self.imp = (ctypes.c_int32 * d)()
-        self.pos = (ctypes.c_int32 * d)()
-        self.res = width.zeros(7)
+        self.unary = width.array([inst.unaries.get(i, 0) for i in range(inst.num_vars)])
 
 
 def _native_arrays(inst: Instance, widths) -> _NativeArrays | None:
     """The instance's kernel arrays, built once at the narrowest of widths
-    that is exact on it; None when the kernel must not run on it (no
-    variables, or weights too large for every width)."""
+    that is exact on it; None when its weights are too large for every
+    width."""
     arrays = inst._native
     if arrays is None:
         total = (abs(inst.constant) + sum(map(abs, inst.unaries.values()))
                  + sum(map(abs, inst.binaries.values())))
-        width = next((w for w in widths if total < w.bound), None) if inst.num_vars else None
+        width = next((w for w in widths if total < w.bound), None)
         arrays = inst._native = _NativeArrays(inst, width) if width else False
     return arrays or None
 
@@ -318,12 +299,15 @@ def _steepest_native(a: _NativeArrays, inst: Instance, start: Sequence[int],
     """steepest_ascent on the kernel.  Recorded runs go in calls of at most
     _CHUNK steps, each continuing from the last end; steepest ascent depends
     only on the current assignment, so the path is the same as in one call."""
+    start = tuple(start)  # tuple() first, as in _ascend, and only once
     inst.check_assignment(start)
-    x = bytes(tuple(start))  # as in _ascend
-    start = tuple(x)
+    d = inst.num_vars
+    x = ctypes.create_string_buffer(bytes(start), d)
+    start = tuple(x.raw)
     if limit >= 2 ** 63:
         limit = -1  # no limit in practice: at 30M steps/s, 2^63 steps take about 10^4 years
     width = a.width
+    res = width.zeros(7)
     steps = out_var = out_gain = None
     if record_steps:
         size = _CHUNK if limit < 0 else max(1, min(_CHUNK, limit))
@@ -332,32 +316,30 @@ def _steepest_native(a: _NativeArrays, inst: Instance, start: Sequence[int],
         steps = []
     nsteps = ties = 0
     fit0 = min_gain = None
-    with a.lock:
-        a.x.raw = x
-        while True:
-            left = -1 if limit < 0 else limit - nsteps
-            part = left if steps is None else (size if left < 0 else min(size, left))
-            status = width.fn(inst.num_vars, a.constant, a.off, a.nbr, a.w, a.unary, a.x,
-                              a.gain, a.imp, a.pos, part, raise_on_tie, out_var, out_gain,
-                              a.res)
-            k, fit_start, fit, least, ties_k, tie_moves, tie_gain = width.read(a.res, 7)
-            if fit0 is None:
-                fit0 = fit_start
-            if k:
-                if steps is not None:
-                    gains = width.read(out_gain, k)
-                    steps.extend(zip(out_var[:k], gains,
-                                     islice(accumulate(gains, initial=fit_start), 1, None)))
-                if min_gain is None or least < min_gain:
-                    min_gain = least
-            nsteps += k
-            ties += ties_k
-            if status == _TIE:
-                raise _tie_error(nsteps + 1, tie_moves, tie_gain)
-            if status == _PEAK or nsteps == limit:
-                break
-        end = a.x.raw
-    return Trace("steepest", start, tuple(end), nsteps, fit0, fit, min_gain, ties,
+    while True:
+        left = -1 if limit < 0 else limit - nsteps
+        part = left if steps is None else (size if left < 0 else min(size, left))
+        status = width.fn(d, a.constant, a.off, a.nbr, a.w, a.unary, x, part, raise_on_tie,
+                          out_var, out_gain, res)
+        if status == _NO_MEMORY:
+            raise MemoryError("the steepest-ascent kernel could not allocate its scratch")
+        k, fit_start, fit, least, ties_k, tie_moves, tie_gain = width.read(res, 7)
+        if fit0 is None:
+            fit0 = fit_start
+        if k:
+            if steps is not None:
+                gains = width.read(out_gain, k)
+                steps.extend(zip(out_var[:k], gains,
+                                 islice(accumulate(gains, initial=fit_start), 1, None)))
+            if min_gain is None or least < min_gain:
+                min_gain = least
+        nsteps += k
+        ties += ties_k
+        if status == _TIE:
+            raise _tie_error(nsteps + 1, tie_moves, tie_gain)
+        if status == _PEAK or nsteps == limit:
+            break
+    return Trace("steepest", start, tuple(x.raw), nsteps, fit0, fit, min_gain, ties,
                  None if steps is None else tuple(steps), None, status == _PEAK)
 
 
@@ -408,11 +390,11 @@ def steepest_ascent(
     Ties are resolved by lowest variable index (or raised, under policy
     "error") and counted either way.  This is the package's hot path.
 
-    Instances with at least one variable run on the native kernel when it is
-    available: at int64 while |constant| + sum of |weights| is below 2^62,
-    else at 128 bits while it is below 2^126.  _ascend with the _Steepest rule
-    runs the rest (and everything when the kernel or its 128-bit width is
-    missing); it is the reference, and every path gives the same Trace.
+    Instances run on the native kernel when it is available: at int64 while
+    |constant| + sum of |weights| is below 2^62, else at 128 bits while it is
+    below 2^126.  _ascend with the _Steepest rule runs the rest (and
+    everything when the kernel or its 128-bit width is missing); it is the
+    reference, and every path gives the same Trace.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")

@@ -153,9 +153,10 @@ def test_steepest_commands_native_match_reference(tmp_path, capsys, monkeypatch)
     tied = tmp_path / "t.vcsp"
     write_instance(Instance(3, 0, [(0, 2), (1, 2), (2, 1)], [(0, 2, -1)]), tied)
     commands = [("verify", "--n", "6"), ("verify", "--n", "7", "--m", "3")]
-    for extra in ((), ("--max-steps", "300"), ("--max-steps", "0"), ("--trials", "3")):
-        commands.append(("ascend", "--instance", str(chain), "--start", "1111100" * 6,
-                         "--trace", str(tmp_path / "c.csv")) + extra)
+    ascend = ("ascend", "--instance", str(chain), "--start", "1111100" * 6)
+    for extra in ((), ("--max-steps", "300"), ("--max-steps", "0")):
+        commands.append(ascend + ("--trace", str(tmp_path / "c.csv")) + extra)
+    commands.append(ascend + ("--trials", "3"))
     for tie in ("lowest", "error"):
         commands.append(("ascend", "--instance", str(tied), "--start", "000", "--tie", tie,
                          "--trace", str(tmp_path / "t.csv")))
@@ -197,6 +198,21 @@ def test_ascend_trials(tmp_path, capsys):
     assert out1.startswith("trials=20 method=random mean=")
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_ascend_trials_with_trace_is_a_usage_error(tmp_path, capsys):
+    # trials write no trace, so asking for both exits 2 instead of dropping it
+    path = tmp_path / "c.vcsp"
+    write_instance(build_chain(3, 3, "+"), path)
+    trace = tmp_path / "tr.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["ascend", "--instance", str(path), "--start", "0" * 18, "--trials", "3",
+              "--trace", str(trace)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --trace: not allowed with argument --trials" in out.err
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize("method,plain", [

@@ -22,7 +22,7 @@ from vcsp_landscape import (
 )
 from vcsp_landscape.errors import TooLargeError, UnreachableError, ZeroGradientError
 
-from conftest import brute_peaks, random_instance
+from conftest import brute_improving, brute_peaks, random_bits, random_instance
 
 
 def test_sign_depends_inside_gadget(gadget_minus):
@@ -234,6 +234,34 @@ def test_shortest_ascent_equals_hamming_distance(chain22_plus):
         g = ascent_graph(inst, start)
         dist = sum(a != b for a, b in zip(start, peak))
         assert shortest_ascent_length(g, peak) == dist
+
+
+def test_shortest_ascent_length_matches_a_bfs_on_random_instances():
+    # on random instances a target can need more improving steps than its
+    # Hamming distance from the start; the lengths agree with a BFS over the
+    # brute-force improving moves, and every node of the graph is reached
+    rng = random.Random(611)
+    longer = 0
+    for _ in range(150):
+        inst = random_instance(rng, max_vars=9)
+        start = random_bits(rng, inst.num_vars)
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for v, _ in brute_improving(inst, x):
+                    y = x[:v] + (1 - x[v],) + x[v + 1:]
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        g = ascent_graph(inst, start)
+        assert set(g.nodes) == set(dist)
+        for target, want in dist.items():
+            assert shortest_ascent_length(g, target) == want
+            longer += want > sum(a != b for a, b in zip(start, target))
+    assert longer >= 20
 
 
 def test_oriented_small_instances_have_unique_peak():

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import pickle
@@ -75,7 +76,7 @@ def native(inst, start, **kwargs):
     total = (abs(inst.constant) + sum(map(abs, inst.unaries.values()))
              + sum(map(abs, inst.binaries.values())))
     widths = search._native_kernel() or ()
-    want = next((w.bound for w in widths if inst.num_vars and total < w.bound), None)
+    want = next((w.bound for w in widths if total < w.bound), None)
     assert width_bound(inst) == want
     return tr
 
@@ -532,8 +533,8 @@ def test_native_loader_builds_into_pycache(monkeypatch, tmp_path):
 
 def check_threads(inst):
     """Four threads run ascents from different starts on the shared inst and
-    see the same Traces as one thread: the kernel's scratch arrays belong to
-    the instance, so they must not see each other's state."""
+    see the same Traces as one thread: the kernel's arrays belong to the
+    instance, so the runs must not see each other's state."""
     rng = random.Random(5)
     starts = [random_bits(rng, inst.num_vars) for _ in range(6)]
     runs = [(x, rec) for x in starts for rec in (False, True)]
@@ -558,6 +559,45 @@ def check_threads(inst):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not bad
+
+
+def kernel_bytes(arrays):
+    """The bytes of every ctypes array cached for the kernel."""
+    return {name: bytes(getattr(arrays, name)) for name in type(arrays).__slots__
+            if isinstance(getattr(arrays, name), ctypes.Array)}
+
+
+@pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
+def test_native_arrays_are_read_only(scale):
+    # the kernel only reads the arrays cached on the instance: summary,
+    # recorded, limited and tie-stopped runs leave every byte of them as it
+    # was, so threads can share an instance without a lock
+    if not both_widths():
+        pytest.skip("the kernel was not built at both widths")
+    chain = scaled(build_chain(4, 4, "+"), scale)
+    tied = scaled(Instance(3, 0, [(0, 3), (1, 2), (2, 2)], []), scale)  # step 2 is a tie
+    runs = [dict(record_steps=False), dict(), dict(max_steps=3), dict(tie_policy="error")]
+    for inst, start in ((chain, expected_peak(4, 4, "-")), (tied, (0, 0, 0))):
+        native(inst, start, max_steps=0)
+        arrays = inst._native
+        before = kernel_bytes(arrays)
+        assert set(before) == {"constant", "off", "nbr", "w", "unary"}
+        for kw in runs:
+            tr = outcome(native, inst, start, **kw)
+            assert inst._native is arrays and kernel_bytes(arrays) == before
+    assert tr == "TieEncounteredError: step 2: 2 moves share the maximal gain " + str(2 * scale)
+
+
+@pytest.mark.parametrize("constant,bound", [(5, 2 ** 62), (2 ** 100, 2 ** 126)],
+                         ids=["int64", "int128"])
+def test_native_runs_instances_without_variables(reference, constant, bound):
+    inst = Instance(0, constant)
+    for max_steps in (None, 0, 3):
+        for record in (False, True):
+            kw = dict(record_steps=record, max_steps=max_steps)
+            assert native(inst, (), **kw) == reference(inst, (), **kw)
+    if both_widths():
+        assert width_bound(inst) == bound
 
 
 def test_native_threads_share_an_instance():
