@@ -246,6 +246,15 @@ def test_from_constraint_tables_malformed():
         from_constraint_tables(3, [((0, 1, 2), {})])
 
 
+def test_from_constraint_tables_checks_scopes_whose_terms_cancel():
+    # the coefficients cancel, so Instance never sees variable 5: the table's
+    # own scope check is the only guard
+    with pytest.raises(IndexOutOfRangeError, match=r"variable index 5 not in \[0, 2\)"):
+        from_constraint_tables(2, [((5,), {(0,): 4, (1,): 4})])
+    with pytest.raises(IndexOutOfRangeError, match=r"variable index -1 not in \[0, 2\)"):
+        from_constraint_tables(2, [((0, -1), dict.fromkeys([(0, 0), (0, 1), (1, 0), (1, 1)], 3))])
+
+
 def test_text_round_trip(chain22_plus):
     for inst in (chain22_plus, Instance(3, -4, [(1, 2)], [(0, 2, -7)])):
         assert from_text(to_text(inst)) == inst
@@ -277,6 +286,31 @@ def test_text_parser_tolerates_comments_and_blank_lines():
 def test_text_parser_rejects(bad, exc):
     with pytest.raises(exc):
         from_text(bad)
+
+
+@pytest.mark.parametrize("bad,msg", [
+    ("vcsp 1\nn 2\nu x 1\n", "line 3: non-integer token in 'u x 1'"),
+    ("vcsp 1\nq 1.5\n", "line 2: non-integer token in 'q 1.5'"),
+    ("vcsp 1\nn 2\n\nn 3\n", "line 4: duplicate 'n' line"),
+    ("vcsp 1\nn 2 3\n", "line 2: 'n' takes one argument"),
+    ("vcsp 1\nn 3\nlabel 0 1\n", "line 3: 'label' takes index, k, i"),
+    ("vcsp 1\nn 2\nc0\n", "line 3: 'c0' takes one argument"),
+    ("vcsp 1\nn 2\nc0 1  # first\nc0 2\n", "line 4: duplicate 'c0' line"),
+    ("vcsp 1\nn 2\nu 0\n", "line 3: 'u' takes index and weight"),
+    ("vcsp 1\nn 2\nb 0 1\n", "line 3: 'b' takes two indices and a weight"),
+    ("", "empty input: missing 'vcsp 1' header"),
+    ("# comments only\n\n", "empty input: missing 'vcsp 1' header"),
+    ("vcsp 1\n", "missing 'n' line"),
+    # a second 'n' is a duplicate before its arguments are counted; a second
+    # 'c0' has its arguments counted first
+    ("vcsp 1\nn 2\nn 1 2\n", "line 3: duplicate 'n' line"),
+    ("vcsp 1\nn 2\nc0 1\nc0 1 2\n", "line 4: 'c0' takes one argument"),
+    ("vcsp 1\nq 1\n", "line 2: 'q' line before 'n' line"),
+])
+def test_text_parser_error_messages(bad, msg):
+    with pytest.raises(ParseError) as e:
+        from_text(bad)
+    assert str(e.value) == msg
 
 
 def test_assignment_string_order_generated(chain22_plus):
