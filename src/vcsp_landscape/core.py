@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from typing import Iterable, Mapping, Sequence
+from itertools import compress, product
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BitValueError,
@@ -101,22 +102,22 @@ class Instance:
         self.binaries = bdict
 
         ldict: dict[int, Label] = {}
+        by_label: dict[Label, int] = {}
         if labels is not None:
             if isinstance(labels, Mapping):
                 labels = [(idx, k, i) for idx, (k, i) in labels.items()]
-            seen: set[Label] = set()
             for idx, k, i in labels:
                 self._check_index(idx)
                 if k < 1 or not (1 <= i <= 6):
                     raise ParseError(f"label ({k},{i}) out of range: need k >= 1, 1 <= i <= 6")
                 if idx in ldict:
                     raise DuplicateScopeError(f"variable {idx} labeled twice")
-                if (k, i) in seen:
+                if (k, i) in by_label:
                     raise DuplicateScopeError(f"label ({k},{i}) used twice")
                 ldict[idx] = (k, i)
-                seen.add((k, i))
+                by_label[k, i] = idx
         self.labels = ldict
-        self._index_by_label = {lab: idx for idx, lab in ldict.items()}
+        self._index_by_label = by_label
 
         nbrs: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vars)]
         for (i, j), w in bdict.items():
@@ -305,55 +306,39 @@ def from_constraint_tables(
 
     Each table is (scope, values) where scope lists 1 or 2 distinct variable
     indices and values maps every bit tuple over the scope (in scope order) to
-    an integer.  Alike monomials are aggregated across tables: constants into
-    the constant term, per-variable coefficients into unaries, and the product
-    coefficient C(1,1) - C(0,1) - C(1,0) + C(0,0) into the binary weight.
-    Coefficients that cancel to zero are dropped.  The returned instance's
-    fitness equals the pointwise sum of the tables.
+    an integer, C(bits).  A table is a polynomial in its variables: by
+    inclusion-exclusion, the coefficient of the product of the variables that
+    the bit tuple sub sets to 1 is the sum of (-1)^(|sub| - |low|) C(low) over
+    the bit tuples low <= sub.  So a unary table adds C(1) - C(0) to its
+    variable's weight, and a binary table has the product coefficient
+    C(1,1) - C(0,1) - C(1,0) + C(0,0).  Alike monomials are aggregated across
+    tables and coefficients that cancel to zero are dropped.  The returned
+    instance's fitness equals the pointwise sum of the tables.
     """
-    constant = 0
-    unary: dict[int, int] = {}
-    binary: dict[tuple[int, int], int] = {}
+    terms: dict[tuple[int, ...], int] = {}  # sorted variables -> coefficient
     for scope, values in tables:
         scope = tuple(scope)
-        if len(scope) == 1:
-            (i,) = scope
-            if not (0 <= i < num_vars):
-                raise IndexOutOfRangeError(f"variable index {i} not in [0, {num_vars})")
-            try:
-                c0, c1 = values[(0,)], values[(1,)]
-            except KeyError as e:
-                raise MalformedTableError(f"unary table on {scope} missing entry {e}") from None
-            constant += c0
-            unary[i] = unary.get(i, 0) + (c1 - c0)
-        elif len(scope) == 2:
-            i, j = scope
-            if i == j:
-                raise MalformedTableError(f"binary table scope pairs variable {i} with itself")
-            for v in (i, j):
-                if not (0 <= v < num_vars):
-                    raise IndexOutOfRangeError(f"variable index {v} not in [0, {num_vars})")
-            try:
-                c00 = values[(0, 0)]
-                c01 = values[(0, 1)]
-                c10 = values[(1, 0)]
-                c11 = values[(1, 1)]
-            except KeyError as e:
-                raise MalformedTableError(f"binary table on {scope} missing entry {e}") from None
-            constant += c00
-            unary[i] = unary.get(i, 0) + (c10 - c00)
-            unary[j] = unary.get(j, 0) + (c01 - c00)
-            key = (i, j) if i < j else (j, i)
-            binary[key] = binary.get(key, 0) + (c11 - c01 - c10 + c00)
-        else:
+        if len(scope) not in (1, 2):
             raise MalformedTableError(f"scope must have 1 or 2 variables, got {scope}")
-    return Instance(
-        num_vars,
-        constant,
-        [(i, w) for i, w in sorted(unary.items()) if w != 0],
-        [(i, j, w) for (i, j), w in sorted(binary.items()) if w != 0],
-        labels,
-    )
+        if len(scope) == 2 and scope[0] == scope[1]:
+            raise MalformedTableError(
+                f"binary table scope pairs variable {scope[0]} with itself")
+        for v in scope:
+            if not (0 <= v < num_vars):
+                raise IndexOutOfRangeError(f"variable index {v} not in [0, {num_vars})")
+        try:
+            for sub in product((0, 1), repeat=len(scope)):
+                coef = sum((-1) ** (sum(sub) - sum(low)) * values[low]
+                           for low in product(*[range(s + 1) for s in sub]))
+                key = tuple(sorted(compress(scope, sub)))
+                terms[key] = terms.get(key, 0) + coef
+        except KeyError as e:
+            kind = "unary" if len(scope) == 1 else "binary"
+            raise MalformedTableError(f"{kind} table on {scope} missing entry {e}") from None
+    constant = terms.pop((), 0)
+    kept = [(*key, w) for key, w in sorted(terms.items()) if w != 0]
+    return Instance(num_vars, constant, [t for t in kept if len(t) == 2],
+                    [t for t in kept if len(t) == 3], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -381,68 +366,64 @@ def to_text(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+# directive -> (argument count, how a wrong-count message names the arguments)
+_DIRECTIVES = {
+    "n": (1, "one argument"),
+    "label": (3, "index, k, i"),
+    "c0": (1, "one argument"),
+    "u": (2, "index and weight"),
+    "b": (3, "two indices and a weight"),
+}
+
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """The lexer both text formats share: (line number, text) for each line
+    that is not blank once its '#' comment is cut off, stripped of outer
+    whitespace."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:  # most lines have no comment; the test is cheaper than a cut
+            line = line.partition("#")[0]
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
 def from_text(text: str) -> Instance:
-    num_vars = None
-    constant = 0
-    saw_c0 = False
-    unaries: list[tuple[int, int]] = []
-    binaries: list[tuple[int, int, int]] = []
-    labels: list[tuple[int, int, int]] = []
-    saw_header = False
-
-    def fail(lineno, msg):
-        raise ParseError(f"line {lineno}: {msg}")
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = _lines(text)
+    for lineno, line in lines:
+        if line.split() != ["vcsp", "1"]:
+            raise ParseError(f"line {lineno}: expected header 'vcsp 1', got {line!r}")
+        break
+    else:
+        raise ParseError("empty input: missing 'vcsp 1' header")
+    rows: dict[str, list[list[int]]] = {kind: [] for kind in _DIRECTIVES}
+    n_rows = rows["n"]
+    for lineno, line in lines:
         tok = line.split()
-        if not saw_header:
-            if tok != ["vcsp", "1"]:
-                fail(lineno, f"expected header 'vcsp 1', got {line!r}")
-            saw_header = True
-            continue
         kind = tok[0]
         try:
-            args = [int(t) for t in tok[1:]]
+            args = [*map(int, tok[1:])]
         except ValueError:
-            fail(lineno, f"non-integer token in {line!r}")
-        if kind == "n":
-            if num_vars is not None:
-                fail(lineno, "duplicate 'n' line")
-            if len(args) != 1:
-                fail(lineno, "'n' takes one argument")
-            num_vars = args[0]
-            continue
-        if num_vars is None:
-            fail(lineno, f"'{kind}' line before 'n' line")
-        if kind == "label":
-            if len(args) != 3:
-                fail(lineno, "'label' takes index, k, i")
-            labels.append((args[0], args[1], args[2]))
-        elif kind == "c0":
-            if len(args) != 1:
-                fail(lineno, "'c0' takes one argument")
-            if saw_c0:
-                fail(lineno, "duplicate 'c0' line")
-            constant = args[0]
-            saw_c0 = True
-        elif kind == "u":
-            if len(args) != 2:
-                fail(lineno, "'u' takes index and weight")
-            unaries.append((args[0], args[1]))
-        elif kind == "b":
-            if len(args) != 3:
-                fail(lineno, "'b' takes two indices and a weight")
-            binaries.append((args[0], args[1], args[2]))
+            raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
+        if kind == "n" and n_rows:
+            msg = "duplicate 'n' line"
+        elif not n_rows and kind != "n":
+            msg = f"'{kind}' line before 'n' line"
+        elif kind not in _DIRECTIVES:
+            msg = f"unknown directive {kind!r}"
+        elif len(args) != _DIRECTIVES[kind][0]:
+            msg = f"'{kind}' takes {_DIRECTIVES[kind][1]}"
+        elif kind == "c0" and rows["c0"]:
+            msg = "duplicate 'c0' line"
         else:
-            fail(lineno, f"unknown directive {kind!r}")
-    if not saw_header:
-        raise ParseError("empty input: missing 'vcsp 1' header")
-    if num_vars is None:
+            rows[kind].append(args)
+            continue
+        raise ParseError(f"line {lineno}: {msg}")
+    if not n_rows:
         raise ParseError("missing 'n' line")
-    return Instance(num_vars, constant, unaries, binaries, labels or None)
+    [(num_vars,)] = n_rows
+    [(constant,)] = rows["c0"] or [(0,)]
+    return Instance(num_vars, constant, rows["u"], rows["b"], rows["label"] or None)
 
 
 def write_instance(inst: Instance, path) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Instance
+from .core import Instance, _lines
 from .errors import ParseError
 
 
@@ -33,8 +33,6 @@ def constraint_graph(inst: Instance) -> ConstraintGraph:
 
 
 def max_degree(g: ConstraintGraph) -> int:
-    if g.num_vars == 0:
-        return 0
     deg = [0] * g.num_vars
     for i, j in g.edges:
         deg[i] += 1
@@ -143,12 +141,9 @@ def decomposition_to_text(pd: PathDecomposition) -> str:
 
 def decomposition_from_text(text: str) -> PathDecomposition:
     bags = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         try:
-            bags.append(frozenset(int(t) for t in line.split()))
+            bags.append(frozenset(map(int, line.split())))
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer vertex in {line!r}") from None
     if not bags:

@@ -50,6 +50,7 @@ def test_edgeless_graph():
     assert len(g.edges) == 0
     assert max_degree(g) == 0
     assert not has_cycle(g)
+    assert max_degree(constraint_graph(Instance(0))) == 0
 
 
 def test_tree_has_no_cycle():
