@@ -4,6 +4,7 @@ import random
 import pytest
 
 from vcsp_landscape import (
+    FaceViolation,
     Instance,
     Orientation,
     ascent_graph,
@@ -159,6 +160,16 @@ def test_check_semismooth(gadget_minus, chain22_plus, two_peak_pair):
     assert [two_peak_pair.fitness(p) for p in sorted(v.peaks)] == [1, 1]
     with pytest.raises(TooLargeError):
         check_semismooth(build_chain(3, 3, "-"))  # 18 vars over the default cap
+
+
+def test_semismooth_violation_on_a_proper_face():
+    # the two-peak pair plus a third variable that is fixed at 0 on the first
+    # bad face: the witness carries that background in fixed and in its peaks
+    inst = Instance(3, 0, [(0, 1), (1, 1), (2, 1)], [(0, 1, -3)])
+    r = check_semismooth(inst)
+    assert not r.semismooth
+    assert r.violation == FaceViolation(free_vars=(0, 1), fixed={2: 0},
+                                        peaks=((0, 1, 0), (1, 0, 0)))
 
 
 def test_ascent_graph_gadget(gadget_plus, gadget_minus):

@@ -6,10 +6,12 @@ import pickle
 import random
 import shlex
 import shutil
+import subprocess
 import sys
 import sysconfig
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +237,33 @@ def test_replay_detects_corruption(gadget_plus):
         bad_var = dataclasses.replace(tr, steps=tr.steps[:3] + ((bad, g, f),) + tr.steps[4:])
         with pytest.raises(IndexOutOfRangeError):
             replay(gadget_plus, bad_var)
+
+
+def test_replay_failure_messages(gadget_plus):
+    tr = steepest_ascent(gadget_plus, (0,) * 6)
+    f0 = tr.fitness_start
+    # flipping variable 1 first loses 13: recorded truthfully, it still fails
+    assert gadget_plus.unaries[1] == -13
+    stopped = steepest_ascent(gadget_plus, (0,) * 6, max_steps=3)
+    assert not stopped.complete
+    cases = [
+        (dataclasses.replace(tr, fitness_start=f0 + 1),
+         f"recorded start fitness {f0 + 1}, computed {f0}"),
+        (dataclasses.replace(tr, steps=((1, -13, f0 - 13),) + tr.steps),
+         "step 1: non-improving recorded step"),
+        (dataclasses.replace(tr, fitness_end=tr.fitness_end + 1),
+         "replayed final fitness differs from recorded value"),
+        (dataclasses.replace(tr, num_steps=tr.num_steps + 1),
+         "num_steps differs from the recorded step list"),
+        (dataclasses.replace(stopped, complete=True),
+         "trace claims completion but end is not a local peak"),
+    ]
+    replay(gadget_plus, tr)
+    replay(gadget_plus, stopped)
+    for bad, msg in cases:
+        with pytest.raises(ValueError) as e:
+            replay(gadget_plus, bad)
+        assert str(e.value) == msg
 
 
 def test_replay_requires_recorded_steps(gadget_plus):
@@ -529,6 +558,21 @@ def test_native_loader_builds_into_pycache(monkeypatch, tmp_path):
     monkeypatch.setattr(search, "_SRC", src)
     assert search._native_kernel.__wrapped__() is not None
     assert [p.suffix for p in (tmp_path / "__pycache__").iterdir()] == [".so"]
+
+
+def test_regular_install_ships_the_kernel_source(tmp_path):
+    """A non-editable install copies what setuptools' build_py collects.
+    Without _steepest.c there, the installed package cannot build its kernel
+    and steepest ascent quietly runs the Python loop."""
+    pytest.importorskip("setuptools")
+    root = Path(__file__).resolve().parents[1]
+    shutil.copy(root / "pyproject.toml", tmp_path)  # a copy, so the checkout gets no egg-info
+    shutil.copytree(root / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    subprocess.run([sys.executable, "-c", "from setuptools import setup; setup()",
+                    "build_py", "--build-lib", "build"],
+                   cwd=tmp_path, check=True, capture_output=True)
+    assert (tmp_path / "build" / "vcsp_landscape" / "_steepest.c").is_file()
 
 
 def check_threads(inst):

@@ -243,6 +243,22 @@ def test_export_dot_oriented(gadget_minus):
     assert "dir=none" not in dot  # every gadget edge is oriented
 
 
+def test_export_dot_reversed_arc_and_undirected_edge():
+    # oriented with the one arc 1 -> 0, against index order; edge {1, 2}
+    # depends in neither direction, so it is drawn without an arrow
+    inst = Instance(3, 0, [(0, -1), (1, 5), (2, 10)], [(0, 1, 2), (1, 2, 1)])
+    o = orient(inst)
+    assert o.oriented and o.arcs == ((1, 0),)
+    assert export_dot(inst, o) == (
+        "digraph constraint_graph {\n"
+        '  0 [label="0"];\n'
+        '  1 [label="1"];\n'
+        '  2 [label="2"];\n'
+        '  1 -> 0 [label="2"];\n'
+        '  1 -> 2 [label="1", dir=none];\n'
+        "}\n")
+
+
 def test_export_dot_unlabeled_and_empty():
     inst = Instance(2, 0, [], [(0, 1, 4)])
     dot = export_dot(inst)
