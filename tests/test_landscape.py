@@ -23,7 +23,7 @@ from vcsp_landscape import (
 )
 from vcsp_landscape.errors import TooLargeError, UnreachableError, ZeroGradientError
 
-from conftest import brute_improving, brute_peaks, random_bits, random_instance
+from conftest import brute_fitness, brute_improving, brute_peaks, random_bits, random_instance
 
 
 def test_sign_depends_inside_gadget(gadget_minus):
@@ -122,12 +122,41 @@ def test_enumerate_peaks(gadget_plus):
         enumerate_peaks(build_chain(5, 5, "-"))  # 30 vars over the default cap
 
 
+def _peaks_in_order(inst):
+    # every assignment's fitness once, then the peaks sorted by fitness
+    # descending, ties by assignment
+    fit = {bits: brute_fitness(inst, bits)
+           for bits in itertools.product((0, 1), repeat=inst.num_vars)}
+    peaks = [x for x, f in fit.items()
+             if all(fit[x[:v] + (1 - x[v],) + x[v + 1:]] <= f for v in range(inst.num_vars))]
+    return sorted(peaks, key=lambda x: (-fit[x], x))
+
+
+def _dense_instance(rng, d, weights, unaries=()):
+    # 80% of all pairs coupled; each variable gets a unary drawn from unaries
+    pairs = itertools.combinations(range(d), 2)
+    return Instance(d, 0, [(v, rng.choice(unaries)) for v in range(d) if unaries],
+                    [(i, j, rng.choice(weights)) for i, j in pairs if rng.random() < 0.8])
+
+
 def test_enumerate_peaks_matches_pure_python_oracle():
+    # the exact list, order and ties included
     rng = random.Random(31)
-    from conftest import random_instance
-    for _ in range(25):
-        inst = random_instance(rng, max_vars=8)
-        assert sorted(enumerate_peaks(inst)) == sorted(brute_peaks(inst))
+    big = 3 * 2 ** 70
+    cases = [Instance(0), Instance(10)]
+    cases += [random_instance(rng, max_vars=12) for _ in range(40)]
+    cases += [random_instance(rng, max_vars=10, max_weight=3) for _ in range(40)]
+    cases += [_dense_instance(rng, rng.randint(2, 11), (-1, 1)) for _ in range(20)]
+    cases += [_dense_instance(rng, rng.randint(2, 12), (-4, -2, -1, 1, 3), (-5, -1, 2, 6))
+              for _ in range(10)]
+    for _ in range(20):
+        d = rng.randint(1, 9)
+        cases.append(Instance(d, big, [(v, rng.choice((-big, big, 7))) for v in range(d)],
+                              [(i, j, rng.choice((-big, big, -1, 2)))
+                               for i, j in itertools.combinations(range(d), 2)
+                               if rng.random() < 0.5]))
+    for inst in cases:
+        assert enumerate_peaks(inst) == _peaks_in_order(inst), core.to_text(inst)
 
 
 def test_oracles_stay_exact_beyond_int64():
