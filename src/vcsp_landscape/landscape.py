@@ -7,8 +7,9 @@ self-validation asserts it), but arbitrary instances may.
 
 The brute-force oracles (peak enumeration, semismoothness, ascent graphs) are
 exponential by nature and guarded by size caps; they exist to certify the
-polynomial-time paths on small instances.  They are the only users of numpy,
-which they import on first call, so importing the package does not load it.
+polynomial-time paths on small instances.  check_semismooth is the only user
+of numpy, which it imports on first call, so importing the package does not
+load it.
 """
 from __future__ import annotations
 
@@ -194,9 +195,10 @@ def peak_of_oriented(inst: Instance, orientation: Orientation | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles.  Fitness over the full hypercube is materialized as a
-# d-dimensional (2, 2, ..., 2) array, axis v = variable v, so flipping along
-# an axis compares every assignment with its neighbor in that direction.
+# Brute-force oracles.  For check_semismooth, fitness over the full hypercube
+# is materialized as a d-dimensional (2, 2, ..., 2) array, axis v = variable
+# v, so flipping along an axis compares every assignment with its neighbor in
+# that direction.
 # ---------------------------------------------------------------------------
 
 def _fitness_cube(inst: Instance) -> np.ndarray:
@@ -219,28 +221,63 @@ def _fitness_cube(inst: Instance) -> np.ndarray:
     return v
 
 
-def _index_to_bits(idx: int, d: int) -> Bits:
-    # axis 0 is the most significant bit of the raveled index
-    return tuple(idx >> (d - 1 - v) & 1 for v in range(d))
-
-
 def enumerate_peaks(inst: Instance, cap: int = PEAKS_CAP) -> list[Bits]:
-    """All local peaks by exhaustive scan, sorted by fitness descending
-    (ties by assignment).  Requires num_vars <= cap."""
+    """All local peaks, sorted by fitness descending (ties by assignment).
+    Requires num_vars <= cap.
+
+    An exact depth-first search assigns the variables in index order, 0
+    before 1, so its leaves come in assignment order.  Each variable keeps the
+    range [lo, hi] its gradient can still reach: its unary plus the weights of
+    the neighbors assigned 1, plus the negative (for lo) or positive (for hi)
+    weights of the neighbors not yet assigned.  Assigning a neighbor only
+    narrows the range.  A peak needs g >= 0 where x_v = 1 and g <= 0 where
+    x_v = 0, so a branch is cut as soon as an assigned variable's range rules
+    that out; at a leaf every range is one value, so the leaves are exactly
+    the local peaks.  The loop is iterative and keeps O(num_vars) state
+    besides the peaks found.
+    """
     d = inst.num_vars
     if d > cap:
         raise TooLargeError(f"{d} variables exceeds the enumeration cap {cap}")
-    import numpy as np
+    pos = [[(j, w) for j, w in nbrs if w > 0] for nbrs in inst.neighbors]
+    neg = [[(j, -w) for j, w in nbrs if w < 0] for nbrs in inst.neighbors]
+    earlier = [[j for j, _ in nbrs if j < v] for v, nbrs in enumerate(inst.neighbors)]
+    lo = [inst.unaries.get(v, 0) - sum(a for _, a in neg[v]) for v in range(d)]
+    hi = [inst.unaries.get(v, 0) + sum(a for _, a in pos[v]) for v in range(d)]
 
-    cube = _fitness_cube(inst)
-    peak = np.ones((2,) * d, dtype=bool)
-    for v in range(d):
-        peak &= cube >= np.flip(cube, axis=v)
-    flat = cube.reshape(-1)
-    idxs = np.flatnonzero(peak.reshape(-1))
-    out = [(int(i), flat[int(i)]) for i in idxs]
-    out.sort(key=lambda t: (-t[1], t[0]))
-    return [_index_to_bits(i, d) for i, _ in out]
+    def narrow(v: int, b: int, s: int) -> None:
+        # x_v = b settles each neighbor's weight: s = 1 applies it, -1 undoes it
+        raised, lowered = (pos[v], neg[v]) if b else (neg[v], pos[v])
+        for j, a in raised:
+            lo[j] += s * a
+        for j, a in lowered:
+            hi[j] -= s * a
+
+    x = [0] * d
+    peaks: list[Bits] = []
+    v, b = 0, 0  # the variable to assign and the value to try next
+    while True:
+        if v < d and b < 2:
+            if hi[v] >= 0 if b else lo[v] <= 0:
+                x[v] = b
+                narrow(v, b, 1)
+                if all(hi[j] >= 0 if x[j] else lo[j] <= 0 for j in earlier[v]):
+                    v, b = v + 1, 0
+                    continue
+                narrow(v, b, -1)
+            b += 1
+            continue
+        if v == d:
+            peaks.append(tuple(x))
+        # back up to the previous variable and try its next value
+        v -= 1
+        if v < 0:
+            break
+        b = x[v]
+        narrow(v, b, -1)
+        b += 1
+    peaks.sort(key=lambda p: -inst.fitness(p))
+    return peaks
 
 
 @dataclass(frozen=True)

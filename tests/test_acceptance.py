@@ -25,6 +25,7 @@ from vcsp_landscape import (
     has_cycle,
     max_degree,
     orient,
+    peak_of_oriented,
     predicted_ascent_length,
     random_ascent,
     replay,
@@ -37,7 +38,7 @@ from vcsp_landscape import (
 from conftest import brute_fitness, random_bits, random_instance
 
 
-def _conclude(num: int, name: str, failures: list) -> None:
+def _conclude(num: int | str, name: str, failures: list) -> None:
     print(f"ACCEPTANCE {num} ({name}): {'FAIL' if failures else 'PASS'}")
     assert not failures, f"{len(failures)} failure(s), first: {failures[0]}"
 
@@ -109,6 +110,24 @@ def test_acceptance_3_brute_force_oracles():
             elif shortest_ascent_length(g, goal) != 5:
                 failures.append(f"graph(n={n}): shortest != 5")
     _conclude(3, "exhaustive peaks, semismoothness, and 13-node ascent graphs", failures)
+
+
+def test_acceptance_3b_exhaustive_peaks_up_to_the_cap():
+    # every chain with at most 24 variables has exactly its designed peak, by
+    # exhaustive search at the default cap; and chain(200, 200, +), with 1,200
+    # variables, has exactly the peak that orientation predicts
+    failures = []
+    for m in range(1, 5):
+        for n in range(m, 21):
+            for sign in ("+", "-"):
+                peaks = enumerate_peaks(build_chain(n, m, sign))
+                if peaks != [expected_peak(n, m, sign)]:
+                    failures.append(f"peaks(n={n},m={m},{sign}): {len(peaks)} found")
+    inst = build_chain(200, 200, "+")
+    peaks = enumerate_peaks(inst, cap=1200)
+    if peaks != [peak_of_oriented(inst)]:
+        failures.append(f"peaks(n=200,m=200,+): {len(peaks)} found")
+    _conclude("3b", "exhaustive peaks of every chain up to 24 variables, and at 1,200", failures)
 
 
 def test_acceptance_4_structural_claims():

@@ -33,23 +33,26 @@ def test_gen_writes_instance(tmp_path, capsys):
 
 
 def test_numpy_is_only_imported_by_the_oracles(tmp_path):
-    # importing the package, a steepest ascent and `vcsp gen` leave numpy
-    # unloaded; the first brute-force oracle loads it
+    # importing the package, a steepest ascent, `vcsp gen`, enumerate_peaks and
+    # `vcsp oracle --peaks` leave numpy unloaded; check_semismooth loads it
+    c = str(tmp_path / "c.vcsp")
     script = f"""
 import sys
 import vcsp_landscape as v
 from vcsp_landscape.cli import main
 v.steepest_ascent(v.build_chain(3, 3, "+"), (0,) * 18)
-assert main(["gen", "--n", "3", "--sign", "+", "--out", {str(tmp_path / "c.vcsp")!r}]) == 0
+assert main(["gen", "--n", "3", "--sign", "+", "--out", {c!r}]) == 0
+assert v.enumerate_peaks(v.build_chain(1, 1, "+")) == [v.expected_peak(1, 1, "+")]
+assert main(["oracle", "--instance", {c!r}, "--peaks"]) == 0
 assert "numpy" not in sys.modules, "numpy imported"
-v.enumerate_peaks(v.build_chain(1, 1, "+"))
+v.check_semismooth(v.build_chain(1, 1, "+"))
 assert "numpy" in sys.modules
 """
     src = str(Path(vcsp_landscape.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           cwd=tmp_path, env={"PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "vars=18 unaries=18 binaries=20\n"
+    assert proc.stdout.startswith("vars=18 unaries=18 binaries=20\npeaks=1\npeak ")
 
 
 def test_gen_single_gadget(tmp_path, capsys):
