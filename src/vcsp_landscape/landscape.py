@@ -244,37 +244,40 @@ def enumerate_peaks(inst: Instance, cap: int = PEAKS_CAP) -> list[Bits]:
     earlier = [[j for j, _ in nbrs if j < v] for v, nbrs in enumerate(inst.neighbors)]
     lo = [inst.unaries.get(v, 0) - sum(a for _, a in neg[v]) for v in range(d)]
     hi = [inst.unaries.get(v, 0) + sum(a for _, a in pos[v]) for v in range(d)]
-
-    def narrow(v: int, b: int, s: int) -> None:
-        # x_v = b settles each neighbor's weight: s = 1 applies it, -1 undoes it
-        raised, lowered = (pos[v], neg[v]) if b else (neg[v], pos[v])
-        for j, a in raised:
-            lo[j] += s * a
-        for j, a in lowered:
-            hi[j] -= s * a
-
     x = [0] * d
     peaks: list[Bits] = []
-    v, b = 0, 0  # the variable to assign and the value to try next
+    # v is the variable to assign and b the value to try next.  b = 2 means
+    # no value is left at v: both were tried, or the assignment just made to
+    # v - 1 already rules out a peak.  Then the search backs up.
+    v, b = 0, 0
     while True:
         if v < d and b < 2:
             if hi[v] >= 0 if b else lo[v] <= 0:
                 x[v] = b
-                narrow(v, b, 1)
-                if all(hi[j] >= 0 if x[j] else lo[j] <= 0 for j in earlier[v]):
-                    v, b = v + 1, 0
-                    continue
-                narrow(v, b, -1)
-            b += 1
+                # x_v = b settles its weight in each neighbor's range
+                for j, a in pos[v] if b else neg[v]:
+                    lo[j] += a
+                for j, a in neg[v] if b else pos[v]:
+                    hi[j] -= a
+                b = 0
+                for j in earlier[v]:
+                    if hi[j] < 0 if x[j] else lo[j] > 0:
+                        b = 2
+                        break
+                v += 1
+            else:
+                b += 1
             continue
-        if v == d:
+        if b == 0:  # v == d, reached with every check passed
             peaks.append(tuple(x))
-        # back up to the previous variable and try its next value
         v -= 1
         if v < 0:
             break
         b = x[v]
-        narrow(v, b, -1)
+        for j, a in pos[v] if b else neg[v]:
+            lo[j] -= a
+        for j, a in neg[v] if b else pos[v]:
+            hi[j] += a
         b += 1
     peaks.sort(key=lambda p: -inst.fitness(p))
     return peaks
