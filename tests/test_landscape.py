@@ -221,6 +221,76 @@ def test_ascent_graph_cap(gadget_plus):
         ascent_graph(gadget_plus, (0,) * 6, cap=5)
 
 
+def test_ascent_graph_cap_boundary(chain22_plus):
+    start = (0,) * 12
+    n = len(ascent_graph(chain22_plus, start).nodes)
+    assert n > 1
+    assert len(ascent_graph(chain22_plus, start, cap=n).nodes) == n
+    with pytest.raises(TooLargeError, match=f"exceeds the node cap {n - 1}$"):
+        ascent_graph(chain22_plus, start, cap=n - 1)
+
+
+def _brute_ascent_graph(inst, start):
+    # breadth-first over brute_improving: the start, the (node, fitness) pairs
+    # in discovery order, each node's (from, to, variable, gain) edges in turn
+    # in ascending variable order, and the sorted sinks
+    fitness = {start: brute_fitness(inst, start)}
+    edges = []
+    sinks = []
+    queue = [start]
+    for x in queue:  # the list grows as the search appends to it
+        moves = brute_improving(inst, x)
+        if not moves:
+            sinks.append(x)
+        for v, gain in moves:
+            y = x[:v] + (1 - x[v],) + x[v + 1:]
+            edges.append((x, y, v, gain))
+            if y not in fitness:
+                fitness[y] = brute_fitness(inst, y)
+                queue.append(y)
+    return start, list(fitness.items()), edges, tuple(sorted(sinks))
+
+
+def _graph_lists(g):
+    # the adapter from an AscentGraph to _brute_ascent_graph's layout
+    return g.start, list(g.nodes.items()), list(g.edges), g.sinks
+
+
+def test_ascent_graph_matches_a_brute_force_bfs():
+    # nodes, fitness, edges (variable and gain) and sinks, in order
+    rng = random.Random(907)
+    big = 3 * 2 ** 70
+    cases = [(Instance(0), ())]
+    for _ in range(60):
+        inst = random_instance(rng, max_vars=10)
+        cases.append((inst, random_bits(rng, inst.num_vars)))
+    for _ in range(30):  # dense ±1 couplings without unaries: many zero gradients
+        inst = _dense_instance(rng, rng.randint(2, 10), (-1, 1))
+        cases.append((inst, random_bits(rng, inst.num_vars)))
+    for _ in range(20):
+        inst = _dense_instance(rng, rng.randint(2, 10), (-4, -2, -1, 1, 3), (-5, -1, 2, 6))
+        cases.append((inst, random_bits(rng, inst.num_vars)))
+    for _ in range(20):
+        d = rng.randint(1, 10)
+        inst = Instance(d, big, [(v, rng.choice((-big, big, 7))) for v in range(d)],
+                        [(i, j, rng.choice((-big, big, -1, 2)))
+                         for i, j in itertools.combinations(range(d), 2)
+                         if rng.random() < 0.5])
+        cases.append((inst, random_bits(rng, inst.num_vars)))
+    for inst, _ in cases[1:21]:  # starts that are already peaks
+        cases.append((inst, brute_peaks(inst)[0]))
+    zero_gains = peak_starts = 0
+    for inst, start in cases:
+        want = _brute_ascent_graph(inst, start)
+        assert _graph_lists(ascent_graph(inst, start)) == want, core.to_text(inst)
+        zero_gains += any(brute_fitness(inst, x[:v] + (1 - x[v],) + x[v + 1:]) == f
+                          for x, f in want[1] for v in range(inst.num_vars))
+        peak_starts += len(want[1]) == 1
+    # the inputs reach nodes where a flip leaves the fitness unchanged (not an
+    # improving move) and starts with no improving move at all
+    assert zero_gains >= 20 and peak_starts >= 20
+
+
 def test_ascent_graph_edges_strictly_increase(gadget_plus):
     g = ascent_graph(gadget_plus, (0,) * 6)
     for a, b, v, gain in g.edges:
