@@ -147,7 +147,7 @@ def cmd_oracle(args) -> int:
     graph = landscape.ascent_graph(inst, start, cap=cap)
     print(f"nodes={len(graph.nodes)} edges={len(graph.edges)} sinks={len(graph.sinks)}")
     for s in graph.sinks:
-        print(f"sink {core.format_assignment(inst, s, raw)} {graph.nodes[s]}")
+        print(f"sink {core.format_assignment(inst, s, raw)} {inst.fitness(s)}")
     return 0
 
 

@@ -14,12 +14,13 @@ load it.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Bits, Instance, _gradient_table, _neighborhood, flip
+from .core import Bits, Instance, _gradient_table, _neighborhood
 from .errors import (
     CyclicOrientationError,
     TooLargeError,
@@ -343,54 +344,86 @@ class AscentGraph:
     """All assignments reachable from start by improving flips.
 
     Every edge strictly increases fitness, so the graph is acyclic; sinks are
-    the reachable local peaks.  edges lists each node's out-edges together,
-    the nodes in breadth-first order from start.
+    the reachable local peaks.  Nodes are int masks (bit i is x_i) in
+    breadth-first discovery order, node 0 the start, with their fitness
+    alongside.  The edges are stored as compressed rows: node k's out-edges
+    are the target node indices edges[offsets[k]:offsets[k + 1]], in
+    ascending flipped variable.  An edge a -> b flips variable
+    (nodes[a] ^ nodes[b]).bit_length() - 1 and gains fitness[b] - fitness[a].
     """
     start: Bits
-    nodes: dict[Bits, int]                          # assignment -> fitness
-    edges: tuple[tuple[Bits, Bits, int, int], ...]  # (from, to, var, gain)
+    nodes: tuple[int, ...]
+    fitness: tuple[int, ...]
+    offsets: tuple[int, ...]
+    edges: tuple[int, ...]
     sinks: tuple[Bits, ...]
 
 
 def ascent_graph(inst: Instance, start: Sequence[int], cap: int = ASCENT_GRAPH_CAP) -> AscentGraph:
+    """Breadth-first search over every improving flip from start.
+
+    Each queued node carries its list of gains, the fitness change from
+    flipping each variable; its improving moves are the positive entries.  A
+    new node copies its parent's list, negates the flipped variable's entry
+    and moves each neighbor's entry by the coupling weight: up when the two
+    now differ, down when they agree.  Raises TooLargeError once more than
+    cap nodes are reached.
+    """
     start = tuple(start)
     f0 = inst.fitness(start)
-    nodes: dict[Bits, int] = {start: f0}
-    edges: list[tuple[Bits, Bits, int, int]] = []
-    sinks: list[Bits] = []
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        moves = inst.improving_moves(x)
-        if not moves:
-            sinks.append(x)
-            continue
-        fx = nodes[x]
-        for v, gain in moves:
-            y = flip(x, v)
-            edges.append((x, y, v, gain))
-            if y not in nodes:
-                if len(nodes) >= cap:
-                    raise TooLargeError(f"ascent graph exceeds the node cap {cap}")
-                nodes[y] = fx + gain
-                queue.append(y)
-    return AscentGraph(start, nodes, tuple(edges), tuple(sorted(sinks)))
+    d = inst.num_vars
+    neighbors = inst.neighbors
+    gains0 = []
+    for v in range(d):
+        g = inst.unaries.get(v, 0) + sum(w for j, w in neighbors[v] if start[j])
+        gains0.append(-g if start[v] else g)
+    m0 = sum(1 << v for v in range(d) if start[v])
+    index = {m0: 0}
+    nodes, fitness, offsets, edges, sinks = [m0], [f0], [0], [], []
+    queue = deque([gains0])  # the gains of nodes[len(offsets) - 1] onwards
+    for x, fx in zip(nodes, fitness):  # both lists grow as nodes are found
+        gains = queue.popleft()
+        for v, gain in enumerate(gains):
+            if gain > 0:
+                y = x ^ 1 << v
+                b = index.get(y)
+                if b is None:
+                    b = len(nodes)
+                    if b >= cap:
+                        raise TooLargeError(f"ascent graph exceeds the node cap {cap}")
+                    index[y] = b
+                    nodes.append(y)
+                    fitness.append(fx + gain)
+                    new = gains.copy()
+                    new[v] = -gain
+                    for u, w in neighbors[v]:
+                        new[u] += w if (y >> u ^ y >> v) & 1 else -w
+                    queue.append(new)
+                edges.append(b)
+        if len(edges) == offsets[-1]:
+            sinks.append(tuple(x >> i & 1 for i in range(d)))
+        offsets.append(len(edges))
+    return AscentGraph(start, tuple(nodes), tuple(fitness), tuple(offsets), tuple(edges),
+                       tuple(sorted(sinks)))
 
 
 def shortest_ascent_length(graph: AscentGraph, target: Sequence[int]) -> int:
     """Length of the shortest improving path from the graph's start to target.
 
     The edges come in breadth-first order of their sources, so the first edge
-    into a node comes from a nearest predecessor: one pass, up to the first
-    edge into target, gives its distance.
+    into a node comes from the node that found it, one level nearer the start;
+    following first in-edges back to node 0 counts the levels.
     """
     target = tuple(target)
-    if target not in graph.nodes:
+    if len(target) != len(graph.start) or any(b not in (0, 1) for b in target):
         raise UnreachableError("target is not reachable from the start")
-    dist = {graph.start: 0}
-    for a, b, _, _ in graph.edges:
-        if b not in dist:
-            dist[b] = dist[a] + 1
-            if b == target:
-                break
-    return dist[target]
+    mask = sum(1 << v for v, b in enumerate(target) if b)
+    try:
+        k = graph.nodes.index(mask)
+    except ValueError:
+        raise UnreachableError("target is not reachable from the start") from None
+    length = 0
+    while k:
+        k = bisect_right(graph.offsets, graph.edges.index(k)) - 1
+        length += 1
+    return length

@@ -251,9 +251,17 @@ def _brute_ascent_graph(inst, start):
     return start, list(fitness.items()), edges, tuple(sorted(sinks))
 
 
+def _bits(mask, d):
+    return tuple(mask >> i & 1 for i in range(d))
+
+
 def _graph_lists(g):
     # the adapter from an AscentGraph to _brute_ascent_graph's layout
-    return g.start, list(g.nodes.items()), list(g.edges), g.sinks
+    bits = [_bits(x, len(g.start)) for x in g.nodes]
+    edges = [(bits[a], bits[b], (g.nodes[a] ^ g.nodes[b]).bit_length() - 1,
+              g.fitness[b] - g.fitness[a])
+             for a in range(len(g.nodes)) for b in g.edges[g.offsets[a]:g.offsets[a + 1]]]
+    return g.start, list(zip(bits, g.fitness)), edges, g.sinks
 
 
 def test_ascent_graph_matches_a_brute_force_bfs():
@@ -293,10 +301,12 @@ def test_ascent_graph_matches_a_brute_force_bfs():
 
 def test_ascent_graph_edges_strictly_increase(gadget_plus):
     g = ascent_graph(gadget_plus, (0,) * 6)
-    for a, b, v, gain in g.edges:
-        assert gain > 0
-        assert g.nodes[b] - g.nodes[a] == gain
-        assert sum(x != y for x, y in zip(a, b)) == 1
+    assert g.offsets[0] == 0 and g.offsets[-1] == len(g.edges) == 18
+    for a in range(len(g.nodes)):
+        for b in g.edges[g.offsets[a]:g.offsets[a + 1]]:
+            assert g.fitness[b] - g.fitness[a] > 0
+            assert g.fitness[b] == gadget_plus.fitness(_bits(g.nodes[b], 6))
+            assert sum(x != y for x, y in zip(_bits(g.nodes[a], 6), _bits(g.nodes[b], 6))) == 1
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -305,20 +315,17 @@ def test_maximal_path_lengths(n):
     # maximal ascent from all-zeros is a direct one (5 steps) or the steepest
     # one with its double flip of the linking variable (7 steps)
     g = ascent_graph(build_gadget(n, 1, "+"), (0,) * 6)
-    succ = {}
-    for a, b, _, _ in g.edges:
-        succ.setdefault(a, []).append(b)
     lengths = set()
 
-    def walk(x, depth):
-        nxt = succ.get(x)
+    def walk(a, depth):
+        nxt = g.edges[g.offsets[a]:g.offsets[a + 1]]
         if not nxt:
             lengths.add(depth)
             return
-        for y in nxt:
-            walk(y, depth + 1)
+        for b in nxt:
+            walk(b, depth + 1)
 
-    walk(g.start, 0)
+    walk(0, 0)
     assert lengths == {5, 7}
 
 
@@ -367,7 +374,8 @@ def test_shortest_ascent_length_matches_a_bfs_on_random_instances():
                         nxt.append(y)
             frontier = nxt
         g = ascent_graph(inst, start)
-        assert set(g.nodes) == set(dist)
+        assert {_bits(x, inst.num_vars) for x in g.nodes} == set(dist)
+        assert len(g.nodes) == len(dist)
         for target, want in dist.items():
             assert shortest_ascent_length(g, target) == want
             longer += want > sum(a != b for a, b in zip(start, target))
