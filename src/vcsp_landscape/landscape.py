@@ -18,6 +18,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .core import Bits, Instance, _gradient_table, _neighborhood
@@ -236,6 +237,10 @@ def enumerate_peaks(inst: Instance, cap: int = PEAKS_CAP) -> list[Bits]:
     that out; at a leaf every range is one value, so the leaves are exactly
     the local peaks.  The loop is iterative and keeps O(num_vars) state
     besides the peaks found.
+
+    The search also carries the fitness of the assigned variables: x_v = 1
+    adds v's unary plus its weights to the earlier neighbors assigned 1, which
+    is lo[v] less its negative weights to the later neighbors.
     """
     d = inst.num_vars
     if d > cap:
@@ -245,8 +250,10 @@ def enumerate_peaks(inst: Instance, cap: int = PEAKS_CAP) -> list[Bits]:
     earlier = [[j for j, _ in nbrs if j < v] for v, nbrs in enumerate(inst.neighbors)]
     lo = [inst.unaries.get(v, 0) - sum(a for _, a in neg[v]) for v in range(d)]
     hi = [inst.unaries.get(v, 0) + sum(a for _, a in pos[v]) for v in range(d)]
+    later_neg = [sum(a for j, a in neg[v] if j > v) for v in range(d)]
     x = [0] * d
-    peaks: list[Bits] = []
+    f = inst.constant
+    found: list[tuple[int, Bits]] = []
     # v is the variable to assign and b the value to try next.  b = 2 means
     # no value is left at v: both were tried, or the assignment just made to
     # v - 1 already rules out a peak.  Then the search backs up.
@@ -255,6 +262,8 @@ def enumerate_peaks(inst: Instance, cap: int = PEAKS_CAP) -> list[Bits]:
         if v < d and b < 2:
             if hi[v] >= 0 if b else lo[v] <= 0:
                 x[v] = b
+                if b:
+                    f += lo[v] + later_neg[v]
                 # x_v = b settles its weight in each neighbor's range
                 for j, a in pos[v] if b else neg[v]:
                     lo[j] += a
@@ -270,18 +279,21 @@ def enumerate_peaks(inst: Instance, cap: int = PEAKS_CAP) -> list[Bits]:
                 b += 1
             continue
         if b == 0:  # v == d, reached with every check passed
-            peaks.append(tuple(x))
+            found.append((f, tuple(x)))
         v -= 1
         if v < 0:
             break
         b = x[v]
+        if b:
+            f -= lo[v] + later_neg[v]
         for j, a in pos[v] if b else neg[v]:
             lo[j] -= a
         for j, a in neg[v] if b else pos[v]:
             hi[j] += a
         b += 1
-    peaks.sort(key=lambda p: -inst.fitness(p))
-    return peaks
+    # stable, so ties keep the leaves' assignment order
+    found.sort(key=itemgetter(0), reverse=True)
+    return [p for _, p in found]
 
 
 @dataclass(frozen=True)
