@@ -68,3 +68,24 @@ class ZeroGradientError(VcspError):
 class CyclicOrientationError(VcspError):
     """Sign-dependence arcs formed a directed cycle; this indicates a bug,
     since one-directional sign-dependence cannot produce cycles."""
+
+
+# The errors below are ValueErrors too, so callers that catch ValueError
+# catch them as well.
+
+class InvalidArgumentError(VcspError, ValueError):
+    """An argument is outside what the function accepts: an unknown tie
+    policy or method, a scan order that is not a permutation, a variable
+    paired with itself, an empty bag list."""
+
+
+class NotOrientedError(VcspError, ValueError):
+    """An operation that needs an oriented instance was given one that is not."""
+
+
+class NoRecordedStepsError(VcspError, ValueError):
+    """A trace run without recorded steps was asked for its steps."""
+
+
+class ReplayMismatchError(VcspError, ValueError):
+    """Replaying a trace computed a value other than the one it recorded."""

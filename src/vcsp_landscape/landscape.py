@@ -24,6 +24,8 @@ from typing import TYPE_CHECKING, Sequence
 from .core import Bits, Instance, _gradient_table, _neighborhood
 from .errors import (
     CyclicOrientationError,
+    InvalidArgumentError,
+    NotOrientedError,
     TooLargeError,
     UnreachableError,
     ZeroGradientError,
@@ -65,7 +67,7 @@ def sign_depends(inst: Instance, i: int, j: int) -> SignDependence | None:
     Raises TooLargeError when i has more than core.TABLE_DEGREE_CAP neighbors.
     """
     if i == j:
-        raise ValueError("sign dependence needs two distinct variables")
+        raise InvalidArgumentError("sign dependence needs two distinct variables")
     inst._check_index(i)
     inst._check_index(j)
     nbrs = _neighborhood(inst, i)
@@ -183,7 +185,7 @@ def peak_of_oriented(inst: Instance, orientation: Orientation | None = None) -> 
     if orientation is None:
         orientation = orient(inst)
     if not orientation.oriented:
-        raise ValueError("instance is not oriented")
+        raise NotOrientedError("instance is not oriented")
     x = [0] * inst.num_vars
     for v in orientation.topo_order:
         g = inst.unaries.get(v, 0)

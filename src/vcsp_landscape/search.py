@@ -41,7 +41,14 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .core import Bits, Instance
-from .errors import EmptyTrialError, RangeError, TieEncounteredError
+from .errors import (
+    EmptyTrialError,
+    InvalidArgumentError,
+    NoRecordedStepsError,
+    RangeError,
+    ReplayMismatchError,
+    TieEncounteredError,
+)
 
 TIE_POLICIES = ("lowest-index", "error")
 METHODS = ("steepest", "random", "first")
@@ -397,7 +404,7 @@ def steepest_ascent(
     reference, and every path gives the same Trace.
     """
     if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
+        raise InvalidArgumentError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
     limit = _step_limit(max_steps)
     widths = _native_kernel()
     arrays = _native_arrays(inst, widths) if widths else None
@@ -442,7 +449,7 @@ def first_improvement_ascent(
     else:
         order = tuple(scan_order)
         if sorted(order) != list(range(d)):
-            raise ValueError("scan_order must be a permutation of the variable indices")
+            raise InvalidArgumentError("scan_order must be a permutation of the variable indices")
     limit = _step_limit(max_steps)
     pos = 0
 
@@ -462,16 +469,16 @@ def first_improvement_ascent(
 def replay(inst: Instance, trace: Trace) -> None:
     """Re-apply a recorded trace and verify every recorded quantity.
 
-    Raises ValueError on the first mismatch (wrong gain, wrong running
+    Raises ReplayMismatchError on the first mismatch (wrong gain, wrong running
     fitness, non-increasing step, wrong endpoint, or an endpoint that is not
     a peak despite the trace claiming completion).
     """
     if trace.steps is None:
-        raise ValueError("trace has no recorded steps to replay")
+        raise NoRecordedStepsError("trace has no recorded steps to replay")
     x = list(trace.start)
     fit = inst.fitness(x)  # validates the start once; flips keep it valid
     if fit != trace.fitness_start:
-        raise ValueError(f"recorded start fitness {trace.fitness_start}, computed {fit}")
+        raise ReplayMismatchError(f"recorded start fitness {trace.fitness_start}, computed {fit}")
     unaries = inst.unaries
     neighbors = inst.neighbors
     for t, (v, gain, after) in enumerate(trace.steps, start=1):
@@ -482,21 +489,21 @@ def replay(inst: Instance, trace: Trace) -> None:
                 g += w
         actual = -g if x[v] else g
         if actual != gain:
-            raise ValueError(f"step {t}: recorded gain {gain}, computed {actual}")
+            raise ReplayMismatchError(f"step {t}: recorded gain {gain}, computed {actual}")
         if gain <= 0:
-            raise ValueError(f"step {t}: non-improving recorded step")
+            raise ReplayMismatchError(f"step {t}: non-improving recorded step")
         x[v] ^= 1
         fit += gain
         if fit != after:
-            raise ValueError(f"step {t}: recorded fitness {after}, computed {fit}")
+            raise ReplayMismatchError(f"step {t}: recorded fitness {after}, computed {fit}")
     if tuple(x) != trace.end:
-        raise ValueError("replayed end differs from recorded end")
+        raise ReplayMismatchError("replayed end differs from recorded end")
     if fit != trace.fitness_end:
-        raise ValueError("replayed final fitness differs from recorded value")
+        raise ReplayMismatchError("replayed final fitness differs from recorded value")
     if len(trace.steps) != trace.num_steps:
-        raise ValueError("num_steps differs from the recorded step list")
+        raise ReplayMismatchError("num_steps differs from the recorded step list")
     if trace.complete and inst.improving_moves(x):
-        raise ValueError("trace claims completion but end is not a local peak")
+        raise ReplayMismatchError("trace claims completion but end is not a local peak")
 
 
 @dataclass(frozen=True)
@@ -528,7 +535,7 @@ def run_trials(
     if trials < 1:
         raise EmptyTrialError(f"need at least 1 trial, got {trials}")
     if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
     counts = []
     for t in range(trials):
         if method == "random":
@@ -550,7 +557,7 @@ def write_trace_csv(trace: Trace, inst: Instance, path) -> None:
     "(k,i)" for labeled variables, empty otherwise.
     """
     if trace.steps is None:
-        raise ValueError("trace has no recorded steps to write")
+        raise NoRecordedStepsError("trace has no recorded steps to write")
     # rows as csv.writer writes them: "\r\n" after each, and the label,
     # which holds a comma, in double quotes
     label = {v: f'"({k},{i})"' for v, (k, i) in inst.labels.items()}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Instance, _lines
-from .errors import ParseError
+from .errors import InvalidArgumentError, ParseError
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def validate_path_decomposition(
     then looks only at the bags of the endpoint that is in fewer of them.
     """
     if not bags:
-        raise ValueError("bags must be nonempty")
+        raise InvalidArgumentError("bags must be nonempty")
     bag_sets = [frozenset(b) for b in bags]
 
     def fail(kind, detail, witness):

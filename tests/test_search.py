@@ -19,6 +19,7 @@ from conftest import random_bits, random_instance
 from vcsp_landscape import (
     Instance,
     build_chain,
+    constraint_graph,
     build_gadget,
     expected_peak,
     first_improvement_ascent,
@@ -28,15 +29,22 @@ from vcsp_landscape import (
     replay,
     run_trials,
     search,
+    sign_depends,
     steepest_ascent,
+    validate_path_decomposition,
     write_trace_csv,
 )
 from vcsp_landscape.errors import (
     BitValueError,
     EmptyTrialError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
+    NoRecordedStepsError,
+    NotOrientedError,
     RangeError,
+    ReplayMismatchError,
     TieEncounteredError,
+    VcspError,
 )
 
 
@@ -272,6 +280,46 @@ def test_replay_requires_recorded_steps(gadget_plus):
     assert tr.num_steps == 7
     with pytest.raises(ValueError):
         replay(gadget_plus, tr)
+
+
+def test_argument_and_replay_errors_are_vcsp_errors(gadget_plus, two_peak_pair, tmp_path):
+    # every site that raised a bare ValueError raises a VcspError that is
+    # still a ValueError
+    tr = steepest_ascent(gadget_plus, (0,) * 6)
+    summary = steepest_ascent(gadget_plus, (0,) * 6, record_steps=False)
+    stopped = steepest_ascent(gadget_plus, (0,) * 6, max_steps=3)
+    f0 = tr.fitness_start
+    v, g, f = tr.steps[3]
+    mismatches = [
+        dataclasses.replace(tr, fitness_start=f0 + 1),
+        dataclasses.replace(tr, steps=tr.steps[:3] + ((v, g + 1, f),) + tr.steps[4:]),
+        dataclasses.replace(tr, steps=((1, -13, f0 - 13),) + tr.steps),
+        dataclasses.replace(tr, steps=tr.steps[:3] + ((v, g, f + 1),) + tr.steps[4:]),
+        dataclasses.replace(tr, end=(0,) * 6),
+        dataclasses.replace(tr, fitness_end=tr.fitness_end + 1),
+        dataclasses.replace(tr, num_steps=tr.num_steps + 1),
+        dataclasses.replace(stopped, complete=True),
+    ]
+    calls = [
+        (InvalidArgumentError, lambda: steepest_ascent(gadget_plus, (0,) * 6, tie_policy="x")),
+        (InvalidArgumentError,
+         lambda: first_improvement_ascent(gadget_plus, (0,) * 6, scan_order=[0] * 6)),
+        (InvalidArgumentError, lambda: run_trials(gadget_plus, (0,) * 6, method="x")),
+        (InvalidArgumentError, lambda: sign_depends(gadget_plus, 1, 1)),
+        (InvalidArgumentError,
+         lambda: validate_path_decomposition(constraint_graph(gadget_plus), [])),
+        (NotOrientedError, lambda: peak_of_oriented(two_peak_pair)),
+        (NoRecordedStepsError, lambda: replay(gadget_plus, summary)),
+        (NoRecordedStepsError, lambda: write_trace_csv(summary, gadget_plus, tmp_path / "t")),
+        *((ReplayMismatchError, lambda bad=bad: replay(gadget_plus, bad)) for bad in mismatches),
+    ]
+    messages = set()
+    for kind, call in calls:
+        with pytest.raises(VcspError) as e:
+            call()
+        assert type(e.value) is kind and isinstance(e.value, ValueError)
+        messages.add(str(e.value))
+    assert len(messages) == len(calls)  # each call reached a different site
 
 
 def test_summary_mode_matches_recorded_mode(chain22_plus):
