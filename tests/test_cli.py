@@ -9,7 +9,7 @@ import vcsp_landscape
 from vcsp_landscape import Instance, build_chain, search, write_instance
 from vcsp_landscape.cli import main
 
-GOLDEN_SHA256 = "5a1332b53acb30bbbede013bbd1ceb6e4034d1a34951daf35b9488bcf5494245"
+GOLDEN_SHA256 = "a827d58e7036e718e91fc62926f7bbdd7ad6dfa64fe7b5634f3d6fb8034bea93"
 
 
 def run(capsys, *argv):
@@ -420,6 +420,8 @@ def golden_session(tmp_path, capsys) -> str:
         ("oracle", "--instance", str(twist), "--peaks", "--raw-order"),
         ("oracle", "--instance", c2, "--ascent-graph", "111110000000"),
         ("oracle", "--instance", str(twist), "--ascent-graph", "0" * 12, "--raw-order"),
+        ("oracle", "--instance", c2, "--semismooth"),
+        ("oracle", "--instance", str(twist), "--semismooth", "--raw-order"),
     ]
     out = []
     for argv in commands:

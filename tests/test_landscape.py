@@ -7,6 +7,7 @@ from vcsp_landscape import (
     FaceViolation,
     Instance,
     Orientation,
+    SemismoothResult,
     ascent_graph,
     build_chain,
     build_gadget,
@@ -189,6 +190,76 @@ def test_check_semismooth(gadget_minus, chain22_plus, two_peak_pair):
     assert [two_peak_pair.fitness(p) for p in sorted(v.peaks)] == [1, 1]
     with pytest.raises(TooLargeError):
         check_semismooth(build_chain(3, 3, "-"))  # 18 vars over the default cap
+
+
+def _semismooth_by_faces(inst):
+    # every face and every peak on it, listed explicitly: free sets in
+    # ascending mask order, then backgrounds and then peaks in lexicographic
+    # order of their bits; the first face without exactly one peak is the
+    # witness
+    d = inst.num_vars
+    fit = [brute_fitness(inst, _bits(x, d)) for x in range(1 << d)]
+    for mask in range(1, 1 << d):
+        free = [v for v in range(d) if mask >> v & 1]
+        fixed_vars = [v for v in range(d) if not mask >> v & 1]
+        face = [sum(b << v for v, b in zip(free, values))
+                for values in itertools.product((0, 1), repeat=len(free))]
+        for background in itertools.product((0, 1), repeat=len(fixed_vars)):
+            base = sum(b << v for v, b in zip(fixed_vars, background))
+            peaks = [_bits(base + y, d) for y in face
+                     if all(fit[base + y] >= fit[base + y ^ 1 << v] for v in free)]
+            if len(peaks) != 1:
+                return SemismoothResult(False, FaceViolation(
+                    tuple(free), dict(zip(fixed_vars, background)), tuple(peaks)))
+    return SemismoothResult(True)
+
+
+def _weighted(rng, d, density, unaries, weights):
+    # a unary on every variable; each pair coupled with probability density
+    return Instance(d, 0, [(v, rng.choice(unaries)) for v in range(d)],
+                    [(i, j, rng.choice(weights)) for i, j in itertools.combinations(range(d), 2)
+                     if rng.random() < density])
+
+
+def _planted_pair(rng, d):
+    # the two-peak pair on variables i < j, (i, j) != (0, 1), inside an
+    # instance whose other variables have strong unaries and weak couplings
+    i, j = sorted(rng.sample(range(d), 2))
+    while (i, j) == (0, 1):
+        i, j = sorted(rng.sample(range(d), 2))
+    unaries = [(v, 1 if v in (i, j) else rng.choice((-9, 9))) for v in range(d)]
+    binaries = [(a, b, rng.choice((-1, 1))) for a, b in itertools.combinations(range(d), 2)
+                if {a, b}.isdisjoint((i, j)) and rng.random() < 0.5]
+    return Instance(d, 0, unaries, binaries + [(i, j, -3)])
+
+
+def test_check_semismooth_matches_every_face():
+    # the whole SemismoothResult: the first bad free set, its background and
+    # the order of its peaks; zero gradients make the ties, two peaks on an edge
+    rng = random.Random(47)
+    big = 3 * 2 ** 70
+    densities = (0.1, 0.3, 0.6, 1.0)
+    cases = [Instance(0), Instance(5), build_chain(1, 1, "+"), build_chain(1, 1, "-")]
+    cases += [random_instance(rng, max_vars=8) for _ in range(40)]
+    cases += [random_instance(rng, max_vars=8, max_weight=2) for _ in range(30)]
+    cases += [_weighted(rng, rng.randint(1, 8), rng.choice(densities),
+                        (-12, -7, -5, 5, 8, 11), (-6, -3, -1, 2, 4, 6)) for _ in range(60)]
+    cases += [_weighted(rng, rng.randint(1, 8), rng.choice(densities),
+                        (-4 * big, -big, big, 3 * big), (-big, big, -1, 2)) for _ in range(30)]
+    cases += [_weighted(rng, rng.randint(3, 8), rng.choice((0.5, 1.0)), (1, 2), (-5, -3, 1))
+              for _ in range(30)]
+    cases += [_dense_instance(rng, rng.randint(2, 8), (-1, 1)) for _ in range(20)]
+    cases += [_planted_pair(rng, rng.randint(3, 8)) for _ in range(30)]
+    semismooth = edges = off_first_pair = 0
+    for inst in cases:
+        r = check_semismooth(inst)
+        assert r == _semismooth_by_faces(inst), core.to_text(inst)
+        if r.semismooth:
+            semismooth += 1
+        else:
+            edges += len(r.violation.free_vars) == 1
+            off_first_pair += r.violation.free_vars != (0, 1)
+    assert semismooth >= 50 and edges >= 20 and off_first_pair >= 20
 
 
 def test_semismooth_violation_on_a_proper_face():
