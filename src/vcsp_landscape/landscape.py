@@ -7,9 +7,7 @@ self-validation asserts it), but arbitrary instances may.
 
 The brute-force oracles (peak enumeration, semismoothness, ascent graphs) are
 exponential by nature and guarded by size caps; they exist to certify the
-polynomial-time paths on small instances.  check_semismooth is the only user
-of numpy, which it imports on first call, so importing the package does not
-load it.
+polynomial-time paths on small instances.
 """
 from __future__ import annotations
 
@@ -19,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .core import Bits, Instance, _gradient_table, _neighborhood
 from .errors import (
@@ -31,9 +29,6 @@ from .errors import (
     ZeroGradientError,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 PEAKS_CAP = 24
 SEMISMOOTH_CAP = 12
 ASCENT_GRAPH_CAP = 1 << 18
@@ -41,6 +36,10 @@ ASCENT_GRAPH_CAP = 1 << 18
 
 def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
+
+
+def _bits(x: int, d: int) -> Bits:
+    return tuple(x >> v & 1 for v in range(d))
 
 
 @dataclass(frozen=True)
@@ -198,33 +197,6 @@ def peak_of_oriented(inst: Instance, orientation: Orientation | None = None) -> 
     return tuple(x)
 
 
-# ---------------------------------------------------------------------------
-# Brute-force oracles.  For check_semismooth, fitness over the full hypercube
-# is materialized as a d-dimensional (2, 2, ..., 2) array, axis v = variable
-# v, so flipping along an axis compares every assignment with its neighbor in
-# that direction.
-# ---------------------------------------------------------------------------
-
-def _fitness_cube(inst: Instance) -> np.ndarray:
-    import numpy as np
-
-    d = inst.num_vars
-    bound = abs(inst.constant) + sum(abs(w) for w in inst.unaries.values()) \
-        + sum(abs(w) for w in inst.binaries.values())
-    dtype = np.int64 if bound < 2 ** 62 else object
-    v = np.full((2,) * d, inst.constant, dtype=dtype)
-    for i, w in inst.unaries.items():
-        sl: list = [slice(None)] * d
-        sl[i] = 1
-        v[tuple(sl)] += w
-    for (i, j), w in inst.binaries.items():
-        sl = [slice(None)] * d
-        sl[i] = 1
-        sl[j] = 1
-        v[tuple(sl)] += w
-    return v
-
-
 def enumerate_peaks(inst: Instance, cap: int = PEAKS_CAP) -> list[Bits]:
     """All local peaks, sorted by fitness descending (ties by assignment).
     Requires num_vars <= cap.
@@ -315,42 +287,54 @@ class SemismoothResult:
 def check_semismooth(inst: Instance, cap: int = SEMISMOOTH_CAP) -> SemismoothResult:
     """Check that every face of the hypercube has exactly one face-local peak.
 
-    A vertex is a peak of a face if no neighbor inside the face improves on
-    it.  All faces with the same free-variable set share one vectorized pass,
-    so the total work is one O(2^d) sweep per subset.  Faces are scanned in
-    subset-mask order and the first violation is returned.
+    Assignments are int masks, bit v = x_v.  A face is a set F of free
+    variables with the others fixed to a background.  up[x] is the set of
+    variables v with f(x) >= f(x ^ 1<<v).  Three facts make the check:
+    x is a peak of the face with free set F and background x & ~F exactly
+    when F is a subset of up[x]; every face has at least one peak, its
+    maximum; so each of the 2^(d - |F|) faces with free set F has exactly
+    one peak exactly when cnt[F], the number of x with F a subset of up[x],
+    is 2^(d - |F|).  cnt is a superset sum over up, d passes over 2^d
+    entries.  The violation reported is on the first failing F in ascending
+    mask order, at the background whose fixed bits, in variable order, come
+    first among those with two or more peaks; its peaks are sorted.
     """
     d = inst.num_vars
     if d > cap:
         raise TooLargeError(f"{d} variables exceeds the semismoothness cap {cap}")
-    import numpy as np
-
-    cube = _fitness_cube(inst)
-    cmp = [np.asarray(cube >= np.flip(cube, axis=v), dtype=bool) for v in range(d)]
-    for mask in range(1, 1 << d):
-        free = [v for v in range(d) if mask >> v & 1]
-        peak = cmp[free[0]].copy()
-        for v in free[1:]:
-            peak &= cmp[v]
-        counts = peak.sum(axis=tuple(free))
-        if not (counts == 1).all():
-            fixed_vars = [v for v in range(d) if not (mask >> v & 1)]
-            bad = np.argwhere(counts != 1)[0]
-            fixed = {v: int(b) for v, b in zip(fixed_vars, bad)}
-            sl: list = [slice(None)] * d
-            for v, b in fixed.items():
-                sl[v] = b
-            face_peaks = np.argwhere(peak[tuple(sl)])
-            peaks = []
-            for row in face_peaks:
-                bits = [0] * d
-                for v, b in fixed.items():
-                    bits[v] = b
-                for v, b in zip(free, row):
-                    bits[v] = int(b)
-                peaks.append(tuple(bits))
-            return SemismoothResult(False, FaceViolation(tuple(free), fixed, tuple(peaks)))
-    return SemismoothResult(True)
+    n = 1 << d
+    fit = [inst.constant]  # fit[x], doubled one variable at a time
+    for v in range(d):
+        base = inst.unaries.get(v, 0)
+        earlier = [(1 << j, w) for j, w in inst.neighbors[v] if j < v]
+        fit += [fx + base + sum(w for bit, w in earlier if x & bit)
+                for x, fx in enumerate(fit)]
+    up = [0] * n
+    for v in range(d):
+        bit = 1 << v
+        up = [u | bit if fx >= fit[x ^ bit] else u
+              for x, (u, fx) in enumerate(zip(up, fit))]
+    cnt = [0] * n
+    for u in up:
+        cnt[u] += 1
+    for v in range(d):
+        bit = 1 << v
+        for s in range(n):
+            if not s & bit:
+                cnt[s] += cnt[s | bit]
+    free = next((s for s in range(1, n) if cnt[s] != 1 << (d - s.bit_count())), None)
+    if free is None:
+        return SemismoothResult(True)
+    faces: dict[int, list[int]] = {}
+    for x, u in enumerate(up):
+        if u & free == free:
+            faces.setdefault(x & ~free, []).append(x)
+    background = min((b for b, peaks in faces.items() if len(peaks) > 1),
+                     key=lambda b: _bits(b, d))
+    fixed = {v: background >> v & 1 for v in range(d) if not free >> v & 1}
+    peaks = tuple(sorted(_bits(x, d) for x in faces[background]))
+    return SemismoothResult(False, FaceViolation(
+        tuple(v for v in range(d) if free >> v & 1), fixed, peaks))
 
 
 @dataclass(frozen=True)
@@ -415,7 +399,7 @@ def ascent_graph(inst: Instance, start: Sequence[int], cap: int = ASCENT_GRAPH_C
                     queue.append(new)
                 edges.append(b)
         if len(edges) == offsets[-1]:
-            sinks.append(tuple(x >> i & 1 for i in range(d)))
+            sinks.append(_bits(x, d))
         offsets.append(len(edges))
     return AscentGraph(start, tuple(nodes), tuple(fitness), tuple(offsets), tuple(edges),
                        tuple(sorted(sinks)))

@@ -130,6 +130,19 @@ def test_acceptance_3b_exhaustive_peaks_up_to_the_cap():
     _conclude("3b", "exhaustive peaks of every chain up to 24 variables, and at 1,200", failures)
 
 
+def test_acceptance_3c_semismooth_up_to_the_cap():
+    # every chain with m <= 2 and n <= 20, both signs, has exactly one peak on
+    # every face of its hypercube; m = 2 gives 12 variables, the default cap
+    failures = []
+    for m in (1, 2):
+        for n in range(m, 21):
+            for sign in ("+", "-"):
+                r = check_semismooth(build_chain(n, m, sign))
+                if not r.semismooth:
+                    failures.append(f"semismooth(n={n},m={m},{sign}): {r.violation}")
+    _conclude("3c", "every face single peaked on every chain up to 12 variables", failures)
+
+
 def test_acceptance_4_structural_claims():
     failures = []
     for n in range(1, 11):

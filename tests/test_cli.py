@@ -32,10 +32,11 @@ def test_gen_writes_instance(tmp_path, capsys):
     assert len(constraint_lines(out)) == 38
 
 
-def test_numpy_is_only_imported_by_the_oracles(tmp_path):
-    # importing the package, a steepest ascent, `vcsp gen`, enumerate_peaks and
-    # `vcsp oracle --peaks` leave numpy unloaded; check_semismooth loads it
-    c = str(tmp_path / "c.vcsp")
+def test_numpy_is_never_imported(tmp_path):
+    # importing the package, a steepest ascent, `vcsp gen`, enumerate_peaks,
+    # `vcsp oracle --peaks`, check_semismooth and `vcsp oracle --semismooth`
+    # all leave numpy unloaded
+    c, c2 = str(tmp_path / "c.vcsp"), str(tmp_path / "c2.vcsp")
     script = f"""
 import sys
 import vcsp_landscape as v
@@ -45,14 +46,17 @@ assert main(["gen", "--n", "3", "--sign", "+", "--out", {c!r}]) == 0
 assert v.enumerate_peaks(v.build_chain(1, 1, "+")) == [v.expected_peak(1, 1, "+")]
 assert main(["oracle", "--instance", {c!r}, "--peaks"]) == 0
 assert "numpy" not in sys.modules, "numpy imported"
-v.check_semismooth(v.build_chain(1, 1, "+"))
-assert "numpy" in sys.modules
+assert v.check_semismooth(v.build_chain(1, 1, "+")).semismooth
+assert main(["gen", "--n", "2", "--sign", "-", "--out", {c2!r}]) == 0
+assert main(["oracle", "--instance", {c2!r}, "--semismooth"]) == 0
+assert "numpy" not in sys.modules, "numpy imported"
 """
     src = str(Path(vcsp_landscape.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           cwd=tmp_path, env={"PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("vars=18 unaries=18 binaries=20\npeaks=1\npeak ")
+    assert proc.stdout.endswith("\nvars=12 unaries=12 binaries=13\nsemismooth=true\n")
 
 
 def test_gen_single_gadget(tmp_path, capsys):

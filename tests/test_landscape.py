@@ -262,6 +262,24 @@ def test_check_semismooth_matches_every_face():
     assert semismooth >= 50 and edges >= 20 and off_first_pair >= 20
 
 
+def test_oriented_without_zero_gradients_is_semismooth():
+    # an oriented instance whose gradients are never 0 has one peak on every
+    # face; unoriented and zero-gradient instances are skipped
+    rng = random.Random(11)
+    tested = with_arcs = 0
+    for _ in range(1500):
+        d = rng.randint(1, 9)
+        scale, density = rng.choice((3, 10, 30)), rng.choice((0.2, 0.4, 0.7))
+        inst = _weighted(rng, d, density, [w for w in range(-scale, scale + 1) if w],
+                         [w for w in range(-10, 11) if w])
+        o = orient(inst)
+        if o.oriented and all(0 not in core._gradient_table(inst, v) for v in range(d)):
+            assert check_semismooth(inst).semismooth, core.to_text(inst)
+            tested += 1
+            with_arcs += bool(o.arcs)
+    assert tested >= 500 and with_arcs >= 100
+
+
 def test_semismooth_violation_on_a_proper_face():
     # the two-peak pair plus a third variable that is fixed at 0 on the first
     # bad face: the witness carries that background in fixed and in its peaks
