@@ -221,7 +221,7 @@ class Instance:
 
     def content_hash(self) -> str:
         """Stable hex digest of the instance content (used in trace metadata)."""
-        return hashlib.sha256(to_text(self).encode()).hexdigest()[:16]
+        return hashlib.sha256(to_text(self).encode()).hexdigest()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):

@@ -709,8 +709,8 @@ def test_instance_pickles_after_a_native_run():
 
 
 @pytest.mark.parametrize("case,digest", [
-    ("chain", "4edff4586822c71e461a5ded9c27855099263497068d7c05633e654e0a408d1b"),
-    ("random", "5ebf838659048b17093408d431f768a34fe26f43b55c5d0ff872cd74672fb64c"),
+    ("chain", "ff9d0ba33124346996e0c6acd0ad51dbac289b459f1c3a8e0cddb4f0a46370ac"),
+    ("random", "f90ba818ec4dcebf57ef4bc41c5f39fb65e0e4cb7db9e1ef1c8c670e80392713"),
 ])
 def test_trace_csv_bytes_are_pinned(tmp_path, case, digest):
     # the exact bytes of two trace files: quoted "(k,i)" labels, empty labels,
