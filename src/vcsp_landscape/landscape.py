@@ -329,7 +329,7 @@ def check_semismooth(inst: Instance, cap: int = SEMISMOOTH_CAP) -> SemismoothRes
     for x, u in enumerate(up):
         if u & free == free:
             faces.setdefault(x & ~free, []).append(x)
-    background = min((b for b, peaks in faces.items() if len(peaks) > 1),
+    background = min((b for b, xs in faces.items() if len(xs) > 1),
                      key=lambda b: _bits(b, d))
     fixed = {v: background >> v & 1 for v in range(d) if not free >> v & 1}
     peaks = tuple(sorted(_bits(x, d) for x in faces[background]))
