@@ -1,0 +1,395 @@
+/* Local-search ascent on a binary Boolean VCSP, in exact fixed-width arithmetic.
+
+   The native twin of the Python loop search._ascend, which stays the
+   reference.  One loop runs all three selection rules, chosen by argument:
+     STEEPEST  a variable of maximal gain, the lowest index on ties, with the
+               same tie count and "error" tie policy as search._Steepest;
+     RANDOM    sorted(improving)[random.Random(seed).randrange(count)], drawn
+               bit for bit as CPython draws it (see "Random draws" below);
+     FIRST     the next improving variable in a cyclic scan order, resuming
+               just past the last flip.
+   Every rule has the same minimum gain and max_steps guard.  The instance's
+   arrays are only read, so threads may share them.  The caller's other
+   buffers belong to one call, and so does the scratch, which each call
+   allocates and frees.  The random draws and the scan cursor live in a
+   caller-owned state buffer, so a run can continue across calls.
+
+   The loop is written once, at the end of this file, and compiled at two
+   widths, with one signature, by including the file into itself:
+     vcsp_ascend     int64_t cells; the caller guarantees
+                     |constant| + sum|unary| + sum|binary| < 2^62;
+     vcsp_ascend128  __int128 values, where the compiler has them, on
+                     little-endian machines; the caller guarantees the same
+                     sum < 2^126.  Each cell is 16 little-endian bytes, read
+                     and written with memcpy, since the caller's buffers need
+                     not be 16-byte aligned.
+   Under its bound no fitness, gradient or gain can overflow its width.
+
+   Compiled on first use by search._native_kernel and called through ctypes. */
+#ifndef VALUE
+
+#include <stddef.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+enum { PEAK = 0, LIMIT = 1, TIE = 2, NO_MEMORY = 3 };  /* why the run stopped */
+
+enum { STEEPEST = 0, RANDOM = 1, FIRST = 2 };  /* the selection rules */
+
+/* Slots of res[]. */
+enum { R_STEPS, R_FIT_START, R_FIT_END, R_MIN_GAIN, R_TIES, R_TIE_MOVES, R_TIE_GAIN };
+
+/* The loop is inlined once per rule, so each rule's loop carries no test of
+   the others' branches. */
+#if defined(__GNUC__)
+#define PER_RULE static inline __attribute__((always_inline))
+#else
+#define PER_RULE static inline
+#endif
+
+/* --- Random draws: CPython's MT19937, as Modules/_randommodule.c has it ---
+
+   The state is MT_N + 1 words: the generator's words, then the index of the
+   next one to temper.  vcsp_mt_seed fills it as random.Random(seed) does for
+   an int seed: init_by_array on the 32-bit words of abs(seed), least
+   significant first.  randbelow(n) is Random._randbelow_with_getrandbits:
+   getrandbits(k) = genrand_uint32() >> (32 - k) with k = n.bit_length(),
+   redrawn while it is n or more, which is what randrange(n) returns. */
+
+enum { MT_N = 624, MT_M = 397 };
+
+static uint32_t genrand_uint32(uint32_t *mt)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    int kk;
+    if (mt[MT_N] >= MT_N) {  /* generate MT_N words at one time */
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt[MT_N] = 0;
+    }
+    y = mt[mt[MT_N]++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* key holds 4 * words bytes: abs(seed) in little-endian order, words >= 1.
+   Each word depends on the one before; prev keeps it in a register. */
+void vcsp_mt_seed(uint32_t *mt, const unsigned char *key, size_t words)
+{
+    size_t i, j, k;
+    uint32_t prev = 19650218U;  /* init_genrand(19650218) */
+    mt[0] = prev;
+    for (i = 1; i < MT_N; i++)
+        mt[i] = prev = 1812433253U * (prev ^ (prev >> 30)) + (uint32_t)i;
+    mt[MT_N] = MT_N;
+    prev = mt[0];
+    i = 1;
+    j = 0;
+    for (k = MT_N > words ? MT_N : words; k; k--) {
+        const unsigned char *b = key + 4 * j;
+        uint32_t word = (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16
+                        | (uint32_t)b[3] << 24;
+        mt[i] = prev = (mt[i] ^ ((prev ^ (prev >> 30)) * 1664525U)) + word + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = prev;
+            i = 1;
+        }
+        if (j >= words)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        mt[i] = prev = (mt[i] ^ ((prev ^ (prev >> 30)) * 1566083941U)) - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = prev;
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;  /* MSB is 1; assuring non-zero initial array */
+}
+
+/* A uniform draw from [0, n) for 0 < n < 2^31. */
+static int32_t randbelow(uint32_t *mt, int32_t n)
+{
+    int k = 0;
+    uint32_t r;
+    while (n >> k)
+        k++;
+    do
+        r = genrand_uint32(mt) >> (32 - k);
+    while (r >= (uint32_t)n);
+    return (int32_t)r;
+}
+
+/* --- A Fenwick tree over the improving flags of variables 0 .. d-1 ---
+
+   tree[1 .. d]; tree[i] counts the improving variables among
+   i - (i & -i) .. i - 1.  top is the largest power of two <= d. */
+
+static void fenwick_add(int32_t *tree, int32_t d, int32_t v, int32_t delta)
+{
+    for (int32_t i = v + 1; i <= d; i += i & -i)
+        tree[i] += delta;
+}
+
+/* The improving variable with r improving variables below it. */
+static int32_t fenwick_find(const int32_t *tree, int32_t d, int32_t top, int32_t r)
+{
+    int32_t p = 0;
+    for (int32_t step = top; step; step >>= 1) {
+        if (p + step <= d && tree[p + step] <= r) {
+            p += step;
+            r -= tree[p];
+        }
+    }
+    return p;
+}
+
+/* vcsp_ascend: the loop at int64, on arrays of int64_t. */
+#define VALUE int64_t
+#define CELL int64_t
+#define LOAD(p, i) ((p)[i])
+#define STORE(p, i, v) ((p)[i] = (v))
+#define ASCEND vcsp_ascend
+#define LOOP ascend_loop64
+#include "_ascend.c"  /* this file: the loop below, at this width */
+#undef VALUE
+#undef CELL
+#undef LOAD
+#undef STORE
+#undef ASCEND
+#undef LOOP
+
+#if defined(__SIZEOF_INT128__) && defined(__BYTE_ORDER__) \
+    && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+
+__extension__ typedef __int128 int128;
+
+/* One 16-byte value as it lies in the caller's buffers: alignment 1. */
+typedef struct { unsigned char bytes[16]; } cell128;
+
+static int128 load128(const cell128 *p)
+{
+    int128 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static void store128(cell128 *p, int128 v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+#define VALUE int128
+#define CELL cell128
+#define LOAD(p, i) load128(&(p)[i])
+#define STORE(p, i, v) store128(&(p)[i], (v))
+#define ASCEND vcsp_ascend128
+#define LOOP ascend_loop128
+#include "_ascend.c"  /* this file: the loop below, at this width */
+
+#endif
+
+#else  /* the loop: function ASCEND at width VALUE, over arrays of CELL */
+
+/* The loop under one rule, with the scratch ASCEND allocated: gain[v] is the
+   fitness change of flipping v.  Under STEEPEST, imp lists the improving
+   variables in any order and pos[v] is v's slot in imp or -1; under RANDOM,
+   imp is the Fenwick tree of the improving flags; FIRST needs neither, as
+   it reads the flags off gain[]. */
+PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t *off,
+                  const int32_t *nbr, const CELL *w, const CELL *unary, uint8_t *x,
+                  int64_t max_steps, int32_t stop_on_tie, const int32_t *order,
+                  uint32_t *state, int32_t *out_var, CELL *out_gain, CELL *res,
+                  CELL *gain, int32_t *imp, int32_t *pos)
+{
+    VALUE fit = LOAD(constant, 0);
+    int32_t n_imp = 0, top = 1;
+    for (int32_t i = 0; i < d; i++) {
+        VALUE g = LOAD(unary, i);
+        for (int32_t k = off[i]; k < off[i + 1]; k++) {
+            if (x[nbr[k]]) {
+                g += LOAD(w, k);
+                if (x[i] && nbr[k] > i)
+                    fit += LOAD(w, k);
+            }
+        }
+        if (x[i]) {
+            fit += LOAD(unary, i);
+            g = -g;
+        }
+        STORE(gain, i, g);
+        if (rule == STEEPEST) {
+            pos[i] = -1;
+            if (g > 0) {
+                pos[i] = n_imp;
+                imp[n_imp] = i;
+            }
+        } else if (rule == RANDOM) {
+            imp[i + 1] = g > 0;
+        }
+        n_imp += g > 0;
+    }
+    if (rule == RANDOM) {  /* build the tree over the flags in place, in O(d) */
+        for (int32_t i = 1; i <= d; i++) {
+            int32_t parent = i + (i & -i);
+            if (parent <= d)
+                imp[parent] += imp[i];
+        }
+        while (top <= d / 2)
+            top *= 2;
+    }
+    STORE(res, R_FIT_START, fit);
+
+    int64_t steps = 0, ties = 0;
+    VALUE min_gain = 0;
+    int status = PEAK;
+    while (n_imp > 0) {
+        if (steps == max_steps) {
+            status = LIMIT;
+            break;
+        }
+        int32_t best = -1;
+        VALUE best_g = 0;
+        if (rule == STEEPEST) {
+            int64_t nmax = 1;
+            for (int32_t k = 0; k < n_imp; k++) {
+                int32_t v = imp[k];
+                VALUE g = LOAD(gain, v);
+                if (g > best_g) {
+                    best = v;
+                    best_g = g;
+                    nmax = 1;
+                } else if (g == best_g) {
+                    nmax++;
+                    if (v < best)
+                        best = v;
+                }
+            }
+            if (nmax > 1) {
+                if (stop_on_tie) {
+                    STORE(res, R_TIE_MOVES, nmax);
+                    STORE(res, R_TIE_GAIN, best_g);
+                    status = TIE;
+                    break;
+                }
+                ties++;
+            }
+            int32_t last = imp[n_imp - 1];  /* swap-remove best from imp */
+            imp[pos[best]] = last;
+            pos[last] = pos[best];
+            pos[best] = -1;
+        } else if (rule == RANDOM) {
+            best = fenwick_find(imp, d, top, randbelow(state, n_imp));
+            fenwick_add(imp, d, best, -1);
+            best_g = LOAD(gain, best);
+        } else {
+            uint32_t p = state[0];  /* the scan cursor: a position in order */
+            do {
+                best = order[p];
+                if (++p == (uint32_t)d)
+                    p = 0;
+            } while (!(LOAD(gain, best) > 0));
+            state[0] = p;
+            best_g = LOAD(gain, best);
+        }
+        n_imp--;
+
+        fit += best_g;
+        x[best] ^= 1;
+        STORE(gain, best, -best_g);
+        for (int32_t k = off[best]; k < off[best + 1]; k++) {
+            int32_t u = nbr[k];
+            VALUE dg = x[best] ? LOAD(w, k) : -LOAD(w, k);  /* change of u's gradient */
+            VALUE old = LOAD(gain, u);
+            VALUE g = old + (x[u] ? -dg : dg);
+            STORE(gain, u, g);
+            if (rule == STEEPEST) {
+                if (g > 0 && pos[u] < 0) {
+                    pos[u] = n_imp;
+                    imp[n_imp++] = u;
+                } else if (g <= 0 && pos[u] >= 0) {
+                    int32_t last = imp[--n_imp];
+                    imp[pos[u]] = last;
+                    pos[last] = pos[u];
+                    pos[u] = -1;
+                }
+            } else if ((g > 0) != (old > 0)) {
+                int32_t delta = g > 0 ? 1 : -1;
+                n_imp += delta;
+                if (rule == RANDOM)
+                    fenwick_add(imp, d, u, delta);
+            }
+        }
+
+        if (out_var) {
+            out_var[steps] = best;
+            STORE(out_gain, steps, best_g);
+        }
+        steps++;
+        if (min_gain == 0 || best_g < min_gain)
+            min_gain = best_g;
+    }
+    STORE(res, R_STEPS, steps);
+    STORE(res, R_FIT_END, fit);
+    STORE(res, R_MIN_GAIN, min_gain);
+    STORE(res, R_TIES, ties);
+    return status;
+}
+
+/* d variables and the constant in constant[0]; binary neighbours of i are
+   nbr[off[i] .. off[i+1]) with weights w[] (CSR); these and unary[] are only
+   read.  x holds the start on entry and the end on return.  max_steps < 0
+   means no limit.  rule picks the selection rule.  Under STEEPEST, a tie with
+   stop_on_tie set stops the run before the tied step and reports the tie's
+   size and gain.  Under RANDOM, state holds the generator (MT_N + 1 words,
+   see vcsp_mt_seed); under FIRST, state[0] is the position in order[] (a
+   permutation of 0 .. d-1) where the scan resumes.  The loop advances the
+   state, so the next call continues the run.  When out_var is not NULL,
+   step t writes its variable and gain to out_var[t] and out_gain[t], which
+   must hold max_steps entries.  The run stops with NO_MEMORY if the scratch
+   cannot be allocated. */
+int ASCEND(int32_t d, const CELL *constant, const int32_t *off, const int32_t *nbr,
+           const CELL *w, const CELL *unary, uint8_t *x, int64_t max_steps, int32_t rule,
+           int32_t stop_on_tie, const int32_t *order, uint32_t *state, int32_t *out_var,
+           CELL *out_gain, CELL *res)
+{
+    /* Two blocks, not one: the compiler then knows that gain and imp do not
+       alias, and the loop ran about 10% faster than with one shared block. */
+    size_t n = d > 0 ? (size_t)d : 1;  /* malloc(0) may return NULL */
+    CELL *gain = malloc(n * sizeof *gain);
+    int32_t *imp = malloc((2 * n + 1) * sizeof *imp);
+    int status = NO_MEMORY;
+    if (gain && imp) {
+        int32_t *pos = imp + n;
+        if (rule == STEEPEST)
+            status = LOOP(STEEPEST, d, constant, off, nbr, w, unary, x, max_steps, stop_on_tie,
+                          order, state, out_var, out_gain, res, gain, imp, pos);
+        else if (rule == RANDOM)
+            status = LOOP(RANDOM, d, constant, off, nbr, w, unary, x, max_steps, stop_on_tie,
+                          order, state, out_var, out_gain, res, gain, imp, pos);
+        else
+            status = LOOP(FIRST, d, constant, off, nbr, w, unary, x, max_steps, stop_on_tie,
+                          order, state, out_var, out_gain, res, gain, imp, pos);
+    }
+    free(gain);
+    free(imp);
+    return status;
+}
+
+#endif

@@ -11,7 +11,11 @@ import argparse
 import sys
 
 from . import core, generator, landscape, search, structure
-from .errors import VcspError
+from .errors import TooLargeError, VcspError
+
+# steepest-ascent steps `vcsp verify` may walk: 2 * 7*(2^m - 1) stays within
+# 2^32 for m <= 28 (about 80 s at 48M steps/s); a larger m fails at once
+VERIFY_STEP_CAP = 2 ** 32
 
 
 def cmd_gen(args) -> int:
@@ -66,6 +70,9 @@ def cmd_ascend(args) -> int:
 
 def cmd_verify(args) -> int:
     n, m = args.n, args.m
+    if m >= 1 and (steps := 2 * generator.predicted_ascent_length(m)) > VERIFY_STEP_CAP:
+        raise TooLargeError(f"m={m} needs {steps} steepest-ascent steps, over the cap of "
+                            f"{VERIFY_STEP_CAP}")
     rows = []  # (check, expected, observed, passed), printed in this order
 
     def same(name, expected, observed):

@@ -388,6 +388,19 @@ def _lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _ints(tokens: list[str]) -> tuple[int, ...]:
+    """The integers that tokens spell, each as [+-]?[0-9]+ in ASCII digits;
+    ValueError on any other token.  int() alone also reads underscores
+    ('1_0') and non-ASCII digits.  On tokens without those, which hold no
+    whitespace once str.split() made them, it reads just that grammar."""
+    joined = "".join(tokens)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError("not an integer token")
+    # (*...,) rather than a list or tuple(map(...)): keeping either until
+    # Instance is built made `vcsp eval` collect garbage ~25% more
+    return (*map(int, tokens),)
+
+
 def from_text(text: str) -> Instance:
     lines = _lines(text)
     for lineno, line in lines:
@@ -402,9 +415,7 @@ def from_text(text: str) -> Instance:
         tok = line.split()
         kind = tok[0]
         try:
-            # (*...,) rather than a list or tuple(map(...)): keeping either
-            # until Instance is built made `vcsp eval` collect garbage ~25% more
-            args = (*map(int, tok[1:]),)
+            args = _ints(tok[1:])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
         if kind == "n" and n_rows:

@@ -3,24 +3,30 @@
 The three engines share one Python loop, _ascend.  It keeps per-variable
 gradients and the set of currently improving variables with their gains,
 updated in O(degree) per flip, and takes a selection rule that picks the
-variable to flip from that set each step:
+variable to flip from that set each step.  Each rule is a small class that
+holds the rule's parameters:
 
-- steepest: a variable of maximal gain, the lowest index on ties (counted,
+- _Steepest: a variable of maximal gain, the lowest index on ties (counted,
   or raised under the "error" tie policy);
-- random: a uniformly random one, drawn from the seeded generator;
-- first: the next one in cyclic scan order, just past the last flip.
+- _Random(seed): sorted(imp)[random.Random(seed).randrange(len(imp))];
+- _First(order): the next one in the cyclic scan order, just past the last
+  flip.
 
 Fitness strictly increases every step, so every run terminates, and a run
 ends at a peak unless a max_steps limit stops it while a move still improves.
 
-Steepest ascent also has a native kernel (_steepest.c), compiled with the
+All three rules also run on a native kernel (_ascend.c), compiled with the
 platform's C compiler on first use and loaded through ctypes, at two widths:
 int64 for instances with |constant| + sum of |weights| below 2^62, and
 128-bit (where the compiler has __int128) below 2^126.  Within its bound a
-width's arithmetic is exact, and both give the same Trace as _ascend with
-the steepest rule.  That is the reference, and it runs everything else:
-instances at or above 2^126, above 2^62 when there is no 128-bit width, and
-all of them when no kernel can be built.
+width's arithmetic is exact, and every rule gives the same Trace as _ascend
+with that rule.  The kernel runs CPython's Mersenne Twister itself, seeded as
+random.Random seeds from an int, and finds the r-th smallest improving
+variable with a Fenwick tree, so a random step costs O(degree * log d) and
+draws what randrange draws on CPython 3.10 to 3.13.  _ascend is the
+reference, and it runs everything else: instances at or above 2^126, above
+2^62 when there is no 128-bit width, random ascents whose seed is not an int
+(random.Random hashes those), and all runs when no kernel can be built.
 
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
@@ -32,13 +38,14 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import operator
 import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Bits, Instance
 from .errors import (
@@ -88,17 +95,15 @@ def _step_limit(max_steps: int | None) -> int:
     return max_steps
 
 
-def _ascend(method: str, inst: Instance, start: Sequence[int],
-            choose: Callable[[dict[int, int]], int], record_steps: bool, limit: int,
-            seed: int | None = None) -> Trace:
+def _ascend(rule, inst: Instance, start: Sequence[int], record_steps: bool,
+            limit: int) -> Trace:
     """The ascent loop of every engine in Python.
 
     imp maps each improving variable to its gain.  While it is not empty and
     fewer than limit steps (-1: no limit) have been taken, the selection rule
-    choose(imp) names the variable to flip.  Only the flipped variable's
+    rule(imp) names the variable to flip.  Only the flipped variable's
     neighbours change gradient, so a step costs O(degree) plus the rule.  The
     run is complete when it ends at a peak, also when that is at the limit.
-    A rule with a ties attribute (steepest's) gives the Trace its tie_events.
     """
     fit0 = fit = inst.fitness(start)  # validates length and bit values
     x = bytearray(tuple(start))  # tuple() first: bytearray() of a numpy array copies its buffer
@@ -120,7 +125,7 @@ def _ascend(method: str, inst: Instance, start: Sequence[int],
     nsteps = 0
     min_gain = None
     while imp and nsteps != limit:
-        v = choose(imp)
+        v = rule(imp)
         gain = imp.pop(v)
         fit += gain
         bit = x[v] = x[v] ^ 1
@@ -137,16 +142,130 @@ def _ascend(method: str, inst: Instance, start: Sequence[int],
             min_gain = gain
         if steps is not None:
             steps.append((v, gain, fit))
-    return Trace(method, start, tuple(x), nsteps, fit0, fit, min_gain,
-                 getattr(choose, "ties", 0), None if steps is None else tuple(steps), seed,
-                 not imp)
+    return Trace(rule.method, start, tuple(x), nsteps, fit0, fit, min_gain, rule.ties,
+                 None if steps is None else tuple(steps), rule.seed, not imp)
 
 
-# --- native steepest-ascent kernel --------------------------------------------
+# --- the selection rules ------------------------------------------------------
+
+_STEEPEST, _RANDOM, _FIRST = 0, 1, 2  # the kernel's rules, as in _ascend.c
+_MT_WORDS = 625  # the random rule's kernel state: 624 generator words and an index
+
+
+class _Steepest:
+    """Steepest ascent's selection rule: a variable of maximal gain, the
+    lowest index on ties.  It counts the steps with tied moves in ties, or,
+    under raise_on_tie, raises TieEncounteredError at the first."""
+
+    method = "steepest"
+    seed = None
+
+    def __init__(self, raise_on_tie: bool):
+        self.raise_on_tie = raise_on_tie
+        self.calls = 0
+        self.ties = 0
+
+    def __call__(self, imp: dict[int, int]) -> int:
+        self.calls += 1
+        best = -1
+        best_g = 0
+        nmax = 1
+        for v, g in imp.items():
+            if g > best_g:
+                best_g = g
+                best = v
+                nmax = 1
+            elif g == best_g:
+                nmax += 1
+                if v < best:
+                    best = v
+        if nmax > 1:
+            if self.raise_on_tie:
+                raise _tie_error(self.calls, nmax, best_g)
+            self.ties += 1
+        return best
+
+    def kernel_args(self, width):
+        """The kernel's rule, stop_on_tie, order and state arguments for a
+        run on width, or None where the kernel cannot run the rule."""
+        return _STEEPEST, int(self.raise_on_tie), None, None
+
+
+class _Random:
+    """Random ascent's selection rule: the improving variable at a uniformly
+    random rank in index order, sorted(imp)[randrange(len(imp))], drawn from
+    random.Random(seed)."""
+
+    method = "random"
+    ties = 0
+
+    def __init__(self, seed):
+        self.seed = seed
+        if not isinstance(seed, int):
+            # only the Python loop draws for such seeds; making the generator
+            # now raises at once for a seed that random.Random rejects
+            self.randrange = random.Random(seed).randrange
+
+    @functools.cached_property
+    def randrange(self):
+        return random.Random(self.seed).randrange
+
+    def __call__(self, imp: dict[int, int]) -> int:
+        return sorted(imp)[self.randrange(len(imp))]
+
+    def kernel_args(self, width):
+        """As _Steepest.kernel_args, with a generator seeded as random.Random
+        seeds from an int: from the 32-bit words of the seed's absolute value
+        (int's own abs, also for int subclasses such as bool).  None for other
+        seeds, which random.Random hashes."""
+        if not isinstance(self.seed, int):
+            return None
+        key = int.__abs__(self.seed)
+        words = max(1, (key.bit_length() + 31) // 32)
+        state = (ctypes.c_uint32 * _MT_WORDS)()
+        width.mt_seed(state, key.to_bytes(4 * words, "little"), words)
+        return _RANDOM, 0, None, state
+
+
+class _First:
+    """First-improvement's selection rule: the first improving variable in
+    the cyclic scan order (a permutation of the variables), starting at pos,
+    which then moves just past it."""
+
+    method = "first"
+    seed = None
+    ties = 0
+
+    def __init__(self, order: tuple[int, ...]):
+        self.order = order
+        self.pos = 0
+
+    def __call__(self, imp: dict[int, int]) -> int:
+        order = self.order
+        pos = self.pos
+        while True:
+            v = order[pos]
+            pos += 1
+            if pos == len(order):
+                pos = 0
+            if v in imp:
+                self.pos = pos
+                return v
+
+    def kernel_args(self, width):
+        """As _Steepest.kernel_args; the state is the scan position."""
+        return _FIRST, 0, _c_array(ctypes.c_int32, self.order), (ctypes.c_uint32 * 1)(self.pos)
+
+
+def _tie_error(step: int, moves: int, gain: int) -> TieEncounteredError:
+    return TieEncounteredError(f"step {step}: {moves} moves share the maximal gain {gain}")
+
+
+# --- the native kernel ----------------------------------------------------------
 
 _CHUNK = 2 ** 14  # recorded steps per kernel call
-_PEAK, _LIMIT, _TIE, _NO_MEMORY = 0, 1, 2, 3  # the kernel's stop reasons, as in _steepest.c
-_SRC = Path(__file__).with_name("_steepest.c")
+_PEAK, _LIMIT, _TIE, _NO_MEMORY = 0, 1, 2, 3  # the kernel's stop reasons, as in _ascend.c
+_SRC = Path(__file__).with_name("_ascend.c")
 
 
 def _c_array(ctype, values: Sequence[int]):
@@ -158,15 +277,16 @@ def _c_array(ctype, values: Sequence[int]):
 
 
 class _Int64:
-    """The kernel at int64 (vcsp_steepest): exact while |constant| + sum of
+    """The kernel at int64 (vcsp_ascend): exact while |constant| + sum of
     |weights| < 2^62.  Its integers, the constant included, are ctypes int64
-    arrays."""
+    arrays.  mt_seed is vcsp_mt_seed, which seeds the random rule's state."""
 
-    symbol = "vcsp_steepest"
+    symbol = "vcsp_ascend"
     bound = 2 ** 62
 
-    def __init__(self, fn):
+    def __init__(self, fn, mt_seed):
         self.fn = fn
+        self.mt_seed = mt_seed
 
     @staticmethod
     def array(values: Sequence[int]):
@@ -183,12 +303,12 @@ class _Int64:
 
 
 class _Int128(_Int64):
-    """The kernel at 128 bits (vcsp_steepest128): exact while |constant| + sum
+    """The kernel at 128 bits (vcsp_ascend128): exact while |constant| + sum
     of |weights| < 2^126.  Each integer is 16 little-endian bytes in a char
     buffer, which need not be 16-byte aligned (the kernel copies values in
     and out with memcpy)."""
 
-    symbol = "vcsp_steepest128"
+    symbol = "vcsp_ascend128"
     bound = 2 ** 126
 
     @staticmethod
@@ -224,21 +344,23 @@ def _native_kernel():
         return None
     try:
         key = hashlib.sha256(_SRC.read_bytes() + sysconfig.get_platform().encode())
-        lib = _SRC.parent / "__pycache__" / f"_steepest-{key.hexdigest()[:16]}.so"
+        lib = _SRC.parent / "__pycache__" / f"_ascend-{key.hexdigest()[:16]}.so"
         if not lib.exists():
             _compile(cc, lib)
         lib = ctypes.CDLL(str(lib))
     except OSError:
         return None
-    p = ctypes.c_void_p
+    p, i32 = ctypes.c_void_p, ctypes.c_int32
+    mt_seed = lib.vcsp_mt_seed
+    mt_seed.argtypes = [p, ctypes.c_char_p, ctypes.c_size_t]
+    mt_seed.restype = None
     widths = []
     for width in (_Int64, _Int128):
         fn = getattr(lib, width.symbol, None)
         if fn is not None:
-            fn.argtypes = [ctypes.c_int32, p, p, p, p, p, p, ctypes.c_int64, ctypes.c_int32,
-                           p, p, p]
+            fn.argtypes = [i32, p, p, p, p, p, p, ctypes.c_int64, i32, i32, p, p, p, p, p]
             fn.restype = ctypes.c_int
-            widths.append(width(fn))
+            widths.append(width(fn, mt_seed))
     return tuple(widths) or None
 
 
@@ -269,9 +391,12 @@ def _compile(cc: str, lib: Path) -> None:
 class _NativeArrays:
     """One instance's constant and CSR neighbour, weight and unary arrays for
     the kernel at one width.  The kernel only reads them, so threads can share
-    them; the buffers it writes belong to one call."""
+    them; the buffers it writes belong to one call.  addresses holds the
+    arrays' addresses, valid while this object holds the arrays: ctypes
+    passes an int as a pointer faster than it converts an array, about
+    0.13 us an argument on every call."""
 
-    __slots__ = ("width", "constant", "off", "nbr", "w", "unary")
+    __slots__ = ("width", "constant", "off", "nbr", "w", "unary", "addresses")
 
     def __init__(self, inst: Instance, width):
         off, nbr, w = [0], [], []
@@ -286,6 +411,8 @@ class _NativeArrays:
         self.nbr = _c_array(ctypes.c_int32, nbr)
         self.w = width.array(w)
         self.unary = width.array([inst.unaries.get(i, 0) for i in range(inst.num_vars)])
+        self.addresses = tuple(map(ctypes.addressof,
+                                   (self.constant, self.off, self.nbr, self.w, self.unary)))
 
 
 def _native_arrays(inst: Instance, widths) -> _NativeArrays | None:
@@ -301,11 +428,13 @@ def _native_arrays(inst: Instance, widths) -> _NativeArrays | None:
     return arrays or None
 
 
-def _steepest_native(a: _NativeArrays, inst: Instance, start: Sequence[int],
-                     raise_on_tie: bool, record_steps: bool, limit: int) -> Trace:
-    """steepest_ascent on the kernel.  Recorded runs go in calls of at most
-    _CHUNK steps, each continuing from the last end; steepest ascent depends
-    only on the current assignment, so the path is the same as in one call."""
+def _ascend_native(a: _NativeArrays, rule, args, inst: Instance, start: Sequence[int],
+                   record_steps: bool, limit: int) -> Trace:
+    """_ascend with rule, on the kernel; args are rule.kernel_args(a.width).
+    Recorded runs go in calls of at most _CHUNK steps, each continuing from
+    the last: the assignment and the rule's state buffer carry over, so the
+    path is the same as in one call."""
+    code, stop_on_tie, order, state = args
     start = tuple(start)  # tuple() first, as in _ascend, and only once
     inst.check_assignment(start)
     d = inst.num_vars
@@ -326,10 +455,10 @@ def _steepest_native(a: _NativeArrays, inst: Instance, start: Sequence[int],
     while True:
         left = -1 if limit < 0 else limit - nsteps
         part = left if steps is None else (size if left < 0 else min(size, left))
-        status = width.fn(d, a.constant, a.off, a.nbr, a.w, a.unary, x, part, raise_on_tie,
+        status = width.fn(d, *a.addresses, x, part, code, stop_on_tie, order, state,
                           out_var, out_gain, res)
         if status == _NO_MEMORY:
-            raise MemoryError("the steepest-ascent kernel could not allocate its scratch")
+            raise MemoryError("the ascent kernel could not allocate its scratch")
         k, fit_start, fit, least, ties_k, tie_moves, tie_gain = width.read(res, 7)
         if fit0 is None:
             fit0 = fit_start
@@ -346,43 +475,19 @@ def _steepest_native(a: _NativeArrays, inst: Instance, start: Sequence[int],
             raise _tie_error(nsteps + 1, tie_moves, tie_gain)
         if status == _PEAK or nsteps == limit:
             break
-    return Trace("steepest", start, tuple(x.raw), nsteps, fit0, fit, min_gain, ties,
-                 None if steps is None else tuple(steps), None, status == _PEAK)
+    return Trace(rule.method, start, tuple(x.raw), nsteps, fit0, fit, min_gain, ties,
+                 None if steps is None else tuple(steps), rule.seed, status == _PEAK)
 
 
-def _tie_error(step: int, moves: int, gain: int) -> TieEncounteredError:
-    return TieEncounteredError(f"step {step}: {moves} moves share the maximal gain {gain}")
-
-
-class _Steepest:
-    """Steepest ascent's selection rule: a variable of maximal gain, the
-    lowest index on ties.  It counts the steps with tied moves in ties, or,
-    under raise_on_tie, raises TieEncounteredError at the first."""
-
-    def __init__(self, raise_on_tie: bool):
-        self.raise_on_tie = raise_on_tie
-        self.calls = 0
-        self.ties = 0
-
-    def __call__(self, imp: dict[int, int]) -> int:
-        self.calls += 1
-        best = -1
-        best_g = 0
-        nmax = 1
-        for v, g in imp.items():
-            if g > best_g:
-                best_g = g
-                best = v
-                nmax = 1
-            elif g == best_g:
-                nmax += 1
-                if v < best:
-                    best = v
-        if nmax > 1:
-            if self.raise_on_tie:
-                raise _tie_error(self.calls, nmax, best_g)
-            self.ties += 1
-        return best
+def _run(rule, inst: Instance, start: Sequence[int], record_steps: bool, limit: int) -> Trace:
+    """rule's ascent on the narrowest kernel width that is exact on inst, or
+    on _ascend where there is none or rule has no kernel arguments."""
+    widths = _native_kernel()
+    arrays = _native_arrays(inst, widths) if widths else None
+    args = rule.kernel_args(arrays.width) if arrays else None
+    if args is None:
+        return _ascend(rule, inst, start, record_steps, limit)
+    return _ascend_native(arrays, rule, args, inst, start, record_steps, limit)
 
 
 def steepest_ascent(
@@ -395,22 +500,13 @@ def steepest_ascent(
     """Follow the steepest ascent: always flip a variable of maximal gain.
 
     Ties are resolved by lowest variable index (or raised, under policy
-    "error") and counted either way.  This is the package's hot path.
-
-    Instances run on the native kernel when it is available: at int64 while
-    |constant| + sum of |weights| is below 2^62, else at 128 bits while it is
-    below 2^126.  _ascend with the _Steepest rule runs the rest (and
-    everything when the kernel or its 128-bit width is missing); it is the
-    reference, and every path gives the same Trace.
+    "error") and counted either way.  This is the package's hot path; it
+    runs on the native kernel where there is one (see the module docstring).
     """
     if tie_policy not in TIE_POLICIES:
         raise InvalidArgumentError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
     limit = _step_limit(max_steps)
-    widths = _native_kernel()
-    arrays = _native_arrays(inst, widths) if widths else None
-    if arrays is not None:
-        return _steepest_native(arrays, inst, start, tie_policy == "error", record_steps, limit)
-    return _ascend("steepest", inst, start, _Steepest(tie_policy == "error"), record_steps, limit)
+    return _run(_Steepest(tie_policy == "error"), inst, start, record_steps, limit)
 
 
 def random_ascent(
@@ -423,12 +519,11 @@ def random_ascent(
     """Flip a uniformly random improving variable each step.
 
     Deterministic given the seed (Mersenne Twister over the sorted improving
-    set), so experiment runs are reproducible in CI.
+    set), so experiment runs are reproducible in CI.  An int seed runs on the
+    native kernel where there is one, with the same draws.
     """
     limit = _step_limit(max_steps)
-    randrange = random.Random(seed).randrange
-    return _ascend("random", inst, start, lambda imp: sorted(imp)[randrange(len(imp))],
-                   record_steps, limit, seed)
+    return _run(_Random(seed), inst, start, record_steps, limit)
 
 
 def first_improvement_ascent(
@@ -447,23 +542,14 @@ def first_improvement_ascent(
     if scan_order is None:
         order = tuple(range(d))
     else:
-        order = tuple(scan_order)
-        if sorted(order) != list(range(d)):
+        try:  # ints, as the kernel reads them: numpy ints convert, floats do not
+            order = tuple(map(operator.index, scan_order))
+        except TypeError:
+            order = None
+        if order is None or sorted(order) != list(range(d)):
             raise InvalidArgumentError("scan_order must be a permutation of the variable indices")
     limit = _step_limit(max_steps)
-    pos = 0
-
-    def choose(imp: dict[int, int]) -> int:
-        nonlocal pos
-        while True:
-            v = order[pos]
-            pos += 1
-            if pos == d:
-                pos = 0
-            if v in imp:
-                return v
-
-    return _ascend("first", inst, start, choose, record_steps, limit)
+    return _run(_First(order), inst, start, record_steps, limit)
 
 
 def replay(inst: Instance, trace: Trace) -> None:

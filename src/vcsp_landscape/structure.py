@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Instance, _lines
+from .core import Instance, _ints, _lines
 from .errors import InvalidArgumentError, ParseError
 
 
@@ -143,7 +143,7 @@ def decomposition_from_text(text: str) -> PathDecomposition:
     bags = []
     for lineno, line in _lines(text):
         try:
-            bags.append(frozenset(map(int, line.split())))
+            bags.append(frozenset(_ints(line.split())))
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer vertex in {line!r}") from None
     if not bags:

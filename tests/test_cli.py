@@ -1,12 +1,20 @@
 import hashlib
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import vcsp_landscape
-from vcsp_landscape import Instance, build_chain, search, write_instance
+from vcsp_landscape import (
+    Instance,
+    build_chain,
+    cli,
+    predicted_ascent_length,
+    search,
+    write_instance,
+)
 from vcsp_landscape.cli import main
 
 GOLDEN_SHA256 = "a827d58e7036e718e91fc62926f7bbdd7ad6dfa64fe7b5634f3d6fb8034bea93"
@@ -296,6 +304,29 @@ def test_verify_rejects_m_above_n(capsys):
     code, _, stderr = run(capsys, "verify", "--n", "1", "--m", "2")
     assert code != 0
     assert "RangeError" in stderr
+
+
+def test_verify_refuses_more_steps_than_the_cap(capsys, monkeypatch):
+    # m = 40 would walk about 1.5e13 steps: verify fails at once, before it
+    # builds a chain; m = 28 is the largest m under the cap
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--n", "40")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == ""
+    assert err == ("error: TooLargeError: m=40 needs 15393162788850 steepest-ascent steps, "
+                   "over the cap of 4294967296\n")
+    assert 2 * predicted_ascent_length(28) <= cli.VERIFY_STEP_CAP < 2 * predicted_ascent_length(29)
+    assert run(capsys, "verify", "--n", "40", "--m", "29")[0] == 1
+    monkeypatch.setattr(cli, "VERIFY_STEP_CAP", 2 * predicted_ascent_length(3))
+    assert run(capsys, "verify", "--n", "3")[0] == 0  # exactly at the cap
+    code, _, err = run(capsys, "verify", "--n", "4")
+    assert code == 1 and "TooLargeError: m=4 needs 210 steepest-ascent steps" in err
+
+
+def test_verify_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "10")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == \
+        "0a779edbf361f69e37b4688513995dc741c94297e6a529c841f19a3ce6d7bb64"
 
 
 def test_verify_deterministic_output(capsys):

@@ -130,4 +130,17 @@ def corpus_digest() -> str:
 
 
 def test_reader_outcomes_on_a_seeded_corpus_are_pinned():
-    assert corpus_digest() == "75a1ea98fe01e2345d6cf7f8c5957c254dd0a6cef5fd63b4819f8942ff4b948e"
+    assert corpus_digest() == "4c569251b8086d9562655799640d2f0b8f53d5613a4788d82815252b6d9d7629"
+
+
+def test_readers_take_only_ascii_integer_tokens():
+    # [+-]?[0-9]+ and nothing else that int() would read: underscores,
+    # non-ASCII digits, and a sign without digits are a ParseError with the line
+    good = from_text("vcsp 1\nn 4\nu +3 -07\nb 0 +1 -0010\n")
+    assert (good.unaries, good.binaries) == ({3: -7}, {(0, 1): -10})
+    assert bags("+0 1\n-0 2\n") == [[0, 1], [0, 2]]
+    for token in ("1_0", "\u0663", "\uff11", "+", "-", "+-1", "0x1", "1e3", "\u00b2"):
+        assert outcome(from_text, f"vcsp 1\nn 5\n\nu 1 {token}\n") == \
+            f"ParseError: line 4: non-integer token in 'u 1 {token}'"
+        assert outcome(bags, f"0 1\n1 {token}\n") == \
+            f"ParseError: line 2: non-integer vertex in '1 {token}'"

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import sysconfig
 import threading
+import timeit
 from fractions import Fraction
 from pathlib import Path
 
@@ -531,7 +532,7 @@ def test_native_without_the_128_bit_width(reference, monkeypatch, tmp_path):
     # has only the int64 width; instances past 2^62 then run on the Python loop
     if search._native_kernel() is None:
         pytest.skip("no native kernel on this machine")
-    src = tmp_path / "_steepest.c"
+    src = tmp_path / search._SRC.name  # the source includes itself by name
     src.write_bytes(b"#undef __SIZEOF_INT128__\n" + search._SRC.read_bytes())
     monkeypatch.setattr(search, "_SRC", src)
     widths = search._native_kernel.__wrapped__()
@@ -588,7 +589,7 @@ def test_float_start_is_rejected(monkeypatch, engine, kernel):
 
 def test_native_loader_falls_back_when_the_build_fails(monkeypatch, tmp_path):
     load = search._native_kernel.__wrapped__
-    src = tmp_path / "_steepest.c"
+    src = tmp_path / search._SRC.name
     monkeypatch.setattr(search, "_SRC", src)
     src.write_text("this is not C\n")
     assert load() is None
@@ -601,7 +602,7 @@ def test_native_loader_falls_back_when_the_build_fails(monkeypatch, tmp_path):
 def test_native_loader_builds_into_pycache(monkeypatch, tmp_path):
     if search._native_kernel() is None:
         pytest.skip("no native kernel on this machine")
-    src = tmp_path / "_steepest.c"
+    src = tmp_path / search._SRC.name  # the source includes itself by name
     src.write_bytes(search._SRC.read_bytes())
     monkeypatch.setattr(search, "_SRC", src)
     assert search._native_kernel.__wrapped__() is not None
@@ -610,8 +611,8 @@ def test_native_loader_builds_into_pycache(monkeypatch, tmp_path):
 
 def test_regular_install_ships_the_kernel_source(tmp_path):
     """A non-editable install copies what setuptools' build_py collects.
-    Without _steepest.c there, the installed package cannot build its kernel
-    and steepest ascent quietly runs the Python loop."""
+    Without _ascend.c there, the installed package cannot build its kernel
+    and every ascent quietly runs the Python loop."""
     pytest.importorskip("setuptools")
     root = Path(__file__).resolve().parents[1]
     shutil.copy(root / "pyproject.toml", tmp_path)  # a copy, so the checkout gets no egg-info
@@ -620,22 +621,24 @@ def test_regular_install_ships_the_kernel_source(tmp_path):
     subprocess.run([sys.executable, "-c", "from setuptools import setup; setup()",
                     "build_py", "--build-lib", "build"],
                    cwd=tmp_path, check=True, capture_output=True)
-    assert (tmp_path / "build" / "vcsp_landscape" / "_steepest.c").is_file()
+    assert (tmp_path / "build" / "vcsp_landscape" / "_ascend.c").is_file()
 
 
-def check_threads(inst):
+def check_threads(inst, engine=steepest_ascent):
     """Four threads run ascents from different starts on the shared inst and
     see the same Traces as one thread: the kernel's arrays belong to the
     instance, so the runs must not see each other's state."""
     rng = random.Random(5)
     starts = [random_bits(rng, inst.num_vars) for _ in range(6)]
     runs = [(x, rec) for x in starts for rec in (False, True)]
-    want = [native(inst, x, record_steps=rec) for x, rec in runs]
+    want = [engine(inst, x, record_steps=rec) for x, rec in runs]
+    if engine is steepest_ascent:
+        assert want == [native(inst, x, record_steps=rec) for x, rec in runs]
     bad = []
 
     def work():
         for _ in range(20):
-            got = [steepest_ascent(inst, x, record_steps=rec) for x, rec in runs]
+            got = [engine(inst, x, record_steps=rec) for x, rec in runs]
             if got != want:
                 bad.append(got)
 
@@ -706,6 +709,184 @@ def test_instance_pickles_after_a_native_run():
     copy = pickle.loads(pickle.dumps(inst))
     assert copy == inst and copy._native is None
     assert steepest_ascent(copy, (0,) * 18) == tr
+
+
+@pytest.fixture
+def on_both(monkeypatch):
+    """Runs an engine on the native kernel and on the Python loop and returns
+    both outcomes.  On the kernel _ascend raises, so a run that fell back to
+    the Python loop fails the test."""
+    if search._native_kernel() is None:
+        pytest.skip("no native kernel on this machine")
+
+    def fallback(*args, **kwargs):
+        raise AssertionError("the run fell back to the Python loop")
+
+    def run(engine, *args, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(search, "_ascend", fallback)
+            got = outcome(engine, *args, **kwargs)
+        with monkeypatch.context() as mp:
+            mp.setattr(search, "_native_kernel", lambda: None)
+            want = outcome(engine, *args, **kwargs)
+        return got, want
+    return run
+
+
+def widths_for(scale):
+    """Skips a test at 128 bits where the kernel has only its int64 width."""
+    if scale != 1 and not both_widths():
+        pytest.skip("the kernel was not built at both widths")
+
+
+def random_with(seed):
+    return lambda inst, start, **kw: random_ascent(inst, start, seed=seed, **kw)
+
+
+def first_with(order):
+    return lambda inst, start, **kw: first_improvement_ascent(inst, start, scan_order=order, **kw)
+
+
+# seeds that random.Random reads as ints: zero, negative, bool, and at or
+# past 2^32 and 2^64, where the seed has more than one or two 32-bit words
+SEEDS = [0, 1, -1, -424242, True, False, 2 ** 32 - 1, 2 ** 32, 5 * 2 ** 32 + 7, 2 ** 63,
+         2 ** 64 - 1, 2 ** 64, 2 ** 64 + 9, -(2 ** 70), 2 ** 200 + 3]
+
+
+@pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
+@pytest.mark.parametrize("rule", ["random", "first"])
+def test_native_rules_match_reference_on_chains(on_both, rule, scale):
+    # every chain with n <= 6 from the other peak and from a seeded start,
+    # recorded and summary, with a shuffled scan order for first-improvement
+    widths_for(scale)
+    rng = random.Random(1789)
+    for n in range(1, 7):
+        for m in range(1, n + 1):
+            for sign in "+-":
+                inst = scaled(build_chain(n, m, sign), scale)
+                order = list(range(6 * m))
+                rng.shuffle(order)
+                engines = [random_with(rng.choice(SEEDS) + rng.randrange(2 ** 40))] \
+                    if rule == "random" else [first_improvement_ascent, first_with(order)]
+                for start in (expected_peak(n, m, "-" if sign == "+" else "+"),
+                              random_bits(rng, 6 * m)):
+                    for engine in engines:
+                        for record in (False, True):
+                            got, want = on_both(engine, inst, start, record_steps=record)
+                            assert got == want
+                            assert got.end == expected_peak(n, m, sign)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
+def test_native_rules_match_reference_on_random_instances(on_both, monkeypatch, scale, chunk):
+    # 300 seeded instances with many ties, every seed kind, shuffled scan
+    # orders and max_steps limits; with chunk set, recorded runs cross kernel
+    # calls every `chunk` steps, and the generator and scan position carry over
+    widths_for(scale)
+    if chunk:
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+    rng = random.Random(4711)
+    stopped = crossed = 0
+    for t in range(300):
+        inst = scaled(random_instance(rng, max_vars=14, max_weight=rng.choice((3, 20))), scale)
+        start = random_bits(rng, inst.num_vars)
+        order = list(range(inst.num_vars))
+        rng.shuffle(order)
+        seed = SEEDS[t % len(SEEDS)]
+        for engine in (random_with(seed), first_improvement_ascent, first_with(order)):
+            limit = rng.choice([None, None, 0, 1, 3, 5])
+            for record in (False, True):
+                got, want = on_both(engine, inst, start, record_steps=record, max_steps=limit)
+                assert got == want
+                stopped += not got.complete
+                crossed += record and chunk is not None and got.num_steps > chunk
+    assert stopped >= 100 and (crossed >= 100 or not chunk)
+
+
+def test_native_rules_stop_at_max_steps(on_both):
+    # a run stopped at k steps is the first k steps of the unlimited run, on
+    # the kernel and on the Python loop alike
+    inst = build_chain(8, 8, "+")
+    start = tuple(1 - b for b in expected_peak(8, 8, "+"))  # a start far from the peak
+    order = list(range(48))
+    random.Random(8).shuffle(order)
+    for engine in (random_with(2 ** 64 + 1), random_with(-3), first_improvement_ascent,
+                   first_with(order)):
+        whole, want = on_both(engine, inst, start)
+        assert whole == want and whole.complete and whole.num_steps > 10
+        for k in (0, 1, 7, whole.num_steps - 1, whole.num_steps, whole.num_steps + 1):
+            for record in (False, True):
+                got, want = on_both(engine, inst, start, record_steps=record, max_steps=k)
+                assert got == want
+                assert got.num_steps == min(k, whole.num_steps)
+                assert got.complete == (k >= whole.num_steps)
+                if record:
+                    assert got.steps == whole.steps[:k]
+        assert engine(inst, start, max_steps=2 ** 64) == whole  # beyond int64: no limit
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_native_random_draws_match_cpython(on_both, seed):
+    # the kernel's generator starts where random.Random(seed) does, and every
+    # step of a 1,000-step run draws (1,300 words: the state is regenerated twice)
+    rule = search._Random(seed)
+    state = rule.kernel_args(search._native_kernel()[0])[3]
+    assert tuple(state) == random.Random(seed).getstate()[1]
+    d = 1000
+    inst = Instance(d, 0, [(i, 1) for i in range(d)], [])
+    got, want = on_both(random_ascent, inst, (0,) * d, seed=seed)
+    assert got == want and got.num_steps == d and got.seed == seed
+
+
+@pytest.mark.parametrize("seed", ["vcsp", b"vcsp", 2.5, None])
+def test_random_ascent_with_a_non_int_seed_runs_on_the_python_loop(monkeypatch, seed):
+    # random.Random hashes these seeds, which the kernel does not mirror
+    loops = []
+    ascend = search._ascend
+    monkeypatch.setattr(search, "_ascend", lambda *a: loops.append(1) or ascend(*a))
+    inst = build_chain(3, 3, "+")
+    start = expected_peak(3, 3, "-")
+    tr = random_ascent(inst, start, seed=seed)
+    assert loops and tr.end == expected_peak(3, 3, "+") and tr.seed == seed
+    replay(inst, tr)
+    if seed is not None:  # None seeds from the operating system
+        assert random_ascent(inst, start, seed=seed) == tr
+    with pytest.raises(TypeError):  # a seed random.Random rejects raises before any draw
+        random_ascent(inst, expected_peak(3, 3, "+"), seed=[1])
+
+
+def test_scan_order_takes_numpy_ints_and_rejects_floats():
+    np = pytest.importorskip("numpy")
+    inst = build_chain(2, 2, "+")
+    start = expected_peak(2, 2, "-")
+    order = list(range(12))[::-1]
+    tr = first_improvement_ascent(inst, start, scan_order=np.array(order))
+    assert tr == first_improvement_ascent(inst, start, scan_order=order)
+    assert {type(v) for v, _, _ in tr.steps} == {int}
+    with pytest.raises(InvalidArgumentError):
+        first_improvement_ascent(inst, start, scan_order=[float(v) for v in order])
+
+
+def test_native_random_ascent_is_log_d_a_step(on_both):
+    # 4,000 independent unaries from all zeros: every variable improves, so
+    # a rule that sorts the improving set on each step is quadratic (0.13 to
+    # 0.17 s on a 2-core Xeon); with the kernel's Fenwick tree it takes 1.5 ms
+    d = 4000
+    inst = Instance(d, 0, [(i, 1) for i in range(d)], [])
+    got, want = on_both(random_ascent, inst, (0,) * d, seed=2026)
+    assert got == want and got.num_steps == d and got.end == (1,) * d
+    best = min(timeit.repeat(lambda: random_ascent(inst, (0,) * d, seed=2026),
+                             number=1, repeat=5))
+    assert best < 0.05
+
+
+@pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
+def test_native_rules_threads_share_an_instance(scale):
+    widths_for(scale)
+    inst = scaled(build_chain(6, 6, "+"), scale)
+    check_threads(inst, random_with(2 ** 64 + 7))
+    check_threads(inst, first_with(list(range(36))[::-1]))
 
 
 @pytest.mark.parametrize("case,digest", [
