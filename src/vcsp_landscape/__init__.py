@@ -9,7 +9,6 @@ oracles.
 from .core import (
     Bits,
     Instance,
-    flip,
     format_assignment,
     from_constraint_tables,
     from_text,

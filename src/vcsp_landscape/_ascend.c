@@ -25,7 +25,11 @@
                      not be 16-byte aligned.
    Under its bound no fitness, gradient or gain can overflow its width.
 
-   Compiled on first use by search._native_kernel and called through ctypes. */
+   Compiled on first use by search._native_kernel and called through ctypes
+   with no argtypes, which converts each argument by its Python type: ints
+   as C int, so every integer parameter is int32_t except max_steps, which
+   the caller passes as a ctypes int64, and every pointer as a ctypes array
+   or None. */
 #ifndef VALUE
 
 #include <stddef.h>
@@ -51,11 +55,14 @@ enum { R_STEPS, R_FIT_START, R_FIT_END, R_MIN_GAIN, R_TIES, R_TIE_MOVES, R_TIE_G
 /* --- Random draws: CPython's MT19937, as Modules/_randommodule.c has it ---
 
    The state is MT_N + 1 words: the generator's words, then the index of the
-   next one to temper.  vcsp_mt_seed fills it as random.Random(seed) does for
-   an int seed: init_by_array on the 32-bit words of abs(seed), least
-   significant first.  randbelow(n) is Random._randbelow_with_getrandbits:
-   getrandbits(k) = genrand_uint32() >> (32 - k) with k = n.bit_length(),
-   redrawn while it is n or more, which is what randrange(n) returns. */
+   next one to temper.  random.Random(seed) seeds it from an int seed with
+   init_by_array on the 32-bit words of abs(seed), least significant first,
+   which starts from init_genrand(19650218).  Those first MT_N words are the
+   same for every seed, so vcsp_mt_table computes them once and vcsp_mt_seed
+   runs only the seed-dependent steps, on a copy of the table.
+   randbelow(n) is Random._randbelow_with_getrandbits: getrandbits(k) =
+   genrand_uint32() >> (32 - k) with k = n.bit_length(), redrawn while it is
+   n or more, which is what randrange(n) returns. */
 
 enum { MT_N = 624, MT_M = 397 };
 
@@ -85,35 +92,38 @@ static uint32_t genrand_uint32(uint32_t *mt)
     return y;
 }
 
-/* key holds 4 * words bytes: abs(seed) in little-endian order, words >= 1.
-   Each word depends on the one before; prev keeps it in a register. */
-void vcsp_mt_seed(uint32_t *mt, const unsigned char *key, size_t words)
+/* The table: init_genrand(19650218) in mt[0 .. MT_N), and MT_N in mt[MT_N]. */
+void vcsp_mt_table(uint32_t *mt)
 {
-    size_t i, j, k;
-    uint32_t prev = 19650218U;  /* init_genrand(19650218) */
+    uint32_t prev = 19650218U;
     mt[0] = prev;
-    for (i = 1; i < MT_N; i++)
-        mt[i] = prev = 1812433253U * (prev ^ (prev >> 30)) + (uint32_t)i;
+    for (uint32_t i = 1; i < MT_N; i++)
+        mt[i] = prev = 1812433253U * (prev ^ (prev >> 30)) + i;
     mt[MT_N] = MT_N;
-    prev = mt[0];
-    i = 1;
-    j = 0;
-    for (k = MT_N > words ? MT_N : words; k; k--) {
-        const unsigned char *b = key + 4 * j;
+}
+
+/* mt holds the table on entry.  key holds 4 * words bytes: abs(seed) in
+   little-endian order, words >= 1.  Each word depends on the one before;
+   prev keeps it in a register. */
+void vcsp_mt_seed(uint32_t *mt, const unsigned char *key, int32_t words)
+{
+    uint32_t i = 1, j = 0, k, prev = mt[0];
+    for (k = MT_N > (uint32_t)words ? MT_N : (uint32_t)words; k; k--) {
+        const unsigned char *b = key + 4 * (size_t)j;
         uint32_t word = (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16
                         | (uint32_t)b[3] << 24;
-        mt[i] = prev = (mt[i] ^ ((prev ^ (prev >> 30)) * 1664525U)) + word + (uint32_t)j;
+        mt[i] = prev = (mt[i] ^ ((prev ^ (prev >> 30)) * 1664525U)) + word + j;
         i++;
         j++;
         if (i >= MT_N) {
             mt[0] = prev;
             i = 1;
         }
-        if (j >= words)
+        if (j >= (uint32_t)words)
             j = 0;
     }
     for (k = MT_N - 1; k; k--) {
-        mt[i] = prev = (mt[i] ^ ((prev ^ (prev >> 30)) * 1566083941U)) - (uint32_t)i;
+        mt[i] = prev = (mt[i] ^ ((prev ^ (prev >> 30)) * 1566083941U)) - i;
         i++;
         if (i >= MT_N) {
             mt[0] = prev;
@@ -301,7 +311,7 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
         } else {
             uint32_t p = state[0];  /* the scan cursor: a position in order */
             do {
-                best = order[p];
+                best = order ? order[p] : (int32_t)p;
                 if (++p == (uint32_t)d)
                     p = 0;
             } while (!(LOAD(gain, best) > 0));
@@ -352,23 +362,26 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
     return status;
 }
 
-/* d variables and the constant in constant[0]; binary neighbours of i are
-   nbr[off[i] .. off[i+1]) with weights w[] (CSR); these and unary[] are only
-   read.  x holds the start on entry and the end on return.  max_steps < 0
-   means no limit.  rule picks the selection rule.  Under STEEPEST, a tie with
-   stop_on_tie set stops the run before the tied step and reports the tie's
-   size and gain.  Under RANDOM, state holds the generator (MT_N + 1 words,
-   see vcsp_mt_seed); under FIRST, state[0] is the position in order[] (a
-   permutation of 0 .. d-1) where the scan resumes.  The loop advances the
-   state, so the next call continues the run.  When out_var is not NULL,
-   step t writes its variable and gain to out_var[t] and out_gain[t], which
-   must hold max_steps entries.  The run stops with NO_MEMORY if the scratch
-   cannot be allocated. */
-int ASCEND(int32_t d, const CELL *constant, const int32_t *off, const int32_t *nbr,
-           const CELL *w, const CELL *unary, uint8_t *x, int64_t max_steps, int32_t rule,
+/* d variables; arrays holds the instance's five arrays, in this order: the
+   constant in constant[0], the binary neighbours of i in nbr[off[i] ..
+   off[i+1]) with weights w[] (CSR), and unary[].  They are only read, and
+   one block per instance lets the caller pass them as one argument.  x holds
+   the start on entry and the end on return.  max_steps < 0 means no limit.
+   rule picks the selection rule.  Under STEEPEST, a tie with stop_on_tie set
+   stops the run before the tied step and reports the tie's size and gain.
+   Under RANDOM, state holds the generator (MT_N + 1 words, see
+   vcsp_mt_seed); under FIRST, state[0] is the position in order[] (a
+   permutation of 0 .. d-1, or NULL for 0, 1, .., d-1) where the scan
+   resumes.  The loop advances the state, so the next call continues the
+   run.  When out_var is not NULL, step t writes its variable and gain to
+   out_var[t] and out_gain[t], which must hold max_steps entries.  The run
+   stops with NO_MEMORY if the scratch cannot be allocated. */
+int ASCEND(int32_t d, const void *const *arrays, uint8_t *x, int64_t max_steps, int32_t rule,
            int32_t stop_on_tie, const int32_t *order, uint32_t *state, int32_t *out_var,
            CELL *out_gain, CELL *res)
 {
+    const CELL *constant = arrays[0], *w = arrays[3], *unary = arrays[4];
+    const int32_t *off = arrays[1], *nbr = arrays[2];
     /* Two blocks, not one: the compiler then knows that gain and imp do not
        alias, and the loop ran about 10% faster than with one shared block. */
     size_t n = d > 0 ? (size_t)d : 1;  /* malloc(0) may return NULL */

@@ -261,15 +261,6 @@ def _gradient_table(inst: Instance, v: int) -> list[int]:
     return sums
 
 
-def flip(x: Sequence[int], i: int) -> Bits:
-    """Copy of x with bit i flipped."""
-    if not (0 <= i < len(x)):
-        raise IndexOutOfRangeError(f"variable index {i} not in [0, {len(x)})")
-    y = list(x)
-    y[i] ^= 1
-    return tuple(y)
-
-
 def parse_bits(s: str) -> Bits:
     s = s.strip()
     if any(c not in "01" for c in s):

@@ -19,6 +19,7 @@ import pytest
 from conftest import random_bits, random_instance
 from vcsp_landscape import (
     Instance,
+    Trace,
     build_chain,
     constraint_graph,
     build_gadget,
@@ -345,6 +346,29 @@ def test_run_trials_deterministic_methods(gadget_plus):
     assert set(stats.step_counts) == {7}
     assert stats.mean == Fraction(7)
     assert stats.seed is None
+
+
+@pytest.mark.parametrize("method,engine", [("steepest", "steepest_ascent"),
+                                           ("first", "first_improvement_ascent")])
+def test_run_trials_runs_a_deterministic_method_once(monkeypatch, method, engine):
+    # every trial of a deterministic method takes the same path, so the batch
+    # runs one ascent; its options still apply
+    inst = build_chain(4, 4, "+")
+    start = expected_peak(4, 4, "-")
+    want = getattr(search, engine)(inst, start).num_steps
+    calls = []
+    run = getattr(search, engine)
+    monkeypatch.setattr(search, engine, lambda *a, **kw: calls.append(1) or run(*a, **kw))
+    stats = run_trials(inst, start, method=method, trials=100)
+    assert len(calls) == 1
+    assert stats == search.TrialStats(method, 100, (want,) * 100, Fraction(want), want, want,
+                                      None)
+    limited = run_trials(inst, start, method=method, trials=3, max_steps=5)
+    assert limited.step_counts == (5, 5, 5) and len(calls) == 2
+    if method == "steepest":
+        with pytest.raises(TieEncounteredError):
+            run_trials(Instance(2, 0, [(0, 1), (1, 1)], []), (0, 0), method=method, trials=3,
+                       tie_policy="error")
 
 
 def test_run_trials_rejects_empty(gadget_plus):
@@ -676,7 +700,7 @@ def test_native_arrays_are_read_only(scale):
         native(inst, start, max_steps=0)
         arrays = inst._native
         before = kernel_bytes(arrays)
-        assert set(before) == {"constant", "off", "nbr", "w", "unary"}
+        assert set(before) == {"constant", "off", "nbr", "w", "unary", "block"}
         for kw in runs:
             tr = outcome(native, inst, start, **kw)
             assert inst._native is arrays and kernel_bytes(arrays) == before
@@ -729,6 +753,8 @@ def on_both(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(search, "_native_kernel", lambda: None)
             want = outcome(engine, *args, **kwargs)
+        if got == want:
+            assert repr(got) == repr(want)
         return got, want
     return run
 
@@ -756,18 +782,28 @@ SEEDS = [0, 1, -1, -424242, True, False, 2 ** 32 - 1, 2 ** 32, 5 * 2 ** 32 + 7, 
 @pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
 @pytest.mark.parametrize("rule", ["random", "first"])
 def test_native_rules_match_reference_on_chains(on_both, rule, scale):
-    # every chain with n <= 6 from the other peak and from a seeded start,
-    # recorded and summary, with a shuffled scan order for first-improvement
     widths_for(scale)
+    check_rules_on_chains(on_both, rule, scale, 6)
+
+
+def check_rules_on_chains(on_both, rule, scale, n_max):
+    """Every chain with n <= n_max from the other peak and from a seeded
+    start, recorded and summary, under rule ("steepest", "random" or
+    "first"), with index order (NULL on the kernel) and a shuffled scan order
+    for first-improvement."""
     rng = random.Random(1789)
-    for n in range(1, 7):
+    for n in range(1, n_max + 1):
         for m in range(1, n + 1):
             for sign in "+-":
                 inst = scaled(build_chain(n, m, sign), scale)
                 order = list(range(6 * m))
                 rng.shuffle(order)
-                engines = [random_with(rng.choice(SEEDS) + rng.randrange(2 ** 40))] \
-                    if rule == "random" else [first_improvement_ascent, first_with(order)]
+                if rule == "random":
+                    engines = [random_with(rng.choice(SEEDS) + rng.randrange(2 ** 40))]
+                elif rule == "first":
+                    engines = [first_improvement_ascent, first_with(order)]
+                else:
+                    engines = [steepest_ascent]
                 for start in (expected_peak(n, m, "-" if sign == "+" else "+"),
                               random_bits(rng, 6 * m)):
                     for engine in engines:
@@ -780,15 +816,20 @@ def test_native_rules_match_reference_on_chains(on_both, rule, scale):
 @pytest.mark.parametrize("chunk", [None, 1, 3])
 @pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
 def test_native_rules_match_reference_on_random_instances(on_both, monkeypatch, scale, chunk):
-    # 300 seeded instances with many ties, every seed kind, shuffled scan
-    # orders and max_steps limits; with chunk set, recorded runs cross kernel
-    # calls every `chunk` steps, and the generator and scan position carry over
     widths_for(scale)
     if chunk:
         monkeypatch.setattr(search, "_CHUNK", chunk)
+    check_rules_on_random_instances(on_both, scale, chunk, 300)
+
+
+def check_rules_on_random_instances(on_both, scale, chunk, count):
+    """count seeded instances with many ties, every seed kind, index and
+    shuffled scan orders and max_steps limits; with chunk set, recorded runs
+    cross kernel calls every `chunk` steps, and the generator and scan
+    position carry over."""
     rng = random.Random(4711)
     stopped = crossed = 0
-    for t in range(300):
+    for t in range(count):
         inst = scaled(random_instance(rng, max_vars=14, max_weight=rng.choice((3, 20))), scale)
         start = random_bits(rng, inst.num_vars)
         order = list(range(inst.num_vars))
@@ -801,7 +842,7 @@ def test_native_rules_match_reference_on_random_instances(on_both, monkeypatch, 
                 assert got == want
                 stopped += not got.complete
                 crossed += record and chunk is not None and got.num_steps > chunk
-    assert stopped >= 100 and (crossed >= 100 or not chunk)
+    assert stopped >= count // 3 and (crossed >= count // 3 or not chunk)
 
 
 def test_native_rules_stop_at_max_steps(on_both):
@@ -887,6 +928,55 @@ def test_native_rules_threads_share_an_instance(scale):
     inst = scaled(build_chain(6, 6, "+"), scale)
     check_threads(inst, random_with(2 ** 64 + 7))
     check_threads(inst, first_with(list(range(36))[::-1]))
+
+
+def test_trace_helper_builds_what_the_constructor_builds():
+    # the kernel path builds Traces through _trace, which skips the frozen
+    # dataclass's __init__; the result is the same object in every respect
+    fields = ("random", (0, 1), (1, 1), 1, -3, 4, 7, 0, ((0, 7, 4),), 2 ** 70, True)
+    got, want = search._trace(*fields), Trace(*fields)
+    assert type(got) is Trace
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert vars(got) == vars(want) and list(vars(got)) == list(vars(want))
+    assert dataclasses.astuple(got) == fields
+    assert pickle.loads(pickle.dumps(got)) == want
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.num_steps = 2
+    assert got != search._trace(*fields[:-1], False)
+
+
+def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path, capfd):
+    # the kernel built with -fsanitize=undefined runs the native-against-
+    # reference checks without a report: no signed overflow, no shift or
+    # index out of range, no misaligned access, at both widths
+    widths = search._native_kernel()
+    # the library's name is keyed by source and platform, not by flags: a
+    # copy keeps this build out of the package's __pycache__ (the source
+    # includes itself by name)
+    src = tmp_path / search._SRC.name
+    src.write_bytes(search._SRC.read_bytes())
+    monkeypatch.setattr(search, "_SRC", src)
+    get = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: f"{get(name)} -fsanitize=undefined" if name == "CC"
+                        else get(name))
+    sanitized = search._native_kernel.__wrapped__()
+    if sanitized is None:
+        pytest.skip("the kernel cannot be built with -fsanitize=undefined here")
+    assert [w.bound for w in sanitized] == [w.bound for w in widths]
+    monkeypatch.setattr(search, "_native_kernel", lambda: sanitized)
+    default_chunk = search._CHUNK
+    for scale in (1, BIG)[:len(sanitized)]:
+        for rule in ("steepest", "random", "first"):
+            check_rules_on_chains(on_both, rule, scale, 4)
+        for chunk in (None, 1, 3):
+            monkeypatch.setattr(search, "_CHUNK", chunk or default_chunk)
+            check_rules_on_random_instances(on_both, scale, chunk, 60)
+            check_ties(reference, scale)
+    inst = build_chain(2, 2, "+")
+    steepest_ascent(inst, (0,) * 12)
+    assert inst._native.width in sanitized  # the runs above used the sanitized build
+    assert "runtime error:" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("case,digest", [
