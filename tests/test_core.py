@@ -66,6 +66,38 @@ def test_index_out_of_range_rejected():
         Instance(2, 0, [], [(0, 5, 1)])
 
 
+@pytest.mark.parametrize("args,exc,message", [
+    ((-1,), IndexOutOfRangeError, "num_vars must be >= 0, got -1"),
+    ((2, 0, [(2, 1)]), IndexOutOfRangeError, "variable index 2 not in [0, 2)"),
+    ((2, 0, [(-1, 1)]), IndexOutOfRangeError, "variable index -1 not in [0, 2)"),
+    ((2, 0, [(0, 0)]), ZeroWeightError, "unary on variable 0 has weight 0"),
+    ((2, 0, [(0, 1), (0, 2)]), DuplicateScopeError, "duplicate unary scope {0}"),
+    ((2, 0, [], [(0, 5, 1)]), IndexOutOfRangeError, "variable index 5 not in [0, 2)"),
+    ((2, 0, [], [(5, -3, 1)]), IndexOutOfRangeError, "variable index 5 not in [0, 2)"),
+    ((2, 0, [], [(3, 3, 0)]), IndexOutOfRangeError, "variable index 3 not in [0, 2)"),
+    ((2, 0, [], [(1, 1, 0)]), SelfLoopError, "binary scope pairs variable 1 with itself"),
+    ((2, 0, [], [(1, 0, 0)]), ZeroWeightError, "binary on {1,0} has weight 0"),
+    ((3, 0, [], [(0, 1, 1), (1, 0, 2)]), DuplicateScopeError, "duplicate binary scope {0,1}"),
+    ((2, 0, [], [], [(2, 1, 1)]), IndexOutOfRangeError, "variable index 2 not in [0, 2)"),
+    ((2, 0, [], [], {0: (0, 1)}), ParseError,
+     "label (0,1) out of range: need k >= 1, 1 <= i <= 6"),
+    ((2, 0, [], [], {0: (1, 7)}), ParseError,
+     "label (1,7) out of range: need k >= 1, 1 <= i <= 6"),
+    ((2, 0, [], [], [(0, 1, 1), (0, 1, 2)]), DuplicateScopeError, "variable 0 labeled twice"),
+    ((2, 0, [], [], [(0, 1, 1), (1, 1, 1)]), DuplicateScopeError, "label (1,1) used twice"),
+    # unaries are checked before binaries, and binaries before labels
+    ((2, 0, [(0, 0)], [(1, 1, 5)], {0: (0, 1)}), ZeroWeightError,
+     "unary on variable 0 has weight 0"),
+    ((2, 0, [], [(1, 1, 5)], {0: (0, 1)}), SelfLoopError,
+     "binary scope pairs variable 1 with itself"),
+])
+def test_instance_error_messages(args, exc, message):
+    # one invalid input per message Instance raises, with its exact class
+    with pytest.raises(exc) as err:
+        Instance(*args)
+    assert type(err.value) is exc and str(err.value) == message
+
+
 def test_generated_gadget_matches_hand_weights(gadget_minus):
     assert gadget_minus.unaries == {i: w for i, w in enumerate(GADGET_UNARIES_MINUS)}
     assert gadget_minus.binaries == GADGET_BINARIES

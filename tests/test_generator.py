@@ -4,6 +4,7 @@ import pytest
 
 from vcsp_landscape import (
     Instance,
+    generator,
     build_chain,
     build_gadget,
     canonical_decomposition,
@@ -240,9 +241,44 @@ def mutated(n, m, sign, unaries=(), binaries=()):
     (3, 3, "-", [(9, lambda w: w + 1)], (),
      "gradient magnitude 3 on (2, 4) is neither the small step 2 nor >= the "
      "large-step floor 5"),
+    # a second case per check: a missing unary, a positive unary below a '+'
+    # top, an outgoing link, a slack that counts the negative outgoing
+    # binary (5,6), and a gap hit only by two incoming binaries together
+    (3, 3, "-", [(0, None)], (), "expected 18 unaries and 20 binaries, got 17 and 20"),
+    (3, 2, "+", [(6, 5)], (), "unary on (1, 1) must be negative, got 5"),
+    (3, 2, "-", (), [((5, 6), lambda w: w + 21)],
+     "unary magnitude on (2, 6) does not dominate its outgoing binaries"),
+    (3, 3, "-", (), [((3, 4), lambda w: w - 7)],
+     "incoming binaries (273,) on (3, 5) fall in the dominance gap (0, 273]"),
+    (3, 3, "-", (), [((4, 5), lambda w: w + 1)],
+     "incoming binaries (266, -265) on (3, 6) fall in the dominance gap (0, 259]"),
 ])
 def test_self_validation_messages(n, m, sign, unaries, binaries, message):
     # one mutated chain per failing check, with the exact first message
     with pytest.raises(SelfValidationError) as err:
         validate_chain(mutated(n, m, sign, unaries, binaries), n, m, sign)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n,k,sign,scope,message", [
+    (3, 2, "+", ((2, 1),), "unary on (2, 1) must be 7, got 6"),
+    (3, 2, "-", ((2, 2),),
+     "gradient magnitude 4 on (2, 2) is neither the small step 2 nor >= the "
+     "large-step floor 5"),
+    (4, 3, "-", ((3, 4), (3, 5)),
+     "incoming binaries (180,) on (3, 5) fall in the dominance gap (0, 351]"),
+])
+def test_gadget_self_validation_messages(monkeypatch, n, k, sign, scope, message):
+    # build_gadget checks its own weights, with s_k from its gadget index k:
+    # one weight of gadget_constraints is corrupted (a unary less 1, a binary
+    # halved)
+    real = generator.gadget_constraints
+
+    def corrupted(*args):
+        return [(s, (w // 2 if len(s) == 2 else w - 1) if s == scope else w)
+                for s, w in real(*args)]
+
+    monkeypatch.setattr(generator, "gadget_constraints", corrupted)
+    with pytest.raises(SelfValidationError) as err:
+        build_gadget(n, k, sign)
     assert str(err.value) == message

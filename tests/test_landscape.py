@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -524,9 +525,63 @@ def test_orient_matches_reference_on_random_instances():
     assert min(kinds.values()) >= 300, kinds
 
 
+def test_chain_pipeline_is_pinned():
+    # the text, orientation and polynomial peak of every chain with
+    # m <= n <= 20 and every standalone gadget with k <= n <= 20, both signs
+    h = hashlib.sha256()
+    for n in range(1, 21):
+        for sign in "+-":
+            insts = [build_chain(n, m, sign) for m in range(1, n + 1)]
+            insts += [build_gadget(n, k, sign) for k in range(1, n + 1)]
+            for inst in insts:
+                o = orient(inst)
+                h.update(f"{core.to_text(inst)}{o!r}\n{peak_of_oriented(inst, o)}\n".encode())
+    assert h.hexdigest() == "e4dcd16605a176ffb9bff5e9cda9093d3fc8d7d674ed15e2408e3db9a62fa768"
+
+
 def star(d):
     """Variable 0 joined to each of d leaves."""
     return Instance(d + 1, 0, [(0, 1)], [(0, j, 1) for j in range(1, d + 1)])
+
+
+def weighted_star(rng, d):
+    """Variable 0 joined to each of d leaves by mixed weights.  Most leaves
+    carry a unary that outweighs their binary, so they do not sign-depend on
+    the centre and an arc j -> 0 shows that the centre depends on leaf j."""
+    big, small = rng.choice(((1, 1), (3, 3), (16, 1), (64, 3)))
+    weights = [rng.choice((-1, 1)) * rng.randint(1, rng.choice((big, small))) for _ in range(d)]
+    total = sum(map(abs, weights))
+    unaries = [(0, rng.randint(-total, total) or 1)]
+    for j, w in enumerate(weights, start=1):
+        kind = rng.random()
+        if kind < 0.9:
+            unaries.append((j, rng.choice((-1, 1)) * (abs(w) + rng.randint(1, 3))))
+        elif kind < 0.95:
+            unaries.append((j, -w))
+    return Instance(d + 1, 0, unaries, [(0, j, w) for j, w in enumerate(weights, start=1)])
+
+
+def test_orient_matches_reference_on_stars():
+    # centres of degree up to 12, with gradient tables of up to 4,096 entries:
+    # neighbours at bits 8 to 11 that are sign sources and ones that are not,
+    # centres with a zero gradient, and conflicts
+    rng = random.Random(12)
+    seen = {"source": 0, "not": 0, "zero": 0, "conflict": 0}
+    for d in range(1, 13):
+        for _ in range(8):
+            inst = weighted_star(rng, d)
+            o = orient(inst)
+            assert o == reference_orient(inst), core.to_text(inst)
+            if not o.oriented:
+                seen["conflict"] += 1
+                continue
+            table = [inst.unaries[0]]
+            for _, w in inst.neighbors[0]:
+                table += [g + w for g in table]
+            seen["zero"] += 0 in table
+            for j in range(9, d + 1):
+                seen["source" if (j, 0) in o.arcs else "not"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_orient_caps_the_neighborhood(monkeypatch):
