@@ -108,11 +108,13 @@ def build_chain(n: int, m: int, sign: str, validate: bool = True) -> Instance:
     binaries: list[tuple[int, int, int]] = []
     for k in range(m, 0, -1):
         for scope, w in gadget_constraints(n, k, sign if k == m else "-", k == m):
-            idx = [_dense(m, kk, ii) for kk, ii in scope]
-            if len(idx) == 1:
-                unaries.append((idx[0], w))
+            # dense indices, as _dense computes them
+            if len(scope) == 1:
+                (kk, ii), = scope
+                unaries.append((6 * (m - kk) + ii - 1, w))
             else:
-                binaries.append((idx[0], idx[1], w))
+                (ka, ia), (kb, ib) = scope
+                binaries.append((6 * (m - ka) + ia - 1, 6 * (m - kb) + ib - 1, w))
     inst = Instance(6 * m, 0, unaries, binaries, chain_labels(m))
     if validate:
         validate_chain(inst, n, m, sign)
@@ -227,8 +229,9 @@ def validate_chain(inst: Instance, n: int, m: int, sign: str) -> None:
 def _validate_weights(inst: Instance, n: int, sign: str, top_label, gadget_of) -> None:
     S = 2 * n + 1
     top = inst.index_of(top_label)
-    for v in range(inst.num_vars):
-        u = inst.unaries.get(v, 0)
+    unaries = inst.unaries
+    for v, nbrs in enumerate(inst.neighbors):
+        u = unaries.get(v, 0)
         is_plus_top = sign == "+" and v == top
         if is_plus_top:
             if u != S:
@@ -236,12 +239,21 @@ def _validate_weights(inst: Instance, n: int, sign: str, top_label, gadget_of) -
         elif u >= 0:
             raise SelfValidationError(f"unary on {inst.labels[v]} must be negative, got {u}")
 
-        outgoing = [w for j, w in inst.neighbors[v] if j > v]
-        incoming = [w for j, w in inst.neighbors[v] if j < v]
-        if not is_plus_top and abs(u) <= sum(outgoing):
+        # one pass over the neighbours: binaries toward larger dense index are
+        # outgoing, the others incoming
+        outgoing = negative_outgoing = 0
+        incoming = []
+        for j, w in nbrs:
+            if j > v:
+                outgoing += w
+                if w < 0:
+                    negative_outgoing -= w
+            else:
+                incoming.append(w)
+        if not is_plus_top and abs(u) <= outgoing:
             raise SelfValidationError(
                 f"unary magnitude on {inst.labels[v]} does not dominate its outgoing binaries")
-        slack = abs(u) + sum(-w for w in outgoing if w < 0)
+        slack = abs(u) + negative_outgoing
         for r in range(1, len(incoming) + 1):
             for sub in combinations(incoming, r):
                 t = sum(sub)

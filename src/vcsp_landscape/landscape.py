@@ -107,34 +107,39 @@ class Orientation:
     conflict_witnesses: tuple[SignDependence, SignDependence] | None = None
 
 
-def _sign_sources(inst: Instance, v: int) -> set[int]:
-    """The neighbors j such that v sign-depends on j.
-
-    Neighbor b (bit b of the gradient table's mask order) is one when some
-    mask m without bit b has a different sign at m and at m | 1<<b; each
-    block of masks below bit b is compared with the block above it at once.
-    """
-    signs = [(g > 0) - (g < 0) for g in _gradient_table(inst, v)]
-    out = set()
-    bit = 1
-    for j, _ in inst.neighbors[v]:
-        step = 2 * bit
-        for m in range(0, len(signs), step):
-            if signs[m:m + bit] != signs[m + bit:m + step]:
-                out.add(j)
-                break
-        bit = step
-    return out
-
-
 def orient(inst: Instance) -> Orientation:
     """Sign-dependence analysis of every edge, in sorted edge order.
 
     Each variable's 2^degree gradient table is built once, so the cost is
-    O(sum of degree * 2^degree) over the variables.  On the first edge whose
-    endpoints depend on each other, sign_depends supplies both witnesses.
+    O(sum of degree * 2^degree) over the variables.  The table's positive
+    and zero entries become two int bitmasks, pos and zero, with bit m for
+    entry m.  Neighbour b (bit b of the table's mask order) is a sign source
+    of v when some mask m without bit b has a different sign at m and at
+    m | 1<<b: when pos ^ pos >> 2^b or zero ^ zero >> 2^b has a set bit at
+    an index without bit b.  Over 2^deg entries those indices are the mask
+    (2^(2^deg) - 1) // (2^(2^(b+1)) - 1) * (2^(2^b) - 1).  On the first
+    edge whose endpoints depend on each other, sign_depends supplies both
+    witnesses.
     """
-    sources = [_sign_sources(inst, v) for v in range(inst.num_vars)]
+    sources: list[set[int]] = []
+    for v, nbrs in enumerate(inst.neighbors):
+        pos = zero = 0
+        bit = 1
+        for g in _gradient_table(inst, v):
+            if g > 0:
+                pos |= bit
+            elif not g:
+                zero |= bit
+            bit <<= 1
+        full = bit - 1
+        on = set()
+        h = 1  # 2^b
+        for j, _ in nbrs:
+            without_b = full // ((1 << 2 * h) - 1) * ((1 << h) - 1)
+            if ((pos ^ pos >> h) | (zero ^ zero >> h)) & without_b:
+                on.add(j)
+            h *= 2
+        sources.append(on)
     arcs: list[tuple[int, int]] = []
     for (i, j) in sorted(inst.binaries):
         j_on_i = i in sources[j]

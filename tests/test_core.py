@@ -336,6 +336,32 @@ def test_text_parser_error_messages(bad, msg):
     assert str(e.value) == msg
 
 
+@pytest.mark.parametrize("text,exc,msg", [
+    ("vcsp 1\nn 3\nb 0 1 2\nu 2 1\nb 1 0 5\n", DuplicateScopeError,
+     "line 5: duplicate binary scope {0,1}"),
+    ("vcsp 1\nn 3\nlabel 0 0 1\n", ParseError,
+     "line 3: label (0,1) out of range: need k >= 1, 1 <= i <= 6"),
+    ("vcsp 1\n# a comment\n\nn -1\n", IndexOutOfRangeError,
+     "line 4: num_vars must be >= 0, got -1"),
+    ("vcsp 1\nn 3\nu 0 1\n\nu 1 2  # second\nu 1 3\n", DuplicateScopeError,
+     "line 6: duplicate unary scope {1}"),
+    # unaries are checked before binaries, and binaries before labels,
+    # whatever the order of their lines
+    ("vcsp 1\nn 2\nlabel 0 1 9\nb 1 1 5\nu 0 0\n", ZeroWeightError,
+     "line 5: unary on variable 0 has weight 0"),
+    ("vcsp 1\nn 2\nlabel 0 1 9\nb 0 1 5\nb 1 1 5\n", SelfLoopError,
+     "line 5: binary scope pairs variable 1 with itself"),
+    ("vcsp 1\nn 2\nlabel 0 1 1\nlabel 1 1 2\nlabel 0 1 3\nu 0 2\n", DuplicateScopeError,
+     "line 5: variable 0 labeled twice"),
+])
+def test_text_parser_reports_the_line_instance_rejects(text, exc, msg):
+    # the errors Instance raises for a parsed file name the line, with the
+    # same class and message
+    with pytest.raises(exc) as e:
+        from_text(text)
+    assert type(e.value) is exc and str(e.value) == msg
+
+
 def test_assignment_string_order_generated(chain22_plus):
     # generated layout already places the top gadget first, so display order
     # is the identity

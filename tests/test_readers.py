@@ -130,7 +130,9 @@ def corpus_digest() -> str:
 
 
 def test_reader_outcomes_on_a_seeded_corpus_are_pinned():
-    assert corpus_digest() == "4c569251b8086d9562655799640d2f0b8f53d5613a4788d82815252b6d9d7629"
+    # re-pinned when from_text began to prefix the errors Instance raises
+    # with the line: 116 outcomes gained "line N: " and nothing else changed
+    assert corpus_digest() == "6037a0c68044b0a3f3adfa771bd69b84f1d45605fe1aa3a8df05c019b1016f65"
 
 
 def test_readers_take_only_ascii_integer_tokens():

@@ -700,7 +700,7 @@ def test_native_arrays_are_read_only(scale):
         native(inst, start, max_steps=0)
         arrays = inst._native
         before = kernel_bytes(arrays)
-        assert set(before) == {"constant", "off", "nbr", "w", "unary", "block"}
+        assert set(before) == {"ints32", "ints", "block"}  # the five arrays in two buffers
         for kw in runs:
             tr = outcome(native, inst, start, **kw)
             assert inst._native is arrays and kernel_bytes(arrays) == before
@@ -843,6 +843,28 @@ def check_rules_on_random_instances(on_both, scale, chunk, count):
                 stopped += not got.complete
                 crossed += record and chunk is not None and got.num_steps > chunk
     assert stopped >= count // 3 and (crossed >= count // 3 or not chunk)
+
+
+@pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
+def test_recorded_runs_outgrow_the_first_buffer(on_both, scale):
+    # recorded runs without a limit, longer than the first output buffer:
+    # steepest ascent between the peaks of chain(8, 8) and chain(9, 9), 1,785
+    # and 3,577 steps, and every rule from all zeros on 1,500 independent
+    # unaries, 1,500 steps
+    widths_for(scale)
+    first = search._FIRST_CHUNK
+    cases = [(scaled(build_chain(n, n, "+"), scale), expected_peak(n, n, "-"), steepest_ascent)
+             for n in (8, 9)]
+    flat = scaled(Instance(1500, 0, [(v, 1 + v % 3) for v in range(1500)]), scale)
+    order = list(range(1500))
+    random.Random(5).shuffle(order)
+    cases += [(flat, (0,) * 1500, engine)
+              for engine in (steepest_ascent, random_with(7), first_with(order))]
+    assert first < 1500 and 3 * first < predicted_ascent_length(9)  # two buffers filled
+    for inst, start, engine in cases:
+        got, want = on_both(engine, inst, start)
+        assert got == want
+        assert first < got.num_steps == len(got.steps) and got.complete
 
 
 def test_native_rules_stop_at_max_steps(on_both):
