@@ -276,6 +276,162 @@ def test_replay_failure_messages(gadget_plus):
         assert str(e.value) == msg
 
 
+@pytest.fixture(params=["dispatched", "python"])
+def path(request, monkeypatch):
+    """Runs a test as dispatched and again with the native kernel switched off."""
+    if request.param == "python":
+        monkeypatch.setattr(search, "_native_kernel", lambda: None)
+    return request.param
+
+
+def replay_outcome(inst, trace):
+    """None when replay accepts trace, else the class and message it raised."""
+    try:
+        replay(inst, trace)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+def both_replays(monkeypatch, inst, trace):
+    """replay's outcome as dispatched and with the native kernel switched off."""
+    got = replay_outcome(inst, trace)
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_native_kernel", lambda: None)
+        want = replay_outcome(inst, trace)
+    return got, want
+
+
+def with_step(trace, t, step):
+    """trace with its step t (from 1) replaced by step."""
+    return dataclasses.replace(trace, steps=trace.steps[:t - 1] + (step,) + trace.steps[t:])
+
+
+def test_replay_messages_on_both_paths(gadget_plus, path):
+    # every mismatch replay reports, in the order it checks a step: the
+    # index, the recorded gain against the recomputed one, the sign of the
+    # gain, the running fitness; then the end, the final fitness, the step
+    # count and the completion claim
+    tr = steepest_ascent(gadget_plus, (0,) * 6)
+    stopped = steepest_ascent(gadget_plus, (0,) * 6, max_steps=3)
+    assert tr.steps[3] == (5, 3, 11) and stopped.end == (1, 1, 1, 0, 0, 0)
+    mismatch = "ReplayMismatchError"
+    cases = [
+        (dataclasses.replace(tr, fitness_start=1), mismatch, "recorded start fitness 1, computed 0"),
+        (with_step(tr, 4, (6, 3, 11)), "IndexOutOfRangeError", "variable index 6 not in [0, 6)"),
+        (with_step(tr, 4, (-1, 3, 11)), "IndexOutOfRangeError", "variable index -1 not in [0, 6)"),
+        (with_step(tr, 4, (5, 4, 11)), mismatch, "step 4: recorded gain 4, computed 3"),
+        (with_step(tr, 4, (5, -3, 11)), mismatch, "step 4: recorded gain -3, computed 3"),
+        (with_step(tr, 1, (1, -13, -13)), mismatch, "step 1: non-improving recorded step"),
+        (with_step(tr, 4, (5, 3, 12)), mismatch, "step 4: recorded fitness 12, computed 11"),
+        (with_step(tr, 7, (5, 3, 17)), mismatch, "step 7: recorded fitness 17, computed 18"),
+        (dataclasses.replace(tr, steps=tr.steps + ((5, -3, 15),)), mismatch,
+         "step 8: non-improving recorded step"),
+        (dataclasses.replace(tr, end=(0,) * 6), mismatch, "replayed end differs from recorded end"),
+        (dataclasses.replace(tr, fitness_end=19), mismatch,
+         "replayed final fitness differs from recorded value"),
+        (dataclasses.replace(tr, num_steps=8), mismatch,
+         "num_steps differs from the recorded step list"),
+        (dataclasses.replace(stopped, complete=True), mismatch,
+         "trace claims completion but end is not a local peak"),
+        (dataclasses.replace(tr, steps=(), num_steps=0, end=tr.start, fitness_end=0), mismatch,
+         "trace claims completion but end is not a local peak"),
+        (dataclasses.replace(tr, steps=None), "NoRecordedStepsError",
+         "trace has no recorded steps to replay"),
+        (dataclasses.replace(tr, start=(0,) * 5), "LengthMismatchError",
+         "assignment has length 5, instance has 6 variables"),
+    ]
+    assert replay_outcome(gadget_plus, tr) is None
+    assert replay_outcome(gadget_plus, stopped) is None
+    for bad, kind, message in cases:
+        assert replay_outcome(gadget_plus, bad) == (kind, message)
+
+
+def test_replay_of_malformed_steps(monkeypatch, gadget_plus):
+    # steps that are not triples of ints in int64 replay as the Python loop
+    # replays them: it unpacks each step and compares with ==, so a float
+    # equal to the gain passes and a string never does
+    tr = steepest_ascent(gadget_plus, (0,) * 6)
+    cases = [
+        (with_step(tr, 2, (1, 2)), "ValueError"),
+        (with_step(tr, 2, (1, 2, 5, 0)), "ValueError"),
+        (dataclasses.replace(tr, steps=((0, 3),) + ((1, 2, 5, 0),) + tr.steps[2:]), "ValueError"),
+        (with_step(tr, 2, 1), "TypeError"),
+        (with_step(tr, 2, (None, 2, 5)), "TypeError"),
+        (with_step(tr, 2, (1, "2", 5)), "ReplayMismatchError"),
+        (with_step(tr, 2, (1, 2, 2 ** 70)), "ReplayMismatchError"),
+        (with_step(tr, 2, (1, 2 ** 64 + 2, 5)), "ReplayMismatchError"),
+        (with_step(tr, 2, (1, -2 ** 63 - 1, 5)), "ReplayMismatchError"),
+        (with_step(tr, 2, (2 ** 63, 2, 5)), "IndexOutOfRangeError"),
+        (with_step(tr, 2, (1, 2.0, 5.0)), None),
+        (with_step(tr, 2, (True, 2, 5)), None),
+        (dataclasses.replace(tr, steps=list(tr.steps)), None),
+    ]
+    for bad, kind in cases:
+        got, want = both_replays(monkeypatch, gadget_plus, bad)
+        assert got == want
+        assert (got and got[0]) == kind
+
+
+def test_replay_on_an_equal_instance_that_has_not_run(monkeypatch):
+    # a trace replays on any instance equal to the one it ran on, also one
+    # that no ascent has run on yet
+    inst = build_chain(5, 5, "+")
+    tr = steepest_ascent(inst, expected_peak(5, 5, "-"))
+    fresh = Instance(inst.num_vars, inst.constant, inst.unaries, inst.binaries, inst.labels)
+    assert fresh == inst and fresh._native is None
+    assert both_replays(monkeypatch, fresh, tr) == (None, None)
+    bad = with_step(tr, 100, (tr.steps[99][0], tr.steps[99][1], tr.steps[99][2] + 1))
+    fresh = Instance(inst.num_vars, inst.constant, inst.unaries, inst.binaries, inst.labels)
+    want = ("ReplayMismatchError",
+            f"step 100: recorded fitness {tr.steps[99][2] + 1}, computed {tr.steps[99][2]}")
+    assert both_replays(monkeypatch, fresh, bad) == (want, want)
+
+
+@pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
+def test_replay_outcomes_match_the_python_loop(monkeypatch, scale):
+    # seeded instances and chains, each trace corrupted once at a random step
+    # in one of seven ways: replay as dispatched and the Python loop give the
+    # same outcome, accepted or the same class and message
+    rng = random.Random(1357)
+    kinds = ["gain", "fitness", "var", "out of range", "drop", "repeat", "none"]
+    failed = 0
+    for t in range(240):
+        if t % 4:
+            inst = random_instance(rng, max_vars=14, max_weight=rng.choice((3, 20)))
+        else:
+            n = rng.randint(1, 5)
+            inst = build_chain(n, rng.randint(1, n), rng.choice("+-"))
+        inst = scaled(inst, scale)
+        start = random_bits(rng, inst.num_vars)
+        if t % 2:
+            tr = steepest_ascent(inst, start)
+        else:
+            tr = random_ascent(inst, start, seed=rng.randrange(2 ** 32))
+        kind = kinds[t % len(kinds)]
+        if tr.steps and kind != "none":
+            k = rng.randrange(len(tr.steps))
+            v, g, f = tr.steps[k]
+            steps = list(tr.steps)
+            if kind == "gain":
+                steps[k] = (v, g + rng.choice((-1, 1)) * scale, f)
+            elif kind == "fitness":
+                steps[k] = (v, g, f + rng.choice((-1, 1)))
+            elif kind == "var":
+                steps[k] = (rng.randrange(inst.num_vars), g, f)
+            elif kind == "out of range":
+                steps[k] = (rng.choice((-1, inst.num_vars, 2 ** 40)), g, f)
+            elif kind == "drop":
+                del steps[k]
+            else:
+                steps.insert(k, steps[k])
+            tr = dataclasses.replace(tr, steps=tuple(steps))
+        got, want = both_replays(monkeypatch, inst, tr)
+        assert got == want
+        failed += got is not None
+    assert 100 <= failed < 240
+
+
 def test_replay_requires_recorded_steps(gadget_plus):
     tr = steepest_ascent(gadget_plus, (0,) * 6, record_steps=False)
     assert tr.steps is None
@@ -1005,9 +1161,10 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
     ("chain", "ff9d0ba33124346996e0c6acd0ad51dbac289b459f1c3a8e0cddb4f0a46370ac"),
     ("random", "f90ba818ec4dcebf57ef4bc41c5f39fb65e0e4cb7db9e1ef1c8c670e80392713"),
 ])
-def test_trace_csv_bytes_are_pinned(tmp_path, case, digest):
+def test_trace_csv_bytes_are_pinned(monkeypatch, tmp_path, case, digest):
     # the exact bytes of two trace files: quoted "(k,i)" labels, empty labels,
-    # negative fitness, "\n" after the comments and "\r\n" after every row
+    # negative fitness, "\n" after the comments and "\r\n" after every row;
+    # as dispatched and from the Python writer
     if case == "chain":
         inst = build_chain(3, 3, "+")
         tr = steepest_ascent(inst, expected_peak(3, 3, "-"))
@@ -1015,9 +1172,68 @@ def test_trace_csv_bytes_are_pinned(tmp_path, case, digest):
         rng = random.Random(4)
         inst = random_instance(rng, max_vars=40, max_weight=50)
         tr = random_ascent(inst, random_bits(rng, inst.num_vars), seed=99)
+    got, want = both_csv_files(monkeypatch, tmp_path, tr, inst)
+    assert got == want
+    assert hashlib.sha256(got).hexdigest() == digest
+
+
+def csv_file(tmp_path, trace, inst):
+    """The bytes write_trace_csv writes for trace, or the class and message
+    it raised and whether it left a file."""
     path = tmp_path / "trace.csv"
-    write_trace_csv(tr, inst, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    path.unlink(missing_ok=True)
+    try:
+        write_trace_csv(trace, inst, path)
+    except Exception as e:
+        return type(e).__name__, str(e), path.exists()
+    return path.read_bytes()
+
+
+def both_csv_files(monkeypatch, tmp_path, trace, inst):
+    """csv_file as dispatched and with the native kernel switched off."""
+    got = csv_file(tmp_path, trace, inst)
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_native_kernel", lambda: None)
+        want = csv_file(tmp_path, trace, inst)
+    return got, want
+
+
+def test_trace_csv_matches_the_python_writer(monkeypatch, tmp_path):
+    # write_trace_csv writes the Python writer's bytes: across several
+    # buffers of rows, with no steps, with negative and near-int64 gains and
+    # fitness, with labels on some variables only, and with variables the
+    # instance does not have (the writer does not check them, so it writes
+    # what the trace holds)
+    monkeypatch.setattr(search, "_CHUNK", 1000)
+    chain = build_chain(10, 10, "+")
+    long = steepest_ascent(chain, expected_peak(10, 10, "-"))
+    assert long.num_steps > 7 * search._CHUNK
+    part = Instance(4, -3, {0: 5, 3: -2}, {(0, 1): 4}, {1: (2, 5), 3: (11, 6)})
+    big = 2 ** 62
+    rows = [
+        ((0, 5, 2), (1, 9, -7)),
+        ((3, -5, -8), (2, -(2 ** 63), 2 ** 63 - 1), (1, 2 ** 63 - 1, -(2 ** 63))),
+        ((0, big, big - 1), (1, -big, -big + 1), (3, big + 1, -big - 1), (2, 1, 0)),
+        ((0, 2 ** 63, 1), (1, 1, -(2 ** 63) - 1)),
+        ((4, 1, 1), (0, 2, 3)),
+        ((-1, 1, 1),),
+        ((2 ** 40, 1, 1), (3, 2, 3)),
+        ((1, 1, 1), (True, 2, 3), (False, 1, 4)),
+        ((True, 2, 3), (1, 1, 1)),
+        ((0, 2.0, 1),),
+        ((0, "2", 1),),
+        ((0, 2),),
+        ((0, 2), (1, 2, 3, 4)),
+        (7,),
+    ]
+    traces = [(long, chain),
+              (steepest_ascent(chain, expected_peak(10, 10, "+")), chain),
+              *((Trace("random", (0,) * 4, (0,) * 4, len(steps), 0, 0, None, 0, steps, 2 ** 40),
+                 part) for steps in rows)]
+    for tr, inst in traces:
+        got, want = both_csv_files(monkeypatch, tmp_path, tr, inst)
+        assert got == want
+    assert want[0] == "TypeError" and not want[2]  # no file is left after an error
 
 
 def test_random_and_first_traces_are_pinned():
