@@ -42,6 +42,11 @@ Label = tuple[int, int]
 # largest degree whose 2^degree gradient table is built (about 40 MB at 20)
 TABLE_DEGREE_CAP = 20
 
+# largest num_vars an Instance takes: it allocates a neighbour list per
+# variable before it reads a constraint, so a 10-byte file could otherwise
+# ask for 10^12 of them
+NUM_VARS_CAP = 2 ** 24
+
 
 class Instance:
     """An immutable weighted-constraint instance.
@@ -72,6 +77,8 @@ class Instance:
     ):
         if num_vars < 0:
             raise IndexOutOfRangeError(f"num_vars must be >= 0, got {num_vars}")
+        if num_vars > NUM_VARS_CAP:
+            raise TooLargeError(f"num_vars must be <= {NUM_VARS_CAP}, got {num_vars}")
         self.num_vars = n = int(num_vars)
         self.constant = int(constant)
 

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from vcsp_landscape.errors import (
     MalformedTableError,
     ParseError,
     SelfLoopError,
+    TooLargeError,
     VcspError,
     ZeroWeightError,
 )
@@ -90,6 +95,10 @@ def test_index_out_of_range_rejected():
      "unary on variable 0 has weight 0"),
     ((2, 0, [], [(1, 1, 5)], {0: (0, 1)}), SelfLoopError,
      "binary scope pairs variable 1 with itself"),
+    ((2 ** 24 + 1,), TooLargeError, "num_vars must be <= 16777216, got 16777217"),
+    # num_vars is capped, before any constraint is checked
+    ((10 ** 12, 0, [(0, 0)], [(1, 1, 5)]), TooLargeError,
+     "num_vars must be <= 16777216, got 1000000000000"),
 ])
 def test_instance_error_messages(args, exc, message):
     # one invalid input per message Instance raises, with its exact class
@@ -360,6 +369,31 @@ def test_text_parser_reports_the_line_instance_rejects(text, exc, msg):
     with pytest.raises(exc) as e:
         from_text(text)
     assert type(e.value) is exc and str(e.value) == msg
+
+
+def test_huge_num_vars_fails_fast_under_a_memory_limit():
+    # a 10-byte file that names 10^12 variables raises TooLargeError before
+    # Instance allocates anything per variable, also when a constraint is
+    # bad too.  It runs in a child process with 1 GiB of address space, so
+    # that a regression fails this test instead of exhausting the host
+    pytest.importorskip("resource")
+    code = "\n".join([
+        "import resource",
+        "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))",
+        "from vcsp_landscape import from_text",
+        "from vcsp_landscape.errors import TooLargeError",
+        "for text in ('vcsp 1\\nn 1000000000000\\n',",
+        "             'vcsp 1\\nn 1000000000000\\nb 0 0 5\\nlabel 0 0 0\\n'):",
+        "    try:",
+        "        from_text(text)",
+        "    except TooLargeError as e:",
+        "        print(e)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "line 2: num_vars must be <= 16777216, got 1000000000000\n" * 2
 
 
 def test_assignment_string_order_generated(chain22_plus):
