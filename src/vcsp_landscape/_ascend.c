@@ -27,9 +27,10 @@
 
    Compiled on first use by search._native_kernel and called through ctypes
    with no argtypes, which converts each argument by its Python type: ints
-   as C int, so every integer parameter is int32_t except max_steps, which
-   the caller passes as a ctypes int64, and every pointer as a ctypes array
-   or None. */
+   as C int, so every integer parameter is int32_t except the int64_t ones
+   (max_steps, and the counts of the trace functions below), which the
+   caller passes as ctypes int64s, and every pointer as a ctypes array,
+   bytes or None. */
 #ifndef VALUE
 
 #include <stddef.h>
@@ -184,6 +185,106 @@ static int32_t fenwick_find(const int32_t *tree, int32_t d, int32_t top, int32_t
 #undef STORE
 #undef ASCEND
 #undef LOOP
+
+/* --- Recorded int64 traces: replay and CSV rows ---
+
+   search.replay and search.write_trace_csv hand over a trace's steps as
+   int64 triples (variable, gain, fitness after), packed by struct into a
+   bytes object with no alignment promise, so each value is read with
+   memcpy.  The Python loops stay the reference: they run every trace that
+   does not pack, and replay runs its loop again after any failure here, so
+   that it raises its own message. */
+
+static int64_t load64(const unsigned char *p, int64_t i)
+{
+    int64_t v;
+    memcpy(&v, p + 8 * i, sizeof v);
+    return v;
+}
+
+/* Replays n steps over the instance's int64 arrays (as vcsp_ascend reads
+   them) from the assignment x at fitness *fit.  Each step is checked as
+   search.replay checks it: the variable is in [0, d), the recorded gain is
+   the gain of flipping it at x and is positive, and the fitness after it is
+   the recorded one.  Returns 0 with the end in x and its fitness in *fit,
+   so that a next call continues from there, or else the number (from 1) of
+   the first of the n steps that fails.  Every step that gets as far as the
+   sum is a real move of the instance, so under vcsp_ascend's bound on the
+   weights nothing overflows. */
+int64_t vcsp_replay64(int32_t d, const void *const *arrays, uint8_t *x, int64_t n,
+                      const unsigned char *steps, int64_t *fit)
+{
+    const int64_t *w = arrays[3], *unary = arrays[4];
+    const int32_t *off = arrays[1], *nbr = arrays[2];
+    int64_t f = *fit;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t v = load64(steps, 3 * t), gain = load64(steps, 3 * t + 1);
+        if (v < 0 || v >= d)
+            return t + 1;
+        int64_t g = unary[v];
+        for (int32_t k = off[v]; k < off[v + 1]; k++)
+            if (x[nbr[k]])
+                g += w[k];
+        if (x[v])
+            g = -g;
+        if (g != gain || gain <= 0)
+            return t + 1;
+        x[v] ^= 1;
+        f += gain;
+        if (f != load64(steps, 3 * t + 2))
+            return t + 1;
+    }
+    *fit = f;
+    return 0;
+}
+
+/* Writes v in decimal at out; returns the end. */
+static char *put_int64(char *out, int64_t v)
+{
+    char digits[20], *p = digits + sizeof digits;
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    do
+        *--p = (char)('0' + u % 10);
+    while (u /= 10);
+    if (v < 0)
+        *out++ = '-';
+    size_t len = (size_t)(digits + sizeof digits - p);
+    memcpy(out, p, len);
+    return out + len;
+}
+
+/* Writes n steps as the CSV rows "t,<prefix of v>gain,after\r\n" that
+   search.write_trace_csv writes, numbered from t0 + 1, into out; returns
+   the number of bytes written.  vars holds u > 0 int64 values in increasing
+   order, every step's variable among them, and the prefix of vars[k] is
+   pre[pre_off[k] .. pre_off[k + 1]).  A row takes at most 64 bytes besides
+   its prefix. */
+int64_t vcsp_csv_rows64(int64_t t0, int64_t n, const unsigned char *steps, int64_t u,
+                        const unsigned char *vars, const int32_t *pre_off, const char *pre,
+                        char *out)
+{
+    char *p = out;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t v = load64(steps, 3 * t), lo = 0, hi = u - 1;
+        while (lo < hi) {  /* the k with vars[k] == v, always in [0, u) */
+            int64_t mid = lo + (hi - lo) / 2;
+            if (load64(vars, mid) < v)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        p = put_int64(p, t0 + t + 1);
+        *p++ = ',';
+        memcpy(p, pre + pre_off[lo], (size_t)(pre_off[lo + 1] - pre_off[lo]));
+        p += pre_off[lo + 1] - pre_off[lo];
+        p = put_int64(p, load64(steps, 3 * t + 1));
+        *p++ = ',';
+        p = put_int64(p, load64(steps, 3 * t + 2));
+        *p++ = '\r';
+        *p++ = '\n';
+    }
+    return p - out;
+}
 
 #if defined(__SIZEOF_INT128__) && defined(__BYTE_ORDER__) \
     && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__

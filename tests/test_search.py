@@ -249,39 +249,22 @@ def test_replay_detects_corruption(gadget_plus):
             replay(gadget_plus, bad_var)
 
 
-def test_replay_failure_messages(gadget_plus):
-    tr = steepest_ascent(gadget_plus, (0,) * 6)
-    f0 = tr.fitness_start
-    # flipping variable 1 first loses 13: recorded truthfully, it still fails
-    assert gadget_plus.unaries[1] == -13
-    stopped = steepest_ascent(gadget_plus, (0,) * 6, max_steps=3)
-    assert not stopped.complete
-    cases = [
-        (dataclasses.replace(tr, fitness_start=f0 + 1),
-         f"recorded start fitness {f0 + 1}, computed {f0}"),
-        (dataclasses.replace(tr, steps=((1, -13, f0 - 13),) + tr.steps),
-         "step 1: non-improving recorded step"),
-        (dataclasses.replace(tr, fitness_end=tr.fitness_end + 1),
-         "replayed final fitness differs from recorded value"),
-        (dataclasses.replace(tr, num_steps=tr.num_steps + 1),
-         "num_steps differs from the recorded step list"),
-        (dataclasses.replace(stopped, complete=True),
-         "trace claims completion but end is not a local peak"),
-    ]
-    replay(gadget_plus, tr)
-    replay(gadget_plus, stopped)
-    for bad, msg in cases:
-        with pytest.raises(ValueError) as e:
-            replay(gadget_plus, bad)
-        assert str(e.value) == msg
+def count_calls(monkeypatch, width):
+    """Counts the calls of the int64 width's replay and CSV functions."""
+    calls = {"replay": 0, "csv_rows": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(width, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(width, name, counted)
+    return calls
 
 
-@pytest.fixture(params=["dispatched", "python"])
-def path(request, monkeypatch):
-    """Runs a test as dispatched and again with the native kernel switched off."""
-    if request.param == "python":
-        monkeypatch.setattr(search, "_native_kernel", lambda: None)
-    return request.param
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """count_calls on the kernel built here; no calls where there is none."""
+    widths = search._native_kernel()
+    return count_calls(monkeypatch, widths[0]) if widths else {"replay": 0, "csv_rows": 0}
 
 
 def replay_outcome(inst, trace):
@@ -307,22 +290,27 @@ def with_step(trace, t, step):
     return dataclasses.replace(trace, steps=trace.steps[:t - 1] + (step,) + trace.steps[t:])
 
 
-def test_replay_messages_on_both_paths(gadget_plus, path):
+def test_replay_failure_messages(monkeypatch, gadget_plus, kernel_calls):
     # every mismatch replay reports, in the order it checks a step: the
     # index, the recorded gain against the recomputed one, the sign of the
-    # gain, the running fitness; then the end, the final fitness, the step
-    # count and the completion claim
+    # gain (flipping variable 1 first loses 13: recorded truthfully, it still
+    # fails), the running fitness; then the end, the final fitness, the step
+    # count and the completion claim.  As dispatched and on the Python loop
     tr = steepest_ascent(gadget_plus, (0,) * 6)
     stopped = steepest_ascent(gadget_plus, (0,) * 6, max_steps=3)
     assert tr.steps[3] == (5, 3, 11) and stopped.end == (1, 1, 1, 0, 0, 0)
+    assert gadget_plus.unaries[1] == -13
     mismatch = "ReplayMismatchError"
     cases = [
+        (tr, None),
+        (stopped, None),
         (dataclasses.replace(tr, fitness_start=1), mismatch, "recorded start fitness 1, computed 0"),
         (with_step(tr, 4, (6, 3, 11)), "IndexOutOfRangeError", "variable index 6 not in [0, 6)"),
         (with_step(tr, 4, (-1, 3, 11)), "IndexOutOfRangeError", "variable index -1 not in [0, 6)"),
         (with_step(tr, 4, (5, 4, 11)), mismatch, "step 4: recorded gain 4, computed 3"),
         (with_step(tr, 4, (5, -3, 11)), mismatch, "step 4: recorded gain -3, computed 3"),
-        (with_step(tr, 1, (1, -13, -13)), mismatch, "step 1: non-improving recorded step"),
+        (dataclasses.replace(tr, steps=((1, -13, -13),) + tr.steps), mismatch,
+         "step 1: non-improving recorded step"),
         (with_step(tr, 4, (5, 3, 12)), mismatch, "step 4: recorded fitness 12, computed 11"),
         (with_step(tr, 7, (5, 3, 17)), mismatch, "step 7: recorded fitness 17, computed 18"),
         (dataclasses.replace(tr, steps=tr.steps + ((5, -3, 15),)), mismatch,
@@ -341,10 +329,10 @@ def test_replay_messages_on_both_paths(gadget_plus, path):
         (dataclasses.replace(tr, start=(0,) * 5), "LengthMismatchError",
          "assignment has length 5, instance has 6 variables"),
     ]
-    assert replay_outcome(gadget_plus, tr) is None
-    assert replay_outcome(gadget_plus, stopped) is None
-    for bad, kind, message in cases:
-        assert replay_outcome(gadget_plus, bad) == (kind, message)
+    for bad, *want in cases:
+        want = tuple(want) if want[0] else None
+        assert both_replays(monkeypatch, gadget_plus, bad) == (want, want)
+    assert kernel_calls["replay"] >= 13 or not search._native_kernel()
 
 
 def test_replay_of_malformed_steps(monkeypatch, gadget_plus):
@@ -381,6 +369,8 @@ def test_replay_on_an_equal_instance_that_has_not_run(monkeypatch):
     fresh = Instance(inst.num_vars, inst.constant, inst.unaries, inst.binaries, inst.labels)
     assert fresh == inst and fresh._native is None
     assert both_replays(monkeypatch, fresh, tr) == (None, None)
+    if search._native_kernel():  # replay built the kernel arrays
+        assert fresh._native.width is search._native_kernel()[0]
     bad = with_step(tr, 100, (tr.steps[99][0], tr.steps[99][1], tr.steps[99][2] + 1))
     fresh = Instance(inst.num_vars, inst.constant, inst.unaries, inst.binaries, inst.labels)
     want = ("ReplayMismatchError",
@@ -389,14 +379,21 @@ def test_replay_on_an_equal_instance_that_has_not_run(monkeypatch):
 
 
 @pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
-def test_replay_outcomes_match_the_python_loop(monkeypatch, scale):
+def test_replay_outcomes_match_the_python_loop(monkeypatch, kernel_calls, scale):
     # seeded instances and chains, each trace corrupted once at a random step
     # in one of seven ways: replay as dispatched and the Python loop give the
-    # same outcome, accepted or the same class and message
+    # same outcome, accepted or the same class and message.  Only instances
+    # on the kernel's int64 width replay on the kernel
+    check_replay_outcomes(monkeypatch, scale, 240)
+    assert (kernel_calls["replay"] > 120) == (scale == 1 and bool(search._native_kernel()))
+
+
+def check_replay_outcomes(monkeypatch, scale, count):
+    """test_replay_outcomes_match_the_python_loop on count seeded traces."""
     rng = random.Random(1357)
     kinds = ["gain", "fitness", "var", "out of range", "drop", "repeat", "none"]
     failed = 0
-    for t in range(240):
+    for t in range(count):
         if t % 4:
             inst = random_instance(rng, max_vars=14, max_weight=rng.choice((3, 20)))
         else:
@@ -429,7 +426,22 @@ def test_replay_outcomes_match_the_python_loop(monkeypatch, scale):
         got, want = both_replays(monkeypatch, inst, tr)
         assert got == want
         failed += got is not None
-    assert 100 <= failed < 240
+    assert count // 3 <= failed < count
+
+
+def test_replay_past_int64_runs_on_the_python_loop(monkeypatch, kernel_calls):
+    # chain(5, 5, '+') scaled by 2^64 + 1 runs on the 128-bit width or the
+    # Python loop, and its steps do not pack as int64: replay checks it in
+    # Python, with the same messages
+    inst = scaled(build_chain(5, 5, "+"), BIG)
+    tr = steepest_ascent(inst, expected_peak(5, 5, "-"))
+    assert search._pack64(tr.steps) is None
+    v, g, f = tr.steps[50]
+    bad = with_step(tr, 51, (v, g, f - 1))
+    assert both_replays(monkeypatch, inst, tr) == (None, None)
+    want = ("ReplayMismatchError", f"step 51: recorded fitness {f - 1}, computed {f}")
+    assert both_replays(monkeypatch, inst, bad) == (want, want)
+    assert kernel_calls["replay"] == 0
 
 
 def test_replay_requires_recorded_steps(gadget_plus):
@@ -1126,7 +1138,8 @@ def test_trace_helper_builds_what_the_constructor_builds():
 def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path, capfd):
     # the kernel built with -fsanitize=undefined runs the native-against-
     # reference checks without a report: no signed overflow, no shift or
-    # index out of range, no misaligned access, at both widths
+    # index out of range, no misaligned access, at both widths; and the
+    # replay and trace CSV checks, on the int64 width
     widths = search._native_kernel()
     # the library's name is keyed by source and platform, not by flags: a
     # copy keeps this build out of the package's __pycache__ (the source
@@ -1143,6 +1156,7 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
         pytest.skip("the kernel cannot be built with -fsanitize=undefined here")
     assert [w.bound for w in sanitized] == [w.bound for w in widths]
     monkeypatch.setattr(search, "_native_kernel", lambda: sanitized)
+    calls = count_calls(monkeypatch, sanitized[0])
     default_chunk = search._CHUNK
     for scale in (1, BIG)[:len(sanitized)]:
         for rule in ("steepest", "random", "first"):
@@ -1151,6 +1165,9 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
             monkeypatch.setattr(search, "_CHUNK", chunk or default_chunk)
             check_rules_on_random_instances(on_both, scale, chunk, 60)
             check_ties(reference, scale)
+    check_replay_outcomes(monkeypatch, 1, 120)
+    check_csv_files(monkeypatch, tmp_path)
+    assert calls["replay"] > 60 and calls["csv_rows"] == 16
     inst = build_chain(2, 2, "+")
     steepest_ascent(inst, (0,) * 12)
     assert inst._native.width in sanitized  # the runs above used the sanitized build
@@ -1198,12 +1215,20 @@ def both_csv_files(monkeypatch, tmp_path, trace, inst):
     return got, want
 
 
-def test_trace_csv_matches_the_python_writer(monkeypatch, tmp_path):
+def test_trace_csv_matches_the_python_writer(monkeypatch, tmp_path, kernel_calls):
     # write_trace_csv writes the Python writer's bytes: across several
     # buffers of rows, with no steps, with negative and near-int64 gains and
     # fitness, with labels on some variables only, and with variables the
     # instance does not have (the writer does not check them, so it writes
     # what the trace holds)
+    check_csv_files(monkeypatch, tmp_path)
+    if search._native_kernel():  # the long trace in 8 calls, and 8 hand-made traces
+        assert kernel_calls["csv_rows"] == 16
+
+
+def check_csv_files(monkeypatch, tmp_path):
+    """test_trace_csv_matches_the_python_writer's traces, at 1,000 rows a
+    kernel call."""
     monkeypatch.setattr(search, "_CHUNK", 1000)
     chain = build_chain(10, 10, "+")
     long = steepest_ascent(chain, expected_peak(10, 10, "-"))
