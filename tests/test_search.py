@@ -1,3 +1,4 @@
+import copy
 import csv
 import ctypes
 import dataclasses
@@ -1055,6 +1056,60 @@ def test_native_rules_stop_at_max_steps(on_both):
                 if record:
                     assert got.steps == whole.steps[:k]
         assert engine(inst, start, max_steps=2 ** 64) == whole  # beyond int64: no limit
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
+@pytest.mark.parametrize("rule", ["steepest", "random", "first"])
+def test_recorded_steps_keep_the_trace_contract(on_both, monkeypatch, rule, scale, chunk):
+    # a recorded kernel trace behaves as the Python loop's, whose steps are a
+    # tuple of (variable, gain, fitness after) tuples: equality both ways,
+    # hash, repr, pickle, deepcopy and astuple; indexing, slicing, len and
+    # iteration; editing one step by slices, and extending a list by the
+    # steps.  With chunk set, the steps come from several kernel calls
+    widths_for(scale)
+    if chunk:
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+    inst = scaled(build_chain(4, 4, "+"), scale)
+    order = list(range(24))
+    random.Random(6).shuffle(order)
+    engine = {"steepest": steepest_ascent, "random": random_with(2 ** 40 + 3),
+              "first": first_with(order)}[rule]
+    for start in (expected_peak(4, 4, "-"), (0,) * 24, expected_peak(4, 4, "+")):
+        got, want = on_both(engine, inst, start)
+        assert got == want and want == got and not got != want
+        assert hash(got) == hash(want) and repr(got) == repr(want)
+        for copied in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+            assert copied == want and repr(copied) == repr(want)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        steps, ref = got.steps, want.steps
+        assert steps == ref and ref == steps and hash(steps) == hash(ref)
+        assert repr(steps) == repr(ref) and list(steps) == list(ref)
+        assert (steps == list(ref)) is (ref == list(ref)) is False  # a tuple is not a list
+        n = len(steps)
+        assert n == len(ref) == got.num_steps
+        with pytest.raises(IndexError):
+            steps[n]
+        with pytest.raises(IndexError):
+            steps[-n - 1]
+        if not n:  # the run started at the peak
+            assert steps == () and () == steps and not steps
+            continue
+        assert steps[0] == ref[0] and steps[-1] == ref[-1] and type(steps[-1]) is tuple
+        assert steps[-n] == ref[0] and steps[n - 1] == ref[-1]
+        assert steps[1:n - 1] == ref[1:n - 1] and steps[5:2] == ref[5:2] == ()
+        assert steps[::2] == ref[::2] and steps[::-3] == ref[::-3]
+        k = n // 2
+        v, g, f = steps[k]
+        edited = steps[:k] + ((v, g + 1, f),) + steps[k + 1:]
+        assert edited == ref[:k] + ((v, g + 1, f),) + ref[k + 1:]
+        assert type(steps[:k] + ()) is type(() + steps[k:]) is tuple
+        bad = dataclasses.replace(got, steps=edited)
+        message = f"step {k + 1}: recorded gain {g + 1}, computed {g}"
+        assert both_replays(monkeypatch, inst, bad) == (("ReplayMismatchError", message),) * 2
+        acc = [(-1, 0, 0)]
+        acc += steps
+        assert acc == [(-1, 0, 0), *ref]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
