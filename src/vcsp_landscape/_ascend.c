@@ -25,6 +25,10 @@
                      not be 16-byte aligned.
    Under its bound no fitness, gradient or gain can overflow its width.
 
+   A recorded run writes each step as one record of three cells, (variable,
+   gain, fitness after), at either width; at int64 that is the 24 bytes a
+   step that search.Steps holds, and the replay and CSV functions below read.
+
    Compiled on first use by search._native_kernel and called through ctypes
    with no argtypes, which converts each argument by its Python type: ints
    as C int, so every integer parameter is int32_t except the int64_t ones
@@ -188,12 +192,12 @@ static int32_t fenwick_find(const int32_t *tree, int32_t d, int32_t top, int32_t
 
 /* --- Recorded int64 traces: replay and CSV rows ---
 
-   search.replay and search.write_trace_csv hand over a trace's steps as
-   int64 triples (variable, gain, fitness after), packed by struct into a
-   bytes object with no alignment promise, so each value is read with
-   memcpy.  The Python loops stay the reference: they run every trace that
-   does not pack, and replay runs its loop again after any failure here, so
-   that it raises its own message. */
+   search.replay and search.write_trace_csv hand over the bytes of a
+   search.Steps: the int64 records (variable, gain, fitness after) that
+   vcsp_ascend wrote, in a bytes object with no alignment promise, so each
+   value is read with memcpy.  The Python loops stay the reference: they run
+   every trace whose steps are not a Steps, and replay runs its loop again
+   after any failure here, so that it raises its own message. */
 
 static int64_t load64(const unsigned char *p, int64_t i)
 {
@@ -253,9 +257,9 @@ static char *put_int64(char *out, int64_t v)
     return out + len;
 }
 
-/* Writes n steps as the CSV rows "t,<prefix of v>gain,after\r\n" that
-   search.write_trace_csv writes, numbered from t0 + 1, into out; returns
-   the number of bytes written.  vars holds u > 0 int64 values in increasing
+/* Writes steps t0 .. t0 + n - 1 as the CSV rows "t,<prefix of v>gain,after\r\n"
+   that search.write_trace_csv writes, numbered from t0 + 1, into out;
+   returns the number of bytes written.  vars holds u > 0 int64 values in increasing
    order, every step's variable among them, and the prefix of vars[k] is
    pre[pre_off[k] .. pre_off[k + 1]).  A row takes at most 64 bytes besides
    its prefix. */
@@ -264,7 +268,7 @@ int64_t vcsp_csv_rows64(int64_t t0, int64_t n, const unsigned char *steps, int64
                         char *out)
 {
     char *p = out;
-    for (int64_t t = 0; t < n; t++) {
+    for (int64_t t = t0; t < t0 + n; t++) {
         int64_t v = load64(steps, 3 * t), lo = 0, hi = u - 1;
         while (lo < hi) {  /* the k with vars[k] == v, always in [0, u) */
             int64_t mid = lo + (hi - lo) / 2;
@@ -273,7 +277,7 @@ int64_t vcsp_csv_rows64(int64_t t0, int64_t n, const unsigned char *steps, int64
             else
                 hi = mid;
         }
-        p = put_int64(p, t0 + t + 1);
+        p = put_int64(p, t + 1);
         *p++ = ',';
         memcpy(p, pre + pre_off[lo], (size_t)(pre_off[lo + 1] - pre_off[lo]));
         p += pre_off[lo + 1] - pre_off[lo];
@@ -326,7 +330,7 @@ static void store128(cell128 *p, int128 v)
 PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t *off,
                   const int32_t *nbr, const CELL *w, const CELL *unary, uint8_t *x,
                   int64_t max_steps, int32_t stop_on_tie, const int32_t *order,
-                  uint32_t *state, int32_t *out_var, CELL *out_gain, CELL *res,
+                  uint32_t *state, CELL *out, CELL *res,
                   CELL *gain, int32_t *imp, int32_t *pos)
 {
     VALUE fit = LOAD(constant, 0);
@@ -448,9 +452,10 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
             }
         }
 
-        if (out_var) {
-            out_var[steps] = best;
-            STORE(out_gain, steps, best_g);
+        if (out) {
+            STORE(out, 3 * steps, best);
+            STORE(out, 3 * steps + 1, best_g);
+            STORE(out, 3 * steps + 2, fit);
         }
         steps++;
         if (min_gain == 0 || best_g < min_gain)
@@ -474,12 +479,12 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
    vcsp_mt_seed); under FIRST, state[0] is the position in order[] (a
    permutation of 0 .. d-1, or NULL for 0, 1, .., d-1) where the scan
    resumes.  The loop advances the state, so the next call continues the
-   run.  When out_var is not NULL, step t writes its variable and gain to
-   out_var[t] and out_gain[t], which must hold max_steps entries.  The run
-   stops with NO_MEMORY if the scratch cannot be allocated. */
+   run.  When out is not NULL, step t writes its variable, gain and the
+   fitness after it to out[3t], out[3t + 1] and out[3t + 2], which must hold
+   3 * max_steps cells.  The run stops with NO_MEMORY if the scratch cannot
+   be allocated. */
 int ASCEND(int32_t d, const void *const *arrays, uint8_t *x, int64_t max_steps, int32_t rule,
-           int32_t stop_on_tie, const int32_t *order, uint32_t *state, int32_t *out_var,
-           CELL *out_gain, CELL *res)
+           int32_t stop_on_tie, const int32_t *order, uint32_t *state, CELL *out, CELL *res)
 {
     const CELL *constant = arrays[0], *w = arrays[3], *unary = arrays[4];
     const int32_t *off = arrays[1], *nbr = arrays[2];
@@ -493,13 +498,13 @@ int ASCEND(int32_t d, const void *const *arrays, uint8_t *x, int64_t max_steps, 
         int32_t *pos = imp + n;
         if (rule == STEEPEST)
             status = LOOP(STEEPEST, d, constant, off, nbr, w, unary, x, max_steps, stop_on_tie,
-                          order, state, out_var, out_gain, res, gain, imp, pos);
+                          order, state, out, res, gain, imp, pos);
         else if (rule == RANDOM)
             status = LOOP(RANDOM, d, constant, off, nbr, w, unary, x, max_steps, stop_on_tie,
-                          order, state, out_var, out_gain, res, gain, imp, pos);
+                          order, state, out, res, gain, imp, pos);
         else
             status = LOOP(FIRST, d, constant, off, nbr, w, unary, x, max_steps, stop_on_tie,
-                          order, state, out_var, out_gain, res, gain, imp, pos);
+                          order, state, out, res, gain, imp, pos);
     }
     free(gain);
     free(imp);

@@ -43,19 +43,22 @@ passes no order array (NULL).  On a 2-core Xeon a 43-step steepest ascent
 on chain(4, 4, '+') costs about 6.5 us a call, against 9.5 us with
 argtypes, five array arguments and the dataclass constructor.
 
-replay and write_trace_csv each have one kernel path too, for steps that
-pack as int64 triples (one struct pack a step, most of what is left of
-their cost).  replay walks them over the instance's int64 arrays
-(vcsp_replay64), with the same checks in the same order, and
-write_trace_csv formats the rows (vcsp_csv_rows64) into a buffer of at most
-_CHUNK rows that it writes as it goes.  Their Python loops are the
-reference and run everything else: steps that are not triples of ints in
-int64, replays on instances that are not on the int64 width, and every
-trace when there is no kernel.  replay also runs its loop after any failure on the kernel, so every
-message comes from one place.  On a 2-core Xeon, over 4,096 steps of
-chain(12, 12, '+'), replay takes 0.4 to 0.6 ms against 1.5 to 2.6 ms in
-Python, and write_trace_csv 1.0 to 1.7 ms against 2.2 to 4.1 ms, of which
-opening and writing the file take about half.
+A recorded run on the kernel writes each step as one record (variable,
+gain, fitness after).  At int64 the records are 24 bytes a step, and they
+become the Trace's steps as they are: a Steps, which reads them as the
+tuple of (variable, gain, fitness after) tuples that the Python loop
+records, so no step is ever a Python object unless it is read.  At 128 bits
+the records are read into that tuple.  replay and write_trace_csv each have
+one kernel path, taken exactly when the steps are a Steps, which holds only
+int64 records, so no step is checked or packed on the way in.  replay walks
+them over the instance's int64 arrays (vcsp_replay64), with the same checks
+in the same order, where the instance is on that width; write_trace_csv
+formats the rows (vcsp_csv_rows64) into a buffer of at most _CHUNK rows
+that it writes as it goes.  Their Python loops are the reference and run
+every other trace: hand-made or edited steps, which are tuples, replays on
+instances that are not on the int64 width, and every trace when there is no
+kernel.  replay also runs its loop after any failure on the kernel, so
+every message comes from one place.
 
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
@@ -71,11 +74,11 @@ import operator
 import os
 import random
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, starmap
+from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
 
 from .core import Bits, Instance
 from .errors import (
@@ -90,6 +93,82 @@ from .errors import (
 TIE_POLICIES = ("lowest-index", "error")
 METHODS = ("steepest", "random", "first")
 
+_STEP = struct.Struct("3q")  # a step as the kernel records it at int64
+
+
+class Steps(Sequence):
+    """Recorded steps (variable, gain, fitness after) held as the kernel's
+    int64 records, 24 bytes a step, in one immutable bytes object.
+
+    It reads as the tuple of tuples that the Python loop records: len,
+    indexing, iteration, hash and repr are the tuple's.  A step-1 slice is a
+    Steps, any other slice a tuple, and so is a concatenation with a tuple.
+    It equals another Steps with the same bytes and a tuple with the same
+    steps, and nothing else, as a tuple does not equal a list."""
+
+    __slots__ = ("_raw",)
+
+    def __new__(cls, raw: bytes = b""):
+        raw = bytes(raw)
+        if len(raw) % _STEP.size:
+            raise ValueError(f"Steps needs a multiple of {_STEP.size} bytes, got {len(raw)}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "_raw", raw)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Steps is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Steps is immutable")
+
+    def __reduce__(self):
+        return Steps, (self._raw,)
+
+    def __len__(self) -> int:
+        return len(self._raw) // _STEP.size
+
+    def __iter__(self):
+        return _STEP.iter_unpack(self._raw)
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            start, stop, step = i.indices(n)
+            if step == 1:
+                return Steps(self._raw[_STEP.size * start:_STEP.size * stop])
+            return tuple(map(self.__getitem__, range(start, stop, step)))
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("Steps index out of range")
+        return _STEP.unpack_from(self._raw, _STEP.size * i)
+
+    def __eq__(self, other):
+        if isinstance(other, Steps):
+            return self._raw == other._raw
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __add__(self, other):
+        if isinstance(other, Steps):
+            return Steps(self._raw + other._raw)
+        if isinstance(other, tuple):
+            return tuple(self) + other
+        return NotImplemented
+
+    def __radd__(self, other):
+        # only a tuple: list += steps must reach list's own in-place concat
+        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
+
 
 @dataclass(frozen=True)
 class Trace:
@@ -97,11 +176,13 @@ class Trace:
 
     steps holds (flipped variable, gain, fitness after) per step when
     recording is on, else None (summary fields are always filled, which keeps
-    multi-million-step runs in constant memory).  tie_events counts steps
-    where two or more moves shared the maximal gain; it is only meaningful
-    for the steepest engine and 0 elsewhere.  complete is False exactly when
-    a max_steps limit stopped the run while some move still improved;
-    otherwise end is a peak.
+    multi-million-step runs in constant memory).  It is a tuple of such
+    tuples, or, for a run on the kernel's int64 width, a Steps of 24 bytes a
+    step that compares, hashes and prints as that tuple.  tie_events counts
+    steps where two or more moves shared the maximal gain; it is only
+    meaningful for the steepest engine and 0 elsewhere.  complete is False
+    exactly when a max_steps limit stopped the run while some move still
+    improved; otherwise end is a peak.
     """
     method: str
     start: Bits
@@ -111,7 +192,7 @@ class Trace:
     fitness_end: int
     min_gain: int | None
     tie_events: int
-    steps: tuple[tuple[int, int, int], ...] | None
+    steps: Sequence[tuple[int, int, int]] | None
     seed: int | None = None
     complete: bool = True
 
@@ -340,7 +421,9 @@ class _Int64:
     """The kernel at int64 (vcsp_ascend): exact while |constant| + sum of
     |weights| < 2^62.  Its integers, the constant included, are ctypes int64
     arrays.  mt_seed is vcsp_mt_seed, which seeds the random rule's state
-    from a copy of mt_table, the bytes of vcsp_mt_table's state.  replay and
+    from a copy of mt_table, the bytes of vcsp_mt_table's state.  steps
+    makes a recorded run's records a Steps; the 128-bit width reads them
+    into a tuple of tuples instead.  replay and
     csv_rows are vcsp_replay64 and vcsp_csv_rows64 at this width, None at
     the others."""
 
@@ -368,6 +451,11 @@ class _Int64:
         """The first k integers of array."""
         return array[:k]
 
+    @staticmethod
+    def steps(out, k: int) -> Steps:
+        """The first k step records in out, as a Steps of their bytes."""
+        return Steps(ctypes.string_at(out, _STEP.size * k))
+
 
 class _Int128(_Int64):
     """The kernel at 128 bits (vcsp_ascend128): exact while |constant| + sum
@@ -394,6 +482,11 @@ class _Int128(_Int64):
         raw = ctypes.string_at(array, 16 * k)
         return [int.from_bytes(raw[i:i + 16], "little", signed=True)
                 for i in range(0, 16 * k, 16)]
+
+    @classmethod
+    def steps(cls, out, k: int) -> tuple[tuple[int, int, int], ...]:
+        cells = iter(cls.read(out, 3 * k))
+        return tuple(zip(cells, cells, cells))
 
 
 @functools.cache
@@ -507,9 +600,13 @@ def _ascend_native(a: _NativeArrays, rule, args, inst: Instance, start: Sequence
     """_ascend with rule, on the kernel; args are rule.kernel_args(a.width).
     Recorded runs go in calls of at most _CHUNK steps, each continuing from
     the last: the assignment and the rule's state buffer carry over, so the
-    path is the same as in one call.  Without a limit the output buffers
-    start at _FIRST_CHUNK steps and double after each call that fills them,
-    up to _CHUNK, so a short run does not zero-fill 16,384 cells."""
+    path is the same as in one call.  Each call writes its step records
+    into one buffer, just past the last call's, and the buffer grows by
+    ctypes.resize (a realloc, which moves no pages of a large block) to hold
+    the next call's: one copy of the records at the end makes the steps.
+    Without a limit the calls start at _FIRST_CHUNK steps and double after
+    each call that fills them, up to _CHUNK, so a short run does not
+    zero-fill 16,384 records."""
     code, stop_on_tie, order, state = args
     d = inst.num_vars
     start = tuple(start)  # tuple() first: bytes() of a numpy array is its buffer
@@ -526,30 +623,30 @@ def _ascend_native(a: _NativeArrays, rule, args, inst: Instance, start: Sequence
     fn = width.fn
     block = a.block
     res = width.Result()
-    steps = out_var = out_gain = None
+    out = at = None
     if record_steps:
         size = min(_CHUNK, _FIRST_CHUNK if limit < 0 else max(1, limit))
-        out_var = (ctypes.c_int32 * size)()
-        out_gain = width.zeros(size)
-        steps = []
+        out = width.zeros(3 * size)
+        cap = size  # records out holds
+        record = 3 * width.size  # bytes a record
     nsteps = ties = 0
     fit0 = min_gain = None
     while True:
         part = limit if limit < 0 else limit - nsteps
-        if steps is not None and not 0 <= part <= size:
-            part = size
-        status = fn(d, block, x, ctypes.c_int64(part), code, stop_on_tie, order, state,
-                    out_var, out_gain, res)
+        if out is not None:
+            if not 0 <= part <= size:
+                part = size
+            if nsteps + part > cap:
+                cap = nsteps + part
+                ctypes.resize(out, record * cap)
+            at = ctypes.c_void_p(ctypes.addressof(out) + record * nsteps)
+        status = fn(d, block, x, ctypes.c_int64(part), code, stop_on_tie, order, state, at, res)
         if status == _NO_MEMORY:
             raise MemoryError("the ascent kernel could not allocate its scratch")
         k, fit_start, fit, least, ties_k, tie_moves, tie_gain = width.read(res, 7)
         if fit0 is None:
             fit0 = fit_start
         if k:
-            if steps is not None:
-                gains = width.read(out_gain, k)
-                steps.extend(zip(out_var[:k], gains,
-                                 islice(accumulate(gains, initial=fit_start), 1, None)))
             if min_gain is None or least < min_gain:
                 min_gain = least
         nsteps += k
@@ -558,12 +655,10 @@ def _ascend_native(a: _NativeArrays, rule, args, inst: Instance, start: Sequence
             raise _tie_error(nsteps + 1, tie_moves, tie_gain)
         if status == _PEAK or nsteps == limit:
             break
-        if steps is not None and size < _CHUNK:  # only without a limit
+        if out is not None and size < _CHUNK:  # only without a limit
             size = min(2 * size, _CHUNK)
-            out_var = (ctypes.c_int32 * size)()
-            out_gain = width.zeros(size)
     return _trace(rule.method, tuple(bits), tuple(x.raw), nsteps, fit0, fit, min_gain, ties,
-                  None if steps is None else tuple(steps), rule.seed, status == _PEAK)
+                  None if out is None else width.steps(out, nsteps), rule.seed, status == _PEAK)
 
 
 def _kernel_arrays(inst: Instance) -> _NativeArrays | bool | None:
@@ -654,8 +749,8 @@ def replay(inst: Instance, trace: Trace) -> None:
 
     Raises ReplayMismatchError on the first mismatch (wrong gain, wrong running
     fitness, non-increasing step, wrong endpoint, or an endpoint that is not
-    a peak despite the trace claiming completion).  The steps run on the
-    kernel where they can (see the module docstring), else on the loop here.
+    a peak despite the trace claiming completion).  The steps of a Steps run
+    on the kernel (see the module docstring), all others on the loop here.
     """
     if trace.steps is None:
         raise NoRecordedStepsError("trace has no recorded steps to replay")
@@ -694,39 +789,20 @@ def replay(inst: Instance, trace: Trace) -> None:
         raise ReplayMismatchError("trace claims completion but end is not a local peak")
 
 
-_STEP64 = struct.Struct("3q").pack  # a step as the kernel's trace functions read it
-
-
-def _pack64(steps) -> list[bytes] | None:
-    """steps as int64 triples (variable, gain, fitness after), _CHUNK steps
-    to a bytes object, or None where a step is not a triple of ints that fit
-    in int64 (struct takes ints, bools and numpy ints, not floats).  One
-    pack per step checks its length too, in about the time of one
-    struct.pack over all the values."""
-    it = iter(steps)
-    try:
-        return [b"".join(starmap(_STEP64, islice(it, _CHUNK)))
-                for _ in range(0, len(steps), _CHUNK)]
-    except (TypeError, struct.error):
-        return None
-
-
 def _replay64(inst: Instance, steps, start: list[int], fit: int) -> tuple[Bits, int] | None:
     """replay's loop over steps from start, at fitness fit, on the kernel's
     int64 width: the end and its fitness when every step checks, else None,
-    also where inst is not on that width or the steps do not pack."""
+    also where steps is not a Steps or inst is not on that width."""
+    if type(steps) is not Steps:
+        return None
     arrays = _kernel_arrays(inst)
     if not (arrays and arrays.width.replay):
         return None
-    parts = _pack64(steps)
-    if parts is None:
-        return None
     x = ctypes.create_string_buffer(bytes(start), len(start))
     f = (ctypes.c_int64 * 1)(fit)
-    for part in parts:
-        if arrays.width.replay(inst.num_vars, arrays.block, x, ctypes.c_int64(len(part) // 24),
-                               part, f):
-            return None
+    if arrays.width.replay(inst.num_vars, arrays.block, x, ctypes.c_int64(len(steps)),
+                           steps._raw, f):
+        return None
     return tuple(x.raw), f[0]
 
 
@@ -775,23 +851,25 @@ def write_trace_csv(trace: Trace, inst: Instance, path) -> None:
 
     Columns: step, var_index, var_label, gain, fitness_after.  var_label is
     "(k,i)" for labeled variables, empty otherwise.  The variables are not
-    checked against inst.  The rows come from the kernel where the steps
-    pack as int64 (see the module docstring), with the same bytes.
+    checked against inst.  The rows of a Steps with at least one step come
+    from the kernel (see the module docstring), with the same bytes.
     """
     steps = trace.steps
     if steps is None:
         raise NoRecordedStepsError("trace has no recorded steps to write")
+    widths = _native_kernel()
+    on_kernel = type(steps) is Steps and steps and widths
     # rows as csv.writer writes them: "\r\n" after each, and the label,
     # which holds a comma, in double quotes; each variable's "v,label," once
     label = {v: f'"({k},{i})"' for v, (k, i) in inst.labels.items()}
-    prefix = {v: f"{v},{label.get(v, '')}," for v in set(map(operator.itemgetter(0), steps))}
+    variables = (memoryview(steps._raw).cast("q")[0::3] if on_kernel
+                 else map(operator.itemgetter(0), steps))
+    prefix = {v: f"{v},{label.get(v, '')}," for v in set(variables)}
     header = (f"# method={trace.method}\n"
               f"# seed={trace.seed if trace.seed is not None else ''}\n"
               f"# instance=sha256:{inst.content_hash()}\n"
               "step,var_index,var_label,gain,fitness_after\r\n")
-    widths = _native_kernel()
-    parts = _pack64(steps) if widths and steps else None
-    if parts is None:  # the reference
+    if not on_kernel:  # the reference
         rows = ["%d,%s%d,%d\r\n" % (t, prefix[v], gain, after)
                 for t, (v, gain, after) in enumerate(steps, start=1)]
         with open(path, "w", newline="") as fh:
@@ -802,13 +880,12 @@ def write_trace_csv(trace: Trace, inst: Instance, path) -> None:
     pre = [prefix[v].encode() for v in variables]
     args = (ctypes.c_int64(len(variables)), struct.pack(f"{len(variables)}q", *variables),
             _c_array(ctypes.c_int32, [0, *accumulate(map(len, pre))]), b"".join(pre))
-    out = ctypes.create_string_buffer(len(parts[0]) // 24 * (64 + max(map(len, pre))))
+    n = len(steps)
+    out = ctypes.create_string_buffer(min(n, _CHUNK) * (64 + max(map(len, pre))))
     with open(path, "w", newline="") as fh:
         fh.write(header)
         fh.flush()
-        t = 0
-        for part in parts:
-            n = len(part) // 24
-            size = widths[0].csv_rows(ctypes.c_int64(t), ctypes.c_int64(n), part, *args, out)
+        for t in range(0, n, _CHUNK):
+            size = widths[0].csv_rows(ctypes.c_int64(t), ctypes.c_int64(min(_CHUNK, n - t)),
+                                      steps._raw, *args, out)
             fh.buffer.write(memoryview(out)[:size])
-            t += n

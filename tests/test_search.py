@@ -8,10 +8,12 @@ import random
 import shlex
 import shutil
 import subprocess
+import struct
 import sys
 import sysconfig
 import threading
 import timeit
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -286,9 +288,26 @@ def both_replays(monkeypatch, inst, trace):
     return got, want
 
 
+def packed(steps):
+    """steps as a search.Steps, the kernel's int64 records, where every step
+    is three ints in int64 (struct packs bools as ints too), else as a
+    tuple.  replay and write_trace_csv take their kernel paths for a Steps
+    only, so a trace edited by hand reaches the kernel through this."""
+    steps = tuple(steps)
+    try:
+        return search.Steps(b"".join(struct.pack("3q", *step) for step in steps))
+    except (TypeError, struct.error):
+        return steps
+
+
+def with_steps(trace, steps):
+    """trace with steps, packed where they pack."""
+    return dataclasses.replace(trace, steps=packed(steps))
+
+
 def with_step(trace, t, step):
-    """trace with its step t (from 1) replaced by step."""
-    return dataclasses.replace(trace, steps=trace.steps[:t - 1] + (step,) + trace.steps[t:])
+    """trace with its step t (from 1) replaced by step, packed where it packs."""
+    return with_steps(trace, trace.steps[:t - 1] + (step,) + trace.steps[t:])
 
 
 def test_replay_failure_messages(monkeypatch, gadget_plus, kernel_calls):
@@ -310,11 +329,11 @@ def test_replay_failure_messages(monkeypatch, gadget_plus, kernel_calls):
         (with_step(tr, 4, (-1, 3, 11)), "IndexOutOfRangeError", "variable index -1 not in [0, 6)"),
         (with_step(tr, 4, (5, 4, 11)), mismatch, "step 4: recorded gain 4, computed 3"),
         (with_step(tr, 4, (5, -3, 11)), mismatch, "step 4: recorded gain -3, computed 3"),
-        (dataclasses.replace(tr, steps=((1, -13, -13),) + tr.steps), mismatch,
+        (with_steps(tr, ((1, -13, -13),) + tr.steps), mismatch,
          "step 1: non-improving recorded step"),
         (with_step(tr, 4, (5, 3, 12)), mismatch, "step 4: recorded fitness 12, computed 11"),
         (with_step(tr, 7, (5, 3, 17)), mismatch, "step 7: recorded fitness 17, computed 18"),
-        (dataclasses.replace(tr, steps=tr.steps + ((5, -3, 15),)), mismatch,
+        (with_steps(tr, tr.steps + ((5, -3, 15),)), mismatch,
          "step 8: non-improving recorded step"),
         (dataclasses.replace(tr, end=(0,) * 6), mismatch, "replayed end differs from recorded end"),
         (dataclasses.replace(tr, fitness_end=19), mismatch,
@@ -323,7 +342,8 @@ def test_replay_failure_messages(monkeypatch, gadget_plus, kernel_calls):
          "num_steps differs from the recorded step list"),
         (dataclasses.replace(stopped, complete=True), mismatch,
          "trace claims completion but end is not a local peak"),
-        (dataclasses.replace(tr, steps=(), num_steps=0, end=tr.start, fitness_end=0), mismatch,
+        (dataclasses.replace(tr, steps=packed(()), num_steps=0, end=tr.start, fitness_end=0),
+         mismatch,
          "trace claims completion but end is not a local peak"),
         (dataclasses.replace(tr, steps=None), "NoRecordedStepsError",
          "trace has no recorded steps to replay"),
@@ -423,7 +443,7 @@ def check_replay_outcomes(monkeypatch, scale, count):
                 del steps[k]
             else:
                 steps.insert(k, steps[k])
-            tr = dataclasses.replace(tr, steps=tuple(steps))
+            tr = with_steps(tr, steps)
         got, want = both_replays(monkeypatch, inst, tr)
         assert got == want
         failed += got is not None
@@ -432,13 +452,14 @@ def check_replay_outcomes(monkeypatch, scale, count):
 
 def test_replay_past_int64_runs_on_the_python_loop(monkeypatch, kernel_calls):
     # chain(5, 5, '+') scaled by 2^64 + 1 runs on the 128-bit width or the
-    # Python loop, and its steps do not pack as int64: replay checks it in
-    # Python, with the same messages
+    # Python loop, and its steps are a tuple, not the kernel's int64 records
+    # (they do not fit in int64): replay checks it in Python, with the same
+    # messages
     inst = scaled(build_chain(5, 5, "+"), BIG)
     tr = steepest_ascent(inst, expected_peak(5, 5, "-"))
-    assert search._pack64(tr.steps) is None
     v, g, f = tr.steps[50]
     bad = with_step(tr, 51, (v, g, f - 1))
+    assert type(tr.steps) is type(bad.steps) is tuple
     assert both_replays(monkeypatch, inst, tr) == (None, None)
     want = ("ReplayMismatchError", f"step 51: recorded fitness {f - 1}, computed {f}")
     assert both_replays(monkeypatch, inst, bad) == (want, want)
@@ -1058,6 +1079,26 @@ def test_native_rules_stop_at_max_steps(on_both):
         assert engine(inst, start, max_steps=2 ** 64) == whole  # beyond int64: no limit
 
 
+def test_recorded_steps_are_held_packed():
+    # a recorded steepest ascent on the int64 width holds its 114,681 steps
+    # as 24-byte records, not as a tuple of tuples (104 bytes a step), and
+    # joins its calls' records without holding much more at once
+    if search._native_kernel() is None:
+        pytest.skip("no native kernel on this machine")
+    inst = build_chain(14, 14, "+")
+    start = expected_peak(14, 14, "-")
+    tracemalloc.start()
+    try:
+        tr = steepest_ascent(inst, start)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = tr.num_steps
+    assert n == predicted_ascent_length(14) and tr.end == expected_peak(14, 14, "+")
+    assert held <= 32 * n, f"held {held / n:.1f} bytes a step"
+    assert peak <= 64 * n, f"peaked at {peak / n:.1f} bytes a step"
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
 @pytest.mark.parametrize("rule", ["steepest", "random", "first"])
@@ -1306,10 +1347,13 @@ def check_csv_files(monkeypatch, tmp_path):
         ((0, 2), (1, 2, 3, 4)),
         (7,),
     ]
+    # each hand-made trace as a tuple, for the Python writer on both sides,
+    # and packed where it packs, for the kernel
+    made = [steps for steps in map(packed, rows) if type(steps) is search.Steps] + rows
     traces = [(long, chain),
               (steepest_ascent(chain, expected_peak(10, 10, "+")), chain),
               *((Trace("random", (0,) * 4, (0,) * 4, len(steps), 0, 0, None, 0, steps, 2 ** 40),
-                 part) for steps in rows)]
+                 part) for steps in made)]
     for tr, inst in traces:
         got, want = both_csv_files(monkeypatch, tmp_path, tr, inst)
         assert got == want
