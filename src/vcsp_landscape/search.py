@@ -102,9 +102,9 @@ class Steps(Sequence):
 
     It reads as the tuple of tuples that the Python loop records: len,
     indexing, iteration, hash and repr are the tuple's.  A step-1 slice is a
-    Steps, any other slice a tuple, and so is a concatenation with a tuple.
-    It equals another Steps with the same bytes and a tuple with the same
-    steps, and nothing else, as a tuple does not equal a list."""
+    Steps; any other slice, and a concatenation, is a tuple.  It equals
+    another Steps with the same bytes and a tuple with the same steps, and
+    nothing else, as a tuple does not equal a list."""
 
     __slots__ = ("_raw",)
 
@@ -149,7 +149,7 @@ class Steps(Sequence):
         if isinstance(other, Steps):
             return self._raw == other._raw
         if isinstance(other, tuple):
-            return len(other) == len(self) and tuple(self) == other
+            return len(other) == len(self) and all(map(operator.eq, self, other))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -159,11 +159,7 @@ class Steps(Sequence):
         return repr(tuple(self))
 
     def __add__(self, other):
-        if isinstance(other, Steps):
-            return Steps(self._raw + other._raw)
-        if isinstance(other, tuple):
-            return tuple(self) + other
-        return NotImplemented
+        return tuple(self) + tuple(other) if isinstance(other, (tuple, Steps)) else NotImplemented
 
     def __radd__(self, other):
         # only a tuple: list += steps must reach list's own in-place concat
@@ -423,9 +419,8 @@ class _Int64:
     arrays.  mt_seed is vcsp_mt_seed, which seeds the random rule's state
     from a copy of mt_table, the bytes of vcsp_mt_table's state.  steps
     makes a recorded run's records a Steps; the 128-bit width reads them
-    into a tuple of tuples instead.  replay and
-    csv_rows are vcsp_replay64 and vcsp_csv_rows64 at this width, None at
-    the others."""
+    into a tuple of tuples instead.  replay and csv_rows are vcsp_replay64
+    and vcsp_csv_rows64 at this width, None at the others."""
 
     symbol = "vcsp_ascend"
     bound = 2 ** 62
@@ -646,9 +641,8 @@ def _ascend_native(a: _NativeArrays, rule, args, inst: Instance, start: Sequence
         k, fit_start, fit, least, ties_k, tie_moves, tie_gain = width.read(res, 7)
         if fit0 is None:
             fit0 = fit_start
-        if k:
-            if min_gain is None or least < min_gain:
-                min_gain = least
+        if k and (min_gain is None or least < min_gain):
+            min_gain = least
         nsteps += k
         ties += ties_k
         if status == _TIE:
