@@ -389,6 +389,19 @@ def test_ascent_graph_matches_a_brute_force_bfs():
     assert zero_gains >= 20 and peak_starts >= 20
 
 
+@pytest.mark.parametrize("n,start,size", [
+    (1, "+", (13, 18)), (2, "+", (88, 201)), (3, "+", (1087, 4041)), (4, "+", (23349, 130355)),
+    (1, "ones", (20, 36)), (2, "ones", (408, 1402)), (3, "ones", (12616, 69354)),
+])
+def test_ascent_graph_sizes_on_the_minus_chains(n, start, size):
+    # every ascent on chain(n, n, '-') from the '+' peak and from all ones:
+    # (nodes, edges), and the one sink is the '-' peak
+    start = expected_peak(n, n, "+") if start == "+" else (1,) * (6 * n)
+    g = ascent_graph(build_chain(n, n, "-"), start)
+    assert (len(g.nodes), len(g.edges)) == size
+    assert g.sinks == (expected_peak(n, n, "-"),)
+
+
 def test_ascent_graph_edges_strictly_increase(gadget_plus):
     g = ascent_graph(gadget_plus, (0,) * 6)
     assert g.offsets[0] == 0 and g.offsets[-1] == len(g.edges) == 18
