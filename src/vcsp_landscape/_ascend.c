@@ -28,13 +28,16 @@
    A recorded run writes each step as one record of three cells, (variable,
    gain, fitness after), at either width; at int64 that is the 24 bytes a
    step that search.Steps holds, and the replay and CSV functions below read.
+   The ascent-graph search at the end of the int64 part reads the same
+   arrays as vcsp_ascend.
 
    Compiled on first use by search._native_kernel and called through ctypes
    with no argtypes, which converts each argument by its Python type: ints
-   as C int, so every integer parameter is int32_t except the int64_t ones
-   (max_steps, and the counts of the trace functions below), which the
-   caller passes as ctypes int64s, and every pointer as a ctypes array,
-   bytes or None. */
+   as C int, so every integer parameter is int32_t except the 64-bit ones
+   (max_steps, the counts of the trace functions, and the start mask,
+   fitness and cap of the ascent-graph search), which the caller passes as
+   ctypes int64s or uint64s, and every pointer as a ctypes array, bytes or
+   None. */
 #ifndef VALUE
 
 #include <stddef.h>
@@ -288,6 +291,156 @@ int64_t vcsp_csv_rows64(int64_t t0, int64_t n, const unsigned char *steps, int64
         *p++ = '\n';
     }
     return p - out;
+}
+
+/* --- Ascent graphs at int64 ---
+
+   The native twin of the loop of landscape.ascent_graph, which stays the
+   reference: a breadth-first search over every improving flip from a start,
+   for d <= 64 variables, so that an assignment is a uint64_t mask (bit v is
+   x_v).  The nodes are their own queue, in discovery order, and each node's
+   edges come in ascending variable.  An open-addressing table of node
+   indices, at most half full, finds a mask's node.  A node's gains are
+   recomputed from its mask in O(d + edges), so none are stored. */
+
+enum { G_NODES, G_FITNESS, G_OFFSETS, G_EDGES };  /* the slots of graph[] */
+
+/* Resizes the array at *p to n items of size bytes; 0 when that fails. */
+static int resize(void **p, int64_t n, size_t size)
+{
+    if ((uint64_t)n > SIZE_MAX / size)
+        return 0;
+    void *q = realloc(*p, (size_t)n * size);
+    if (!q)
+        return 0;
+    *p = q;
+    return 1;
+}
+
+/* A table of 2^bits empty slots (-1), or NULL. */
+static int32_t *empty_table(int bits)
+{
+    if (((uint64_t)1 << bits) > SIZE_MAX / sizeof(int32_t))
+        return NULL;
+    size_t bytes = ((size_t)1 << bits) * sizeof(int32_t);
+    int32_t *table = malloc(bytes);
+    if (table)
+        memset(table, 0xff, bytes);
+    return table;
+}
+
+/* The slot of mask in a table of 2^bits slots: its first free slot when
+   mask is not there, probing linearly from a Fibonacci hash. */
+static uint64_t find_slot(const int32_t *table, int bits, const uint64_t *nodes, uint64_t mask)
+{
+    uint64_t full = ((uint64_t)1 << bits) - 1, h = (mask * 0x9E3779B97F4A7C15U) >> (64 - bits);
+    while (table[h] >= 0 && nodes[table[h]] != mask)
+        h = (h + 1) & full;
+    return h;
+}
+
+/* Frees the arrays that vcsp_ascent_graph64 left in graph[]. */
+void vcsp_ascent_graph_free(void **graph)
+{
+    for (int i = G_NODES; i <= G_EDGES; i++) {
+        free(graph[i]);
+        graph[i] = NULL;
+    }
+}
+
+/* The ascent graph from the mask start, of fitness fit, over the instance's
+   int64 arrays (as vcsp_ascend reads them), on d <= 64 variables.  graph[]
+   holds four NULLs on entry and the arrays on return, also after a failure,
+   for vcsp_ascent_graph_free: the masks (uint64_t) and their fitness
+   (int64_t) in discovery order, and the CSR offsets and edge targets
+   (int32_t), with the numbers of nodes and of edges in size[0] and size[1].
+   Returns PEAK when the search is done; LIMIT when a new node is found
+   while cap or more are known, where the reference raises; NO_MEMORY when
+   an allocation fails or a count would pass INT32_MAX. */
+int vcsp_ascent_graph64(int32_t d, const void *const *arrays, uint64_t start, int64_t fit,
+                        int64_t cap, void **graph, int64_t *size)
+{
+    const int64_t *w = arrays[3], *unary = arrays[4];
+    const int32_t *off = arrays[1], *nbr = arrays[2];
+    int64_t n = 1, m = 0, node_cap = 64, edge_cap = 256;
+    int bits = 7;
+    int32_t *table = empty_table(bits);
+    int status = NO_MEMORY;
+    if (!(table && resize(&graph[G_NODES], node_cap, sizeof(uint64_t))
+          && resize(&graph[G_FITNESS], node_cap, sizeof(int64_t))
+          && resize(&graph[G_OFFSETS], node_cap + 1, sizeof(int32_t))
+          && resize(&graph[G_EDGES], edge_cap, sizeof(int32_t))))
+        goto done;
+    uint64_t *nodes = graph[G_NODES];
+    int64_t *fitness = graph[G_FITNESS];
+    int32_t *offsets = graph[G_OFFSETS], *edges = graph[G_EDGES];
+    nodes[0] = start;
+    fitness[0] = fit;
+    table[find_slot(table, bits, nodes, start)] = 0;
+    for (int64_t k = 0; k < n; k++) {
+        uint64_t x = nodes[k];
+        offsets[k] = (int32_t)m;
+        for (int32_t v = 0; v < d; v++) {
+            int64_t g = unary[v];
+            for (int32_t e = off[v]; e < off[v + 1]; e++)
+                if (x >> nbr[e] & 1)
+                    g += w[e];
+            if (x >> v & 1)
+                g = -g;
+            if (g <= 0)
+                continue;
+            uint64_t y = x ^ (uint64_t)1 << v, h = find_slot(table, bits, nodes, y);
+            int32_t b = table[h];
+            if (b < 0) {  /* a new node */
+                if (n >= cap) {
+                    status = LIMIT;
+                    goto done;
+                }
+                if (n == node_cap) {
+                    if (n == INT32_MAX)
+                        goto done;
+                    node_cap = n > INT32_MAX / 2 ? INT32_MAX : 2 * n;
+                    if (!(resize(&graph[G_NODES], node_cap, sizeof(uint64_t))
+                          && resize(&graph[G_FITNESS], node_cap, sizeof(int64_t))
+                          && resize(&graph[G_OFFSETS], node_cap + 1, sizeof(int32_t))))
+                        goto done;
+                    nodes = graph[G_NODES];
+                    fitness = graph[G_FITNESS];
+                    offsets = graph[G_OFFSETS];
+                }
+                b = (int32_t)n++;
+                nodes[b] = y;
+                fitness[b] = fitness[k] + g;
+                table[h] = b;
+                if (2 * n > (int64_t)1 << bits) {  /* rebuild the table twice as large */
+                    int32_t *wider = empty_table(bits + 1);
+                    if (!wider)
+                        goto done;
+                    free(table);
+                    table = wider;
+                    bits++;
+                    for (int32_t i = 0; i < n; i++)
+                        table[find_slot(table, bits, nodes, nodes[i])] = i;
+                }
+            }
+            if (m == edge_cap) {
+                if (m == INT32_MAX)
+                    goto done;
+                edge_cap = m > INT32_MAX / 2 ? INT32_MAX : 2 * m;
+                if (!resize(&graph[G_EDGES], edge_cap, sizeof(int32_t)))
+                    goto done;
+                edges = graph[G_EDGES];
+            }
+            edges[m++] = b;
+        }
+    }
+    offsets[n] = (int32_t)m;
+    status = PEAK;
+done:
+    free(table);
+    size[0] = n;
+    size[1] = m;
+    return status;
 }
 
 #if defined(__SIZEOF_INT128__) && defined(__BYTE_ORDER__) \

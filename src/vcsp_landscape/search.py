@@ -60,6 +60,12 @@ instances that are not on the int64 width, and every trace when there is no
 kernel.  replay also runs its loop after any failure on the kernel, so
 every message comes from one place.
 
+landscape.ascent_graph's breadth-first search has one kernel path too,
+_ascent_graph64 (vcsp_ascent_graph64), on the int64 width for instances of
+at most 64 variables: the nodes are uint64 masks, found again through an
+open-addressing table, and the graph comes back as the reference's tuples.
+The loop in landscape stays the reference for everything else.
+
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
 its seed, and trial batches derive per-trial seeds by counter from the master
@@ -88,6 +94,7 @@ from .errors import (
     RangeError,
     ReplayMismatchError,
     TieEncounteredError,
+    TooLargeError,
 )
 
 TIE_POLICIES = ("lowest-index", "error")
@@ -104,9 +111,10 @@ class Steps(Sequence):
     indexing, iteration, hash and repr are the tuple's.  A step-1 slice is a
     Steps; any other slice, and a concatenation, is a tuple.  It equals
     another Steps with the same bytes and a tuple with the same steps, and
-    nothing else, as a tuple does not equal a list."""
+    nothing else, as a tuple does not equal a list.  The hash is computed
+    once, from that tuple, and kept in _hash."""
 
-    __slots__ = ("_raw",)
+    __slots__ = ("_raw", "_hash")
 
     def __new__(cls, raw: bytes = b""):
         raw = bytes(raw)
@@ -153,7 +161,12 @@ class Steps(Sequence):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(self))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -419,14 +432,15 @@ class _Int64:
     arrays.  mt_seed is vcsp_mt_seed, which seeds the random rule's state
     from a copy of mt_table, the bytes of vcsp_mt_table's state.  steps
     makes a recorded run's records a Steps; the 128-bit width reads them
-    into a tuple of tuples instead.  replay and csv_rows are vcsp_replay64
-    and vcsp_csv_rows64 at this width, None at the others."""
+    into a tuple of tuples instead.  replay, csv_rows, ascent_graph and
+    free_graph are vcsp_replay64, vcsp_csv_rows64, vcsp_ascent_graph64 and
+    vcsp_ascent_graph_free at this width, None at the others."""
 
     symbol = "vcsp_ascend"
     bound = 2 ** 62
     size = 8  # bytes an integer
     Result = ctypes.c_int64 * 7  # the kernel's res[], as in _ascend.c
-    replay = csv_rows = None
+    replay = csv_rows = ascent_graph = free_graph = None
 
     def __init__(self, fn, mt_seed, mt_table: bytes):
         self.fn = fn
@@ -513,7 +527,7 @@ def _native_kernel():
         lib = ctypes.CDLL(str(lib))
     except OSError:
         return None
-    lib.vcsp_mt_table.restype = lib.vcsp_mt_seed.restype = None
+    lib.vcsp_mt_table.restype = lib.vcsp_mt_seed.restype = lib.vcsp_ascent_graph_free.restype = None
     lib.vcsp_replay64.restype = lib.vcsp_csv_rows64.restype = ctypes.c_int64
     table = _MTState()
     lib.vcsp_mt_table(table)
@@ -524,6 +538,8 @@ def _native_kernel():
             widths.append(width(fn, lib.vcsp_mt_seed, bytes(table)))
     widths[0].replay = lib.vcsp_replay64  # the int64 width, which every build has
     widths[0].csv_rows = lib.vcsp_csv_rows64
+    widths[0].ascent_graph = lib.vcsp_ascent_graph64
+    widths[0].free_graph = lib.vcsp_ascent_graph_free
     return tuple(widths)
 
 
@@ -798,6 +814,52 @@ def _replay64(inst: Instance, steps, start: list[int], fit: int) -> tuple[Bits, 
                            steps._raw, f):
         return None
     return tuple(x.raw), f[0]
+
+
+def _ascent_graph64(inst: Instance, start: Bits, fit: int, cap: int):
+    """landscape.ascent_graph's search from start, of fitness fit, on the
+    kernel's int64 width (vcsp_ascent_graph64): its nodes, fitness, offsets
+    and edges as tuples of ints.  None where inst has more than 64 variables
+    or is not on that width, or cap is not an int.  Raises TooLargeError
+    with the reference's message at the cap, and MemoryError where the
+    kernel runs out of memory.
+
+    The C arrays are copied out one at a time, each copy dropped once it is
+    a tuple, and freed before the largest tuple, the edges, is built.  The
+    edges are the items of one list(range(n)), so that, as in the reference,
+    they share the node-index ints instead of holding an int object an
+    edge."""
+    if inst.num_vars > 64 or not isinstance(cap, int):
+        return None
+    arrays = _kernel_arrays(inst)
+    if not (arrays and arrays.width.ascent_graph):
+        return None
+    width = arrays.width
+    mask = sum(1 << v for v, b in enumerate(start) if b)
+    graph = (ctypes.c_void_p * 4)()
+    size = (ctypes.c_int64 * 2)()
+    try:
+        status = width.ascent_graph(inst.num_vars, arrays.block, ctypes.c_uint64(mask),
+                                    ctypes.c_int64(fit),
+                                    ctypes.c_int64(min(max(cap, -2 ** 63), 2 ** 63 - 1)),
+                                    graph, size)
+        if status == _LIMIT:
+            raise TooLargeError(f"ascent graph exceeds the node cap {cap}")
+        if status == _NO_MEMORY:
+            raise MemoryError("the ascent-graph kernel could not allocate its arrays")
+        n, m = size
+
+        def read(slot, code, count):
+            raw = ctypes.string_at(graph[slot], struct.calcsize(code) * count)
+            return memoryview(raw).cast(code)
+
+        nodes = tuple(read(0, "Q", n))  # uint64: a mask of 2^63 or more stays positive
+        fitness = tuple(read(1, "q", n))
+        offsets = tuple(read(2, "i", n + 1))
+        targets = read(3, "i", m)
+    finally:
+        width.free_graph(graph)
+    return nodes, fitness, offsets, tuple(map(list(range(n)).__getitem__, targets))
 
 
 @dataclass(frozen=True)

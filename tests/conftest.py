@@ -65,6 +65,42 @@ def random_bits(rng: random.Random, d: int) -> tuple[int, ...]:
     return tuple(rng.randint(0, 1) for _ in range(d))
 
 
+def dense_instance(rng: random.Random, d: int, weights, unaries=()) -> Instance:
+    """80% of all pairs coupled; each variable gets a unary drawn from unaries."""
+    pairs = itertools.combinations(range(d), 2)
+    return Instance(d, 0, [(v, rng.choice(unaries)) for v in range(d) if unaries],
+                    [(i, j, rng.choice(weights)) for i, j in pairs if rng.random() < 0.8])
+
+
+def ascent_graph_cases() -> list[tuple[Instance, tuple[int, ...]]]:
+    """Seeded (instance, start) pairs for the ascent-graph oracles: no
+    variables, random sparse instances, dense couplings with and without
+    unaries (many zero gains), weights past 2^64, and starts that are
+    already peaks."""
+    rng = random.Random(907)
+    big = 3 * 2 ** 70
+    cases = [(Instance(0), ())]
+    for _ in range(60):
+        inst = random_instance(rng, max_vars=10)
+        cases.append((inst, random_bits(rng, inst.num_vars)))
+    for _ in range(30):  # dense ±1 couplings without unaries: many zero gradients
+        inst = dense_instance(rng, rng.randint(2, 10), (-1, 1))
+        cases.append((inst, random_bits(rng, inst.num_vars)))
+    for _ in range(20):
+        inst = dense_instance(rng, rng.randint(2, 10), (-4, -2, -1, 1, 3), (-5, -1, 2, 6))
+        cases.append((inst, random_bits(rng, inst.num_vars)))
+    for _ in range(20):
+        d = rng.randint(1, 10)
+        inst = Instance(d, big, [(v, rng.choice((-big, big, 7))) for v in range(d)],
+                        [(i, j, rng.choice((-big, big, -1, 2)))
+                         for i, j in itertools.combinations(range(d), 2)
+                         if rng.random() < 0.5])
+        cases.append((inst, random_bits(rng, inst.num_vars)))
+    for inst, _ in cases[1:21]:  # starts that are already peaks
+        cases.append((inst, brute_peaks(inst)[0]))
+    return cases
+
+
 @pytest.fixture(scope="session")
 def gadget_plus():
     return build_gadget(1, 1, "+")

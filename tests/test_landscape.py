@@ -25,7 +25,15 @@ from vcsp_landscape import (
 )
 from vcsp_landscape.errors import TooLargeError, UnreachableError, ZeroGradientError
 
-from conftest import brute_fitness, brute_improving, brute_peaks, random_bits, random_instance
+from conftest import (
+    ascent_graph_cases,
+    brute_fitness,
+    brute_improving,
+    brute_peaks,
+    dense_instance,
+    random_bits,
+    random_instance,
+)
 
 
 def test_sign_depends_inside_gadget(gadget_minus):
@@ -134,13 +142,6 @@ def _peaks_in_order(inst):
     return sorted(peaks, key=lambda x: (-fit[x], x))
 
 
-def _dense_instance(rng, d, weights, unaries=()):
-    # 80% of all pairs coupled; each variable gets a unary drawn from unaries
-    pairs = itertools.combinations(range(d), 2)
-    return Instance(d, 0, [(v, rng.choice(unaries)) for v in range(d) if unaries],
-                    [(i, j, rng.choice(weights)) for i, j in pairs if rng.random() < 0.8])
-
-
 def test_enumerate_peaks_matches_pure_python_oracle():
     # the exact list, order and ties included
     rng = random.Random(31)
@@ -148,8 +149,8 @@ def test_enumerate_peaks_matches_pure_python_oracle():
     cases = [Instance(0), Instance(10)]
     cases += [random_instance(rng, max_vars=12) for _ in range(40)]
     cases += [random_instance(rng, max_vars=10, max_weight=3) for _ in range(40)]
-    cases += [_dense_instance(rng, rng.randint(2, 11), (-1, 1)) for _ in range(20)]
-    cases += [_dense_instance(rng, rng.randint(2, 12), (-4, -2, -1, 1, 3), (-5, -1, 2, 6))
+    cases += [dense_instance(rng, rng.randint(2, 11), (-1, 1)) for _ in range(20)]
+    cases += [dense_instance(rng, rng.randint(2, 12), (-4, -2, -1, 1, 3), (-5, -1, 2, 6))
               for _ in range(10)]
     for _ in range(20):
         d = rng.randint(1, 9)
@@ -249,7 +250,7 @@ def test_check_semismooth_matches_every_face():
                         (-4 * big, -big, big, 3 * big), (-big, big, -1, 2)) for _ in range(30)]
     cases += [_weighted(rng, rng.randint(3, 8), rng.choice((0.5, 1.0)), (1, 2), (-5, -3, 1))
               for _ in range(30)]
-    cases += [_dense_instance(rng, rng.randint(2, 8), (-1, 1)) for _ in range(20)]
+    cases += [dense_instance(rng, rng.randint(2, 8), (-1, 1)) for _ in range(20)]
     cases += [_planted_pair(rng, rng.randint(3, 8)) for _ in range(30)]
     semismooth = edges = off_first_pair = 0
     for inst in cases:
@@ -356,27 +357,7 @@ def _graph_lists(g):
 
 def test_ascent_graph_matches_a_brute_force_bfs():
     # nodes, fitness, edges (variable and gain) and sinks, in order
-    rng = random.Random(907)
-    big = 3 * 2 ** 70
-    cases = [(Instance(0), ())]
-    for _ in range(60):
-        inst = random_instance(rng, max_vars=10)
-        cases.append((inst, random_bits(rng, inst.num_vars)))
-    for _ in range(30):  # dense ±1 couplings without unaries: many zero gradients
-        inst = _dense_instance(rng, rng.randint(2, 10), (-1, 1))
-        cases.append((inst, random_bits(rng, inst.num_vars)))
-    for _ in range(20):
-        inst = _dense_instance(rng, rng.randint(2, 10), (-4, -2, -1, 1, 3), (-5, -1, 2, 6))
-        cases.append((inst, random_bits(rng, inst.num_vars)))
-    for _ in range(20):
-        d = rng.randint(1, 10)
-        inst = Instance(d, big, [(v, rng.choice((-big, big, 7))) for v in range(d)],
-                        [(i, j, rng.choice((-big, big, -1, 2)))
-                         for i, j in itertools.combinations(range(d), 2)
-                         if rng.random() < 0.5])
-        cases.append((inst, random_bits(rng, inst.num_vars)))
-    for inst, _ in cases[1:21]:  # starts that are already peaks
-        cases.append((inst, brute_peaks(inst)[0]))
+    cases = ascent_graph_cases()
     zero_gains = peak_starts = 0
     for inst, start in cases:
         want = _brute_ascent_graph(inst, start)

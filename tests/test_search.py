@@ -19,15 +19,17 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_bits, random_instance
+from conftest import ascent_graph_cases, random_bits, random_instance
 from vcsp_landscape import (
     Instance,
     Trace,
+    ascent_graph,
     build_chain,
     constraint_graph,
     build_gadget,
     expected_peak,
     first_improvement_ascent,
+    landscape,
     peak_of_oriented,
     predicted_ascent_length,
     random_ascent,
@@ -253,8 +255,9 @@ def test_replay_detects_corruption(gadget_plus):
 
 
 def count_calls(monkeypatch, width):
-    """Counts the calls of the int64 width's replay and CSV functions."""
-    calls = {"replay": 0, "csv_rows": 0}
+    """Counts the calls of the int64 width's replay, CSV and ascent-graph
+    functions."""
+    calls = {"replay": 0, "csv_rows": 0, "ascent_graph": 0}
     for name in calls:
         def counted(*args, fn=getattr(width, name), name=name):
             calls[name] += 1
@@ -267,7 +270,8 @@ def count_calls(monkeypatch, width):
 def kernel_calls(monkeypatch):
     """count_calls on the kernel built here; no calls where there is none."""
     widths = search._native_kernel()
-    return count_calls(monkeypatch, widths[0]) if widths else {"replay": 0, "csv_rows": 0}
+    return (count_calls(monkeypatch, widths[0]) if widths
+            else {"replay": 0, "csv_rows": 0, "ascent_graph": 0})
 
 
 def replay_outcome(inst, trace):
@@ -397,6 +401,77 @@ def test_replay_on_an_equal_instance_that_has_not_run(monkeypatch):
     want = ("ReplayMismatchError",
             f"step 100: recorded fitness {tr.steps[99][2] + 1}, computed {tr.steps[99][2]}")
     assert both_replays(monkeypatch, fresh, bad) == (want, want)
+
+
+def graph_outcome(inst, start, cap):
+    """ascent_graph's AscentGraph, or the class and message it raised."""
+    try:
+        return ascent_graph(inst, start, cap=cap)
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def test_ascent_graphs_match_the_python_loop(monkeypatch, kernel_calls):
+    # as dispatched and with the native kernel switched off: the same
+    # AscentGraph, or the same error class and message, at every cap around
+    # the graph's size; the kernel runs exactly the int64 cases with d <= 64
+    on_kernel = check_ascent_graphs(monkeypatch, kernel_calls)
+    assert on_kernel > 100 or not search._native_kernel()
+
+
+def check_ascent_graphs(monkeypatch, calls):
+    """test_ascent_graphs_match_the_python_loop; returns the number of cases
+    that ran on the kernel.  Starts that are numpy arrays join where numpy
+    is installed."""
+    try:
+        import numpy as np
+    except ImportError:
+        np = None
+    cases = ascent_graph_cases()
+    rng = random.Random(2718)
+    for n in (1, 2):
+        for m in range(1, n + 1):
+            for sign in "+-":
+                inst = build_chain(n, m, sign)
+                cases += [(inst, start) for start in (
+                    expected_peak(n, m, "-" if sign == "+" else "+"), (1,) * (6 * m),
+                    random_bits(rng, 6 * m))]
+    cases.append((build_chain(3, 3, "-"), expected_peak(3, 3, "+")))
+    # d = 64 and 65: variable 63 flips up, so masks reach 2^63; d = 65 runs
+    # on the Python loop
+    for d in (64, 65):
+        inst = Instance(d, 0, [(v, 1 if v % 2 else -1) for v in range(d)],
+                        [(0, 63, 1), (60, 63, -3), (61, 62, 2), (62, 63, 2)])
+        start = [v % 2 for v in range(d)]
+        for v in (0, 60, 61, 62, 63):
+            start[v] ^= 1
+        cases += [(inst, tuple(start)), (inst, tuple(map(bool, start)))]
+        if np:
+            cases.append((inst, np.array(start)))
+    if np:
+        cases.append((build_chain(2, 2, "+"), np.zeros(12, dtype=np.int64)))
+    on_kernel = high = 0
+    for inst, start in cases:
+        before = calls["ascent_graph"]
+        with monkeypatch.context() as mp:
+            mp.setattr(search, "_native_kernel", lambda: None)
+            want = graph_outcome(inst, start, landscape.ASCENT_GRAPH_CAP)
+            n = len(want.nodes)
+            caps = [landscape.ASCENT_GRAPH_CAP, -1, 0, 1, n - 1, n, 2 ** 64, -2 ** 70]
+            wants = [graph_outcome(inst, start, cap) for cap in caps]
+        assert calls["ascent_graph"] == before  # none without a kernel
+        assert [graph_outcome(inst, start, cap) for cap in caps] == wants
+        total = (abs(inst.constant) + sum(map(abs, inst.unaries.values()))
+                 + sum(map(abs, inst.binaries.values())))
+        kernel = bool(search._native_kernel()) and total < 2 ** 62 and inst.num_vars <= 64
+        assert calls["ascent_graph"] - before == len(caps) * kernel
+        on_kernel += kernel
+        high += max(want.nodes) >= 2 ** 63
+        # a cap that is not an int runs on the Python loop
+        assert graph_outcome(inst, start, n - 0.5) == wants[5]
+        assert calls["ascent_graph"] - before == len(caps) * kernel
+    assert high == (6 if np else 4)
+    return on_kernel
 
 
 @pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
@@ -1153,6 +1228,27 @@ def test_recorded_steps_keep_the_trace_contract(on_both, monkeypatch, rule, scal
         assert acc == [(-1, 0, 0), *ref]
 
 
+def test_steps_hash_is_computed_once():
+    # the hash of a Steps is its tuple's, and a second hash allocates nothing
+    # of the tuple: under 1 KiB, where building the 7,161 steps to hash them
+    # peaks at about 600 KiB
+    inst = build_chain(10, 10, "+")
+    steps = steepest_ascent(inst, expected_peak(10, 10, "-")).steps
+    if type(steps) is not search.Steps:
+        steps = search.Steps(b"".join(search._STEP.pack(*step) for step in steps))
+    assert len(steps) == 7161 and hash(steps) == hash(tuple(steps))
+    tracemalloc.start()
+    try:
+        h = hash(steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == hash(tuple(steps)) and peak < 1024
+    with pytest.raises(AttributeError):
+        steps._hash = 0
+    assert pickle.loads(pickle.dumps(steps)) == steps
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_native_random_draws_match_cpython(on_both, seed):
     # the kernel's generator starts where random.Random(seed) does, and every
@@ -1235,7 +1331,8 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
     # the kernel built with -fsanitize=undefined runs the native-against-
     # reference checks without a report: no signed overflow, no shift or
     # index out of range, no misaligned access, at both widths; and the
-    # replay and trace CSV checks, on the int64 width
+    # replay, trace CSV and ascent-graph checks (caps hit, d = 64), on the
+    # int64 width
     widths = search._native_kernel()
     # the library's name is keyed by source and platform, not by flags: a
     # copy keeps this build out of the package's __pycache__ (the source
@@ -1263,6 +1360,7 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
             check_ties(reference, scale)
     check_replay_outcomes(monkeypatch, 1, 120)
     check_csv_files(monkeypatch, tmp_path)
+    assert check_ascent_graphs(monkeypatch, calls) > 100
     assert calls["replay"] > 60 and calls["csv_rows"] == 16
     inst = build_chain(2, 2, "+")
     steepest_ascent(inst, (0,) * 12)
