@@ -53,11 +53,17 @@ enum { STEEPEST = 0, RANDOM = 1, FIRST = 2 };  /* the selection rules */
 enum { R_STEPS, R_FIT_START, R_FIT_END, R_MIN_GAIN, R_TIES, R_TIE_MOVES, R_TIE_GAIN };
 
 /* The loop is inlined once per rule, so each rule's loop carries no test of
-   the others' branches. */
+   the others' branches.  Each width's entry point, and so its loop, starts
+   on a 64-byte boundary: otherwise the loop's place in the cache lines moves
+   with the size of whatever the library holds before it.  On a 2-core Xeon
+   a 32-byte shift took the median 4,096-step steepest call on
+   chain(16, 16, +-) from about 0.067 to 0.085 ms. */
 #if defined(__GNUC__)
 #define PER_RULE static inline __attribute__((always_inline))
+#define LINE_ALIGNED __attribute__((aligned(64)))
 #else
 #define PER_RULE static inline
+#define LINE_ALIGNED
 #endif
 
 /* --- Random draws: CPython's MT19937, as Modules/_randommodule.c has it ---
@@ -636,8 +642,9 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
    fitness after it to out[3t], out[3t + 1] and out[3t + 2], which must hold
    3 * max_steps cells.  The run stops with NO_MEMORY if the scratch cannot
    be allocated. */
-int ASCEND(int32_t d, const void *const *arrays, uint8_t *x, int64_t max_steps, int32_t rule,
-           int32_t stop_on_tie, const int32_t *order, uint32_t *state, CELL *out, CELL *res)
+LINE_ALIGNED int ASCEND(int32_t d, const void *const *arrays, uint8_t *x, int64_t max_steps,
+                        int32_t rule, int32_t stop_on_tie, const int32_t *order,
+                        uint32_t *state, CELL *out, CELL *res)
 {
     const CELL *constant = arrays[0], *w = arrays[3], *unary = arrays[4];
     const int32_t *off = arrays[1], *nbr = arrays[2];

@@ -527,7 +527,8 @@ def _native_kernel():
         lib = ctypes.CDLL(str(lib))
     except OSError:
         return None
-    lib.vcsp_mt_table.restype = lib.vcsp_mt_seed.restype = lib.vcsp_ascent_graph_free.restype = None
+    lib.vcsp_mt_table.restype = lib.vcsp_mt_seed.restype = None
+    lib.vcsp_ascent_graph_free.restype = None
     lib.vcsp_replay64.restype = lib.vcsp_csv_rows64.restype = ctypes.c_int64
     table = _MTState()
     lib.vcsp_mt_table(table)
