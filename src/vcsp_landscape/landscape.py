@@ -377,9 +377,11 @@ def ascent_graph(inst: Instance, start: Sequence[int], cap: int = ASCENT_GRAPH_C
     That loop is the reference.  Where the instance is on the native
     kernel's int64 width, has at most 64 variables and cap is an int, the
     same search runs in C over uint64 masks (search._ascent_graph64) and
-    gives the same graph, or the same error.  On a 2-core Xeon the 532,452
-    nodes of chain(4, 4, '-') from all ones take 0.5 to 0.8 s, against 3.1 to
-    3.9 s, and 165 MB of peak RSS, against 205 MB.
+    gives the same graph, or the same error.  The loop runs for more than
+    64 variables, for weights at or past 2^62 and where there is no kernel.
+    On an instance of at most 64 variables, the first call builds the
+    kernel if it is not built yet, and the instance's kernel arrays
+    (Instance._native), as the first ascent does.
     """
     start = tuple(start)
     f0 = inst.fitness(start)

@@ -111,10 +111,9 @@ class Steps(Sequence):
     indexing, iteration, hash and repr are the tuple's.  A step-1 slice is a
     Steps; any other slice, and a concatenation, is a tuple.  It equals
     another Steps with the same bytes and a tuple with the same steps, and
-    nothing else, as a tuple does not equal a list.  The hash is computed
-    once, from that tuple, and kept in _hash."""
+    nothing else, as a tuple does not equal a list."""
 
-    __slots__ = ("_raw", "_hash")
+    __slots__ = ("_raw",)
 
     def __new__(cls, raw: bytes = b""):
         raw = bytes(raw)
@@ -161,12 +160,7 @@ class Steps(Sequence):
         return NotImplemented
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple(self))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return repr(tuple(self))

@@ -1228,27 +1228,6 @@ def test_recorded_steps_keep_the_trace_contract(on_both, monkeypatch, rule, scal
         assert acc == [(-1, 0, 0), *ref]
 
 
-def test_steps_hash_is_computed_once():
-    # the hash of a Steps is its tuple's, and a second hash allocates nothing
-    # of the tuple: under 1 KiB, where building the 7,161 steps to hash them
-    # peaks at about 600 KiB
-    inst = build_chain(10, 10, "+")
-    steps = steepest_ascent(inst, expected_peak(10, 10, "-")).steps
-    if type(steps) is not search.Steps:
-        steps = search.Steps(b"".join(search._STEP.pack(*step) for step in steps))
-    assert len(steps) == 7161 and hash(steps) == hash(tuple(steps))
-    tracemalloc.start()
-    try:
-        h = hash(steps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert h == hash(tuple(steps)) and peak < 1024
-    with pytest.raises(AttributeError):
-        steps._hash = 0
-    assert pickle.loads(pickle.dumps(steps)) == steps
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_native_random_draws_match_cpython(on_both, seed):
     # the kernel's generator starts where random.Random(seed) does, and every
