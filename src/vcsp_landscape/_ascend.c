@@ -11,8 +11,8 @@
    Every rule has the same minimum gain and max_steps guard.  The instance's
    arrays are only read, so threads may share them.  The caller's other
    buffers belong to one call, and so does the scratch, which each call
-   allocates and frees.  The random draws and the scan cursor live in a
-   caller-owned state buffer, so a run can continue across calls.
+   allocates and frees.  A whole run is one call: it starts from the caller's
+   assignment, with RANDOM's generator in a caller-owned state buffer.
 
    The loop is written once, at the end of this file, and compiled at two
    widths, with one signature, by including the file into itself:
@@ -28,16 +28,18 @@
    A recorded run writes each step as one record of three cells, (variable,
    gain, fitness after), at either width; at int64 that is the 24 bytes a
    step that search.Steps holds, and the replay and CSV functions below read.
-   The ascent-graph search at the end of the int64 part reads the same
+   The kernel grows the records with realloc and hands them to the caller,
+   who frees them with vcsp_free, as it does the ascent-graph search's
+   arrays.  That search, at the end of the int64 part, reads the same
    arrays as vcsp_ascend.
 
    Compiled on first use by search._native_kernel and called through ctypes
-   with no argtypes, which converts each argument by its Python type: ints
-   as C int, so every integer parameter is int32_t except the 64-bit ones
-   (max_steps, the counts of the trace functions, and the start mask,
-   fitness and cap of the ascent-graph search), which the caller passes as
-   ctypes int64s or uint64s, and every pointer as a ctypes array, bytes or
-   None. */
+   with no argtypes (but for vcsp_free), which converts each argument by its
+   Python type: ints as C int, so every integer parameter is int32_t except
+   the 64-bit ones (max_steps, the counts of the trace functions, and the
+   start mask, fitness and cap of the ascent-graph search), which the caller
+   passes as ctypes int64s or uint64s, and every pointer as a ctypes array,
+   bytes, a byref() or None. */
 #ifndef VALUE
 
 #include <stddef.h>
@@ -65,6 +67,25 @@ enum { R_STEPS, R_FIT_START, R_FIT_END, R_MIN_GAIN, R_TIES, R_TIE_MOVES, R_TIE_G
 #define PER_RULE static inline
 #define LINE_ALIGNED
 #endif
+
+/* Resizes the array at *p to n items of size bytes; 0 when that fails, with
+   *p as it was. */
+static int resize(void **p, int64_t n, size_t size)
+{
+    if ((uint64_t)n > SIZE_MAX / size)
+        return 0;
+    void *q = realloc(*p, (size_t)n * size);
+    if (!q)
+        return 0;
+    *p = q;
+    return 1;
+}
+
+/* Frees what the kernel handed to the caller: step records, graph arrays. */
+void vcsp_free(void *p)
+{
+    free(p);
+}
 
 /* --- Random draws: CPython's MT19937, as Modules/_randommodule.c has it ---
 
@@ -311,18 +332,6 @@ int64_t vcsp_csv_rows64(int64_t t0, int64_t n, const unsigned char *steps, int64
 
 enum { G_NODES, G_FITNESS, G_OFFSETS, G_EDGES };  /* the slots of graph[] */
 
-/* Resizes the array at *p to n items of size bytes; 0 when that fails. */
-static int resize(void **p, int64_t n, size_t size)
-{
-    if ((uint64_t)n > SIZE_MAX / size)
-        return 0;
-    void *q = realloc(*p, (size_t)n * size);
-    if (!q)
-        return 0;
-    *p = q;
-    return 1;
-}
-
 /* A table of 2^bits empty slots (-1), or NULL. */
 static int32_t *empty_table(int bits)
 {
@@ -345,19 +354,10 @@ static uint64_t find_slot(const int32_t *table, int bits, const uint64_t *nodes,
     return h;
 }
 
-/* Frees the arrays that vcsp_ascent_graph64 left in graph[]. */
-void vcsp_ascent_graph_free(void **graph)
-{
-    for (int i = G_NODES; i <= G_EDGES; i++) {
-        free(graph[i]);
-        graph[i] = NULL;
-    }
-}
-
 /* The ascent graph from the mask start, of fitness fit, over the instance's
    int64 arrays (as vcsp_ascend reads them), on d <= 64 variables.  graph[]
    holds four NULLs on entry and the arrays on return, also after a failure,
-   for vcsp_ascent_graph_free: the masks (uint64_t) and their fitness
+   for the caller to pass to vcsp_free: the masks (uint64_t) and their fitness
    (int64_t) in discovery order, and the CSR offsets and edge targets
    (int32_t), with the numbers of nodes and of edges in size[0] and size[1].
    Returns PEAK when the search is done; LIMIT when a new node is found
@@ -485,11 +485,12 @@ static void store128(cell128 *p, int128 v)
    fitness change of flipping v.  Under STEEPEST, imp lists the improving
    variables in any order and pos[v] is v's slot in imp or -1; under RANDOM,
    imp is the Fenwick tree of the improving flags; FIRST needs neither, as
-   it reads the flags off gain[]. */
+   it reads the flags off gain[].  The records *out holds grow before the
+   step that would not fit: 1,024 at first, then twice as many. */
 PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t *off,
                   const int32_t *nbr, const CELL *w, const CELL *unary, uint8_t *x,
                   int64_t max_steps, int32_t stop_on_tie, const int32_t *order,
-                  uint32_t *state, CELL *out, CELL *res,
+                  uint32_t *state, void **out, CELL *res,
                   CELL *gain, int32_t *imp, int32_t *pos)
 {
     VALUE fit = LOAD(constant, 0);
@@ -530,13 +531,23 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
     }
     STORE(res, R_FIT_START, fit);
 
-    int64_t steps = 0, ties = 0;
+    int64_t steps = 0, ties = 0, cap = 0;  /* cap: the records *out holds */
+    CELL *rec = NULL;
+    uint32_t scan = 0;  /* FIRST's position in order */
     VALUE min_gain = 0;
     int status = PEAK;
     while (n_imp > 0) {
         if (steps == max_steps) {
             status = LIMIT;
             break;
+        }
+        if (out && steps == cap) {
+            cap = cap ? 2 * cap : 1024;
+            if (!resize(out, cap, 3 * sizeof(CELL))) {
+                status = NO_MEMORY;
+                break;
+            }
+            rec = *out;
         }
         int32_t best = -1;
         VALUE best_g = 0;
@@ -573,13 +584,11 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
             fenwick_add(imp, d, best, -1);
             best_g = LOAD(gain, best);
         } else {
-            uint32_t p = state[0];  /* the scan cursor: a position in order */
             do {
-                best = order ? order[p] : (int32_t)p;
-                if (++p == (uint32_t)d)
-                    p = 0;
+                best = order ? order[scan] : (int32_t)scan;
+                if (++scan == (uint32_t)d)
+                    scan = 0;
             } while (!(LOAD(gain, best) > 0));
-            state[0] = p;
             best_g = LOAD(gain, best);
         }
         n_imp--;
@@ -612,9 +621,9 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
         }
 
         if (out) {
-            STORE(out, 3 * steps, best);
-            STORE(out, 3 * steps + 1, best_g);
-            STORE(out, 3 * steps + 2, fit);
+            STORE(rec, 3 * steps, best);
+            STORE(rec, 3 * steps + 1, best_g);
+            STORE(rec, 3 * steps + 2, fit);
         }
         steps++;
         if (min_gain == 0 || best_g < min_gain)
@@ -635,16 +644,17 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
    rule picks the selection rule.  Under STEEPEST, a tie with stop_on_tie set
    stops the run before the tied step and reports the tie's size and gain.
    Under RANDOM, state holds the generator (MT_N + 1 words, see
-   vcsp_mt_seed); under FIRST, state[0] is the position in order[] (a
-   permutation of 0 .. d-1, or NULL for 0, 1, .., d-1) where the scan
-   resumes.  The loop advances the state, so the next call continues the
-   run.  When out is not NULL, step t writes its variable, gain and the
-   fitness after it to out[3t], out[3t + 1] and out[3t + 2], which must hold
-   3 * max_steps cells.  The run stops with NO_MEMORY if the scratch cannot
-   be allocated. */
+   vcsp_mt_seed); under FIRST, the scan goes through order[] (a permutation
+   of 0 .. d-1, or NULL for 0, 1, .., d-1) from its first position.  When
+   out is not NULL, *out is NULL on entry, and on return it holds the run's
+   records, or NULL after no step: step t's variable, gain and the fitness
+   after it are the CELLs at 3t, 3t + 1 and 3t + 2.  The caller owns them
+   and frees them with vcsp_free.  The run stops with NO_MEMORY if the
+   scratch cannot be allocated or the records cannot grow; *out then holds
+   the records so far. */
 LINE_ALIGNED int ASCEND(int32_t d, const void *const *arrays, uint8_t *x, int64_t max_steps,
                         int32_t rule, int32_t stop_on_tie, const int32_t *order,
-                        uint32_t *state, CELL *out, CELL *res)
+                        uint32_t *state, void **out, CELL *res)
 {
     const CELL *constant = arrays[0], *w = arrays[3], *unary = arrays[4];
     const int32_t *off = arrays[1], *nbr = arrays[2];

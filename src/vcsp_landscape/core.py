@@ -21,6 +21,7 @@ import hashlib
 import operator
 from bisect import bisect_left
 from itertools import compress, product
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -54,14 +55,15 @@ class Instance:
     Attributes:
         num_vars: number of Boolean variables.
         constant: the constant fitness term.
-        unaries: dict index -> nonzero weight.
-        binaries: dict (i, j) with i < j -> nonzero weight.
-        labels: dict index -> (k, i) label, possibly empty.
+        unaries: read-only mapping index -> nonzero weight.
+        binaries: read-only mapping (i, j) with i < j -> nonzero weight.
+        labels: read-only mapping index -> (k, i) label, possibly empty.
         neighbors: per-variable tuple of (other, weight) pairs, one per
             binary constraint touching the variable.
 
     Instances never mutate after construction and are safe to share across
-    threads; searches copy assignments and never write back.
+    threads; searches copy assignments and never write back.  The one slot
+    set later is _native, the kernel's arrays, on first use.
     """
 
     __slots__ = ("num_vars", "constant", "unaries", "binaries", "labels",
@@ -94,7 +96,7 @@ class Instance:
             if i in udict:
                 raise DuplicateScopeError(f"duplicate unary scope {{{i}}}")
             udict[i] = int(w)
-        self.unaries = udict
+        self.unaries = MappingProxyType(udict)
 
         if isinstance(binaries, Mapping):
             binaries = [(i, j, w) for (i, j), w in binaries.items()]
@@ -114,7 +116,7 @@ class Instance:
             bdict[key] = w = int(w)
             nbrs[i].append((j, w))
             nbrs[j].append((i, w))
-        self.binaries = bdict
+        self.binaries = MappingProxyType(bdict)
 
         ldict: dict[int, Label] = {}
         by_label: dict[Label, int] = {}
@@ -133,7 +135,7 @@ class Instance:
                     raise DuplicateScopeError(f"label ({k},{i}) used twice")
                 ldict[idx] = label
                 by_label[label] = idx
-        self.labels = ldict
+        self.labels = MappingProxyType(ldict)
         self._index_by_label = by_label
 
         for row in nbrs:
@@ -145,22 +147,26 @@ class Instance:
 
     def __reduce__(self):
         """Pickle by content; the kernel's ctypes arrays are rebuilt on use."""
-        return (Instance, (self.num_vars, self.constant, self.unaries, self.binaries,
-                           self.labels))
+        return (Instance, (self.num_vars, self.constant, dict(self.unaries),
+                           dict(self.binaries), dict(self.labels)))
 
     def _check_index(self, i: int) -> None:
         if not (0 <= i < self.num_vars):
             raise IndexOutOfRangeError(f"variable index {i} not in [0, {self.num_vars})")
 
-    def check_assignment(self, x: Sequence[int]) -> None:
+    def check_assignment(self, x: Sequence[int]) -> bytes:
+        """x as bytes, one 0 or 1 a variable; raises LengthMismatchError or
+        BitValueError where x is not an assignment of this instance."""
         if len(x) != self.num_vars:
             raise LengthMismatchError(
                 f"assignment has length {len(x)}, instance has {self.num_vars} variables")
         try:
             # bytes() takes integers (bools and numpy integers too) in range(256)
-            # and rejects floats, which would compare equal to 0 and 1
-            if not bytes(tuple(x)).translate(None, b"\0\1"):
-                return
+            # and rejects floats, which would compare equal to 0 and 1; tuple()
+            # first, as bytes() of a numpy array is its buffer
+            bits = bytes(tuple(x))
+            if not bits.translate(None, b"\0\1"):
+                return bits
         except (TypeError, ValueError):
             pass
         for b in x:
@@ -170,6 +176,7 @@ class Instance:
             except TypeError:
                 pass
             raise BitValueError(f"assignment entries must be integers 0 or 1, got {b!r}")
+        return bytes(map(operator.index, x))
 
     def fitness(self, x: Sequence[int]) -> int:
         self.check_assignment(x)

@@ -29,23 +29,25 @@ reference, and it runs everything else: instances at or above 2^126, above
 (random.Random hashes those), and all runs when no kernel can be built.
 
 Most ascents that check the paper's claims are short, so a kernel call is
-kept to little more than the kernel's own work.  Its C functions have no
-ctypes argtypes, and the instance's five arrays go as one block of their
-addresses, built with the arrays.  The start is converted once, by bytes():
-that one result checks the start (check_assignment runs only when the check
-fails, for its message), fills the kernel's buffer and gives Trace.start.
-_trace stores the Trace's fields straight into its __dict__, in place of
-the frozen dataclass's eleven object.__setattr__ calls.  A random ascent's
-generator starts from a copy of init_genrand(19650218), the same for every
-seed and computed once when the kernel is loaded, and runs only the
-seed-dependent steps of init_by_array.  First-improvement in index order
-passes no order array (NULL).  On a 2-core Xeon a 43-step steepest ascent
-on chain(4, 4, '+') costs about 6.5 us a call, against 9.5 us with
-argtypes, five array arguments and the dataclass constructor.
+kept to little more than the kernel's own work.  Every ascent is one call.
+Its C functions have no ctypes argtypes, and the instance's five arrays go
+as one block of their addresses, built with the arrays.  The start is
+checked and converted once, by check_assignment, whose bytes fill the
+kernel's buffer and give Trace.start.  _trace stores the Trace's fields
+straight into its __dict__, in place of the frozen dataclass's eleven
+object.__setattr__ calls.  A random ascent's generator starts from a copy
+of init_genrand(19650218), the same for every seed and computed once when
+the kernel is loaded, and runs only the seed-dependent steps of
+init_by_array.  First-improvement in index order passes no order array
+(NULL).  On a 2-core Xeon a 43-step steepest ascent on chain(4, 4, '+')
+costs about 6.5 us a call, against 9.5 us with argtypes, five array
+arguments and the dataclass constructor.
 
 A recorded run on the kernel writes each step as one record (variable,
-gain, fitness after).  At int64 the records are 24 bytes a step, and they
-become the Trace's steps as they are: a Steps, which reads them as the
+gain, fitness after), in memory that the kernel grows as the run goes
+(1,024 records, then twice as many each time) and that is copied once into
+the steps and then freed.  At int64 the records are 24 bytes a step, and
+they become the Trace's steps as they are: a Steps, which reads them as the
 tuple of (variable, gain, fitness after) tuples that the Python loop
 records, so no step is ever a Python object unless it is read.  At 128 bits
 the records are read into that tuple.  replay and write_trace_csv each have
@@ -225,12 +227,18 @@ def _trace(method, start, end, num_steps, fitness_start, fitness_end, min_gain,
 
 
 def _step_limit(max_steps: int | None) -> int:
-    """The engines' step limit: -1 for none, else max_steps, which must be >= 0."""
+    """The engines' step limit: -1 for none, else max_steps, which must be an
+    integer (numpy ints too) >= 0."""
     if max_steps is None:
         return -1
-    if max_steps < 0:
+    try:
+        limit = operator.index(max_steps)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"max_steps must be an integer or None, got {max_steps!r}") from None
+    if limit < 0:
         raise RangeError(f"max_steps must be >= 0, got {max_steps}")
-    return max_steps
+    return limit
 
 
 def _ascend(rule, inst: Instance, start: Sequence[int], record_steps: bool,
@@ -288,7 +296,6 @@ def _ascend(rule, inst: Instance, start: Sequence[int], record_steps: bool,
 
 _STEEPEST, _RANDOM, _FIRST = 0, 1, 2  # the kernel's rules, as in _ascend.c
 _MTState = ctypes.c_uint32 * 625  # the random rule's kernel state: 624 words and an index
-_Cursor = ctypes.c_uint32 * 1  # first-improvement's kernel state: the scan position
 
 
 class _Steepest:
@@ -393,10 +400,10 @@ class _First:
                 return v
 
     def kernel_args(self, width):
-        """As _Steepest.kernel_args; the state is the scan position, and a
-        None order is NULL, which the kernel scans in index order."""
+        """As _Steepest.kernel_args; a None order is NULL, which the kernel
+        scans in index order."""
         order = None if self.order is None else _c_array(ctypes.c_int32, self.order)
-        return _FIRST, 0, order, _Cursor(self.pos)
+        return _FIRST, 0, order, None
 
 
 def _tie_error(step: int, moves: int, gain: int) -> TieEncounteredError:
@@ -405,8 +412,7 @@ def _tie_error(step: int, moves: int, gain: int) -> TieEncounteredError:
 
 # --- the native kernel ----------------------------------------------------------
 
-_CHUNK = 2 ** 14  # recorded steps per kernel call
-_FIRST_CHUNK = 2 ** 10  # a recorded run without a limit starts at this many steps a call
+_CHUNK = 2 ** 14  # trace CSV rows per kernel call
 _PEAK, _LIMIT, _TIE, _NO_MEMORY = 0, 1, 2, 3  # the kernel's stop reasons, as in _ascend.c
 _SRC = Path(__file__).with_name("_ascend.c")
 
@@ -424,30 +430,27 @@ class _Int64:
     """The kernel at int64 (vcsp_ascend): exact while |constant| + sum of
     |weights| < 2^62.  Its integers, the constant included, are ctypes int64
     arrays.  mt_seed is vcsp_mt_seed, which seeds the random rule's state
-    from a copy of mt_table, the bytes of vcsp_mt_table's state.  steps
-    makes a recorded run's records a Steps; the 128-bit width reads them
-    into a tuple of tuples instead.  replay, csv_rows, ascent_graph and
-    free_graph are vcsp_replay64, vcsp_csv_rows64, vcsp_ascent_graph64 and
-    vcsp_ascent_graph_free at this width, None at the others."""
+    from a copy of mt_table, the bytes of vcsp_mt_table's state, and free is
+    vcsp_free.  steps makes a recorded run's records a Steps; the 128-bit
+    width reads them into a tuple of tuples instead.  replay, csv_rows and
+    ascent_graph are vcsp_replay64, vcsp_csv_rows64 and vcsp_ascent_graph64
+    at this width, None at the others."""
 
     symbol = "vcsp_ascend"
     bound = 2 ** 62
     size = 8  # bytes an integer
     Result = ctypes.c_int64 * 7  # the kernel's res[], as in _ascend.c
-    replay = csv_rows = ascent_graph = free_graph = None
+    replay = csv_rows = ascent_graph = None
 
-    def __init__(self, fn, mt_seed, mt_table: bytes):
+    def __init__(self, fn, lib, mt_table: bytes):
         self.fn = fn
-        self.mt_seed = mt_seed
+        self.mt_seed = lib.vcsp_mt_seed
+        self.free = lib.vcsp_free
         self.mt_table = mt_table
 
     @staticmethod
     def array(values: Sequence[int]):
         return _c_array(ctypes.c_int64, values)
-
-    @staticmethod
-    def zeros(n: int):
-        return (ctypes.c_int64 * n)()
 
     @staticmethod
     def read(array, k: int) -> list[int]:
@@ -477,10 +480,6 @@ class _Int128(_Int64):
         return (ctypes.c_char * len(data)).from_buffer_copy(data)
 
     @staticmethod
-    def zeros(n: int):
-        return (ctypes.c_char * (16 * n))()
-
-    @staticmethod
     def read(array, k: int) -> list[int]:
         raw = ctypes.string_at(array, 16 * k)
         return [int.from_bytes(raw[i:i + 16], "little", signed=True)
@@ -505,8 +504,9 @@ def _native_kernel():
     The kernel's functions have no argtypes: ctypes then converts each
     argument by its type, about 1 us a call faster than through argtypes.
     So every caller passes ints only for the C functions' int32_t
-    parameters, a ctypes int64 for max_steps, and ctypes arrays or None for
-    the pointers (see _ascend.c).
+    parameters, a ctypes int64 for max_steps, and ctypes arrays, a byref()
+    or None for the pointers (see _ascend.c).  vcsp_free alone has them, so
+    that it takes the int addresses a ctypes c_void_p array reads as.
     """
     import sysconfig
 
@@ -521,8 +521,8 @@ def _native_kernel():
         lib = ctypes.CDLL(str(lib))
     except OSError:
         return None
-    lib.vcsp_mt_table.restype = lib.vcsp_mt_seed.restype = None
-    lib.vcsp_ascent_graph_free.restype = None
+    lib.vcsp_mt_table.restype = lib.vcsp_mt_seed.restype = lib.vcsp_free.restype = None
+    lib.vcsp_free.argtypes = [ctypes.c_void_p]
     lib.vcsp_replay64.restype = lib.vcsp_csv_rows64.restype = ctypes.c_int64
     table = _MTState()
     lib.vcsp_mt_table(table)
@@ -530,11 +530,10 @@ def _native_kernel():
     for width in (_Int64, _Int128):
         fn = getattr(lib, width.symbol, None)
         if fn is not None:
-            widths.append(width(fn, lib.vcsp_mt_seed, bytes(table)))
+            widths.append(width(fn, lib, bytes(table)))
     widths[0].replay = lib.vcsp_replay64  # the int64 width, which every build has
     widths[0].csv_rows = lib.vcsp_csv_rows64
     widths[0].ascent_graph = lib.vcsp_ascent_graph64
-    widths[0].free_graph = lib.vcsp_ascent_graph_free
     return tuple(widths)
 
 
@@ -604,66 +603,31 @@ def _native_arrays(inst: Instance, widths) -> _NativeArrays | bool:
 def _ascend_native(a: _NativeArrays, rule, args, inst: Instance, start: Sequence[int],
                    record_steps: bool, limit: int) -> Trace:
     """_ascend with rule, on the kernel; args are rule.kernel_args(a.width).
-    Recorded runs go in calls of at most _CHUNK steps, each continuing from
-    the last: the assignment and the rule's state buffer carry over, so the
-    path is the same as in one call.  Each call writes its step records
-    into one buffer, just past the last call's, and the buffer grows by
-    ctypes.resize (a realloc, which moves no pages of a large block) to hold
-    the next call's: one copy of the records at the end makes the steps.
-    Without a limit the calls start at _FIRST_CHUNK steps and double after
-    each call that fills them, up to _CHUNK, so a short run does not
-    zero-fill 16,384 records."""
+    The whole run is one call.  A recorded run's records come back in memory
+    the kernel grew, which is copied once into the steps and then freed."""
     code, stop_on_tie, order, state = args
+    bits = inst.check_assignment(start)
     d = inst.num_vars
-    start = tuple(start)  # tuple() first: bytes() of a numpy array is its buffer
-    try:  # bytes() takes ints in range(256), bools and numpy ints too, not floats
-        bits = bytes(start)
-    except (TypeError, ValueError):
-        bits = None
-    if bits is None or len(bits) != d or bits.translate(None, b"\0\1"):
-        inst.check_assignment(start)  # raises, with check_assignment's message
     x = ctypes.create_string_buffer(bits, d)
     if limit >= 2 ** 63:
         limit = -1  # no limit in practice: at 30M steps/s, 2^63 steps take about 10^4 years
     width = a.width
-    fn = width.fn
-    block = a.block
     res = width.Result()
-    out = at = None
-    if record_steps:
-        size = min(_CHUNK, _FIRST_CHUNK if limit < 0 else max(1, limit))
-        out = width.zeros(3 * size)
-        cap = size  # records out holds
-        record = 3 * width.size  # bytes a record
-    nsteps = ties = 0
-    fit0 = min_gain = None
-    while True:
-        part = limit if limit < 0 else limit - nsteps
-        if out is not None:
-            if not 0 <= part <= size:
-                part = size
-            if nsteps + part > cap:
-                cap = nsteps + part
-                ctypes.resize(out, record * cap)
-            at = ctypes.c_void_p(ctypes.addressof(out) + record * nsteps)
-        status = fn(d, block, x, ctypes.c_int64(part), code, stop_on_tie, order, state, at, res)
+    out = ctypes.c_void_p() if record_steps else None
+    try:
+        status = width.fn(d, a.block, x, ctypes.c_int64(limit), code, stop_on_tie, order, state,
+                          out if out is None else ctypes.byref(out), res)
         if status == _NO_MEMORY:
-            raise MemoryError("the ascent kernel could not allocate its scratch")
-        k, fit_start, fit, least, ties_k, tie_moves, tie_gain = width.read(res, 7)
-        if fit0 is None:
-            fit0 = fit_start
-        if k and (min_gain is None or least < min_gain):
-            min_gain = least
-        nsteps += k
-        ties += ties_k
+            raise MemoryError("the ascent kernel could not allocate its scratch or step records")
+        k, fit0, fit, least, ties, tie_moves, tie_gain = width.read(res, 7)
         if status == _TIE:
-            raise _tie_error(nsteps + 1, tie_moves, tie_gain)
-        if status == _PEAK or nsteps == limit:
-            break
-        if out is not None and size < _CHUNK:  # only without a limit
-            size = min(2 * size, _CHUNK)
-    return _trace(rule.method, tuple(bits), tuple(x.raw), nsteps, fit0, fit, min_gain, ties,
-                  None if out is None else width.steps(out, nsteps), rule.seed, status == _PEAK)
+            raise _tie_error(k + 1, tie_moves, tie_gain)
+        steps = None if out is None else width.steps(out, k)
+    finally:
+        if out:
+            width.free(out)
+    return _trace(rule.method, tuple(bits), tuple(x.raw), k, fit0, fit, least if k else None,
+                  ties, steps, rule.seed, status == _PEAK)
 
 
 def _kernel_arrays(inst: Instance) -> _NativeArrays | bool | None:
@@ -853,7 +817,8 @@ def _ascent_graph64(inst: Instance, start: Bits, fit: int, cap: int):
         offsets = tuple(read(2, "i", n + 1))
         targets = read(3, "i", m)
     finally:
-        width.free_graph(graph)
+        for p in graph:
+            width.free(p)
     return nodes, fitness, offsets, tuple(map(list(range(n)).__getitem__, targets))
 
 

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -148,6 +150,43 @@ def test_assignment_entries_must_be_integer_bits():
     np = pytest.importorskip("numpy")
     ones = np.array((1,) * 5 + (0,), dtype=np.uint8)
     assert inst.fitness(ones) == inst.gradient(0, ones) + inst.fitness((0,) + (1,) * 4 + (0,))
+
+
+def test_check_assignment_returns_the_bits():
+    # the checked assignment as bytes, one 0 or 1 a variable, from any
+    # sequence of integer bits; the same errors as before otherwise
+    inst = build_chain(1, 1, "+")
+    bits = bytes((1, 0, 1, 1, 0, 0))
+    for x in (tuple(bits), list(bits), bits, tuple(map(bool, bits))):
+        assert inst.check_assignment(x) == bits
+    with pytest.raises(LengthMismatchError, match="assignment has length 5, instance has 6"):
+        inst.check_assignment(bits[:5])
+    with pytest.raises(BitValueError, match="got 2$"):
+        inst.check_assignment((0, 1, 2, 0, 0, 0))
+    np = pytest.importorskip("numpy")
+    for dtype in (np.uint8, np.int64):
+        assert inst.check_assignment(np.array(tuple(bits), dtype=dtype)) == bits
+
+
+def test_instance_mappings_are_read_only(chain22_plus):
+    # writing to unaries, binaries or labels raises, where it used to leave
+    # fitness (read off the mappings) and gradient (read off neighbors)
+    # disagreeing; pickle, deepcopy, equality and the text form are as before
+    inst = chain22_plus
+    text = to_text(inst)
+    (i, j), w = next(iter(inst.binaries.items()))
+    v = next(iter(inst.unaries))
+    for mapping, key, value in ((inst.binaries, (i, j), 10 ** 6), (inst.unaries, v, 1),
+                                (inst.labels, v, (9, 1))):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+        with pytest.raises(TypeError):
+            del mapping[key]
+    assert inst.binaries[(i, j)] == w and to_text(inst) == text
+    for copied in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert copied == inst and copied is not inst and to_text(copied) == text
+        assert type(copied.unaries) is type(inst.unaries)
+    assert inst == from_text(text) and inst != build_chain(2, 2, "-")
 
 
 def test_gradient_table_in_mask_order():

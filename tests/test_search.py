@@ -3,6 +3,7 @@ import csv
 import ctypes
 import dataclasses
 import hashlib
+import os
 import pickle
 import random
 import shlex
@@ -669,6 +670,31 @@ def test_negative_max_steps_rejected(engine, chain22_plus):
     assert engine(chain22_plus, (0,) * 12, max_steps=0).num_steps == 0
 
 
+@pytest.mark.parametrize("engine", [
+    steepest_ascent,
+    lambda inst, start, **kw: random_ascent(inst, start, seed=1, **kw),
+    first_improvement_ascent,
+])
+def test_max_steps_must_be_an_integer(engine, chain22_plus, monkeypatch):
+    # a float or a string limit raises InvalidArgumentError, with one
+    # message, on the kernel and on the Python loop, recorded or not; numpy
+    # ints are limits
+    np = pytest.importorskip("numpy")
+    start = (0,) * 12
+    for kernel in (True, False):
+        with monkeypatch.context() as mp:
+            if not kernel:
+                mp.setattr(search, "_native_kernel", lambda: None)
+            for record in (False, True):
+                for bad in (1.5, "3"):
+                    with pytest.raises(InvalidArgumentError) as e:
+                        engine(chain22_plus, start, record_steps=record, max_steps=bad)
+                    assert str(e.value) == f"max_steps must be an integer or None, got {bad!r}"
+                got = engine(chain22_plus, start, record_steps=record, max_steps=np.int64(3))
+                assert got == engine(chain22_plus, start, record_steps=record, max_steps=3)
+                assert got.num_steps == 3 and not got.complete
+
+
 def test_native_kernel_loads():
     # without the kernel, every differential test below compares the Python
     # loop with itself; without the 128-bit width, the scaled ones do
@@ -724,7 +750,8 @@ def check_continuation(reference, inst, start, part):
 
 @pytest.mark.parametrize("part", [1, 7, 1000, 2 ** 14 + 3])
 def test_native_max_steps_continuation(reference, part):
-    # recorded runs above 2^14 steps span several kernel calls
+    # recorded parts of 2^14 + 3 steps outgrow the kernel's first records
+    # five times
     check_continuation(reference, build_chain(12, 12, "+"), expected_peak(12, 12, "-"), part)
 
 
@@ -755,18 +782,12 @@ def check_ties(reference, scale):
     assert tied >= 100 and stopped >= 100
 
 
-@pytest.mark.parametrize("chunk", [None, 2])
-def test_native_matches_reference_with_ties(reference, monkeypatch, chunk):
-    if chunk:  # recorded runs cross kernel calls every `chunk` steps
-        monkeypatch.setattr(search, "_CHUNK", chunk)
+def test_native_matches_reference_with_ties(reference):
     check_ties(reference, 1)
 
 
-@pytest.mark.parametrize("chunk", [None, 2])
-def test_native128_matches_reference_with_ties(reference, monkeypatch, chunk):
+def test_native128_matches_reference_with_ties(reference):
     # every gain in a TieEncounteredError message is past int64
-    if chunk:
-        monkeypatch.setattr(search, "_CHUNK", chunk)
     check_ties(reference, BIG)
 
 
@@ -1078,22 +1099,17 @@ def check_rules_on_chains(on_both, rule, scale, n_max):
                             assert got.end == expected_peak(n, m, sign)
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 3])
 @pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
-def test_native_rules_match_reference_on_random_instances(on_both, monkeypatch, scale, chunk):
+def test_native_rules_match_reference_on_random_instances(on_both, scale):
     widths_for(scale)
-    if chunk:
-        monkeypatch.setattr(search, "_CHUNK", chunk)
-    check_rules_on_random_instances(on_both, scale, chunk, 300)
+    check_rules_on_random_instances(on_both, scale, 300)
 
 
-def check_rules_on_random_instances(on_both, scale, chunk, count):
+def check_rules_on_random_instances(on_both, scale, count):
     """count seeded instances with many ties, every seed kind, index and
-    shuffled scan orders and max_steps limits; with chunk set, recorded runs
-    cross kernel calls every `chunk` steps, and the generator and scan
-    position carry over."""
+    shuffled scan orders and max_steps limits."""
     rng = random.Random(4711)
-    stopped = crossed = 0
+    stopped = 0
     for t in range(count):
         inst = scaled(random_instance(rng, max_vars=14, max_weight=rng.choice((3, 20))), scale)
         start = random_bits(rng, inst.num_vars)
@@ -1106,18 +1122,21 @@ def check_rules_on_random_instances(on_both, scale, chunk, count):
                 got, want = on_both(engine, inst, start, record_steps=record, max_steps=limit)
                 assert got == want
                 stopped += not got.complete
-                crossed += record and chunk is not None and got.num_steps > chunk
-    assert stopped >= count // 3 and (crossed >= count // 3 or not chunk)
+    assert stopped >= count // 3
 
 
 @pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
 def test_recorded_runs_outgrow_the_first_buffer(on_both, scale):
-    # recorded runs without a limit, longer than the first output buffer:
-    # steepest ascent between the peaks of chain(8, 8) and chain(9, 9), 1,785
-    # and 3,577 steps, and every rule from all zeros on 1,500 independent
-    # unaries, 1,500 steps
+    check_recorded_runs_outgrow_the_first_buffer(on_both, scale)
+
+
+def check_recorded_runs_outgrow_the_first_buffer(on_both, scale):
+    """Recorded runs without a limit, longer than the kernel's first
+    records: steepest ascent between the peaks of chain(8, 8) and
+    chain(9, 9), 1,785 and 3,577 steps, and every rule from all zeros on
+    1,500 independent unaries, 1,500 steps."""
     widths_for(scale)
-    first = search._FIRST_CHUNK
+    first = 1024  # the records the kernel grows at first, as in _ascend.c
     cases = [(scaled(build_chain(n, n, "+"), scale), expected_peak(n, n, "-"), steepest_ascent)
              for n in (8, 9)]
     flat = scaled(Instance(1500, 0, [(v, 1 + v % 3) for v in range(1500)]), scale)
@@ -1125,7 +1144,7 @@ def test_recorded_runs_outgrow_the_first_buffer(on_both, scale):
     random.Random(5).shuffle(order)
     cases += [(flat, (0,) * 1500, engine)
               for engine in (steepest_ascent, random_with(7), first_with(order))]
-    assert first < 1500 and 3 * first < predicted_ascent_length(9)  # two buffers filled
+    assert first < 1500 and 3 * first < predicted_ascent_length(9)  # grown twice
     for inst, start, engine in cases:
         got, want = on_both(engine, inst, start)
         assert got == want
@@ -1156,8 +1175,9 @@ def test_native_rules_stop_at_max_steps(on_both):
 
 def test_recorded_steps_are_held_packed():
     # a recorded steepest ascent on the int64 width holds its 114,681 steps
-    # as 24-byte records, not as a tuple of tuples (104 bytes a step), and
-    # joins its calls' records without holding much more at once
+    # as 24-byte records, not as a tuple of tuples (104 bytes a step).  The
+    # kernel's own records are C memory, which tracemalloc does not see:
+    # test_recorded_run_grows_rss_by_at_most_64_bytes_a_step bounds them
     if search._native_kernel() is None:
         pytest.skip("no native kernel on this machine")
     inst = build_chain(14, 14, "+")
@@ -1165,34 +1185,101 @@ def test_recorded_steps_are_held_packed():
     tracemalloc.start()
     try:
         tr = steepest_ascent(inst, start)
-        held, peak = tracemalloc.get_traced_memory()
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     n = tr.num_steps
     assert n == predicted_ascent_length(14) and tr.end == expected_peak(14, 14, "+")
     assert held <= 32 * n, f"held {held / n:.1f} bytes a step"
-    assert peak <= 64 * n, f"peaked at {peak / n:.1f} bytes a step"
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
+def run_child(code):
+    """The stdout of code run by a new interpreter on this checkout's src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+# a child's set-up on Linux: chain(16, 16, '+'), the other peak, the kernel
+# loaded and the instance's arrays built by a 1-step run, and status(), a
+# /proc/self/status field in KiB
+CHAIN16 = """
+import resource
+from vcsp_landscape import build_chain, expected_peak, steepest_ascent
+def status(field):
+    return int(open("/proc/self/status").read().split(field + ":")[1].split()[0])
+inst = build_chain(16, 16, "+")
+start = expected_peak(16, 16, "-")
+steepest_ascent(inst, start, max_steps=1)
+"""
+
+
+def linux_kernel():
+    """Skips a test that reads /proc/self/status off Linux, or with no kernel."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/status: Linux only")
+    if search._native_kernel() is None:
+        pytest.skip("no native kernel on this machine")
+
+
+def test_recorded_run_grows_rss_by_at_most_64_bytes_a_step():
+    # the kernel's growing records and the Steps copied from them, at their
+    # peak together, in a child process's peak RSS: a recorded steepest
+    # ascent of 458,745 steps on chain(16, 16, '+'), run twice, so that
+    # records the first run did not free would show (about 72 bytes a step).
+    # The peak is VmHWM, not ru_maxrss: Linux carries ru_maxrss through
+    # exec, so a child's starts at this process's peak and can hide growth
+    linux_kernel()
+    code = CHAIN16 + """
+before = status("VmHWM")
+tr = steepest_ascent(inst, start)
+del tr
+tr = steepest_ascent(inst, start)
+print(tr.num_steps, type(tr.steps).__name__, (status("VmHWM") - before) * 1024 / tr.num_steps)
+"""
+    steps, kind, per_step = run_child(code).split()
+    assert (int(steps), kind) == (predicted_ascent_length(16), "Steps")
+    assert float(per_step) <= 64, f"peak RSS grew by {per_step} bytes a step"
+
+
+def test_recorded_run_out_of_memory_raises_memory_error():
+    # under an address-space limit 8 MiB above what the process has mapped,
+    # the kernel cannot grow the records of chain(16, 16, '+')'s 458,745
+    # steps (11 MB): the run raises MemoryError, and a summary run
+    # afterwards, under the same limit, walks the whole path
+    linux_kernel()
+    code = CHAIN16 + """
+limit = (status("VmSize") + 8 * 1024) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    steepest_ascent(inst, start)
+except MemoryError as e:
+    print(e)
+print(steepest_ascent(inst, start, record_steps=False).num_steps)
+"""
+    assert run_child(code) == ("the ascent kernel could not allocate its scratch or step "
+                               f"records\n{predicted_ascent_length(16)}\n")
+
+
+@pytest.mark.parametrize("limit", [None, 7])
 @pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
 @pytest.mark.parametrize("rule", ["steepest", "random", "first"])
-def test_recorded_steps_keep_the_trace_contract(on_both, monkeypatch, rule, scale, chunk):
+def test_recorded_steps_keep_the_trace_contract(on_both, monkeypatch, rule, scale, limit):
     # a recorded kernel trace behaves as the Python loop's, whose steps are a
     # tuple of (variable, gain, fitness after) tuples: equality both ways,
     # hash, repr, pickle, deepcopy and astuple; indexing, slicing, len and
     # iteration; editing one step by slices, and extending a list by the
-    # steps.  With chunk set, the steps come from several kernel calls
+    # steps.  Unlimited runs, and runs stopped after 7 steps
     widths_for(scale)
-    if chunk:
-        monkeypatch.setattr(search, "_CHUNK", chunk)
     inst = scaled(build_chain(4, 4, "+"), scale)
     order = list(range(24))
     random.Random(6).shuffle(order)
     engine = {"steepest": steepest_ascent, "random": random_with(2 ** 40 + 3),
               "first": first_with(order)}[rule]
     for start in (expected_peak(4, 4, "-"), (0,) * 24, expected_peak(4, 4, "+")):
-        got, want = on_both(engine, inst, start)
+        got, want = on_both(engine, inst, start, max_steps=limit)
         assert got == want and want == got and not got != want
         assert hash(got) == hash(want) and repr(got) == repr(want)
         for copied in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
@@ -1309,7 +1396,8 @@ def test_trace_helper_builds_what_the_constructor_builds():
 def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path, capfd):
     # the kernel built with -fsanitize=undefined runs the native-against-
     # reference checks without a report: no signed overflow, no shift or
-    # index out of range, no misaligned access, at both widths; and the
+    # index out of range, no misaligned access, at both widths, also where
+    # the records grow; and the
     # replay, trace CSV and ascent-graph checks (caps hit, d = 64), on the
     # int64 width
     widths = search._native_kernel()
@@ -1329,14 +1417,12 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
     assert [w.bound for w in sanitized] == [w.bound for w in widths]
     monkeypatch.setattr(search, "_native_kernel", lambda: sanitized)
     calls = count_calls(monkeypatch, sanitized[0])
-    default_chunk = search._CHUNK
     for scale in (1, BIG)[:len(sanitized)]:
         for rule in ("steepest", "random", "first"):
             check_rules_on_chains(on_both, rule, scale, 4)
-        for chunk in (None, 1, 3):
-            monkeypatch.setattr(search, "_CHUNK", chunk or default_chunk)
-            check_rules_on_random_instances(on_both, scale, chunk, 60)
-            check_ties(reference, scale)
+        check_rules_on_random_instances(on_both, scale, 60)
+        check_ties(reference, scale)
+        check_recorded_runs_outgrow_the_first_buffer(on_both, scale)
     check_replay_outcomes(monkeypatch, 1, 120)
     check_csv_files(monkeypatch, tmp_path)
     assert check_ascent_graphs(monkeypatch, calls) > 100
