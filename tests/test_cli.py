@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import subprocess
 import sys
@@ -423,8 +424,8 @@ def test_usage_error_exits_nonzero(capsys):
     assert exc.value.code == 2
 
 
-def golden_session(tmp_path, capsys) -> str:
-    """A fixed `vcsp` command set; stdout and exit code of each, in order."""
+def golden_commands(tmp_path) -> list:
+    """The argv of each command of the golden session, in order."""
     c3, c2, bags = (str(tmp_path / f) for f in ("c3.vcsp", "c2.vcsp", "c3.bags"))
     twist = tmp_path / "twist.vcsp"
     twist.write_text("vcsp 1\nn 12\n"
@@ -432,7 +433,7 @@ def golden_session(tmp_path, capsys) -> str:
                      + "".join(f"label {6 + i} 2 {i + 1}\n" for i in range(6))
                      + "u 0 7\n" + "".join(f"u {i} {i % 3 - 3}\n" for i in range(1, 12))
                      + "b 0 7 -9\nb 6 11 5\nb 1 6 4\n")
-    commands = [
+    return [
         ("gen", "--n", "3", "--sign", "+", "--out", c3, "--decomposition", bags),
         ("gen", "--n", "2", "--sign", "-", "--out", c2),
         ("structure", "--instance", c3, "--decomposition", bags),
@@ -458,8 +459,12 @@ def golden_session(tmp_path, capsys) -> str:
         ("oracle", "--instance", c2, "--semismooth"),
         ("oracle", "--instance", str(twist), "--semismooth", "--raw-order"),
     ]
+
+
+def golden_session(tmp_path, capsys) -> str:
+    """A fixed `vcsp` command set; stdout and exit code of each, in order."""
     out = []
-    for argv in commands:
+    for argv in golden_commands(tmp_path):
         code, stdout, _ = run(capsys, *argv)
         out.append(f"$ {' '.join(a.replace(str(tmp_path), '.') for a in argv)}\n"
                    f"{stdout}exit={code}\n")
@@ -470,6 +475,68 @@ def test_golden_cli_session(tmp_path, capsys):
     # pins the stdout and exit codes of a fixed command set, byte for byte
     text = golden_session(tmp_path, capsys)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256, text
+
+
+class Parsed(Exception):
+    """Raised in place of returning from parse_args, so nothing runs."""
+
+
+def parse_outcome(capsys, call):
+    """(exit status, or vars() of the namespace; stdout; stderr) of one parse."""
+    try:
+        call()
+        raise AssertionError("parse_args was not called")
+    except SystemExit as e:
+        result = e.code
+    except Parsed as e:
+        result = vars(e.args[0])
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.fixture
+def parse_only(monkeypatch):
+    # every parse_args call, main's and the full parser's, stops at its result
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def stop(self, args=None, namespace=None):
+        raise Parsed(parse_args(self, args, namespace))
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", stop)
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+USAGE_PATHS = [
+    ("-h",), ("--help",), (), ("bogus",), ("--bogus", "verify"),
+    *((name, "-h") for name in ("gen", "eval", "ascend", "verify", "oracle", "structure")),
+    ("gen", "--n", "2"), ("eval", "--instance", "i"), ("ascend", "--instance", "i"),
+    ("verify",), ("oracle", "--peaks"), ("structure",),
+    ("verify", "--n", "3", "--bogus"), ("verify", "--n", "3", "extra"),
+    ("gen", "--n", "2", "--sign", "x", "--out", "o"), ("verify", "--n", "three"),
+    ("ascend", "--instance", "i", "--start", "0", "--trace", "t", "--trials", "2"),
+    ("oracle", "--instance", "i"), ("oracle", "--instance", "i", "--peaks", "--semismooth"),
+]
+
+
+def test_main_usage_paths_match_the_full_parser(capsys, monkeypatch, parse_only):
+    # help and usage errors print the same bytes and exit the same way
+    # whichever parser main builds, given argv or reading sys.argv
+    for argv in USAGE_PATHS:
+        full = parse_outcome(capsys, lambda: cli.build_parser().parse_args(list(argv)))
+        assert full[0] in (0, 2), argv
+        assert parse_outcome(capsys, lambda: main(list(argv))) == full, argv
+        monkeypatch.setattr(sys, "argv", ["vcsp", *argv])
+        assert parse_outcome(capsys, main) == full, argv
+
+
+def test_main_parses_golden_commands_as_the_full_parser(tmp_path, capsys, monkeypatch,
+                                                        parse_only):
+    for argv in golden_commands(tmp_path):
+        full = parse_outcome(capsys, lambda: cli.build_parser().parse_args(list(argv)))
+        assert isinstance(full[0], dict) and full[0]["command"] == argv[0]
+        assert parse_outcome(capsys, lambda: main(list(argv))) == full, argv
+        monkeypatch.setattr(sys, "argv", ["vcsp", *argv])
+        assert parse_outcome(capsys, main) == full, argv
 
 
 def test_ascend_trials_tie_policy(tmp_path, capsys):
