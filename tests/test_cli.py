@@ -527,6 +527,12 @@ def test_main_usage_paths_match_the_full_parser(capsys, monkeypatch, parse_only)
         assert parse_outcome(capsys, lambda: main(list(argv))) == full, argv
         monkeypatch.setattr(sys, "argv", ["vcsp", *argv])
         assert parse_outcome(capsys, main) == full, argv
+    # both parsers' usage names every command; a bare `vcsp` names the missing one
+    code, _, err = parse_outcome(capsys, lambda: main(["verify", "--n", "3", "--bogus"]))
+    assert (code, err.splitlines()[0]) == \
+        (2, "usage: vcsp [-h] {gen,eval,ascend,verify,oracle,structure} ...")
+    assert parse_outcome(capsys, lambda: main([]))[2].endswith(
+        "error: the following arguments are required: command\n")
 
 
 def test_main_parses_golden_commands_as_the_full_parser(tmp_path, capsys, monkeypatch,
