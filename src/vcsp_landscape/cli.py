@@ -1,9 +1,10 @@
-"""Command-line interface.
+"""Command-line interface: `vcsp gen`, `eval`, `ascend`, `verify`, `oracle`, `structure`.
 
-Subcommands: gen, eval, ascend, verify, oracle, structure.  Machine-readable
-results go to stdout, diagnostics to stderr; the exit status is 0 exactly
-when the requested command succeeded and every requested check passed.
-Identical invocations produce byte-identical stdout.
+Machine-readable results go to stdout, diagnostics to stderr; the exit status
+is 0 exactly when the requested command succeeded and every requested check
+passed.  Identical invocations produce byte-identical stdout.  A command builds
+only its own parser (see `COMMANDS`); `-h`, no arguments, an unknown command or
+an option before the command build the parsers of all six.
 """
 from __future__ import annotations
 
@@ -19,11 +20,11 @@ VERIFY_STEP_CAP = 2 ** 32
 
 
 def cmd_gen(args) -> int:
-    inst = generator.build_chain(args.n, args.m, args.sign, validate=not args.no_validate)
+    m = args.n if args.m is None else args.m
+    inst = generator.build_chain(args.n, m, args.sign, validate=not args.no_validate)
     core.write_instance(inst, args.out)
-    if args.decomposition:
-        structure.write_decomposition(generator.canonical_decomposition(args.m),
-                                      args.decomposition)
+    if args.decomposition is not None:
+        structure.write_decomposition(generator.canonical_decomposition(m), args.decomposition)
     print(f"vars={inst.num_vars} unaries={len(inst.unaries)} binaries={len(inst.binaries)}")
     return 0
 
@@ -39,37 +40,30 @@ def cmd_ascend(args) -> int:
     inst = core.read_instance(args.instance)
     x = core.parse_assignment(inst, args.start, raw=args.raw_order)
     policy = "error" if args.tie == "error" else "lowest-index"
+    extra = {"tie_policy": policy} if args.method == "steepest" else {}
     if args.trials is not None:
-        extra = {"tie_policy": policy} if args.method == "steepest" else {}
         stats = search.run_trials(inst, x, method=args.method, trials=args.trials,
                                   seed=args.seed, max_steps=args.max_steps, **extra)
         print(f"trials={stats.trials} method={stats.method} mean={stats.mean} "
               f"min={stats.min} max={stats.max}")
         return 0
     record = args.trace is not None
-    if args.method == "steepest":
-        tr = search.steepest_ascent(inst, x, tie_policy=policy,
-                                    record_steps=record, max_steps=args.max_steps)
-    elif args.method == "random":
-        tr = search.random_ascent(inst, x, seed=args.seed,
-                                  record_steps=record, max_steps=args.max_steps)
-    else:
-        tr = search.first_improvement_ascent(inst, x, record_steps=record,
-                                             max_steps=args.max_steps)
-    if args.trace:
+    if args.method == "random":
+        extra = {"seed": args.seed}
+    engine = {"steepest": search.steepest_ascent, "random": search.random_ascent,
+              "first": search.first_improvement_ascent}[args.method]
+    tr = engine(inst, x, record_steps=record, max_steps=args.max_steps, **extra)
+    if record:
         search.write_trace_csv(tr, inst, args.trace)
     end = core.format_assignment(inst, tr.end, raw=args.raw_order)
-    if tr.complete:
-        print(f"steps={tr.num_steps} final_fitness={tr.fitness_end} peak={end} "
-              f"ties={tr.tie_events}")
-        return 0
-    print(f"steps={tr.num_steps} final_fitness={tr.fitness_end} end={end} "
-          f"ties={tr.tie_events} partial=true")
+    where, partial = ("peak", "") if tr.complete else ("end", " partial=true")
+    print(f"steps={tr.num_steps} final_fitness={tr.fitness_end} {where}={end} "
+          f"ties={tr.tie_events}{partial}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    n, m = args.n, args.m
+    n, m = args.n, args.n if args.m is None else args.m
     if m >= 1 and (steps := 2 * generator.predicted_ascent_length(m)) > VERIFY_STEP_CAP:
         raise TooLargeError(f"m={m} needs {steps} steepest-ascent steps, over the cap of "
                             f"{VERIFY_STEP_CAP}")
@@ -78,10 +72,9 @@ def cmd_verify(args) -> int:
     def same(name, expected, observed):
         rows.append((name, expected, observed, expected == observed))
 
-    plus = generator.build_chain(n, m, "+")
-    minus = generator.build_chain(n, m, "-")
-    peak_plus = generator.expected_peak(n, m, "+")
-    peak_minus = generator.expected_peak(n, m, "-")
+    chains = {sign: generator.build_chain(n, m, sign) for sign in "+-"}
+    peaks = {sign: generator.expected_peak(n, m, sign) for sign in "+-"}
+    minus = chains["-"]
     length = generator.predicted_ascent_length(m)
     s_m = n + 1 - m
 
@@ -94,21 +87,19 @@ def cmd_verify(args) -> int:
     same("cycle", "true", "true" if structure.has_cycle(g) else "false")
 
     want_arcs = generator.expected_arcs(m)
-    for sign, inst in (("+", plus), ("-", minus)):
+    for sign, inst in chains.items():
         o = landscape.orient(inst)
         got = "not-oriented" if not o.oriented else \
             ("expected-arcs" if set(o.arcs) == want_arcs else "unexpected-arcs")
         same(f"orientation[{sign}]", "expected-arcs", got)
         peak = landscape.peak_of_oriented(inst, o) if o.oriented else None
-        want = peak_plus if sign == "+" else peak_minus
-        same(f"peak[{sign}]", core.format_assignment(inst, want),
+        same(f"peak[{sign}]", core.format_assignment(inst, peaks[sign]),
              core.format_assignment(inst, peak) if peak is not None else "none")
 
-    for sign, inst, start, goal in (("+", plus, peak_minus, peak_plus),
-                                    ("-", minus, peak_plus, peak_minus)):
-        tr = search.steepest_ascent(inst, start, record_steps=False)
+    for (sign, inst), other in zip(chains.items(), "-+"):  # from the other sign's peak
+        tr = search.steepest_ascent(inst, peaks[other], record_steps=False)
         same(f"ascent[{sign}]-steps", length, tr.num_steps)
-        same(f"ascent[{sign}]-end", core.format_assignment(inst, goal),
+        same(f"ascent[{sign}]-end", core.format_assignment(inst, peaks[sign]),
              core.format_assignment(inst, tr.end))
         same(f"ascent[{sign}]-ties", 0, tr.tie_events)
         ok = tr.min_gain is not None and tr.min_gain >= s_m
@@ -127,16 +118,15 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     inst = core.read_instance(args.instance)
     raw = args.raw_order
+    caps = {} if args.cap is None else {"cap": args.cap}  # else each oracle's default
     if args.peaks:
-        cap = args.cap if args.cap is not None else landscape.PEAKS_CAP
-        peaks = landscape.enumerate_peaks(inst, cap=cap)
+        peaks = landscape.enumerate_peaks(inst, **caps)
         print(f"peaks={len(peaks)}")
         for p in peaks:
             print(f"peak {core.format_assignment(inst, p, raw)} {inst.fitness(p)}")
         return 0
     if args.semismooth:
-        cap = args.cap if args.cap is not None else landscape.SEMISMOOTH_CAP
-        result = landscape.check_semismooth(inst, cap=cap)
+        result = landscape.check_semismooth(inst, **caps)
         if result.semismooth:
             print("semismooth=true")
             return 0
@@ -150,8 +140,7 @@ def cmd_oracle(args) -> int:
         return 1
     # --ascent-graph START
     start = core.parse_assignment(inst, args.ascent_graph, raw)
-    cap = args.cap if args.cap is not None else landscape.ASCENT_GRAPH_CAP
-    graph = landscape.ascent_graph(inst, start, cap=cap)
+    graph = landscape.ascent_graph(inst, start, **caps)
     print(f"nodes={len(graph.nodes)} edges={len(graph.edges)} sinks={len(graph.sinks)}")
     for s in graph.sinks:
         print(f"sink {core.format_assignment(inst, s, raw)} {inst.fitness(s)}")
@@ -165,7 +154,7 @@ def cmd_structure(args) -> int:
              f"degree={structure.max_degree(g)}",
              f"cycle={'true' if structure.has_cycle(g) else 'false'}"]
     status = 0
-    if args.decomposition:
+    if args.decomposition is not None:
         pd = structure.read_decomposition(args.decomposition)
         check = structure.validate_path_decomposition(g, pd.bags)
         if check.valid:
@@ -175,21 +164,14 @@ def cmd_structure(args) -> int:
             print(f"decomposition invalid: {check.violation.detail}", file=sys.stderr)
             status = 1
     print(" ".join(parts))
-    if args.dot:
+    if args.dot is not None:
         orientation = landscape.orient(inst)
         with open(args.dot, "w") as fh:
             fh.write(structure.export_dot(inst, orientation if orientation.oriented else None))
     return status
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vcsp",
-        description="Generate, search, and analyze fitness landscapes of "
-                    "binary Boolean VCSP instances.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a chained-gadget instance")
+def _gen_args(p):
     p.add_argument("--n", type=int, required=True, help="difficulty parameter (n >= m)")
     p.add_argument("--m", type=int, default=None, help="number of gadgets (default: n)")
     p.add_argument("--sign", choices=["+", "-"], required=True)
@@ -197,16 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decomposition", help="also write the canonical width-2 bags here")
     p.add_argument("--no-validate", action="store_true",
                    help="skip the weight-schedule self-check")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("eval", help="evaluate the fitness of an assignment")
+
+def _eval_args(p):
     p.add_argument("--instance", required=True)
     p.add_argument("--assign", required=True, help="assignment bit string")
     p.add_argument("--raw-order", action="store_true",
                    help="read/write assignment strings in dense index order")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ascend", help="run one local-search ascent")
+
+def _ascend_args(p):
     p.add_argument("--instance", required=True)
     p.add_argument("--start", required=True, help="starting assignment bit string")
     p.add_argument("--method", choices=list(search.METHODS), default="steepest")
@@ -219,14 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="instead of one run, aggregate step counts over this many trials")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--raw-order", action="store_true")
-    p.set_defaults(func=cmd_ascend)
 
-    p = sub.add_parser("verify", help="check the generated family's guarantees")
+
+def _verify_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None, help="default: n")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", help="brute-force landscape oracles (size capped)")
+
+def _oracle_args(p):
     p.add_argument("--instance", required=True)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--peaks", action="store_true", help="enumerate all local peaks")
@@ -236,29 +218,46 @@ def build_parser() -> argparse.ArgumentParser:
                       help="explore all ascents from START")
     p.add_argument("--cap", type=int, default=None, help="override the size cap")
     p.add_argument("--raw-order", action="store_true")
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("structure", help="constraint-graph statistics and exports")
+
+def _structure_args(p):
     p.add_argument("--instance", required=True)
     p.add_argument("--dot", help="write a DOT rendering here")
     p.add_argument("--decomposition", help="validate this bag file against the graph")
-    p.set_defaults(func=cmd_structure)
 
+
+# command -> (help, function adding its arguments, run function), in help order
+COMMANDS = {
+    "gen": ("generate a chained-gadget instance", _gen_args, cmd_gen),
+    "eval": ("evaluate the fitness of an assignment", _eval_args, cmd_eval),
+    "ascend": ("run one local-search ascent", _ascend_args, cmd_ascend),
+    "verify": ("check the generated family's guarantees", _verify_args, cmd_verify),
+    "oracle": ("brute-force landscape oracles (size capped)", _oracle_args, cmd_oracle),
+    "structure": ("constraint-graph statistics and exports", _structure_args, cmd_structure),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    # a usage error after the command prints the top-level usage: a metavar
+    # keeps every choice in it; the full parser's default keeps "required: command"
+    parser = argparse.ArgumentParser(prog="vcsp", description="Generate, search, and analyze "
+                                     "fitness landscapes of binary Boolean VCSP instances.")
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_, add_args, _ = COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "m", None) is None and args.command in ("gen", "verify"):
-        args.m = args.n
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
-        return args.func(args)
-    except VcspError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+        return COMMANDS[args.command][2](args)
+    except (VcspError, OSError) as e:
+        kind = f"{type(e).__name__}: " if isinstance(e, VcspError) else ""
+        print(f"error: {kind}{e}", file=sys.stderr)
         return 1
 
 

@@ -411,6 +411,35 @@ def test_structure_writes_dot(tmp_path, capsys):
     assert dot.read_text().startswith("digraph constraint_graph {")
 
 
+EMPTY_PATH = "error: [Errno 2] No such file or directory: ''\n"
+
+
+def test_ascend_empty_trace_path_is_an_error(tmp_path, capsys):
+    path = tmp_path / "g.vcsp"
+    write_instance(build_chain(1, 1, "+"), path)
+    assert run(capsys, "ascend", "--instance", str(path), "--start", "000000",
+               "--trace", "") == (1, "", EMPTY_PATH)
+
+
+def test_gen_empty_decomposition_path_is_an_error(tmp_path, capsys):
+    assert run(capsys, "gen", "--n", "2", "--sign", "-", "--out", str(tmp_path / "c.vcsp"),
+               "--decomposition", "") == (1, "", EMPTY_PATH)
+
+
+def test_structure_empty_decomposition_path_is_an_error(tmp_path, capsys):
+    path = tmp_path / "c.vcsp"
+    write_instance(build_chain(2, 2, "-"), path)
+    assert run(capsys, "structure", "--instance", str(path),
+               "--decomposition", "") == (1, "", EMPTY_PATH)
+
+
+def test_structure_empty_dot_path_is_an_error(tmp_path, capsys):
+    path = tmp_path / "c.vcsp"
+    write_instance(build_chain(2, 2, "-"), path)
+    assert run(capsys, "structure", "--instance", str(path), "--dot", "") == \
+        (1, "vertices=12 edges=13 degree=3 cycle=true\n", EMPTY_PATH)
+
+
 def test_missing_instance_file(capsys):
     code, _, stderr = run(capsys, "eval", "--instance", "/nonexistent.vcsp",
                           "--assign", "0")
