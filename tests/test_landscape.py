@@ -20,6 +20,7 @@ from vcsp_landscape import (
     is_local_peak,
     orient,
     peak_of_oriented,
+    search,
     shortest_ascent_length,
     sign_depends,
 )
@@ -34,6 +35,16 @@ from conftest import (
     random_bits,
     random_instance,
 )
+
+
+def orient_paths(monkeypatch):
+    """Yields twice, so that a loop over it runs its body twice: with orient
+    as dispatched, and then with the native kernel switched off, so that
+    orient runs its Python loop, the reference."""
+    yield "dispatched"
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_native_kernel", lambda: None)
+        yield "reference"
 
 
 def test_sign_depends_inside_gadget(gadget_minus):
@@ -66,28 +77,31 @@ def test_sign_depends_requires_shared_constraint():
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 3), (4, 5)])
-def test_orient_generated_chain(sign, m, n):
-    inst = build_chain(n, m, sign)
-    o = orient(inst)
-    assert o.oriented
-    assert set(o.arcs) == expected_arcs(m)
-    pos = {v: r for r, v in enumerate(o.topo_order)}
-    assert all(pos[a] < pos[b] for a, b in o.arcs)
+def test_orient_generated_chain(sign, m, n, monkeypatch):
+    for _ in orient_paths(monkeypatch):
+        inst = build_chain(n, m, sign)
+        o = orient(inst)
+        assert o.oriented
+        assert set(o.arcs) == expected_arcs(m)
+        pos = {v: r for r, v in enumerate(o.topo_order)}
+        assert all(pos[a] < pos[b] for a, b in o.arcs)
 
 
-def test_orient_standalone_gadget():
-    inst = build_gadget(4, 3, "-")
-    o = orient(inst)
-    assert o.oriented
-    assert set(o.arcs) == expected_arcs(1)
+def test_orient_standalone_gadget(monkeypatch):
+    for _ in orient_paths(monkeypatch):
+        inst = build_gadget(4, 3, "-")
+        o = orient(inst)
+        assert o.oriented
+        assert set(o.arcs) == expected_arcs(1)
 
 
-def test_orient_conflict(two_peak_pair):
-    o = orient(two_peak_pair)
-    assert not o.oriented
-    assert o.conflict == (0, 1)
-    w1, w2 = o.conflict_witnesses
-    assert {w1.target, w2.target} == {0, 1}
+def test_orient_conflict(two_peak_pair, monkeypatch):
+    for _ in orient_paths(monkeypatch):
+        o = orient(two_peak_pair)
+        assert not o.oriented
+        assert o.conflict == (0, 1)
+        w1, w2 = o.conflict_witnesses
+        assert {w1.target, w2.target} == {0, 1}
 
 
 def test_is_local_peak(gadget_plus):
@@ -495,42 +509,46 @@ def reference_orient(inst):
     return Orientation(True, tuple(arcs), tuple(topo))
 
 
-def test_orient_matches_reference_on_generated_instances():
-    for n in range(1, 41):
-        for sign in "+-":
-            for m in range(1, min(n, 6) + 1):
-                inst = build_chain(n, m, sign)
-                assert orient(inst) == reference_orient(inst), (n, m, sign)
-            for k in range(1, n + 1):
-                inst = build_gadget(n, k, sign)
-                assert orient(inst) == reference_orient(inst), (n, k, sign)
+def test_orient_matches_reference_on_generated_instances(monkeypatch):
+    for _ in orient_paths(monkeypatch):
+        for n in range(1, 41):
+            for sign in "+-":
+                for m in range(1, min(n, 6) + 1):
+                    inst = build_chain(n, m, sign)
+                    assert orient(inst) == reference_orient(inst), (n, m, sign)
+                for k in range(1, n + 1):
+                    inst = build_gadget(n, k, sign)
+                    assert orient(inst) == reference_orient(inst), (n, k, sign)
 
 
-def test_orient_matches_reference_on_random_instances():
+def test_orient_matches_reference_on_random_instances(monkeypatch):
     # small weights give zero gradients, ties and two-way dependence; the
     # witnesses of a conflict are compared too
-    rng = random.Random(4)
-    kinds = {True: 0, False: 0}
-    for t in range(2400):
-        inst = random_instance(rng, max_vars=9, max_weight=(3, 20)[t % 2])
-        o = orient(inst)
-        assert o == reference_orient(inst), t
-        kinds[o.oriented] += 1
-    assert min(kinds.values()) >= 300, kinds
+    for _ in orient_paths(monkeypatch):
+        rng = random.Random(4)
+        kinds = {True: 0, False: 0}
+        for t in range(2400):
+            inst = random_instance(rng, max_vars=9, max_weight=(3, 20)[t % 2])
+            o = orient(inst)
+            assert o == reference_orient(inst), t
+            kinds[o.oriented] += 1
+        assert min(kinds.values()) >= 300, kinds
 
 
-def test_chain_pipeline_is_pinned():
+def test_chain_pipeline_is_pinned(monkeypatch):
     # the text, orientation and polynomial peak of every chain with
-    # m <= n <= 20 and every standalone gadget with k <= n <= 20, both signs
-    h = hashlib.sha256()
-    for n in range(1, 21):
-        for sign in "+-":
-            insts = [build_chain(n, m, sign) for m in range(1, n + 1)]
-            insts += [build_gadget(n, k, sign) for k in range(1, n + 1)]
-            for inst in insts:
-                o = orient(inst)
-                h.update(f"{core.to_text(inst)}{o!r}\n{peak_of_oriented(inst, o)}\n".encode())
-    assert h.hexdigest() == "e4dcd16605a176ffb9bff5e9cda9093d3fc8d7d674ed15e2408e3db9a62fa768"
+    # m <= n <= 20 and every standalone gadget with k <= n <= 20, both signs,
+    # with orient as dispatched and on its Python loop
+    for _ in orient_paths(monkeypatch):
+        h = hashlib.sha256()
+        for n in range(1, 21):
+            for sign in "+-":
+                insts = [build_chain(n, m, sign) for m in range(1, n + 1)]
+                insts += [build_gadget(n, k, sign) for k in range(1, n + 1)]
+                for inst in insts:
+                    o = orient(inst)
+                    h.update(f"{core.to_text(inst)}{o!r}\n{peak_of_oriented(inst, o)}\n".encode())
+        assert h.hexdigest() == "e4dcd16605a176ffb9bff5e9cda9093d3fc8d7d674ed15e2408e3db9a62fa768"
 
 
 def star(d):
@@ -555,39 +573,43 @@ def weighted_star(rng, d):
     return Instance(d + 1, 0, unaries, [(0, j, w) for j, w in enumerate(weights, start=1)])
 
 
-def test_orient_matches_reference_on_stars():
+def test_orient_matches_reference_on_stars(monkeypatch):
     # centres of degree up to 12, with gradient tables of up to 4,096 entries:
     # neighbours at bits 8 to 11 that are sign sources and ones that are not,
     # centres with a zero gradient, and conflicts
-    rng = random.Random(12)
-    seen = {"source": 0, "not": 0, "zero": 0, "conflict": 0}
-    for d in range(1, 13):
-        for _ in range(8):
-            inst = weighted_star(rng, d)
-            o = orient(inst)
-            assert o == reference_orient(inst), core.to_text(inst)
-            if not o.oriented:
-                seen["conflict"] += 1
-                continue
-            table = [inst.unaries[0]]
-            for _, w in inst.neighbors[0]:
-                table += [g + w for g in table]
-            seen["zero"] += 0 in table
-            for j in range(9, d + 1):
-                seen["source" if (j, 0) in o.arcs else "not"] += 1
-    assert min(seen.values()) >= 10, seen
+    for _ in orient_paths(monkeypatch):
+        rng = random.Random(12)
+        seen = {"source": 0, "not": 0, "zero": 0, "conflict": 0}
+        for d in range(1, 13):
+            for _ in range(8):
+                inst = weighted_star(rng, d)
+                o = orient(inst)
+                assert o == reference_orient(inst), core.to_text(inst)
+                if not o.oriented:
+                    seen["conflict"] += 1
+                    continue
+                table = [inst.unaries[0]]
+                for _, w in inst.neighbors[0]:
+                    table += [g + w for g in table]
+                seen["zero"] += 0 in table
+                for j in range(9, d + 1):
+                    seen["source" if (j, 0) in o.arcs else "not"] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 def test_orient_caps_the_neighborhood(monkeypatch):
-    # a variable with 21 neighbors would need a 2^21-entry gradient table
-    with pytest.raises(TooLargeError, match="variable 0 has 21 neighbors"):
-        orient(star(21))
-    monkeypatch.setattr(core, "TABLE_DEGREE_CAP", 4)
-    with pytest.raises(TooLargeError):
-        orient(star(5))
-    o = orient(star(4))
-    assert o == reference_orient(star(4))
-    assert o.arcs == ((0, 1), (0, 2), (0, 3), (0, 4))
+    # a variable with 21 neighbors would need a 2^21-entry gradient table;
+    # the cap is read at call time
+    for _ in orient_paths(monkeypatch):
+        with pytest.raises(TooLargeError, match="variable 0 has 21 neighbors"):
+            orient(star(21))
+        with monkeypatch.context() as mp:
+            mp.setattr(core, "TABLE_DEGREE_CAP", 4)
+            with pytest.raises(TooLargeError, match="variable 0 has 5 neighbors"):
+                orient(star(5))
+            o = orient(star(4))
+            assert o == reference_orient(star(4))
+            assert o.arcs == ((0, 1), (0, 2), (0, 3), (0, 4))
 
 
 def test_sign_depends_caps_the_neighborhood(monkeypatch):
