@@ -30,8 +30,8 @@
    step that search.Steps holds, and the replay and CSV functions below read.
    The kernel grows the records with realloc and hands them to the caller,
    who frees them with vcsp_free, as it does the ascent-graph search's
-   arrays.  That search, at the end of the int64 part, reads the same
-   arrays as vcsp_ascend.
+   arrays.  That search and the orientation, at the end of the int64 part,
+   read the same arrays as vcsp_ascend.
 
    Compiled on first use by search._native_kernel and called through ctypes
    with no argtypes (but for vcsp_free), which converts each argument by its
@@ -446,6 +446,176 @@ done:
     free(table);
     size[0] = n;
     size[1] = m;
+    return status;
+}
+
+/* --- Orientation at int64 ---
+
+   The native twin of the loop of landscape.orient, which stays the
+   reference.  Neighbour b of v (its b-th CSR entry) is a sign source of v
+   when some assignment of v's other neighbours gives v's gradient a
+   different three-valued sign (0 is its own sign) with b at 0 and at 1.  An
+   edge is a conflict when each end is a sign source of the other, and
+   otherwise carries an arc from each sign source to the variable that
+   depends on it. */
+
+enum { CONFLICT = 4 };  /* a status of vcsp_orient64, after the ones above */
+
+enum { SOURCE = 1, ARC_OUT = 2 };  /* the flags of a CSR entry in vcsp_orient64 */
+
+static int sign64(int64_t g)
+{
+    return (g > 0) - (g < 0);
+}
+
+/* Whether bit h of the masks of a table of size entries changes the sign
+   of some entry: whether table[m] and table[m | h] differ in sign for some
+   m without bit h. */
+static int changes_sign(const int64_t *table, size_t size, size_t h)
+{
+    for (size_t base = 0; base < size; base += 2 * h)
+        for (size_t m = base; m < base + h; m++)
+            if (sign64(table[m]) != sign64(table[m + h]))
+                return 1;
+    return 0;
+}
+
+/* Sifts heap[i] up, or down among the n entries, to restore a min-heap. */
+static void sift_up(int32_t *heap, int32_t i)
+{
+    int32_t v = heap[i];
+    while (i > 0 && heap[(i - 1) / 2] > v) {
+        heap[i] = heap[(i - 1) / 2];
+        i = (i - 1) / 2;
+    }
+    heap[i] = v;
+}
+
+static void sift_down(int32_t *heap, int32_t n, int32_t i)
+{
+    int32_t v = heap[i];
+    for (;;) {
+        int32_t c = 2 * i + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && heap[c + 1] < heap[c])
+            c++;
+        if (heap[c] >= v)
+            break;
+        heap[i] = heap[c];
+        i = c;
+    }
+    heap[i] = v;
+}
+
+/* The orientation of the instance's int64 arrays (as vcsp_ascend reads
+   them) on d variables.  Each variable's gradient table, in the mask order
+   of core._gradient_table, is built by doubling into one buffer of
+   2^(max degree) entries.  The edges are then walked in the order of
+   sorted(inst.binaries): i ascending, then its neighbours j > i ascending.
+   arcs has room for two int32_t a binary, topo for d.  Returns LIMIT, before
+   any work, when a degree is above cap or 31; NO_MEMORY when the
+   scratch cannot be allocated; CONFLICT at the first edge whose ends depend
+   on each other, with the edge (i < j) in info[0] and info[1]; PEAK
+   otherwise, with info[0] arcs (a, b), b depending on a, in arcs[] in edge
+   order, and info[1] variables in topo[]: Kahn's topological order, the
+   lowest ready index first, which holds fewer than d only if the arcs form
+   a cycle. */
+int vcsp_orient64(int32_t d, const void *const *arrays, int32_t cap, int32_t *arcs,
+                  int32_t *topo, int32_t *info)
+{
+    const int64_t *w = arrays[3], *unary = arrays[4];
+    const int32_t *off = arrays[1], *nbr = arrays[2];
+    int32_t max_deg = 0;
+    for (int32_t v = 0; v < d; v++)
+        if (off[v + 1] - off[v] > max_deg)
+            max_deg = off[v + 1] - off[v];
+    if (max_deg > cap || max_deg > 31)
+        return LIMIT;
+    size_t n = d > 0 ? (size_t)d : 1, entries = off[d] > 0 ? (size_t)off[d] : 1;
+    int64_t *table = NULL;
+    if (((size_t)1 << max_deg) <= SIZE_MAX / sizeof *table)
+        table = malloc(((size_t)1 << max_deg) * sizeof *table);
+    int32_t *ints = malloc(2 * n * sizeof *ints);  /* indeg[] and heap[] */
+    uint8_t *flags = calloc(entries, 1);  /* SOURCE and ARC_OUT per CSR entry */
+    int status = NO_MEMORY;
+    if (!(table && ints && flags))
+        goto done;
+    int32_t *indeg = ints, *heap = ints + n;
+
+    for (int32_t v = 0; v < d; v++) {
+        int32_t deg = off[v + 1] - off[v];
+        size_t size = (size_t)1 << deg;
+        table[0] = unary[v];
+        for (int32_t b = 0; b < deg; b++) {
+            size_t h = (size_t)1 << b;
+            for (size_t m = 0; m < h; m++)
+                table[h + m] = table[m] + w[off[v] + b];
+        }
+        indeg[v] = 0;
+        for (int32_t b = 0; b < deg; b++) {
+            if (changes_sign(table, size, (size_t)1 << b)) {
+                flags[off[v] + b] = SOURCE;
+                indeg[v]++;
+            }
+        }
+    }
+
+    /* Entry k of i's row holds j; j's row lists its neighbours below j
+       first, in ascending order, so next[j] walks to the entry that holds i
+       as the edges (i, j) come in ascending i.  heap[] serves as next[]. */
+    int32_t n_arcs = 0;
+    for (int32_t v = 0; v < d; v++)
+        heap[v] = off[v];
+    for (int32_t i = 0; i < d; i++) {
+        for (int32_t k = off[i]; k < off[i + 1]; k++) {
+            int32_t j = nbr[k];
+            if (j < i)
+                continue;
+            int32_t kj = heap[j]++;
+            int i_on_j = flags[k] & SOURCE, j_on_i = flags[kj] & SOURCE;
+            if (i_on_j && j_on_i) {
+                info[0] = i;
+                info[1] = j;
+                status = CONFLICT;
+                goto done;
+            }
+            if (j_on_i) {
+                arcs[2 * n_arcs] = i;
+                arcs[2 * n_arcs++ + 1] = j;
+                flags[k] |= ARC_OUT;
+            } else if (i_on_j) {
+                arcs[2 * n_arcs] = j;
+                arcs[2 * n_arcs++ + 1] = i;
+                flags[kj] |= ARC_OUT;
+            }
+        }
+    }
+
+    /* An arc leaves each sign source of v, so v waits for indeg[v] of them. */
+    int32_t ready = 0, placed = 0;
+    for (int32_t v = 0; v < d; v++)
+        if (!indeg[v])
+            heap[ready++] = v;  /* ascending: already a min-heap */
+    while (ready) {
+        int32_t v = heap[0];
+        heap[0] = heap[--ready];
+        sift_down(heap, ready, 0);
+        topo[placed++] = v;
+        for (int32_t k = off[v]; k < off[v + 1]; k++) {
+            if ((flags[k] & ARC_OUT) && !--indeg[nbr[k]]) {
+                heap[ready] = nbr[k];
+                sift_up(heap, ready++);
+            }
+        }
+    }
+    info[0] = n_arcs;
+    info[1] = placed;
+    status = PEAK;
+done:
+    free(table);
+    free(ints);
+    free(flags);
     return status;
 }
 

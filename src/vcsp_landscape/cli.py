@@ -9,6 +9,7 @@ an option before the command build the parsers of all six.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import core, generator, landscape, search, structure
@@ -19,12 +20,35 @@ from .errors import TooLargeError, VcspError
 VERIFY_STEP_CAP = 2 ** 32
 
 
+def _write_files(outputs: list[tuple[str, str]]) -> None:
+    """Writes each (path, text) pair, but only once every path has been
+    opened to append, which writes and truncates nothing.  Where a path
+    cannot be opened, the files that this call created are removed before
+    the OSError goes on, so a failed command leaves no file behind."""
+    created = []
+    try:
+        for path, _ in outputs:
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.unlink(path)
+        raise
+    for path, text in outputs:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def cmd_gen(args) -> int:
     m = args.n if args.m is None else args.m
     inst = generator.build_chain(args.n, m, args.sign, validate=not args.no_validate)
-    core.write_instance(inst, args.out)
+    outputs = [(args.out, core.to_text(inst))]
     if args.decomposition is not None:
-        structure.write_decomposition(generator.canonical_decomposition(m), args.decomposition)
+        pd = generator.canonical_decomposition(m)
+        outputs.append((args.decomposition, structure.decomposition_to_text(pd)))
+    _write_files(outputs)
     print(f"vars={inst.num_vars} unaries={len(inst.unaries)} binaries={len(inst.binaries)}")
     return 0
 

@@ -62,12 +62,14 @@ class Instance:
             binary constraint touching the variable.
 
     Instances never mutate after construction and are safe to share across
-    threads; searches copy assignments and never write back.  The one slot
-    set later is _native, the kernel's arrays, on first use.
+    threads; searches copy assignments and never write back.  Setting or
+    deleting an attribute raises AttributeError.  The slots set later, on
+    first use, are _native, the kernel's arrays, and _digest, the
+    content_hash.
     """
 
     __slots__ = ("num_vars", "constant", "unaries", "binaries", "labels",
-                 "_index_by_label", "neighbors", "_native")
+                 "_index_by_label", "neighbors", "_native", "_digest")
 
     def __init__(
         self,
@@ -81,8 +83,10 @@ class Instance:
             raise IndexOutOfRangeError(f"num_vars must be >= 0, got {num_vars}")
         if num_vars > NUM_VARS_CAP:
             raise TooLargeError(f"num_vars must be <= {NUM_VARS_CAP}, got {num_vars}")
-        self.num_vars = n = int(num_vars)
-        self.constant = int(constant)
+        store = object.__setattr__  # past __setattr__, which refuses every public name
+        store(self, "num_vars", int(num_vars))
+        store(self, "constant", int(constant))
+        n = self.num_vars
 
         # each index is tested inline; _check_index is called only to raise
         if isinstance(unaries, Mapping):
@@ -96,7 +100,7 @@ class Instance:
             if i in udict:
                 raise DuplicateScopeError(f"duplicate unary scope {{{i}}}")
             udict[i] = int(w)
-        self.unaries = MappingProxyType(udict)
+        store(self, "unaries", MappingProxyType(udict))
 
         if isinstance(binaries, Mapping):
             binaries = [(i, j, w) for (i, j), w in binaries.items()]
@@ -116,7 +120,7 @@ class Instance:
             bdict[key] = w = int(w)
             nbrs[i].append((j, w))
             nbrs[j].append((i, w))
-        self.binaries = MappingProxyType(bdict)
+        store(self, "binaries", MappingProxyType(bdict))
 
         ldict: dict[int, Label] = {}
         by_label: dict[Label, int] = {}
@@ -135,15 +139,25 @@ class Instance:
                     raise DuplicateScopeError(f"label ({k},{i}) used twice")
                 ldict[idx] = label
                 by_label[label] = idx
-        self.labels = MappingProxyType(ldict)
-        self._index_by_label = by_label
+        store(self, "labels", MappingProxyType(ldict))
+        store(self, "_index_by_label", by_label)
 
         for row in nbrs:
             row.sort()
-        self.neighbors = tuple(map(tuple, nbrs))
-        # the native kernel's read-only arrays, built by search on first use
-        # (a thread that races another builds an equal copy)
-        self._native = None
+        store(self, "neighbors", tuple(map(tuple, nbrs)))
+        # the native kernel's read-only arrays, built by search on first use,
+        # and the content_hash, computed on first use (a thread that races
+        # another builds an equal copy of either)
+        store(self, "_native", None)
+        store(self, "_digest", None)
+
+    def __setattr__(self, name, value):
+        if name not in ("_native", "_digest"):
+            raise AttributeError(f"Instance is immutable: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Instance is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
         """Pickle by content; the kernel's ctypes arrays are rebuilt on use."""
@@ -156,27 +170,21 @@ class Instance:
 
     def check_assignment(self, x: Sequence[int]) -> bytes:
         """x as bytes, one 0 or 1 a variable; raises LengthMismatchError or
-        BitValueError where x is not an assignment of this instance."""
+        BitValueError where x is not an assignment of this instance.  Its
+        entries are integers (bools and numpy integers too) or numpy bools."""
         if len(x) != self.num_vars:
             raise LengthMismatchError(
                 f"assignment has length {len(x)}, instance has {self.num_vars} variables")
         try:
-            # bytes() takes integers (bools and numpy integers too) in range(256)
-            # and rejects floats, which would compare equal to 0 and 1; tuple()
-            # first, as bytes() of a numpy array is its buffer
+            # bytes() takes integers in range(256) and rejects floats, which
+            # would compare equal to 0 and 1; tuple() first, as bytes() of a
+            # numpy array is its buffer
             bits = bytes(tuple(x))
             if not bits.translate(None, b"\0\1"):
                 return bits
         except (TypeError, ValueError):
             pass
-        for b in x:
-            try:
-                if operator.index(b) in (0, 1):
-                    continue
-            except TypeError:
-                pass
-            raise BitValueError(f"assignment entries must be integers 0 or 1, got {b!r}")
-        return bytes(map(operator.index, x))
+        return bytes(map(_bit, x))
 
     def fitness(self, x: Sequence[int]) -> int:
         self.check_assignment(x)
@@ -242,8 +250,12 @@ class Instance:
         return tuple(range(self.num_vars))
 
     def content_hash(self) -> str:
-        """Stable hex digest of the instance content (used in trace metadata)."""
-        return hashlib.sha256(to_text(self).encode()).hexdigest()
+        """Stable hex digest of the instance content (used in trace metadata):
+        the sha256 of to_text(self), computed on the first call."""
+        digest = self._digest
+        if digest is None:
+            digest = self._digest = hashlib.sha256(to_text(self).encode()).hexdigest()
+        return digest
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
@@ -257,6 +269,20 @@ class Instance:
     def __repr__(self) -> str:
         return (f"Instance(num_vars={self.num_vars}, constant={self.constant}, "
                 f"unaries={len(self.unaries)}, binaries={len(self.binaries)})")
+
+
+def _bit(b) -> int:
+    """The assignment entry b as 0 or 1, else BitValueError.  numpy bools
+    have no __index__, so they are told by their type, without importing
+    numpy."""
+    try:
+        i = operator.index(b)
+    except TypeError:
+        t = type(b)
+        i = int(b) if t.__module__ == "numpy" and t.__name__ in ("bool", "bool_") else None
+    if i not in (0, 1):
+        raise BitValueError(f"assignment entries must be integers 0 or 1, got {b!r}")
+    return i
 
 
 def _neighborhood(inst: Instance, v: int) -> list[tuple[int, int]]:
@@ -297,9 +323,9 @@ def parse_bits(s: str) -> Bits:
 
 def format_assignment(inst: Instance, x: Sequence[int], raw: bool = False) -> str:
     """Render x as a bit string, in display order unless raw (index order)."""
-    inst.check_assignment(x)
+    bits = inst.check_assignment(x)
     order = range(inst.num_vars) if raw else inst.display_order()
-    return "".join(str(x[v]) for v in order)
+    return "".join(str(bits[v]) for v in order)
 
 
 def parse_assignment(inst: Instance, s: str, raw: bool = False) -> Bits:

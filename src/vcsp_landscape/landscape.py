@@ -7,8 +7,10 @@ self-validation asserts it), but arbitrary instances may.
 
 The brute-force oracles (peak enumeration, semismoothness, ascent graphs) are
 exponential by nature and guarded by size caps; they exist to certify the
-polynomial-time paths on small instances.  The ascent-graph search also runs
-on the native kernel (see ascent_graph).
+polynomial-time paths on small instances.  The ascent-graph search and the
+orientation also run on the native kernel, where the instance's weights fit
+its int64 width (see ascent_graph and orient); the first call on an
+instance then builds its kernel arrays.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .core import Bits, Instance, _gradient_table, _neighborhood
-from .search import _ascent_graph64
+from .search import _ascent_graph64, _orient64
 from .errors import (
     CyclicOrientationError,
     InvalidArgumentError,
@@ -113,15 +115,45 @@ def orient(inst: Instance) -> Orientation:
     """Sign-dependence analysis of every edge, in sorted edge order.
 
     Each variable's 2^degree gradient table is built once, so the cost is
-    O(sum of degree * 2^degree) over the variables.  The table's positive
-    and zero entries become two int bitmasks, pos and zero, with bit m for
-    entry m.  Neighbour b (bit b of the table's mask order) is a sign source
-    of v when some mask m without bit b has a different sign at m and at
-    m | 1<<b: when pos ^ pos >> 2^b or zero ^ zero >> 2^b has a set bit at
-    an index without bit b.  Over 2^deg entries those indices are the mask
-    (2^(2^deg) - 1) // (2^(2^(b+1)) - 1) * (2^(2^b) - 1).  On the first
-    edge whose endpoints depend on each other, sign_depends supplies both
-    witnesses.
+    O(sum of degree * 2^degree) over the variables.  On the first edge whose
+    endpoints depend on each other, sign_depends supplies both witnesses.
+    Raises TooLargeError where a variable has more than
+    core.TABLE_DEGREE_CAP neighbors (read at call time).
+
+    _orient_loop is the reference.  Where the instance is on the native
+    kernel's int64 width and no degree is above that cap, the same analysis
+    runs in C (search._orient64) and gives the same arcs, order and
+    conflict.  The loop runs for weights at or past 2^62, above the cap
+    (where it raises) and where there is no kernel.  The first call builds
+    the kernel if it is not built yet, and the instance's kernel arrays
+    (Instance._native), as the first ascent does.
+    """
+    native = _orient64(inst)
+    arcs, topo, conflict = native if native else _orient_loop(inst)
+    if conflict:
+        i, j = conflict
+        return Orientation(False, conflict=conflict,
+                           conflict_witnesses=(sign_depends(inst, i, j),
+                                               sign_depends(inst, j, i)))
+    if len(topo) != inst.num_vars:
+        # one-directional sign dependence cannot produce a directed cycle
+        raise CyclicOrientationError("sign-dependence arcs form a directed cycle")
+    return Orientation(True, arcs, topo)
+
+
+def _orient_loop(inst: Instance) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...],
+                                          tuple[int, int] | None]:
+    """orient's analysis in Python: (arcs, topo_order, conflict), as
+    search._orient64 returns it.
+
+    The table's positive and zero entries become two int bitmasks, pos and
+    zero, with bit m for entry m.  Neighbour b (bit b of the table's mask
+    order) is a sign source of v when some mask m without bit b has a
+    different sign at m and at m | 1<<b: when pos ^ pos >> 2^b or
+    zero ^ zero >> 2^b has a set bit at an index without bit b.  Over 2^deg
+    entries those indices are the mask
+    (2^(2^deg) - 1) // (2^(2^(b+1)) - 1) * (2^(2^b) - 1).  The order is
+    Kahn's, the lowest ready index first.
     """
     sources: list[set[int]] = []
     for v, nbrs in enumerate(inst.neighbors):
@@ -147,9 +179,7 @@ def orient(inst: Instance) -> Orientation:
         j_on_i = i in sources[j]
         i_on_j = j in sources[i]
         if j_on_i and i_on_j:
-            return Orientation(False, conflict=(i, j),
-                               conflict_witnesses=(sign_depends(inst, i, j),
-                                                   sign_depends(inst, j, i)))
+            return (), (), (i, j)
         if j_on_i:
             arcs.append((i, j))
         elif i_on_j:
@@ -170,10 +200,7 @@ def orient(inst: Instance) -> Orientation:
             indeg[u] -= 1
             if indeg[u] == 0:
                 heapq.heappush(ready, u)
-    if len(topo) != inst.num_vars:
-        # one-directional sign dependence cannot produce a directed cycle
-        raise CyclicOrientationError("sign-dependence arcs form a directed cycle")
-    return Orientation(True, tuple(arcs), tuple(topo))
+    return tuple(arcs), tuple(topo), None
 
 
 def is_local_peak(inst: Instance, x: Sequence[int]) -> bool:
@@ -383,7 +410,7 @@ def ascent_graph(inst: Instance, start: Sequence[int], cap: int = ASCENT_GRAPH_C
     kernel if it is not built yet, and the instance's kernel arrays
     (Instance._native), as the first ascent does.
     """
-    start = tuple(start)
+    start = tuple(inst.check_assignment(start))
     f0 = inst.fitness(start)
     d = inst.num_vars
     native = _ascent_graph64(inst, start, f0, cap)

@@ -66,7 +66,11 @@ landscape.ascent_graph's breadth-first search has one kernel path too,
 _ascent_graph64 (vcsp_ascent_graph64), on the int64 width for instances of
 at most 64 variables: the nodes are uint64 masks, found again through an
 open-addressing table, and the graph comes back as the reference's tuples.
-The loop in landscape stays the reference for everything else.
+So has landscape.orient, _orient64 (vcsp_orient64), on the int64 width
+where no degree is above core.TABLE_DEGREE_CAP: the sign sources, the arcs
+and the topological order in one call.  The first call of either on an
+instance builds its kernel arrays, as the first ascent does.  The loops in
+landscape stay the reference for everything else.
 
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
@@ -88,6 +92,7 @@ from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
+from . import core
 from .core import Bits, Instance
 from .errors import (
     EmptyTrialError,
@@ -251,9 +256,9 @@ def _ascend(rule, inst: Instance, start: Sequence[int], record_steps: bool,
     neighbours change gradient, so a step costs O(degree) plus the rule.  The
     run is complete when it ends at a peak, also when that is at the limit.
     """
-    fit0 = fit = inst.fitness(start)  # validates length and bit values
-    x = bytearray(tuple(start))  # tuple() first: bytearray() of a numpy array copies its buffer
+    x = bytearray(inst.check_assignment(start))
     start = tuple(x)
+    fit0 = fit = inst.fitness(start)
     unaries = inst.unaries
     neighbors = inst.neighbors
     grad = []
@@ -414,6 +419,7 @@ def _tie_error(step: int, moves: int, gain: int) -> TieEncounteredError:
 
 _CHUNK = 2 ** 14  # trace CSV rows per kernel call
 _PEAK, _LIMIT, _TIE, _NO_MEMORY = 0, 1, 2, 3  # the kernel's stop reasons, as in _ascend.c
+_CONFLICT = 4  # vcsp_orient64's status for a two-way dependence, as in _ascend.c
 _SRC = Path(__file__).with_name("_ascend.c")
 
 
@@ -432,15 +438,16 @@ class _Int64:
     arrays.  mt_seed is vcsp_mt_seed, which seeds the random rule's state
     from a copy of mt_table, the bytes of vcsp_mt_table's state, and free is
     vcsp_free.  steps makes a recorded run's records a Steps; the 128-bit
-    width reads them into a tuple of tuples instead.  replay, csv_rows and
-    ascent_graph are vcsp_replay64, vcsp_csv_rows64 and vcsp_ascent_graph64
-    at this width, None at the others."""
+    width reads them into a tuple of tuples instead.  replay, csv_rows,
+    ascent_graph and orient are vcsp_replay64, vcsp_csv_rows64,
+    vcsp_ascent_graph64 and vcsp_orient64 at this width, None at the
+    others."""
 
     symbol = "vcsp_ascend"
     bound = 2 ** 62
     size = 8  # bytes an integer
     Result = ctypes.c_int64 * 7  # the kernel's res[], as in _ascend.c
-    replay = csv_rows = ascent_graph = None
+    replay = csv_rows = ascent_graph = orient = None
 
     def __init__(self, fn, lib, mt_table: bytes):
         self.fn = fn
@@ -534,6 +541,7 @@ def _native_kernel():
     widths[0].replay = lib.vcsp_replay64  # the int64 width, which every build has
     widths[0].csv_rows = lib.vcsp_csv_rows64
     widths[0].ascent_graph = lib.vcsp_ascent_graph64
+    widths[0].orient = lib.vcsp_orient64
     return tuple(widths)
 
 
@@ -820,6 +828,34 @@ def _ascent_graph64(inst: Instance, start: Bits, fit: int, cap: int):
         for p in graph:
             width.free(p)
     return nodes, fitness, offsets, tuple(map(list(range(n)).__getitem__, targets))
+
+
+def _orient64(inst: Instance):
+    """landscape.orient's analysis on the kernel's int64 width
+    (vcsp_orient64): (arcs, topo_order, conflict) as tuples, as the
+    reference loop finds them.  conflict is None, or the first edge (i, j)
+    whose ends depend on each other, and then arcs and topo_order are
+    empty; topo_order is shorter than num_vars only where the arcs form a
+    cycle.  None where inst is not on that width or has a degree above
+    core.TABLE_DEGREE_CAP, read at call time.  Raises MemoryError where the
+    kernel cannot allocate its scratch."""
+    arrays = _kernel_arrays(inst)
+    if not (arrays and arrays.width.orient):
+        return None
+    d = inst.num_vars
+    arcs = (ctypes.c_int32 * (2 * len(inst.binaries)))()
+    topo = (ctypes.c_int32 * d)()
+    info = (ctypes.c_int32 * 2)()
+    status = arrays.width.orient(d, arrays.block, min(core.TABLE_DEGREE_CAP, 31), arcs, topo,
+                                 info)
+    if status == _LIMIT:
+        return None
+    if status == _NO_MEMORY:
+        raise MemoryError("the orientation kernel could not allocate its scratch")
+    if status == _CONFLICT:
+        return (), (), tuple(info)
+    ends = iter(arcs[:2 * info[0]])
+    return tuple(zip(ends, ends)), tuple(topo[:info[1]]), None
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,25 @@ def test_acceptance_5_orientedness():
     _conclude(5, "orientation arcs match the design; counterexample detected", failures)
 
 
+def test_acceptance_5b_oriented_in_index_order():
+    # every chain with m <= n <= 20, and chain(200, 200): oriented, with the
+    # designed arcs, and index order is the topological order orient gives
+    failures = []
+    params = [(n, m) for n in range(1, 21) for m in range(1, n + 1)] + [(200, 200)]
+    for n, m in params:
+        want = expected_arcs(m)
+        for sign in ("+", "-"):
+            o = orient(build_chain(n, m, sign))
+            if not o.oriented:
+                failures.append(f"(n={n},m={m},{sign}): not oriented")
+            elif set(o.arcs) != want:
+                failures.append(f"(n={n},m={m},{sign}): arc mismatch")
+            elif o.topo_order != tuple(range(6 * m)):
+                failures.append(f"(n={n},m={m},{sign}): topological order is not index order")
+    _conclude("5b", "every chain up to n = 20, and at 1,200 variables, oriented in index order",
+              failures)
+
+
 def test_acceptance_6_random_ascent_bound():
     failures = []
     for n in (2, 3, 4, 6):

@@ -426,6 +426,19 @@ def test_gen_empty_decomposition_path_is_an_error(tmp_path, capsys):
                "--decomposition", "") == (1, "", EMPTY_PATH)
 
 
+@pytest.mark.parametrize("bad", ["out", "decomposition"])
+def test_gen_that_cannot_open_an_output_writes_nothing(tmp_path, capsys, bad):
+    # either output in a missing directory: exit 1, and neither file is made
+    paths = {"out": tmp_path / "c2x.vcsp", "decomposition": tmp_path / "c2x.bags"}
+    paths[bad] = tmp_path / "nodir" / paths[bad].name
+    code, stdout, stderr = run(capsys, "gen", "--n", "2", "--sign", "-",
+                               "--out", str(paths["out"]),
+                               "--decomposition", str(paths["decomposition"]))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: [Errno 2] No such file or directory: '{paths[bad]}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_structure_empty_decomposition_path_is_an_error(tmp_path, capsys):
     path = tmp_path / "c.vcsp"
     write_instance(build_chain(2, 2, "-"), path)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import os
 import pickle
 import random
@@ -18,6 +19,7 @@ from vcsp_landscape import (
     parse_assignment,
     to_text,
 )
+from vcsp_landscape import core
 from vcsp_landscape.core import _gradient_table
 from vcsp_landscape.errors import (
     BitValueError,
@@ -187,6 +189,35 @@ def test_instance_mappings_are_read_only(chain22_plus):
         assert copied == inst and copied is not inst and to_text(copied) == text
         assert type(copied.unaries) is type(inst.unaries)
     assert inst == from_text(text) and inst != build_chain(2, 2, "-")
+
+
+def test_instance_attributes_cannot_be_rebound():
+    # rebinding unaries once moved fitness((1,)*6) of chain(1, 1, '+') from
+    # 15 to 55, and rebinding binaries would have left neighbors, the kernel
+    # arrays and every engine on the old weights; now every attribute is
+    # fixed, and pickle and copy still build equal instances
+    inst = build_chain(1, 1, "+")
+    ones = (1,) * 6
+    assert inst.fitness(ones) == 15
+    text = to_text(inst)
+    gradients = [inst.gradient(v, ones) for v in range(6)]
+    other = build_chain(2, 2, "-")
+    for name in ("num_vars", "constant", "unaries", "binaries", "labels", "neighbors",
+                 "_index_by_label", "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, getattr(other, name, 1))
+        with pytest.raises(AttributeError):
+            delattr(inst, name)
+    for name in ("_native", "_digest"):
+        with pytest.raises(AttributeError):
+            delattr(inst, name)
+    assert inst.fitness(ones) == 15 and to_text(inst) == text
+    assert [inst.gradient(v, ones) for v in range(6)] == gradients
+    for copied in (pickle.loads(pickle.dumps(inst)), copy.copy(inst)):
+        assert copied == inst and copied is not inst and to_text(copied) == text
+        assert copied.fitness(ones) == 15
+        with pytest.raises(AttributeError):
+            copied.unaries = {}
 
 
 def test_gradient_table_in_mask_order():
@@ -490,3 +521,19 @@ def test_content_hash_stable(chain22_minus):
     h = chain22_minus.content_hash()
     assert h == build_chain(2, 2, "-").content_hash()
     assert h != build_chain(2, 2, "+").content_hash()
+
+
+def test_content_hash_is_computed_once(monkeypatch):
+    # the first call serializes and hashes the instance; later calls return
+    # the stored digest
+    calls = []
+
+    def counted(inst):
+        calls.append(inst)
+        return to_text(inst)
+    monkeypatch.setattr(core, "to_text", counted)
+    inst = build_chain(3, 2, "+")
+    first = inst.content_hash()
+    assert len(calls) == 1
+    assert inst.content_hash() == first and len(calls) == 1
+    assert first == hashlib.sha256(to_text(inst).encode()).hexdigest()

@@ -34,6 +34,8 @@ from conftest import (
     dense_instance,
     random_bits,
     random_instance,
+    star,
+    weighted_star,
 )
 
 
@@ -549,28 +551,6 @@ def test_chain_pipeline_is_pinned(monkeypatch):
                     o = orient(inst)
                     h.update(f"{core.to_text(inst)}{o!r}\n{peak_of_oriented(inst, o)}\n".encode())
         assert h.hexdigest() == "e4dcd16605a176ffb9bff5e9cda9093d3fc8d7d674ed15e2408e3db9a62fa768"
-
-
-def star(d):
-    """Variable 0 joined to each of d leaves."""
-    return Instance(d + 1, 0, [(0, 1)], [(0, j, 1) for j in range(1, d + 1)])
-
-
-def weighted_star(rng, d):
-    """Variable 0 joined to each of d leaves by mixed weights.  Most leaves
-    carry a unary that outweighs their binary, so they do not sign-depend on
-    the centre and an arc j -> 0 shows that the centre depends on leaf j."""
-    big, small = rng.choice(((1, 1), (3, 3), (16, 1), (64, 3)))
-    weights = [rng.choice((-1, 1)) * rng.randint(1, rng.choice((big, small))) for _ in range(d)]
-    total = sum(map(abs, weights))
-    unaries = [(0, rng.randint(-total, total) or 1)]
-    for j, w in enumerate(weights, start=1):
-        kind = rng.random()
-        if kind < 0.9:
-            unaries.append((j, rng.choice((-1, 1)) * (abs(w) + rng.randint(1, 3))))
-        elif kind < 0.95:
-            unaries.append((j, -w))
-    return Instance(d + 1, 0, unaries, [(0, j, w) for j, w in enumerate(weights, start=1)])
 
 
 def test_orient_matches_reference_on_stars(monkeypatch):

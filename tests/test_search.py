@@ -20,7 +20,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ascent_graph_cases, random_bits, random_instance
+from conftest import (
+    ascent_graph_cases,
+    dense_instance,
+    random_bits,
+    random_instance,
+    star,
+    weighted_star,
+)
 from vcsp_landscape import (
     Instance,
     Trace,
@@ -28,8 +35,11 @@ from vcsp_landscape import (
     build_chain,
     constraint_graph,
     build_gadget,
+    core,
     expected_peak,
     first_improvement_ascent,
+    format_assignment,
+    is_local_peak,
     landscape,
     peak_of_oriented,
     predicted_ascent_length,
@@ -37,6 +47,7 @@ from vcsp_landscape import (
     replay,
     run_trials,
     search,
+    shortest_ascent_length,
     sign_depends,
     steepest_ascent,
     validate_path_decomposition,
@@ -256,9 +267,9 @@ def test_replay_detects_corruption(gadget_plus):
 
 
 def count_calls(monkeypatch, width):
-    """Counts the calls of the int64 width's replay, CSV and ascent-graph
-    functions."""
-    calls = {"replay": 0, "csv_rows": 0, "ascent_graph": 0}
+    """Counts the calls of the int64 width's replay, CSV, ascent-graph and
+    orientation functions."""
+    calls = {"replay": 0, "csv_rows": 0, "ascent_graph": 0, "orient": 0}
     for name in calls:
         def counted(*args, fn=getattr(width, name), name=name):
             calls[name] += 1
@@ -272,7 +283,7 @@ def kernel_calls(monkeypatch):
     """count_calls on the kernel built here; no calls where there is none."""
     widths = search._native_kernel()
     return (count_calls(monkeypatch, widths[0]) if widths
-            else {"replay": 0, "csv_rows": 0, "ascent_graph": 0})
+            else {"replay": 0, "csv_rows": 0, "ascent_graph": 0, "orient": 0})
 
 
 def replay_outcome(inst, trace):
@@ -472,6 +483,76 @@ def check_ascent_graphs(monkeypatch, calls):
         assert graph_outcome(inst, start, n - 0.5) == wants[5]
         assert calls["ascent_graph"] - before == len(caps) * kernel
     assert high == (6 if np else 4)
+    return on_kernel
+
+
+def orient_outcome(inst):
+    """orient's Orientation, or the class and message it raised."""
+    try:
+        return landscape.orient(inst)
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def count_orient_loops(monkeypatch):
+    """Counts the runs of orient's Python loop, landscape._orient_loop."""
+    calls = {"loop": 0}
+    loop = landscape._orient_loop
+
+    def counted(inst):
+        calls["loop"] += 1
+        return loop(inst)
+    monkeypatch.setattr(landscape, "_orient_loop", counted)
+    return calls
+
+
+def test_orient_runs_on_the_kernel_where_it_can(monkeypatch, kernel_calls):
+    # on the kernel for an instance on the int64 width within the degree cap;
+    # on the Python loop, with the same arcs and order, past 2^64, above the
+    # cap (where it raises) and without a kernel
+    kernel = bool(search._native_kernel())
+    loops = count_orient_loops(monkeypatch)
+    inst = build_chain(4, 3, "+")
+    o = landscape.orient(inst)
+    assert o.oriented and (kernel_calls["orient"], loops["loop"]) == (kernel, not kernel)
+    assert landscape.orient(scaled(inst, BIG)) == o
+    assert (kernel_calls["orient"], loops["loop"]) == (kernel, 1 + (not kernel))
+    # the kernel sees the degree above the cap and hands the call back
+    assert orient_outcome(star(21)) == (
+        "TooLargeError", "variable 0 has 21 neighbors; tables over neighborhood "
+        "assignments are capped at 20")
+    assert (kernel_calls["orient"], loops["loop"]) == (2 * kernel, 2 + (not kernel))
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_native_kernel", lambda: None)
+        assert landscape.orient(build_chain(4, 3, "+")) == o
+    assert (kernel_calls["orient"], loops["loop"]) == (2 * kernel, 3 + (not kernel))
+    assert check_orients(monkeypatch, kernel_calls) == 253 * kernel  # every case
+
+
+def check_orients(monkeypatch, calls):
+    """orient as dispatched against its Python loop: the same Orientation,
+    witnesses included, or the same error, on seeded random and dense +-1
+    instances (conflicts and zero gradients), weighted stars of degree 1 to
+    12, star(5) above a cap of 4 and star(4) at it.  Returns the number of
+    kernel calls, star(5)'s included."""
+    rng = random.Random(31)
+    cases = [Instance(0), Instance(3), Instance(2, 0, [(0, 1), (1, 1)], [(0, 1, -3)])]
+    cases += [random_instance(rng, max_vars=9, max_weight=(3, 20)[t % 2]) for t in range(160)]
+    cases += [dense_instance(rng, rng.randint(2, 8), (-1, 1)) for _ in range(40)]
+    cases += [weighted_star(rng, d) for d in range(1, 13) for _ in range(4)]
+    on_kernel = conflicts = 0
+    for cap, insts in ((core.TABLE_DEGREE_CAP, cases), (4, [star(4), star(5)])):
+        with monkeypatch.context() as mp:
+            mp.setattr(core, "TABLE_DEGREE_CAP", cap)
+            for inst in insts:
+                with monkeypatch.context() as off:
+                    off.setattr(search, "_native_kernel", lambda: None)
+                    want = orient_outcome(inst)
+                before = calls["orient"]
+                assert orient_outcome(inst) == want, core.to_text(inst)
+                on_kernel += calls["orient"] - before
+                conflicts += getattr(want, "conflict", None) is not None
+    assert conflicts >= 20
     return on_kernel
 
 
@@ -693,6 +774,37 @@ def test_max_steps_must_be_an_integer(engine, chain22_plus, monkeypatch):
                 got = engine(chain22_plus, start, record_steps=record, max_steps=np.int64(3))
                 assert got == engine(chain22_plus, start, record_steps=record, max_steps=3)
                 assert got.num_steps == 3 and not got.complete
+
+
+def test_numpy_bool_assignments_are_accepted(monkeypatch):
+    # a numpy bool array is an assignment wherever one is taken, on the
+    # kernel and on the Python loops, and what comes back holds plain ints
+    np = pytest.importorskip("numpy")
+    inst = build_chain(2, 2, "+")
+    ints = expected_peak(2, 2, "-")
+    x, zeros = np.array(ints, dtype=bool), np.zeros(12, dtype=bool)
+    assert inst.check_assignment(x) == bytes(ints)
+    assert inst.fitness(x) == inst.fitness(ints)
+    assert [inst.gradient(v, x) for v in range(12)] == [inst.gradient(v, ints) for v in range(12)]
+    assert inst.improving_moves(x) == inst.improving_moves(ints)
+    assert format_assignment(inst, x) == format_assignment(inst, ints)
+    assert is_local_peak(inst, x) == is_local_peak(inst, ints)
+    assert run_trials(inst, x, trials=3) == run_trials(inst, ints, trials=3)
+    runs = [(steepest_ascent, {}), (random_ascent, {"seed": 5}),
+            (first_improvement_ascent, {"scan_order": np.arange(12)[::-1]})]
+    for path in ("dispatched", "reference"):
+        with monkeypatch.context() as mp:
+            if path == "reference":
+                mp.setattr(search, "_native_kernel", lambda: None)
+            for engine, kwargs in runs:
+                tr = engine(inst, x, **kwargs)
+                assert tr == engine(inst, ints, **kwargs), (path, engine)
+                assert {type(b) for b in tr.start + tr.end} == {int}
+                replay(inst, tr)
+            graph = ascent_graph(inst, zeros)
+            assert graph == ascent_graph(inst, (0,) * 12)
+            assert {type(b) for b in graph.start} == {int}
+            assert shortest_ascent_length(graph, x) == shortest_ascent_length(graph, ints)
 
 
 def test_native_kernel_loads():
@@ -1398,8 +1510,9 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
     # reference checks without a report: no signed overflow, no shift or
     # index out of range, no misaligned access, at both widths, also where
     # the records grow; and the
-    # replay, trace CSV and ascent-graph checks (caps hit, d = 64), on the
-    # int64 width
+    # replay, trace CSV, ascent-graph (caps hit, d = 64) and orientation
+    # checks (conflicts, stars up to degree 12, a degree cap), on the int64
+    # width
     widths = search._native_kernel()
     # the library's name is keyed by source and platform, not by flags: a
     # copy keeps this build out of the package's __pycache__ (the source
@@ -1426,6 +1539,7 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
     check_replay_outcomes(monkeypatch, 1, 120)
     check_csv_files(monkeypatch, tmp_path)
     assert check_ascent_graphs(monkeypatch, calls) > 100
+    assert check_orients(monkeypatch, calls) == 253
     assert calls["replay"] > 60 and calls["csv_rows"] == 16
     inst = build_chain(2, 2, "+")
     steepest_ascent(inst, (0,) * 12)
