@@ -28,6 +28,7 @@ from .errors import (
     BitValueError,
     DuplicateScopeError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     LengthMismatchError,
     MalformedTableError,
     ParseError,
@@ -63,7 +64,10 @@ class Instance:
 
     Instances never mutate after construction and are safe to share across
     threads; searches copy assignments and never write back.  Setting or
-    deleting an attribute raises AttributeError.  The slots set later, on
+    deleting an attribute, or calling __init__ again, raises AttributeError.
+    Every count, index, weight and label entry is taken through
+    operator.index, so bools and numpy integers become ints, and anything
+    else (a float, a str) raises InvalidArgumentError.  The slots set later, on
     first use, are _native, the kernel's arrays, and _digest, the
     content_hash.
     """
@@ -79,27 +83,40 @@ class Instance:
         binaries: Iterable[tuple[int, int, int]] | Mapping[tuple[int, int], int] = (),
         labels: Iterable[tuple[int, int, int]] | Mapping[int, Label] | None = None,
     ):
-        if num_vars < 0:
-            raise IndexOutOfRangeError(f"num_vars must be >= 0, got {num_vars}")
-        if num_vars > NUM_VARS_CAP:
-            raise TooLargeError(f"num_vars must be <= {NUM_VARS_CAP}, got {num_vars}")
+        if hasattr(self, "num_vars"):
+            raise AttributeError("Instance is immutable: cannot initialise it again")
+        index = operator.index  # ints out; bools and numpy ints in, floats refused
+        try:
+            n = index(num_vars)
+            constant = index(constant)
+        except TypeError:
+            raise InvalidArgumentError(
+                f"num_vars and constant must be integers, got {num_vars!r} and {constant!r}"
+            ) from None
+        if n < 0:
+            raise IndexOutOfRangeError(f"num_vars must be >= 0, got {n}")
+        if n > NUM_VARS_CAP:
+            raise TooLargeError(f"num_vars must be <= {NUM_VARS_CAP}, got {n}")
         store = object.__setattr__  # past __setattr__, which refuses every public name
-        n = int(num_vars)
         store(self, "num_vars", n)
-        store(self, "constant", int(constant))
+        store(self, "constant", constant)
 
         # each index is tested inline; _check_index is called only to raise
         if isinstance(unaries, Mapping):
             unaries = unaries.items()
         udict: dict[int, int] = {}
         for i, w in unaries:
+            try:
+                i, w = index(i), index(w)
+            except TypeError:
+                raise _not_integers("unary", (i, w)) from None
             if not 0 <= i < n:
                 self._check_index(i)
             if w == 0:
                 raise ZeroWeightError(f"unary on variable {i} has weight 0")
             if i in udict:
                 raise DuplicateScopeError(f"duplicate unary scope {{{i}}}")
-            udict[i] = int(w)
+            udict[i] = w
         store(self, "unaries", MappingProxyType(udict))
 
         if isinstance(binaries, Mapping):
@@ -107,6 +124,10 @@ class Instance:
         bdict: dict[tuple[int, int], int] = {}
         nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for i, j, w in binaries:
+            try:
+                i, j, w = index(i), index(j), index(w)
+            except TypeError:
+                raise _not_integers("binary", (i, j, w)) from None
             if not (0 <= i < n and 0 <= j < n):
                 self._check_index(i)
                 self._check_index(j)
@@ -117,7 +138,7 @@ class Instance:
             key = (i, j) if i < j else (j, i)
             if key in bdict:
                 raise DuplicateScopeError(f"duplicate binary scope {{{key[0]},{key[1]}}}")
-            bdict[key] = w = int(w)
+            bdict[key] = w
             nbrs[i].append((j, w))
             nbrs[j].append((i, w))
         store(self, "binaries", MappingProxyType(bdict))
@@ -128,6 +149,10 @@ class Instance:
             if isinstance(labels, Mapping):
                 labels = [(idx, k, i) for idx, (k, i) in labels.items()]
             for idx, k, i in labels:
+                try:
+                    idx, k, i = index(idx), index(k), index(i)
+                except TypeError:
+                    raise _not_integers("label", (idx, k, i)) from None
                 if not 0 <= idx < n:
                     self._check_index(idx)
                 if k < 1 or not (1 <= i <= 6):
@@ -269,6 +294,10 @@ class Instance:
     def __repr__(self) -> str:
         return (f"Instance(num_vars={self.num_vars}, constant={self.constant}, "
                 f"unaries={len(self.unaries)}, binaries={len(self.binaries)})")
+
+
+def _not_integers(kind: str, entry: tuple) -> InvalidArgumentError:
+    return InvalidArgumentError(f"{kind} {entry!r} has an entry that is not an integer")
 
 
 def _bit(b) -> int:

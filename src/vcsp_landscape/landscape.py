@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice, product
 from operator import itemgetter
 from typing import Sequence
 
-from .core import Bits, Instance, _gradient_table, _neighborhood
+from .core import Bits, Instance, _neighborhood
 from .search import _ascent_graph64, _orient64
 from .errors import (
     CyclicOrientationError,
@@ -114,9 +113,9 @@ class Orientation:
 def orient(inst: Instance) -> Orientation:
     """Sign-dependence analysis of every edge, in sorted edge order.
 
-    Each variable's 2^degree gradient table is built once, so the cost is
-    O(sum of degree * 2^degree) over the variables.  On the first edge whose
-    endpoints depend on each other, sign_depends supplies both witnesses.
+    The kernel builds each variable's 2^degree gradient table once, in
+    O(sum of degree * 2^degree); the loop asks sign_depends both ways on
+    each edge.  sign_depends gives the witnesses of the first two-way edge.
     Raises TooLargeError where a variable has more than
     core.TABLE_DEGREE_CAP neighbors (read at call time).
 
@@ -144,47 +143,22 @@ def orient(inst: Instance) -> Orientation:
 def _orient_loop(inst: Instance) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...],
                                           tuple[int, int] | None]:
     """orient's analysis in Python: (arcs, topo_order, conflict), as
-    search._orient64 returns it.
-
-    The table's positive and zero entries become two int bitmasks, pos and
-    zero, with bit m for entry m.  Neighbour b (bit b of the table's mask
-    order) is a sign source of v when some mask m without bit b has a
-    different sign at m and at m | 1<<b: when pos ^ pos >> 2^b or
-    zero ^ zero >> 2^b has a set bit at an index without bit b.  Over 2^deg
-    entries those indices are the mask
-    (2^(2^deg) - 1) // (2^(2^(b+1)) - 1) * (2^(2^b) - 1).  The order is
-    Kahn's, the lowest ready index first.
+    search._orient64 returns it.  Each edge asks sign_depends both ways,
+    after every degree is checked against the cap in index order; the order
+    is Kahn's, the lowest ready index first.
     """
-    sources: list[set[int]] = []
-    for v, nbrs in enumerate(inst.neighbors):
-        pos = zero = 0
-        bit = 1
-        for g in _gradient_table(inst, v):
-            if g > 0:
-                pos |= bit
-            elif not g:
-                zero |= bit
-            bit <<= 1
-        full = bit - 1
-        on = set()
-        h = 1  # 2^b
-        for j, _ in nbrs:
-            without_b = full // ((1 << 2 * h) - 1) * ((1 << h) - 1)
-            if ((pos ^ pos >> h) | (zero ^ zero >> h)) & without_b:
-                on.add(j)
-            h *= 2
-        sources.append(on)
+    for v in range(inst.num_vars):
+        _neighborhood(inst, v)  # raises above the cap
     arcs: list[tuple[int, int]] = []
     for (i, j) in sorted(inst.binaries):
-        j_on_i = i in sources[j]
-        i_on_j = j in sources[i]
+        j_on_i = sign_depends(inst, j, i) is not None
+        i_on_j = sign_depends(inst, i, j) is not None
         if j_on_i and i_on_j:
             return (), (), (i, j)
         if j_on_i:
             arcs.append((i, j))
         elif i_on_j:
             arcs.append((j, i))
-
     out: list[list[int]] = [[] for _ in range(inst.num_vars)]
     indeg = [0] * inst.num_vars
     for a, b in arcs:
@@ -394,12 +368,9 @@ class AscentGraph:
 def ascent_graph(inst: Instance, start: Sequence[int], cap: int = ASCENT_GRAPH_CAP) -> AscentGraph:
     """Breadth-first search over every improving flip from start.
 
-    Each queued node carries its list of gains, the fitness change from
-    flipping each variable; its improving moves are the positive entries.  A
-    new node copies its parent's list, negates the flipped variable's entry
-    and moves each neighbor's entry by the coupling weight: up when the two
-    now differ, down when they agree.  Raises TooLargeError once more than
-    cap nodes are reached.
+    A node's out-edges are inst.improving_moves at it, in ascending
+    variable order.  Raises TooLargeError once more than cap nodes are
+    reached.
 
     That loop is the reference.  Where the instance is on the native
     kernel's int64 width, has at most 64 variables and cap is an int, the
@@ -416,22 +387,11 @@ def ascent_graph(inst: Instance, start: Sequence[int], cap: int = ASCENT_GRAPH_C
     native = _ascent_graph64(inst, start, f0, cap)
     if native:
         nodes, fitness, offsets, edges = native
-        sinks = [_bits(x, d) for x, a, b in zip(nodes, offsets, islice(offsets, 1, None))
-                 if a == b]
-        return AscentGraph(start, nodes, fitness, offsets, edges, tuple(sorted(sinks)))
-    neighbors = inst.neighbors
-    gains0 = []
-    for v in range(d):
-        g = inst.unaries.get(v, 0) + sum(w for j, w in neighbors[v] if start[j])
-        gains0.append(-g if start[v] else g)
-    m0 = sum(1 << v for v in range(d) if start[v])
-    index = {m0: 0}
-    nodes, fitness, offsets, edges, sinks = [m0], [f0], [0], [], []
-    queue = deque([gains0])  # the gains of nodes[len(offsets) - 1] onwards
-    for x, fx in zip(nodes, fitness):  # both lists grow as nodes are found
-        gains = queue.popleft()
-        for v, gain in enumerate(gains):
-            if gain > 0:
+    else:
+        index = {sum(1 << v for v in range(d) if start[v]): 0}
+        nodes, fitness, offsets, edges = list(index), [f0], [0], []
+        for x, fx in zip(nodes, fitness):  # both lists grow as nodes are found
+            for v, gain in inst.improving_moves(_bits(x, d)):
                 y = x ^ 1 << v
                 b = index.get(y)
                 if b is None:
@@ -441,17 +401,12 @@ def ascent_graph(inst: Instance, start: Sequence[int], cap: int = ASCENT_GRAPH_C
                     index[y] = b
                     nodes.append(y)
                     fitness.append(fx + gain)
-                    new = gains.copy()
-                    new[v] = -gain
-                    for u, w in neighbors[v]:
-                        new[u] += w if (y >> u ^ y >> v) & 1 else -w
-                    queue.append(new)
                 edges.append(b)
-        if len(edges) == offsets[-1]:
-            sinks.append(_bits(x, d))
-        offsets.append(len(edges))
-    return AscentGraph(start, tuple(nodes), tuple(fitness), tuple(offsets), tuple(edges),
-                       tuple(sorted(sinks)))
+            offsets.append(len(edges))
+        nodes, fitness, offsets, edges = map(tuple, (nodes, fitness, offsets, edges))
+    sinks = sorted(_bits(x, d) for x, a, b in zip(nodes, offsets, islice(offsets, 1, None))
+                   if a == b)
+    return AscentGraph(start, nodes, fitness, offsets, edges, tuple(sinks))
 
 
 def shortest_ascent_length(graph: AscentGraph, target: Sequence[int]) -> int:

@@ -599,15 +599,6 @@ class _NativeArrays:
                                            at + size * (1 + len(w)))
 
 
-def _native_arrays(inst: Instance, widths) -> _NativeArrays | bool:
-    """The instance's kernel arrays at the narrowest of widths that is exact
-    on it, or False when its weights are too large for every width."""
-    total = (abs(inst.constant) + sum(map(abs, inst.unaries.values()))
-             + sum(map(abs, inst.binaries.values())))
-    width = next((w for w in widths if total < w.bound), None)
-    return _NativeArrays(inst, width) if width else False
-
-
 def _ascend_native(a: _NativeArrays, rule, args, inst: Instance, start: Sequence[int],
                    record_steps: bool, limit: int) -> Trace:
     """_ascend with rule, on the kernel; args are rule.kernel_args(a.width).
@@ -639,14 +630,18 @@ def _ascend_native(a: _NativeArrays, rule, args, inst: Instance, start: Sequence
 
 
 def _kernel_arrays(inst: Instance) -> _NativeArrays | bool | None:
-    """inst's kernel arrays, built on first use; False where its weights are
-    too large for every width, None where there is no kernel."""
+    """inst's kernel arrays, built on first use at the narrowest width that
+    is exact on it; False where its weights are too large for every width,
+    None where there is no kernel."""
     widths = _native_kernel()
     if not widths:
         return None
     arrays = inst._native
     if arrays is None:
-        arrays = inst._native = _native_arrays(inst, widths)
+        total = (abs(inst.constant) + sum(map(abs, inst.unaries.values()))
+                 + sum(map(abs, inst.binaries.values())))
+        width = next((w for w in widths if total < w.bound), None)
+        arrays = inst._native = _NativeArrays(inst, width) if width else False
     return arrays
 
 

@@ -25,6 +25,7 @@ from vcsp_landscape.errors import (
     BitValueError,
     DuplicateScopeError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     LengthMismatchError,
     MalformedTableError,
     ParseError,
@@ -103,12 +104,46 @@ def test_index_out_of_range_rejected():
     # num_vars is capped, before any constraint is checked
     ((10 ** 12, 0, [(0, 0)], [(1, 1, 5)]), TooLargeError,
      "num_vars must be <= 16777216, got 1000000000000"),
+    # a float weight was once truncated: unary 0.5 became 0, past the
+    # zero-weight check, and the binary 2.5 became 2
+    ((2, 0, [(0, 0.5)], [(0, 1, 2.5)]), InvalidArgumentError,
+     "unary (0, 0.5) has an entry that is not an integer"),
+    # float and bool indices were once kept as keys, so to_text wrote
+    # "u 0.0 3", which from_text rejects; a bool is an integer, a float is not
+    ((2, 0, [(0.0, 3), (True, -2)]), InvalidArgumentError,
+     "unary (0.0, 3) has an entry that is not an integer"),
+    # num_vars 2.9 once made 2 variables
+    ((2.9,), InvalidArgumentError, "num_vars and constant must be integers, got 2.9 and 0"),
 ])
 def test_instance_error_messages(args, exc, message):
     # one invalid input per message Instance raises, with its exact class
     with pytest.raises(exc) as err:
         Instance(*args)
     assert type(err.value) is exc and str(err.value) == message
+
+
+def all_ints(inst):
+    values = [inst.num_vars, inst.constant, *inst.unaries, *inst.unaries.values(),
+              *inst.binaries.values(), *inst.labels]
+    values += [v for key in inst.binaries for v in key]
+    values += [v for label in inst.labels.values() for v in label]
+    return all(type(v) is int for v in values)
+
+
+def test_instance_takes_bools_as_ints():
+    inst = Instance(True + True, False, [(False, True)], [(False, True, True)],
+                    [(False, True, True)])
+    assert all_ints(inst)
+    assert to_text(inst) == to_text(Instance(2, 0, [(0, 1)], [(0, 1, 1)], [(0, 1, 1)]))
+
+
+def test_instance_takes_numpy_ints_as_ints():
+    np = pytest.importorskip("numpy")
+    i8, i64 = np.int8, np.int64
+    inst = Instance(i64(2), i64(-4), {i8(0): i64(3)}, {(i8(0), i64(1)): np.int16(-5)},
+                    {i64(1): (i8(2), i64(3))})
+    assert all_ints(inst)
+    assert to_text(inst) == to_text(Instance(2, -4, [(0, 3)], [(0, 1, -5)], [(1, 2, 3)]))
 
 
 def test_generated_gadget_matches_hand_weights(gadget_minus):
@@ -211,6 +246,9 @@ def test_instance_attributes_cannot_be_rebound():
     for name in ("_native", "_digest"):
         with pytest.raises(AttributeError):
             delattr(inst, name)
+    # a second __init__ once rebound them all: fitness((1,)*6) read 40
+    with pytest.raises(AttributeError, match="cannot initialise it again"):
+        inst.__init__(6, 0, {0: 40})
     assert inst.fitness(ones) == 15 and to_text(inst) == text
     assert [inst.gradient(v, ones) for v in range(6)] == gradients
     for copied in (pickle.loads(pickle.dumps(inst)), copy.copy(inst)):

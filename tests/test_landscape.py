@@ -579,7 +579,12 @@ def test_orient_matches_reference_on_stars(monkeypatch):
 
 def test_orient_caps_the_neighborhood(monkeypatch):
     # a variable with 21 neighbors would need a 2^21-entry gradient table;
-    # the cap is read at call time
+    # the cap is read at call time.  Degrees are checked in index order
+    # before any edge: in two_centres, centre 5 (leaves 7..11) and centre 6
+    # (leaves 0..4) are both above a cap of 4, and the first edge, (0, 6),
+    # is on centre 6, but the error names centre 5
+    two_centres = Instance(12, 0, [(5, 1), (6, 1)],
+                           [(5, j, 1) for j in range(7, 12)] + [(j, 6, 1) for j in range(5)])
     for _ in orient_paths(monkeypatch):
         with pytest.raises(TooLargeError, match="variable 0 has 21 neighbors"):
             orient(star(21))
@@ -587,6 +592,8 @@ def test_orient_caps_the_neighborhood(monkeypatch):
             mp.setattr(core, "TABLE_DEGREE_CAP", 4)
             with pytest.raises(TooLargeError, match="variable 0 has 5 neighbors"):
                 orient(star(5))
+            with pytest.raises(TooLargeError, match="^variable 5 has 5 neighbors"):
+                orient(two_centres)
             o = orient(star(4))
             assert o == reference_orient(star(4))
             assert o.arcs == ((0, 1), (0, 2), (0, 3), (0, 4))
