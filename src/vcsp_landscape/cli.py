@@ -45,7 +45,7 @@ def _write_files(outputs: list[tuple[str, str]]) -> None:
 
 def cmd_gen(args) -> int:
     m = args.n if args.m is None else args.m
-    inst = generator.build_chain(args.n, m, args.sign, validate=not args.no_validate)
+    inst = generator.build_chain(args.n, m, args.sign)
     outputs = [(args.out, core.to_text(inst))]
     if args.decomposition is not None:
         pd = generator.canonical_decomposition(m)
@@ -203,8 +203,6 @@ def _gen_args(p):
     p.add_argument("--sign", choices=["+", "-"], required=True)
     p.add_argument("--out", required=True, help="output instance path")
     p.add_argument("--decomposition", help="also write the canonical width-2 bags here")
-    p.add_argument("--no-validate", action="store_true",
-                   help="skip the weight-schedule self-check")
 
 
 def _eval_args(p):

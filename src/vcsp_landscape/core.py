@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from bisect import bisect_left
 from itertools import compress, product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -105,11 +104,12 @@ class Instance:
         if isinstance(unaries, Mapping):
             unaries = unaries.items()
         udict: dict[int, int] = {}
-        for i, w in unaries:
+        for entry in unaries:
             try:
+                i, w = entry
                 i, w = index(i), index(w)
-            except TypeError:
-                raise _not_integers("unary", (i, w)) from None
+            except (TypeError, ValueError):
+                raise _bad_entry("unary", entry, 2) from None
             if not 0 <= i < n:
                 self._check_index(i)
             if w == 0:
@@ -120,14 +120,15 @@ class Instance:
         store(self, "unaries", MappingProxyType(udict))
 
         if isinstance(binaries, Mapping):
-            binaries = [(i, j, w) for (i, j), w in binaries.items()]
+            binaries = [(*_items(key), w) for key, w in binaries.items()]
         bdict: dict[tuple[int, int], int] = {}
         nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i, j, w in binaries:
+        for entry in binaries:
             try:
+                i, j, w = entry
                 i, j, w = index(i), index(j), index(w)
-            except TypeError:
-                raise _not_integers("binary", (i, j, w)) from None
+            except (TypeError, ValueError):
+                raise _bad_entry("binary", entry, 3) from None
             if not (0 <= i < n and 0 <= j < n):
                 self._check_index(i)
                 self._check_index(j)
@@ -147,12 +148,16 @@ class Instance:
         by_label: dict[Label, int] = {}
         if labels is not None:
             if isinstance(labels, Mapping):
-                labels = [(idx, k, i) for idx, (k, i) in labels.items()]
-            for idx, k, i in labels:
                 try:
+                    labels = [(idx, k, i) for idx, (k, i) in labels.items()]
+                except (TypeError, ValueError):  # a label that is not a pair: the loop names it
+                    labels = [(idx, *_items(label)) for idx, label in labels.items()]
+            for entry in labels:
+                try:
+                    idx, k, i = entry
                     idx, k, i = index(idx), index(k), index(i)
-                except TypeError:
-                    raise _not_integers("label", (idx, k, i)) from None
+                except (TypeError, ValueError):
+                    raise _bad_entry("label", entry, 3) from None
                 if not 0 <= idx < n:
                     self._check_index(idx)
                 if k < 1 or not (1 <= i <= 6):
@@ -227,8 +232,13 @@ class Instance:
         background x.  Depends only on x restricted to i's neighbors."""
         self._check_index(i)
         self.check_assignment(x)
-        g = self.unaries.get(i, 0)
-        for j, w in self.neighbors[i]:
+        return self._gradient(i, x)
+
+    def _gradient(self, v: int, x: Sequence[int]) -> int:
+        """gradient(v, x) without its checks, for callers that have checked
+        v and x: v's unary plus the weights of its neighbours set to 1."""
+        g = self.unaries.get(v, 0)
+        for j, w in self.neighbors[v]:
             if x[j]:
                 g += w
         return g
@@ -239,10 +249,7 @@ class Instance:
         self.check_assignment(x)
         out = []
         for i in range(self.num_vars):
-            g = self.unaries.get(i, 0)
-            for j, w in self.neighbors[i]:
-                if x[j]:
-                    g += w
+            g = self._gradient(i, x)
             gain = -g if x[i] else g
             if gain > 0:
                 out.append((i, gain))
@@ -296,8 +303,20 @@ class Instance:
                 f"unaries={len(self.unaries)}, binaries={len(self.binaries)})")
 
 
-def _not_integers(kind: str, entry: tuple) -> InvalidArgumentError:
-    return InvalidArgumentError(f"{kind} {entry!r} has an entry that is not an integer")
+def _items(part) -> Iterable:
+    """A mapping's key or value as the items it adds to its row: those it
+    holds, or itself where it is not iterable, so that Instance names the
+    row."""
+    return part if hasattr(part, "__iter__") else (part,)
+
+
+def _bad_entry(kind: str, entry, size: int) -> InvalidArgumentError:
+    """The error for a kind entry that is not size integers: it has size
+    items and one is not an integer, or it is not size items."""
+    row = tuple(entry) if hasattr(entry, "__iter__") else None
+    if row is not None and len(row) == size:
+        return InvalidArgumentError(f"{kind} {row!r} has an entry that is not an integer")
+    return InvalidArgumentError(f"{kind} {entry!r} is not {size} integers")
 
 
 def _bit(b) -> int:
@@ -519,32 +538,26 @@ def _rejected_line(text: str, rows: dict[str, list[tuple[int, ...]]]) -> int:
     """The number of the line whose row Instance rejected, in a text that
     from_text lexed into rows.
 
-    Instance checks num_vars, then the 'u', 'b' and 'label' rows in that
-    order, each row against the rows of its kind before it.  So it rejects a
-    prefix of that sequence exactly when the prefix holds the rejected row,
-    and a bisection finds the shortest such prefix.  The line is then the
-    k-th of its directive.  Only the error path pays for this.
+    Instance checks num_vars, then reads the 'u', 'b' and 'label' rows in
+    that order and raises while it reads the row it rejects.  So it is built
+    once more over iterators that note each row's line as they hand it over,
+    and the last line noted is the rejected one.  Only the error path pays.
     """
-    [(num_vars,)] = rows["n"]
-    u, b, label = rows["u"], rows["b"], rows["label"]
+    numbers: dict[str, list[int]] = {kind: [] for kind in _DIRECTIVES}
+    for lineno, line in _lines(text):
+        numbers.get(line.split()[0], []).append(lineno)
+    noted = numbers["n"][:1]  # the 'n' line, until a row is handed over
 
-    def rejects(t: int) -> bool:
-        try:
-            Instance(num_vars, 0, u[:t], b[:max(0, t - len(u))],
-                     label[:max(0, t - len(u) - len(b))])
-        except VcspError:
-            return True
-        return False
+    def noting(kind: str) -> Iterator[tuple[int, ...]]:
+        for lineno, row in zip(numbers[kind], rows[kind]):
+            noted[0] = lineno
+            yield row
 
-    t = bisect_left(range(len(u) + len(b) + len(label) + 1), True, key=rejects)
-    kind = "n"
-    if t:
-        for kind, count in (("u", len(u)), ("b", len(b)), ("label", len(label))):
-            if t <= count:
-                break
-            t -= count
-        t -= 1
-    return [lineno for lineno, line in _lines(text) if line.split()[0] == kind][t]
+    try:
+        Instance(rows["n"][0][0], 0, noting("u"), noting("b"), noting("label"))
+    except VcspError:
+        pass
+    return noted[0]
 
 
 def write_instance(inst: Instance, path) -> None:

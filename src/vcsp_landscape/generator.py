@@ -121,8 +121,9 @@ def build_chain(n: int, m: int, sign: str, validate: bool = True) -> Instance:
     return inst
 
 
-def build_gadget(n: int, k: int, sign: str, validate: bool = True) -> Instance:
-    """A standalone six-variable gadget, without either link binary.
+def build_gadget(n: int, k: int, sign: str) -> Instance:
+    """A standalone six-variable gadget, without either link binary, its
+    weights checked as build_chain's are.
 
     Variables are labeled (k, 1)..(k, 6) at dense indices 0..5.
     """
@@ -137,8 +138,7 @@ def build_gadget(n: int, k: int, sign: str, validate: bool = True) -> Instance:
             binaries.append((scope[0][1] - 1, scope[1][1] - 1, w))
         # the downward link (k >= 2) is dropped: a lone gadget has no neighbor
     inst = Instance(6, 0, unaries, binaries, {i - 1: (k, i) for i in range(1, 7)})
-    if validate:
-        _validate_weights(inst, n, sign, top_label=(k, 1), gadget_of=lambda v: k)
+    _validate_weights(inst, n, sign, top_label=(k, 1), gadget_of=lambda v: k)
     return inst
 
 
@@ -171,7 +171,7 @@ def expected_arcs(m: int) -> set[tuple[int, int]]:
         raise RangeError(f"need m >= 1, got m={m}")
     arcs = set()
     for k in range(1, m + 1):
-        for i, j in ((1, 2), (1, 4), (2, 3), (4, 5), (3, 6), (5, 6)):
+        for i, j in GADGET_EDGES:
             arcs.add((_dense(m, k, i), _dense(m, k, j)))
         if k >= 2:
             arcs.add((_dense(m, k, 6), _dense(m, k - 1, 1)))

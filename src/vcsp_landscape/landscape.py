@@ -72,23 +72,15 @@ def sign_depends(inst: Instance, i: int, j: int) -> SignDependence | None:
         raise InvalidArgumentError("sign dependence needs two distinct variables")
     inst._check_index(i)
     inst._check_index(j)
-    nbrs = _neighborhood(inst, i)
-    if j not in [v for v, _ in nbrs]:
+    weights = dict(_neighborhood(inst, i))
+    w = weights.get(j)
+    if w is None:
         return None
-    base = inst.unaries.get(i, 0)
-    for bits in product((0, 1), repeat=len(nbrs)):
-        g = base
-        gf = base
-        for (v, w), b in zip(nbrs, bits):
-            if v == j:
-                g += w * b
-                gf += w * (1 - b)
-            else:
-                g += w * b
-                gf += w * b
-        sa, sf = _sign(g), _sign(gf)
+    for bits in product((0, 1), repeat=len(weights)):
+        witness = dict(zip(weights, bits))
+        g = inst._gradient(i, witness)
+        sa, sf = _sign(g), _sign(g - w if witness[j] else g + w)  # sf: j flipped
         if sa != sf:
-            witness = {v: b for (v, _), b in zip(nbrs, bits)}
             return SignDependence(i, j, witness, sa, sf)
     return None
 
@@ -195,10 +187,7 @@ def peak_of_oriented(inst: Instance, orientation: Orientation | None = None) -> 
         raise NotOrientedError("instance is not oriented")
     x = [0] * inst.num_vars
     for v in orientation.topo_order:
-        g = inst.unaries.get(v, 0)
-        for j, w in inst.neighbors[v]:
-            if x[j]:
-                g += w
+        g = inst._gradient(v, x)
         if g == 0:
             raise ZeroGradientError(f"variable {v} has gradient 0 at fixing time")
         x[v] = 1 if g > 0 else 0

@@ -33,15 +33,14 @@ kept to little more than the kernel's own work.  Every ascent is one call.
 Its C functions have no ctypes argtypes, and the instance's five arrays go
 as one block of their addresses, built with the arrays.  The start is
 checked and converted once, by check_assignment, whose bytes fill the
-kernel's buffer and give Trace.start.  _trace stores the Trace's fields
-straight into its __dict__, in place of the frozen dataclass's eleven
-object.__setattr__ calls.  A random ascent's generator starts from a copy
-of init_genrand(19650218), the same for every seed and computed once when
-the kernel is loaded, and runs only the seed-dependent steps of
+kernel's buffer and give Trace.start.  Trace's own __init__ stores its
+fields straight into its __dict__, in place of the frozen dataclass's
+eleven object.__setattr__ calls.  A random ascent's generator starts from a
+copy of init_genrand(19650218), the same for every seed and computed once
+when the kernel is loaded, and runs only the seed-dependent steps of
 init_by_array.  First-improvement in index order passes no order array
 (NULL).  On a 2-core Xeon a 43-step steepest ascent on chain(4, 4, '+')
-costs about 6.5 us a call, against 9.5 us with argtypes, five array
-arguments and the dataclass constructor.
+costs about 4.9 us a call.
 
 A recorded run on the kernel writes each step as one record (variable,
 gain, fitness after), in memory that the kernel grows as the run goes
@@ -180,7 +179,7 @@ class Steps(Sequence):
         return other + tuple(self) if isinstance(other, tuple) else NotImplemented
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trace:
     """Record of one ascent.
 
@@ -206,29 +205,25 @@ class Trace:
     seed: int | None = None
     complete: bool = True
 
-
-def _trace(method, start, end, num_steps, fitness_start, fitness_end, min_gain,
-           tie_events, steps, seed, complete) -> Trace:
-    """Trace(...) with these fields, stored straight into the new object's
-    __dict__: the frozen dataclass's __init__ sets each field through
-    object.__setattr__, which costs about 1.5 us a call more.  One store per
-    field, in field order, keeps the key-sharing dict that __init__ builds
-    (about 240 bytes a Trace; one dict.update call makes a table of its own,
-    about 520)."""
-    trace = object.__new__(Trace)
-    fields = trace.__dict__
-    fields["method"] = method
-    fields["start"] = start
-    fields["end"] = end
-    fields["num_steps"] = num_steps
-    fields["fitness_start"] = fitness_start
-    fields["fitness_end"] = fitness_end
-    fields["min_gain"] = min_gain
-    fields["tie_events"] = tie_events
-    fields["steps"] = steps
-    fields["seed"] = seed
-    fields["complete"] = complete
-    return trace
+    def __init__(self, method, start, end, num_steps, fitness_start, fitness_end, min_gain,
+                 tie_events, steps, seed=None, complete=True):
+        """The dataclass's __init__, its arguments and defaults, storing the
+        fields straight into __dict__: 0.8 us a call less than the generated
+        one's object.__setattr__ calls.  One store per field, in field order,
+        keeps the key-sharing dict (160 bytes by sys.getsizeof; one
+        dict.update makes a table of its own, 464)."""
+        fields = self.__dict__
+        fields["method"] = method
+        fields["start"] = start
+        fields["end"] = end
+        fields["num_steps"] = num_steps
+        fields["fitness_start"] = fitness_start
+        fields["fitness_end"] = fitness_end
+        fields["min_gain"] = min_gain
+        fields["tie_events"] = tie_events
+        fields["steps"] = steps
+        fields["seed"] = seed
+        fields["complete"] = complete
 
 
 def _step_limit(max_steps: int | None) -> int:
@@ -259,16 +254,10 @@ def _ascend(rule, inst: Instance, start: Sequence[int], record_steps: bool,
     x = bytearray(inst.check_assignment(start))
     start = tuple(x)
     fit0 = fit = inst.fitness(start)
-    unaries = inst.unaries
     neighbors = inst.neighbors
-    grad = []
+    grad = [inst._gradient(i, x) for i in range(inst.num_vars)]
     imp = {}
-    for i, nbrs in enumerate(neighbors):
-        g = unaries.get(i, 0)
-        for j, w in nbrs:
-            if x[j]:
-                g += w
-        grad.append(g)
+    for i, g in enumerate(grad):
         gain = -g if x[i] else g
         if gain > 0:
             imp[i] = gain
@@ -625,8 +614,8 @@ def _ascend_native(a: _NativeArrays, rule, args, inst: Instance, start: Sequence
     finally:
         if out:
             width.free(out)
-    return _trace(rule.method, tuple(bits), tuple(x.raw), k, fit0, fit, least if k else None,
-                  ties, steps, rule.seed, status == _PEAK)
+    return Trace(rule.method, tuple(bits), tuple(x.raw), k, fit0, fit, least if k else None,
+                 ties, steps, rule.seed, status == _PEAK)
 
 
 def _kernel_arrays(inst: Instance) -> _NativeArrays | bool | None:
@@ -734,14 +723,9 @@ def replay(inst: Instance, trace: Trace) -> None:
     if replayed:
         x, fit = replayed
     else:  # the reference, also for every failure on the kernel: one source of messages
-        unaries = inst.unaries
-        neighbors = inst.neighbors
         for t, (v, gain, after) in enumerate(trace.steps, start=1):
             inst._check_index(v)
-            g = unaries.get(v, 0)
-            for j, w in neighbors[v]:
-                if x[j]:
-                    g += w
+            g = inst._gradient(v, x)
             actual = -g if x[v] else g
             if actual != gain:
                 raise ReplayMismatchError(f"step {t}: recorded gain {gain}, computed {actual}")

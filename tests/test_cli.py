@@ -466,6 +466,16 @@ def test_usage_error_exits_nonzero(capsys):
     assert exc.value.code == 2
 
 
+def test_gen_always_validates(tmp_path, capsys):
+    # the --no-validate switch is gone: gen always checks the weight schedule
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "2", "--sign", "+", "--out", str(tmp_path / "x.vcsp"),
+              "--no-validate"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-validate" in capsys.readouterr().err
+    assert not (tmp_path / "x.vcsp").exists()
+
+
 def golden_commands(tmp_path) -> list:
     """The argv of each command of the golden session, in order."""
     c3, c2, bags = (str(tmp_path / f) for f in ("c3.vcsp", "c2.vcsp", "c3.bags"))

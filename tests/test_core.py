@@ -114,6 +114,18 @@ def test_index_out_of_range_rejected():
      "unary (0.0, 3) has an entry that is not an integer"),
     # num_vars 2.9 once made 2 variables
     ((2.9,), InvalidArgumentError, "num_vars and constant must be integers, got 2.9 and 0"),
+    ((2, 0, [], [(0, 1, 2.5)]), InvalidArgumentError,
+     "binary (0, 1, 2.5) has an entry that is not an integer"),
+    ((2, 0, [], [], {0: (1.0, 1)}), InvalidArgumentError,
+     "label (0, 1.0, 1) has an entry that is not an integer"),
+    # entries of the wrong shape once escaped as a bare ValueError or
+    # TypeError from their unpacking
+    ((2, 0, [(0,)]), InvalidArgumentError, "unary (0,) is not 2 integers"),
+    ((2, 0, [], [(0, 1)]), InvalidArgumentError, "binary (0, 1) is not 3 integers"),
+    ((2, 0, [], [], [(0, 1)]), InvalidArgumentError, "label (0, 1) is not 3 integers"),
+    ((2, 0, [5]), InvalidArgumentError, "unary 5 is not 2 integers"),
+    ((2, 0, [], [], {0: 5}), InvalidArgumentError, "label (0, 5) is not 3 integers"),
+    ((2, 0, [], {5: 1}), InvalidArgumentError, "binary (5, 1) is not 3 integers"),
 ])
 def test_instance_error_messages(args, exc, message):
     # one invalid input per message Instance raises, with its exact class
@@ -256,6 +268,23 @@ def test_instance_attributes_cannot_be_rebound():
         assert copied.fitness(ones) == 15
         with pytest.raises(AttributeError):
             copied.unaries = {}
+
+
+def test_instance_equality_and_repr():
+    inst = Instance(3, 2, [(0, 1)], [(0, 1, -4)])
+    assert inst == Instance(3, 2, {0: 1}, {(1, 0): -4})
+    assert inst != 5 and inst.__eq__(5) is NotImplemented
+    assert repr(inst) == "Instance(num_vars=3, constant=2, unaries=1, binaries=1)"
+
+
+def test_gradient_table_is_capped(monkeypatch):
+    # the cap is read at call time: a degree above it raises, naming the variable
+    inst = Instance(4, 0, [], [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+    assert len(_gradient_table(inst, 0)) == 8
+    monkeypatch.setattr(core, "TABLE_DEGREE_CAP", 2)
+    assert len(_gradient_table(inst, 1)) == 2
+    with pytest.raises(TooLargeError, match="^variable 0 has 3 neighbors; tables over "):
+        _gradient_table(inst, 0)
 
 
 def test_gradient_table_in_mask_order():

@@ -10,6 +10,7 @@ from vcsp_landscape import (
     canonical_decomposition,
     constraint_graph,
     derived_params,
+    expected_arcs,
     expected_peak,
     gadget_constraints,
     predicted_ascent_length,
@@ -108,6 +109,15 @@ def test_standalone_gadget_has_no_link(gadget_minus):
     g = build_gadget(3, 2, "-")
     assert g.num_vars == 6
     assert len(g.binaries) == 6
+
+
+def test_expected_arcs_and_decomposition_need_a_gadget():
+    # one gadget's arcs, in dense indices: (1,2), (1,4), (2,3), (4,5), (3,6), (5,6)
+    assert expected_arcs(1) == {(0, 1), (0, 3), (1, 2), (3, 4), (2, 5), (4, 5)}
+    assert (5, 6) in expected_arcs(2) and len(expected_arcs(2)) == 13
+    for build in (expected_arcs, canonical_decomposition):
+        with pytest.raises(RangeError, match="^need m >= 1, got m=0$"):
+            build(0)
 
 
 def test_expected_peak():

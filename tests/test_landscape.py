@@ -437,6 +437,9 @@ def test_shortest_ascent_length(gadget_plus, gadget_minus):
     assert shortest_ascent_length(g2, (0,) * 6) == 5
     with pytest.raises(UnreachableError):
         shortest_ascent_length(g, (0, 1, 0, 0, 0, 0))  # downhill of the start
+    for target in ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 2)):
+        with pytest.raises(UnreachableError, match="^target is not reachable from the start$"):
+            shortest_ascent_length(g, target)
 
 
 def test_shortest_ascent_equals_hamming_distance(chain22_plus):

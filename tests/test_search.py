@@ -3,6 +3,7 @@ import csv
 import ctypes
 import dataclasses
 import hashlib
+import inspect
 import os
 import pickle
 import random
@@ -1285,6 +1286,27 @@ def test_native_rules_stop_at_max_steps(on_both):
         assert engine(inst, start, max_steps=2 ** 64) == whole  # beyond int64: no limit
 
 
+def test_steps_take_whole_records_and_are_immutable():
+    with pytest.raises(ValueError, match="^Steps needs a multiple of 24 bytes, got 25$"):
+        search.Steps(bytes(25))
+    steps = search.Steps(struct.pack("3q", 0, 7, 4))
+    with pytest.raises(AttributeError, match="^Steps is immutable$"):
+        steps._raw = b""
+    with pytest.raises(AttributeError, match="^Steps is immutable$"):
+        del steps._raw
+    assert steps == ((0, 7, 4),)
+
+
+def test_no_kernel_without_a_compiler(monkeypatch):
+    # where sysconfig names no C compiler there is no kernel, and every
+    # engine runs the Python loop
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: None)
+    monkeypatch.setattr(search, "_native_kernel", search._native_kernel.__wrapped__)
+    assert search._native_kernel() is None
+    inst = build_chain(3, 3, "+")
+    assert steepest_ascent(inst, (0,) * 18).num_steps == 49
+
+
 def test_recorded_steps_are_held_packed():
     # a recorded steepest ascent on the int64 width holds its 114,681 steps
     # as 24-byte records, not as a tuple of tuples (104 bytes a step).  The
@@ -1490,19 +1512,38 @@ def test_native_rules_threads_share_an_instance(scale):
     check_threads(inst, first_with(list(range(36))[::-1]))
 
 
-def test_trace_helper_builds_what_the_constructor_builds():
-    # the kernel path builds Traces through _trace, which skips the frozen
-    # dataclass's __init__; the result is the same object in every respect
+def test_trace_constructor_builds_what_the_dataclass_builds():
+    # Trace's own __init__ stores the fields into __dict__, in place of the
+    # frozen dataclass's generated one, which sets each through
+    # object.__setattr__; the result is the same object in every respect
     fields = ("random", (0, 1), (1, 1), 1, -3, 4, 7, 0, ((0, 7, 4),), 2 ** 70, True)
-    got, want = search._trace(*fields), Trace(*fields)
+    names = [f.name for f in dataclasses.fields(Trace)]
+    want = object.__new__(Trace)
+    for name, value in zip(names, fields):
+        object.__setattr__(want, name, value)
+    got = Trace(*fields)
     assert type(got) is Trace
     assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
     assert vars(got) == vars(want) and list(vars(got)) == list(vars(want))
+    assert sys.getsizeof(vars(got)) == sys.getsizeof(vars(want))
     assert dataclasses.astuple(got) == fields
     assert pickle.loads(pickle.dumps(got)) == want
     with pytest.raises(dataclasses.FrozenInstanceError):
         got.num_steps = 2
-    assert got != search._trace(*fields[:-1], False)
+    assert got != Trace(*fields[:-1], False)
+    # the generated __init__'s parameters, keywords and defaults
+    generated = dataclasses.make_dataclass(
+        "Generated", [(f.name, f.type, dataclasses.field(default=f.default))
+                      for f in dataclasses.fields(Trace)], frozen=True)
+    params = [(p.name, p.kind, p.default)
+              for p in inspect.signature(generated).parameters.values()]
+    assert [(p.name, p.kind, p.default)
+            for p in inspect.signature(Trace).parameters.values()] == params
+    assert Trace(**dict(zip(names, fields))) == got
+    assert Trace(*fields[:9]) == Trace(*fields[:9], None, True)
+    assert dataclasses.replace(got, complete=False) == Trace(*fields[:-1], False)
+    with pytest.raises(TypeError):
+        Trace(*fields[:8])
 
 
 def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path, capfd):
