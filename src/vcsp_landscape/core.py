@@ -66,7 +66,8 @@ class Instance:
     deleting an attribute, or calling __init__ again, raises AttributeError.
     Every count, index, weight and label entry is taken through
     operator.index, so bools and numpy integers become ints, and anything
-    else (a float, a str) raises InvalidArgumentError.  The slots set later, on
+    else (a float, a str) raises InvalidArgumentError, as does an unaries,
+    binaries or labels argument that is not iterable.  The slots set later, on
     first use, are _native, the kernel's arrays, and _digest, the
     content_hash.
     """
@@ -92,6 +93,11 @@ class Instance:
             raise InvalidArgumentError(
                 f"num_vars and constant must be integers, got {num_vars!r} and {constant!r}"
             ) from None
+        for name, arg in (("unaries", unaries), ("binaries", binaries),
+                          ("labels", () if labels is None else labels)):
+            if not hasattr(arg, "__iter__"):
+                raise InvalidArgumentError(
+                    f"{name} must be a mapping or an iterable of entries, got {arg!r}")
         if n < 0:
             raise IndexOutOfRangeError(f"num_vars must be >= 0, got {n}")
         if n > NUM_VARS_CAP:

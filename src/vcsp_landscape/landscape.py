@@ -17,11 +17,12 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, product
-from operator import itemgetter
+from functools import reduce
+from itertools import compress, islice, product
+from operator import itemgetter, or_
 from typing import Sequence
 
-from .core import Bits, Instance, _neighborhood
+from .core import Bits, Instance, _gradient_table, _neighborhood
 from .search import _ascent_graph64, _orient64
 from .errors import (
     CyclicOrientationError,
@@ -34,6 +35,10 @@ from .errors import (
 
 PEAKS_CAP = 24
 SEMISMOOTH_CAP = 12
+# check_semismooth's bitset path runs up to this many variables: past it the
+# superset sum soon wins (0.28 s against 0.78 s on a sparse instance of 17),
+# and a dense instance of 16 would hold 2^15 neighbor-pattern sets of 8 KB
+_BITSET_VARS = 12
 ASCENT_GRAPH_CAP = 1 << 18
 
 
@@ -291,14 +296,42 @@ def check_semismooth(inst: Instance, cap: int = SEMISMOOTH_CAP) -> SemismoothRes
     when F is a subset of up[x]; every face has at least one peak, its
     maximum; so each of the 2^(d - |F|) faces with free set F has exactly
     one peak exactly when cnt[F], the number of x with F a subset of up[x],
-    is 2^(d - |F|).  cnt is a superset sum over up, d passes over 2^d
-    entries.  The violation reported is on the first failing F in ascending
-    mask order, at the background whose fixed bits, in variable order, come
-    first among those with two or more peaks; its peaks are sorted.
+    is 2^(d - |F|).  The violation reported is on the first failing F in
+    ascending mask order, at the background whose fixed bits, in variable
+    order, come first among those with two or more peaks; its peaks are
+    sorted.
+
+    Two paths find the first failing F and give the same result.
+    _superset_sum, the reference, counts cnt for every F at once, in d
+    passes over 2^d entries.  For d at most _BITSET_VARS (12, the default
+    cap; read at call time), _bitset_counts runs instead: it holds, for each
+    variable v, the set of x with v in up[x] as one 2^d-bit int, and cnt[F]
+    is the popcount of the AND of the sets of F's variables.  Above 12,
+    which only a caller that raises cap reaches, the reference runs.
     """
     d = inst.num_vars
     if d > cap:
         raise TooLargeError(f"{d} variables exceeds the semismoothness cap {cap}")
+    bad = _bitset_counts(inst) if d <= _BITSET_VARS else _superset_sum(inst)
+    if bad is None:
+        return SemismoothResult(True)
+    free, peaks = bad
+    faces: dict[int, list[int]] = {}
+    for x in peaks:
+        faces.setdefault(x & ~free, []).append(x)
+    background = min((b for b, xs in faces.items() if len(xs) > 1),
+                     key=lambda b: _bits(b, d))
+    fixed = {v: background >> v & 1 for v in range(d) if not free >> v & 1}
+    peaks = tuple(sorted(_bits(x, d) for x in faces[background]))
+    return SemismoothResult(False, FaceViolation(
+        tuple(v for v in range(d) if free >> v & 1), fixed, peaks))
+
+
+def _superset_sum(inst: Instance) -> tuple[int, list[int]] | None:
+    """check_semismooth's count by a superset sum: the first failing free
+    set F and, in ascending order, every x with F a subset of up[x] (the
+    peaks of F's faces); None where no F fails."""
+    d = inst.num_vars
     n = 1 << d
     fit = [inst.constant]  # fit[x], doubled one variable at a time
     for v in range(d):
@@ -321,17 +354,53 @@ def check_semismooth(inst: Instance, cap: int = SEMISMOOTH_CAP) -> SemismoothRes
                 cnt[s] += cnt[s | bit]
     free = next((s for s in range(1, n) if cnt[s] != 1 << (d - s.bit_count())), None)
     if free is None:
-        return SemismoothResult(True)
-    faces: dict[int, list[int]] = {}
-    for x, u in enumerate(up):
-        if u & free == free:
-            faces.setdefault(x & ~free, []).append(x)
-    background = min((b for b, xs in faces.items() if len(xs) > 1),
-                     key=lambda b: _bits(b, d))
-    fixed = {v: background >> v & 1 for v in range(d) if not free >> v & 1}
-    peaks = tuple(sorted(_bits(x, d) for x in faces[background]))
-    return SemismoothResult(False, FaceViolation(
-        tuple(v for v in range(d) if free >> v & 1), fixed, peaks))
+        return None
+    return free, [x for x, u in enumerate(up) if u & free == free]
+
+
+def _bitset_counts(inst: Instance) -> tuple[int, list[int]] | None:
+    """_superset_sum's result, counted on sets of assignments held as
+    2^d-bit ints (bit x for assignment x).
+
+    ones[j], the set of x with x_j = 1, is runs of 2^j zeros and 2^j ones.
+    up_set[v], the set of x with v in up[x], holds the x where x_v = 1 and
+    v's gradient is positive, where x_v = 0 and it is negative, and where
+    it is 0.  Entry p of core._gradient_table(inst, v) is the gradient on
+    patterns[p], the x whose neighbors of v read p.  The AND over F = s | t
+    (s a set of the low (d+1)//2 variables, t of the others) is
+    low[s] & high[t], so the two tables hold O(2^(d/2)) sets.
+    """
+    d = inst.num_vars
+    n = 1 << d
+    full = (1 << n) - 1
+    ones = [full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) << (1 << j)
+            for j in range(d)]
+    up_set = []
+    for v, nbrs in enumerate(inst.neighbors):
+        patterns = [full]  # in _gradient_table's order: bit b is nbrs[b]'s value
+        for j, _ in nbrs:
+            patterns = [p & half for half in (full ^ ones[j], ones[j]) for p in patterns]
+        table = _gradient_table(inst, v)
+        up = full ^ ones[v] ^ reduce(or_, compress(patterns, [g > 0 for g in table]), 0)
+        if 0 in table:
+            up |= reduce(or_, compress(patterns, [g == 0 for g in table]))
+        up_set.append(up)
+    h = (d + 1) // 2
+    low = [full]
+    for u in up_set[:h]:
+        low += [a & u for a in low]
+    high = [full]
+    for u in up_set[h:]:
+        high += [b & u for b in high]
+    want = [n >> s.bit_count() for s in range(len(low))]
+    for t, b in enumerate(high):
+        k = t.bit_count()  # cnt[s | t << h] << k must be n >> |s|
+        cnt = [(a & b).bit_count() << k for a in low]
+        if cnt != want:
+            s = next(s for s, (c, w) in enumerate(zip(cnt, want)) if c != w)
+            peaks = low[s] & b
+            return t << h | s, [x for x in range(n) if peaks >> x & 1]
+    return None
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,13 @@ def test_index_out_of_range_rejected():
     ((2, 0, [5]), InvalidArgumentError, "unary 5 is not 2 integers"),
     ((2, 0, [], [], {0: 5}), InvalidArgumentError, "label (0, 5) is not 3 integers"),
     ((2, 0, [], {5: 1}), InvalidArgumentError, "binary (5, 1) is not 3 integers"),
+    # a whole argument that is not iterable once escaped as a bare TypeError
+    ((2, 0, 5), InvalidArgumentError,
+     "unaries must be a mapping or an iterable of entries, got 5"),
+    ((2, 0, [], 7), InvalidArgumentError,
+     "binaries must be a mapping or an iterable of entries, got 7"),
+    ((2, 0, [], [], 3), InvalidArgumentError,
+     "labels must be a mapping or an iterable of entries, got 3"),
 ])
 def test_instance_error_messages(args, exc, message):
     # one invalid input per message Instance raises, with its exact class

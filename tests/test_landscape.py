@@ -18,6 +18,7 @@ from vcsp_landscape import (
     expected_arcs,
     expected_peak,
     is_local_peak,
+    landscape,
     orient,
     peak_of_oriented,
     search,
@@ -251,9 +252,8 @@ def _planted_pair(rng, d):
     return Instance(d, 0, unaries, binaries + [(i, j, -3)])
 
 
-def test_check_semismooth_matches_every_face():
-    # the whole SemismoothResult: the first bad free set, its background and
-    # the order of its peaks; zero gradients make the ties, two peaks on an edge
+def _semismooth_cases():
+    # zero gradients make the ties, _planted_pair two peaks on an edge
     rng = random.Random(47)
     big = 3 * 2 ** 70
     densities = (0.1, 0.3, 0.6, 1.0)
@@ -268,8 +268,14 @@ def test_check_semismooth_matches_every_face():
               for _ in range(30)]
     cases += [dense_instance(rng, rng.randint(2, 8), (-1, 1)) for _ in range(20)]
     cases += [_planted_pair(rng, rng.randint(3, 8)) for _ in range(30)]
+    return cases
+
+
+def test_check_semismooth_matches_every_face():
+    # the whole SemismoothResult: the first bad free set, its background and
+    # the order of its peaks
     semismooth = edges = off_first_pair = 0
-    for inst in cases:
+    for inst in _semismooth_cases():
         r = check_semismooth(inst)
         assert r == _semismooth_by_faces(inst), core.to_text(inst)
         if r.semismooth:
@@ -278,6 +284,33 @@ def test_check_semismooth_matches_every_face():
             edges += len(r.violation.free_vars) == 1
             off_first_pair += r.violation.free_vars != (0, 1)
     assert semismooth >= 50 and edges >= 20 and off_first_pair >= 20
+
+
+def test_check_semismooth_paths_agree(monkeypatch):
+    # the bitset path, which runs up to landscape._BITSET_VARS variables,
+    # against the superset sum, forced by a bound of -1.  The corpus has
+    # Instance(0), weights of 3 * 2^70 and odd d, where the low half of the
+    # variables has one more than the high half
+    cases = _semismooth_cases()
+    assert {inst.num_vars % 2 for inst in cases} == {0, 1}
+    bitsets = [check_semismooth(inst) for inst in cases]
+    monkeypatch.setattr(landscape, "_BITSET_VARS", -1)
+    assert [check_semismooth(inst) for inst in cases] == bitsets
+
+
+def test_check_semismooth_above_the_bitset_bound(monkeypatch):
+    # past the default cap only the superset sum runs; the bitset path,
+    # forced on the same 13 variables, agrees with it
+    rng = random.Random(13)
+    smooth = _weighted(rng, 13, 0.3, (-9, 9), (-1, 1))  # no gradient changes sign
+    for inst, expected in ((smooth, True), (_planted_pair(rng, 13), False)):
+        with monkeypatch.context() as mp:
+            mp.setattr(landscape, "_bitset_counts", lambda inst: pytest.fail("bitset path ran"))
+            reference = check_semismooth(inst, cap=13)
+        with monkeypatch.context() as mp:
+            mp.setattr(landscape, "_BITSET_VARS", 13)
+            assert check_semismooth(inst, cap=13) == reference
+        assert reference.semismooth is expected
 
 
 def test_oriented_without_zero_gradients_is_semismooth():
