@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -59,6 +60,16 @@ def test_gadget_constraints_link_weight():
     assert len(cons) == 13
 
 
+def test_gadget_constraints_are_pinned():
+    # every valid argument with n <= 20: '+' and '-' at the top, '-' below it
+    h = hashlib.sha256()
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            for sign, is_top in (("+", True), ("-", True), ("-", False)):
+                h.update(f"{gadget_constraints(n, k, sign, is_top)!r}\n".encode())
+    assert h.hexdigest() == "8f66484386ed219d4e64c1acae33a568c8fd1bde8f54e3e654055b85cba718c1"
+
+
 def test_plus_requires_top():
     with pytest.raises(RangeError):
         gadget_constraints(2, 1, "+", is_top=False)
@@ -103,6 +114,24 @@ def test_build_chain_rejects_bad_params():
 def test_chain_of_one_gadget_equals_standalone():
     assert build_chain(4, 1, "+") == build_gadget(4, 1, "+")
     assert build_chain(4, 1, "-") == build_gadget(4, 1, "-")
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_every_gadget_of_a_chain_equals_the_standalone_gadget(sign):
+    # gadget k of chain(n, m, sign), without its link binaries and renumbered
+    # 0..5 by position, is build_gadget(n, k, ...) with the top's sign at k = m
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            chain = build_chain(n, m, sign)
+            for k in range(1, m + 1):
+                pos = {chain.index_of((k, i)): i - 1 for i in range(1, 7)}
+                part = Instance(
+                    6, 0,
+                    [(pos[v], w) for v, w in chain.unaries.items() if v in pos],
+                    [(pos[a], pos[b], w) for (a, b), w in chain.binaries.items()
+                     if a in pos and b in pos],
+                    {i - 1: (k, i) for i in range(1, 7)})
+                assert part == build_gadget(n, k, sign if k == m else "-"), (n, m, k)
 
 
 def test_standalone_gadget_has_no_link(gadget_minus):
