@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import sys
 from itertools import compress, product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -451,16 +452,24 @@ def from_constraint_tables(
 # ---------------------------------------------------------------------------
 
 def to_text(inst: Instance) -> str:
+    """The instance in vcsp-text v1.  TooLargeError if an integer in it has
+    more digits than the interpreter converts to text, a limit read at each
+    call (sys.get_int_max_str_digits)."""
     lines = ["vcsp 1", f"n {inst.num_vars}"]
     for idx in sorted(inst.labels):
         k, i = inst.labels[idx]
         lines.append(f"label {idx} {k} {i}")
-    if inst.constant != 0:
-        lines.append(f"c0 {inst.constant}")
-    for i in sorted(inst.unaries):
-        lines.append(f"u {i} {inst.unaries[i]}")
-    for (i, j) in sorted(inst.binaries):
-        lines.append(f"b {i} {j} {inst.binaries[(i, j)]}")
+    try:
+        if inst.constant != 0:
+            lines.append(f"c0 {inst.constant}")
+        for i in sorted(inst.unaries):
+            lines.append(f"u {i} {inst.unaries[i]}")
+        for (i, j) in sorted(inst.binaries):
+            lines.append(f"b {i} {j} {inst.binaries[(i, j)]}")
+    except ValueError:  # only an int past the limit fails to format
+        raise TooLargeError(
+            f"a weight has more than {sys.get_int_max_str_digits()} digits, the limit "
+            "for integer string conversion (sys.set_int_max_str_digits)") from None
     return "\n".join(lines) + "\n"
 
 
@@ -515,6 +524,12 @@ def from_text(text: str) -> Instance:
         try:
             args = _ints(tok[1:])
         except ValueError:
+            # Python 3.10 before 3.10.7 has no such limit
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            digits = [t[1:] if t[0] in "+-" else t for t in tok[1:]]
+            if limit and any(d.isascii() and d.isdigit() and len(d) > limit for d in digits):
+                raise ParseError(f"line {lineno}: an integer token has more than {limit} "
+                                 "digits, the limit for integer string conversion") from None
             raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
         if kind == "n" and n_rows:
             msg = "duplicate 'n' line"
@@ -567,8 +582,9 @@ def _rejected_line(text: str, rows: dict[str, list[tuple[int, ...]]]) -> int:
 
 
 def write_instance(inst: Instance, path) -> None:
+    text = to_text(inst)  # before the file is opened, so a TooLargeError leaves none
     with open(path, "w") as fh:
-        fh.write(to_text(inst))
+        fh.write(text)
 
 
 def read_instance(path) -> Instance:

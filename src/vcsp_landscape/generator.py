@@ -16,15 +16,16 @@ The resulting constraint graph has 6m vertices, 7m - 1 edges, maximum degree
 3 (2 when m = 1), and admits a width-2 path decomposition.
 
 Variable (k, i) gets dense index 6*(m - k) + (i - 1), so assignment strings
-(top gadget leftmost) coincide with dense index order.
+(top gadget leftmost) coincide with dense index order.  Every weight is
+written in _gadget_weights, and every instance is built by _build.
 """
 from __future__ import annotations
 
+import operator
 from itertools import combinations
-from typing import Iterable
 
 from .core import Bits, Instance, _gradient_table
-from .errors import RangeError, SelfValidationError
+from .errors import InvalidArgumentError, RangeError, SelfValidationError
 from .structure import PathDecomposition
 
 Scope = tuple  # ((k,i),) for unaries, ((k,i),(k,j)) for binaries
@@ -39,62 +40,87 @@ def _check_sign(sign: str) -> None:
         raise RangeError(f"sign must be '+' or '-', got {sign!r}")
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _params(n, m, name: str = "m") -> tuple[int | None, int]:
+    """The one check of the generator's parameters: n and m (called name in
+    errors) as ints with 1 <= m <= n, or only m >= 1 where n is None.  Bools
+    and numpy integers are ints; anything else raises InvalidArgumentError."""
+    n = None if n is None else _integer("n", n)
+    m = _integer(name, m)
+    if n is None and m < 1:
+        raise RangeError(f"need {name} >= 1, got {name}={m}")
+    if n is not None and not 1 <= m <= n:
+        raise RangeError(f"need 1 <= {name} <= n, got {name}={m}, n={n}")
+    return n, m
+
+
 def derived_params(n: int, k: int) -> tuple[int, int, int]:
     """The weight-schedule parameters (M_k, S, s_k) for gadget k of n."""
-    if not (1 <= k <= n):
-        raise RangeError(f"need 1 <= k <= n, got k={k}, n={n}")
+    n, k = _params(n, k, "k")
     return 6 * (2 ** k - 2), 2 * n + 1, n + 1 - k
 
 
-def gadget_constraints(n: int, k: int, sign: str, is_top: bool) -> list[tuple[Scope, int]]:
-    """All constraints owned by gadget k: six unaries, six in-gadget binaries,
-    and (for k >= 2) the link binary down to gadget k-1.
+def _gadget_weights(n: int, k: int, sign: str) -> tuple[list[int], list[int], int]:
+    """Gadget k's six unaries by position, six binaries in GADGET_EDGES order
+    and link weight M_k*S down to gadget k-1.  '+' (sign checked by the
+    caller) makes the unary on (k, 1) +S: the '-' weight plus the weight of
+    the (absent) upward link binary."""
+    M, S, s = derived_params(n, k)
+    # unaries on (k, 1)..(k, 6); binaries on (1,2) (2,3) (3,6), (1,4) (4,5) (5,6)
+    unaries = [S if sign == "+" else -(2 * (M + 5) + 1) * S, -(M + 4) * S - s,
+               -(M + 3) * S, -(M + 5) * S, -S, -(M + 1) * S]
+    binaries = [(M + 5) * S, (M + 4) * S, (M + 2) * S,
+                (M + 5) * S + s, (M + 4) * S, -(M + 2) * S]
+    return unaries, binaries, M * S
 
-    The '+' variant is only defined for the top gadget; it replaces the unary
-    on (k, 1) with +S, which equals the '-' weight plus the weight of the
-    (absent) upward link binary.
-    """
+
+def gadget_constraints(n: int, k: int, sign: str, is_top: bool) -> list[tuple[Scope, int]]:
+    """All constraints owned by gadget k, with labelled scopes: six unaries,
+    six in-gadget binaries, and (for k >= 2) the link binary down to gadget
+    k-1.  The '+' variant is only defined for the top gadget."""
     _check_sign(sign)
     if sign == "+" and not is_top:
         raise RangeError("sign '+' applies only to the top gadget")
-    M, S, s = derived_params(n, k)
-    unary = {
-        1: S if sign == "+" else -(2 * (M + 5) + 1) * S,
-        2: -(M + 4) * S - s,
-        3: -(M + 3) * S,
-        4: -(M + 5) * S,
-        5: -S,
-        6: -(M + 1) * S,
-    }
-    binary = {
-        (1, 2): (M + 5) * S,
-        (2, 3): (M + 4) * S,
-        (3, 6): (M + 2) * S,
-        (1, 4): (M + 5) * S + s,
-        (4, 5): (M + 4) * S,
-        (5, 6): -(M + 2) * S,
-    }
-    out: list[tuple[Scope, int]] = []
-    for i in range(1, 7):
-        out.append((((k, i),), unary[i]))
-    for i, j in GADGET_EDGES:
-        out.append((((k, i), (k, j)), binary[(i, j)]))
-    if k >= 2:
-        out.append((((k, 6), (k - 1, 1)), M * S))
-    return out
-
-
-def chain_labels(m: int) -> dict[int, tuple[int, int]]:
-    """Dense index -> (k, i) label map for an m-gadget chain."""
-    return {6 * (m - k) + (i - 1): (k, i) for k in range(1, m + 1) for i in range(1, 7)}
+    n, k = _params(n, k, "k")
+    unaries, binaries, link = _gadget_weights(n, k, sign)
+    return ([(((k, i),), w) for i, w in enumerate(unaries, 1)]
+            + [(((k, i), (k, j)), w) for (i, j), w in zip(GADGET_EDGES, binaries)]
+            + ([(((k, 6), (k - 1, 1)), link)] if k >= 2 else []))
 
 
 def _dense(m: int, k: int, i: int) -> int:
     return 6 * (m - k) + (i - 1)
 
 
+def chain_labels(m: int) -> dict[int, tuple[int, int]]:
+    """Dense index -> (k, i) label map for an m-gadget chain."""
+    m = _integer("m", m)
+    return {_dense(m, k, i): (k, i) for k in range(1, m + 1) for i in range(1, 7)}
+
+
+def _build(n: int, top: int, bottom: int, sign: str) -> Instance:
+    """Gadgets top down to bottom, (k, i) at _dense(top, k, i), each linked
+    to the one below it; the top one carries sign, the others '-'."""
+    unaries, binaries, labels = [], [], []
+    for k in range(top, bottom - 1, -1):
+        u, b, link = _gadget_weights(n, k, sign if k == top else "-")
+        v = [_dense(top, k, i) for i in range(1, 7)]
+        unaries += zip(v, u)
+        binaries += [(v[i - 1], v[j - 1], w) for (i, j), w in zip(GADGET_EDGES, b)]
+        if k > bottom:
+            binaries.append((v[5], _dense(top, k - 1, 1), link))
+        labels += [(x, k, i) for i, x in enumerate(v, 1)]
+    return Instance(len(unaries), 0, unaries, binaries, labels)
+
+
 def build_chain(n: int, m: int, sign: str, validate: bool = True) -> Instance:
-    """The m-gadget chain instance on 6m variables.
+    """The m-gadget chain instance on 6m variables, gadgets m..1.
 
     The top gadget (k = m) carries the sign; all others use the '-' weights.
     With validate (the default) the generated weights are re-checked against
@@ -102,43 +128,21 @@ def build_chain(n: int, m: int, sign: str, validate: bool = True) -> Instance:
     experiment from a silently corrupted weight.
     """
     _check_sign(sign)
-    if not (1 <= m <= n):
-        raise RangeError(f"need 1 <= m <= n, got m={m}, n={n}")
-    unaries: list[tuple[int, int]] = []
-    binaries: list[tuple[int, int, int]] = []
-    for k in range(m, 0, -1):
-        for scope, w in gadget_constraints(n, k, sign if k == m else "-", k == m):
-            # dense indices, as _dense computes them
-            if len(scope) == 1:
-                (kk, ii), = scope
-                unaries.append((6 * (m - kk) + ii - 1, w))
-            else:
-                (ka, ia), (kb, ib) = scope
-                binaries.append((6 * (m - ka) + ia - 1, 6 * (m - kb) + ib - 1, w))
-    inst = Instance(6 * m, 0, unaries, binaries, chain_labels(m))
+    n, m = _params(n, m)
+    inst = _build(n, m, 1, sign)
     if validate:
         validate_chain(inst, n, m, sign)
     return inst
 
 
 def build_gadget(n: int, k: int, sign: str) -> Instance:
-    """A standalone six-variable gadget, without either link binary, its
-    weights checked as build_chain's are.
-
-    Variables are labeled (k, 1)..(k, 6) at dense indices 0..5.
-    """
+    """A standalone six-variable gadget, labeled (k, 1)..(k, 6) at dense
+    indices 0..5, without either link binary; its weights are checked as
+    build_chain's are."""
     _check_sign(sign)
-    M, S, s = derived_params(n, k)
-    unaries = []
-    binaries = []
-    for scope, w in gadget_constraints(n, k, sign, True):
-        if len(scope) == 1:
-            unaries.append((scope[0][1] - 1, w))
-        elif scope[0][0] == k and scope[1][0] == k:
-            binaries.append((scope[0][1] - 1, scope[1][1] - 1, w))
-        # the downward link (k >= 2) is dropped: a lone gadget has no neighbor
-    inst = Instance(6, 0, unaries, binaries, {i - 1: (k, i) for i in range(1, 7)})
-    _validate_weights(inst, n, sign, top_label=(k, 1), gadget_of=lambda v: k)
+    n, k = _params(n, k, "k")
+    inst = _build(n, k, k, sign)
+    _validate_weights(inst, n, sign, k)
     return inst
 
 
@@ -146,8 +150,7 @@ def expected_peak(n: int, m: int, sign: str) -> Bits:
     """The unique fitness peak: all zeros for '-', the top gadget at 111110
     (with everything below zero) for '+'."""
     _check_sign(sign)
-    if not (1 <= m <= n):
-        raise RangeError(f"need 1 <= m <= n, got m={m}, n={n}")
+    n, m = _params(n, m)
     if sign == "-":
         return (0,) * (6 * m)
     return (1, 1, 1, 1, 1, 0) + (0,) * (6 * (m - 1))
@@ -159,16 +162,14 @@ def predicted_ascent_length(m: int) -> int:
     This is the closed form of the recurrence T_1 = 7, T_m = 7 + 2*T_{m-1}
     driven by the double flip of each gadget's linking variable (k, 6).
     """
-    if m < 1:
-        raise RangeError(f"need m >= 1, got m={m}")
+    _, m = _params(None, m)
     return 7 * (2 ** m - 1)
 
 
 def expected_arcs(m: int) -> set[tuple[int, int]]:
     """The sign-dependence arcs (as dense index pairs) that the weight
     schedule is designed to induce; used by self-tests and `vcsp verify`."""
-    if m < 1:
-        raise RangeError(f"need m >= 1, got m={m}")
+    _, m = _params(None, m)
     arcs = set()
     for k in range(1, m + 1):
         for i, j in GADGET_EDGES:
@@ -185,8 +186,7 @@ def canonical_decomposition(m: int) -> PathDecomposition:
     {(k,3),(k,4),(k,5)}, {(k,3),(k,5),(k,6)}, then the connector bag
     {(k,6),(k-1,1)} for every non-bottom gadget.
     """
-    if m < 1:
-        raise RangeError(f"need m >= 1, got m={m}")
+    _, m = _params(None, m)
     bags = []
     for k in range(m, 0, -1):
         for group in ((1, 2, 4), (2, 3, 4), (3, 4, 5), (3, 5, 6)):
@@ -222,13 +222,13 @@ def validate_chain(inst: Instance, n: int, m: int, sign: str) -> None:
         raise SelfValidationError(
             f"expected {6*m} unaries and {7*m-1} binaries, "
             f"got {len(inst.unaries)} and {len(inst.binaries)}")
-    _validate_weights(inst, n, sign, top_label=(m, 1),
-                      gadget_of=lambda v: inst.labels[v][0])
+    _validate_weights(inst, n, sign, m)
 
 
-def _validate_weights(inst: Instance, n: int, sign: str, top_label, gadget_of) -> None:
+def _validate_weights(inst: Instance, n: int, sign: str, top_k: int) -> None:
+    """validate_chain's checks but the counts; a variable's gadget is its label's k."""
     S = 2 * n + 1
-    top = inst.index_of(top_label)
+    top = inst.index_of((top_k, 1))
     unaries = inst.unaries
     for v, nbrs in enumerate(inst.neighbors):
         u = unaries.get(v, 0)
@@ -262,8 +262,7 @@ def _validate_weights(inst: Instance, n: int, sign: str, top_label, gadget_of) -
                         f"incoming binaries {sub} on {inst.labels[v]} fall in the "
                         f"dominance gap (0, {slack}]")
 
-        k = gadget_of(v)
-        s_k = n + 1 - k
+        s_k = n + 1 - inst.labels[v][0]
         for g in _gradient_table(inst, v):
             if g == 0:
                 raise SelfValidationError(

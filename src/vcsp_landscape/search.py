@@ -863,6 +863,10 @@ def run_trials(
     determined by the master seed.  Deterministic methods take no seed: they
     run once, and every trial repeats that run's step count.
     """
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise InvalidArgumentError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise EmptyTrialError(f"need at least 1 trial, got {trials}")
     if method not in METHODS:

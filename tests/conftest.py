@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -121,6 +122,18 @@ def weighted_star(rng, d):
         elif kind < 0.95:
             unaries.append((j, -w))
     return Instance(d + 1, 0, unaries, [(0, j, w) for j, w in enumerate(weights, start=1)])
+
+
+@pytest.fixture
+def digit_limit_640():
+    """Python's limit on converting ints to and from text lowered to its
+    minimum, 640 digits, for one test, then restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer string conversion limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture(scope="session")

@@ -466,6 +466,16 @@ def test_usage_error_exits_nonzero(capsys):
     assert exc.value.code == 2
 
 
+def test_gen_weights_past_the_digit_limit_fail(tmp_path, capsys, digit_limit_640):
+    # chain(2200, 2200, '+') builds, but its top weights have about 667
+    # digits, past the lowered limit of 640: a VcspError, and no file
+    out = tmp_path / "big.vcsp"
+    assert run(capsys, "gen", "--n", "2200", "--sign", "+", "--out", str(out)) == \
+        (1, "", "error: TooLargeError: a weight has more than 640 digits, the limit for "
+         "integer string conversion (sys.set_int_max_str_digits)\n")
+    assert not out.exists()
+
+
 def test_gen_always_validates(tmp_path, capsys):
     # the --no-validate switch is gone: gen always checks the weight schedule
     with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,10 @@ from vcsp_landscape import (
     from_constraint_tables,
     from_text,
     parse_assignment,
+    steepest_ascent,
     to_text,
+    write_instance,
+    write_trace_csv,
 )
 from vcsp_landscape import core
 from vcsp_landscape.core import _gradient_table
@@ -513,6 +516,31 @@ def test_text_parser_reports_the_line_instance_rejects(text, exc, msg):
     with pytest.raises(exc) as e:
         from_text(text)
     assert type(e.value) is exc and str(e.value) == msg
+
+
+def test_integers_past_the_digit_limit(tmp_path, digit_limit_640):
+    # the writers raise TooLargeError naming the limit, read at each call;
+    # the reader names the line and the limit
+    chain = build_chain(2200, 2200, "+")
+    message = ("a weight has more than 640 digits, the limit for integer string "
+               "conversion (sys.set_int_max_str_digits)")
+    path = tmp_path / "big.vcsp"
+    for call in (lambda: to_text(chain), chain.content_hash,
+                 lambda: write_instance(chain, path),
+                 lambda: write_trace_csv(steepest_ascent(chain, (0,) * 13200, max_steps=0),
+                                         chain, path)):
+        with pytest.raises(TooLargeError) as e:
+            call()
+        assert str(e.value) == message
+    assert not path.exists()
+    for sign in ("", "+", "-"):
+        assert from_text(f"vcsp 1\nn 1\nu 0 {sign}{'7' * 640}\n").unaries[0] != 0
+        with pytest.raises(ParseError) as e:
+            from_text(f"vcsp 1\nn 1\n\nu 0 {sign}{'7' * 641}\n")
+        assert str(e.value) == ("line 4: an integer token has more than 640 digits, the "
+                                "limit for integer string conversion")
+    with pytest.raises(ParseError, match="^line 3: non-integer token in 'u 0 7{641}x'$"):
+        from_text(f"vcsp 1\nn 1\nu 0 {'7' * 641}x\n")
 
 
 def test_huge_num_vars_fails_fast_under_a_memory_limit():

@@ -18,7 +18,7 @@ from vcsp_landscape import (
     validate_chain,
     validate_path_decomposition,
 )
-from vcsp_landscape.errors import RangeError, SelfValidationError
+from vcsp_landscape.errors import InvalidArgumentError, RangeError, SelfValidationError
 
 
 def test_derived_params():
@@ -109,6 +109,33 @@ def test_build_chain_rejects_bad_params():
         build_chain(2, 0, "-")
     with pytest.raises(RangeError):
         build_chain(2, 2, "x")
+
+
+@pytest.mark.parametrize("func,args,name,value", [
+    (predicted_ascent_length, (2.5,), "m", 2.5),
+    (derived_params, (3.0, 1), "n", 3.0),
+    (gadget_constraints, (3, 2.5, "-", True), "k", 2.5),
+    (build_chain, (3, 2.0, "+"), "m", 2.0),
+    (build_chain, ("3", 2, "+"), "n", "3"),
+    (build_gadget, (3, 2.0, "-"), "k", 2.0),
+    (expected_peak, (3, 2.0, "+"), "m", 2.0),
+    (expected_arcs, (2.0,), "m", 2.0),
+    (canonical_decomposition, (1.5,), "m", 1.5),
+    (generator.chain_labels, (2.0,), "m", 2.0),
+])
+def test_generator_parameters_are_integers(func, args, name, value):
+    # n, m and k go through operator.index; the error names the argument
+    with pytest.raises(InvalidArgumentError) as err:
+        func(*args)
+    assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_generator_takes_bools_as_ints():
+    assert build_chain(True, True, "+") == build_chain(1, 1, "+")
+    assert derived_params(True, True) == (0, 3, 1)
+    assert all(type(w) is int for _, w in gadget_constraints(True, True, "-", True))
+    assert gadget_constraints(True, True, "-", True)[0][0] == ((1, 1),)
+    assert predicted_ascent_length(True) == 7
 
 
 def test_chain_of_one_gadget_equals_standalone():
@@ -309,15 +336,20 @@ def test_self_validation_messages(n, m, sign, unaries, binaries, message):
 ])
 def test_gadget_self_validation_messages(monkeypatch, n, k, sign, scope, message):
     # build_gadget checks its own weights, with s_k from its gadget index k:
-    # one weight of gadget_constraints is corrupted (a unary less 1, a binary
-    # halved)
-    real = generator.gadget_constraints
+    # one weight of _gadget_weights is corrupted by position (a unary less 1,
+    # a binary halved)
+    real = generator._gadget_weights
 
     def corrupted(*args):
-        return [(s, (w // 2 if len(s) == 2 else w - 1) if s == scope else w)
-                for s, w in real(*args)]
+        unaries, binaries, link = real(*args)
+        if len(scope) == 1:
+            unaries[scope[0][1] - 1] -= 1
+        else:
+            e = generator.GADGET_EDGES.index((scope[0][1], scope[1][1]))
+            binaries[e] //= 2
+        return unaries, binaries, link
 
-    monkeypatch.setattr(generator, "gadget_constraints", corrupted)
+    monkeypatch.setattr(generator, "_gadget_weights", corrupted)
     with pytest.raises(SelfValidationError) as err:
         build_gadget(n, k, sign)
     assert str(err.value) == message

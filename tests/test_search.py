@@ -694,6 +694,9 @@ def test_run_trials_deterministic_methods(gadget_plus):
     assert set(stats.step_counts) == {7}
     assert stats.mean == Fraction(7)
     assert stats.seed is None
+    # the count is taken through operator.index: a bool is an int
+    one = run_trials(gadget_plus, (0,) * 6, method="steepest", trials=True)
+    assert one.trials == 1 and type(one.trials) is int and one.step_counts == (7,)
 
 
 @pytest.mark.parametrize("method,engine", [("steepest", "steepest_ascent"),
@@ -724,6 +727,8 @@ def test_run_trials_rejects_empty(gadget_plus):
         run_trials(gadget_plus, (0,) * 6, trials=0)
     with pytest.raises(ValueError):
         run_trials(gadget_plus, (0,) * 6, method="annealing", trials=1)
+    with pytest.raises(InvalidArgumentError, match=r"^trials must be an integer, got 2\.5$"):
+        run_trials(gadget_plus, (0,) * 6, method="steepest", trials=2.5)
 
 
 def test_trace_csv(tmp_path, gadget_plus):
