@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import random
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +20,7 @@ from vcsp_landscape import (
     validate_chain,
     validate_path_decomposition,
 )
+from vcsp_landscape.core import _gradient_table
 from vcsp_landscape.errors import InvalidArgumentError, RangeError, SelfValidationError
 
 
@@ -353,3 +356,111 @@ def test_gadget_self_validation_messages(monkeypatch, n, k, sign, scope, message
     with pytest.raises(SelfValidationError) as err:
         build_gadget(n, k, sign)
     assert str(err.value) == message
+
+
+def reference_validate_weights(inst, n, sign, top_k):
+    """generator._validate_weights as first written, every incoming subset
+    summed by itertools.combinations: the oracle of the test below."""
+    S = 2 * n + 1
+    top = inst.index_of((top_k, 1))
+    unaries = inst.unaries
+    for v, nbrs in enumerate(inst.neighbors):
+        u = unaries.get(v, 0)
+        is_plus_top = sign == "+" and v == top
+        if is_plus_top:
+            if u != S:
+                raise SelfValidationError(f"unary on {inst.labels[v]} must be {S}, got {u}")
+        elif u >= 0:
+            raise SelfValidationError(f"unary on {inst.labels[v]} must be negative, got {u}")
+
+        # one pass over the neighbours: binaries toward larger dense index are
+        # outgoing, the others incoming
+        outgoing = negative_outgoing = 0
+        incoming = []
+        for j, w in nbrs:
+            if j > v:
+                outgoing += w
+                if w < 0:
+                    negative_outgoing -= w
+            else:
+                incoming.append(w)
+        if not is_plus_top and abs(u) <= outgoing:
+            raise SelfValidationError(
+                f"unary magnitude on {inst.labels[v]} does not dominate its outgoing binaries")
+        slack = abs(u) + negative_outgoing
+        for r in range(1, len(incoming) + 1):
+            for sub in combinations(incoming, r):
+                t = sum(sub)
+                if t > 0 and t <= slack:
+                    raise SelfValidationError(
+                        f"incoming binaries {sub} on {inst.labels[v]} fall in the "
+                        f"dominance gap (0, {slack}]")
+
+        s_k = n + 1 - inst.labels[v][0]
+        for g in _gradient_table(inst, v):
+            if g == 0:
+                raise SelfValidationError(
+                    f"zero gradient on {inst.labels[v]} for some neighborhood assignment")
+            if abs(g) != s_k and abs(g) < S - s_k:
+                raise SelfValidationError(
+                    f"gradient magnitude {abs(g)} on {inst.labels[v]} is neither the "
+                    f"small step {s_k} nor >= the large-step floor {S - s_k}")
+
+
+def outcome(func, *args):
+    try:
+        func(*args)
+    except Exception as e:  # noqa: BLE001 - the type and message are compared
+        return type(e).__name__, str(e)
+    return "pass", ""
+
+
+def test_validate_chain_matches_the_reference():
+    # seeded weight mutants of chains and gadgets with n <= 8: one to three
+    # weights shifted by 1 to 3, negated, halved, replaced by a small random
+    # weight or deleted, checked with the sign they were built with (now and
+    # then the other one) and with their n or a smaller one, so that labels
+    # exceed n and s_k <= 0.  Every outcome, a pass or an exception's type and
+    # message, must be the reference's
+    rng = random.Random(20261020)
+    seen = set()
+    for case in range(4000):
+        n = rng.randint(1, 8)
+        sign = rng.choice("+-")
+        if rng.random() < 0.2:
+            top = rng.randint(1, n)
+            good = build_gadget(n, top, sign)
+        else:
+            top = rng.randint(1, n)
+            good = build_chain(n, top, sign)
+        u, b = dict(good.unaries), dict(good.binaries)
+        for _ in range(rng.randint(0, 3)):
+            table = rng.choice((u, b))
+            key = rng.choice(sorted(table))
+            w, kind = table[key], rng.randrange(5)
+            w = (w + rng.choice((-3, -2, -1, 1, 2, 3)) if kind == 0 else -w if kind == 1
+                 else w // 2 if kind == 2 else rng.randint(-6, 6) if kind == 3 else 0)
+            if w:
+                table[key] = w
+            elif len(table) > 1:
+                del table[key]
+        inst = Instance(good.num_vars, 0, u, b, good.labels)
+        check_n = n if rng.random() < 0.7 else rng.randint(1, top)
+        check_sign = sign if rng.random() < 0.9 else "-+"[sign == "-"]
+        args = (inst, check_n, check_sign, top)
+        got = outcome(generator._validate_weights, *args)
+        assert got == outcome(reference_validate_weights, *args), (case, n, top, sign)
+        seen.add((got[0], " ".join(got[1].split()[:2]), check_n < top))
+    kinds = {kind for kind, _, _ in seen}
+    assert kinds == {"pass", "SelfValidationError"}
+    messages = {first for _, first, _ in seen}
+    assert {"", "unary on", "unary magnitude", "incoming binaries", "zero gradient",
+            "gradient magnitude"} <= messages
+    assert ("SelfValidationError", "gradient magnitude", True) in seen
+    # past the gradient table's degree cap the gap is still named first
+    hub = Instance(22, 0, [(v, -100) for v in range(22)], [(v, 21, 1) for v in range(21)],
+                   [(v, 1 + v // 6, 1 + v % 6) for v in range(22)])
+    got = outcome(generator._validate_weights, hub, 1, "-", 1)
+    assert got == outcome(reference_validate_weights, hub, 1, "-", 1) == (
+        "SelfValidationError",
+        "incoming binaries (1,) on (4, 4) fall in the dominance gap (0, 100]")
