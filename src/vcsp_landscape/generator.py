@@ -25,7 +25,7 @@ import operator
 from itertools import combinations
 
 from .core import Bits, Instance, _gradient_table
-from .errors import InvalidArgumentError, RangeError, SelfValidationError
+from .errors import InvalidArgumentError, RangeError, SelfValidationError, TooLargeError
 from .structure import PathDecomposition
 
 Scope = tuple  # ((k,i),) for unaries, ((k,i),(k,j)) for binaries
@@ -100,7 +100,7 @@ def _dense(m: int, k: int, i: int) -> int:
 
 def chain_labels(m: int) -> dict[int, tuple[int, int]]:
     """Dense index -> (k, i) label map for an m-gadget chain."""
-    m = _integer("m", m)
+    _, m = _params(None, m)
     return {_dense(m, k, i): (k, i) for k in range(1, m + 1) for i in range(1, 7)}
 
 
@@ -110,12 +110,12 @@ def _build(n: int, top: int, bottom: int, sign: str) -> Instance:
     unaries, binaries, labels = [], [], []
     for k in range(top, bottom - 1, -1):
         u, b, link = _gadget_weights(n, k, sign if k == top else "-")
-        v = [_dense(top, k, i) for i in range(1, 7)]
-        unaries += zip(v, u)
-        binaries += [(v[i - 1], v[j - 1], w) for (i, j), w in zip(GADGET_EDGES, b)]
+        base = _dense(top, k, 1)  # (k, i) is at base + i - 1, (k - 1, 1) at base + 6
+        unaries += zip(range(base, base + 6), u)
+        binaries += [(base + i - 1, base + j - 1, w) for (i, j), w in zip(GADGET_EDGES, b)]
         if k > bottom:
-            binaries.append((v[5], _dense(top, k - 1, 1), link))
-        labels += [(x, k, i) for i, x in enumerate(v, 1)]
+            binaries.append((base + 5, base + 6, link))
+        labels += [(base + i - 1, k, i) for i in range(1, 7)]
     return Instance(len(unaries), 0, unaries, binaries, labels)
 
 
@@ -218,6 +218,7 @@ def validate_chain(inst: Instance, n: int, m: int, sign: str) -> None:
         (the small-step / large-step dichotomy for the variable's gadget k).
     """
     _check_sign(sign)
+    n, m = _params(n, m)
     if len(inst.unaries) != 6 * m or len(inst.binaries) != 7 * m - 1:
         raise SelfValidationError(
             f"expected {6*m} unaries and {7*m-1} binaries, "
@@ -239,35 +240,44 @@ def _validate_weights(inst: Instance, n: int, sign: str, top_k: int) -> None:
         elif u >= 0:
             raise SelfValidationError(f"unary on {inst.labels[v]} must be negative, got {u}")
 
-        # one pass over the neighbours: binaries toward larger dense index are
-        # outgoing, the others incoming
-        outgoing = negative_outgoing = 0
-        incoming = []
+        # the sorted neighbours put the c incoming ones (smaller dense index)
+        # first, so table[1:2^c] is u plus every nonempty incoming subset sum
+        outgoing = negative_outgoing = c = 0
         for j, w in nbrs:
             if j > v:
                 outgoing += w
                 if w < 0:
                     negative_outgoing -= w
             else:
-                incoming.append(w)
+                c += 1
         if not is_plus_top and abs(u) <= outgoing:
             raise SelfValidationError(
                 f"unary magnitude on {inst.labels[v]} does not dominate its outgoing binaries")
         slack = abs(u) + negative_outgoing
-        for r in range(1, len(incoming) + 1):
-            for sub in combinations(incoming, r):
-                t = sum(sub)
-                if t > 0 and t <= slack:
-                    raise SelfValidationError(
-                        f"incoming binaries {sub} on {inst.labels[v]} fall in the "
-                        f"dominance gap (0, {slack}]")
+        try:
+            table = _gradient_table(inst, v)
+        except TooLargeError:  # past the table's cap the gap is still named first
+            _raise_gap(inst.labels[v], [w for _, w in nbrs[:c]], slack)
+            raise
+        for t in table[1:1 << c]:
+            if 0 < t - u <= slack:
+                _raise_gap(inst.labels[v], [w for _, w in nbrs[:c]], slack)
 
         s_k = n + 1 - inst.labels[v][0]
-        for g in _gradient_table(inst, v):
+        for g in table:
             if g == 0:
                 raise SelfValidationError(
                     f"zero gradient on {inst.labels[v]} for some neighborhood assignment")
-            if abs(g) != s_k and abs(g) < S - s_k:
+            if abs(g) < S - s_k and abs(g) != s_k:
                 raise SelfValidationError(
                     f"gradient magnitude {abs(g)} on {inst.labels[v]} is neither the "
                     f"small step {s_k} nor >= the large-step floor {S - s_k}")
+
+
+def _raise_gap(label, incoming: list[int], slack: int) -> None:
+    """Raise on the first incoming subset, in combinations order, in (0, slack]."""
+    for r in range(1, len(incoming) + 1):
+        for sub in combinations(incoming, r):
+            if 0 < sum(sub) <= slack:
+                raise SelfValidationError(
+                    f"incoming binaries {sub} on {label} fall in the dominance gap (0, {slack}]")

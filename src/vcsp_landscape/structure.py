@@ -92,8 +92,8 @@ def validate_path_decomposition(
     Otherwise returns the first violated property with a concrete witness.
     Violations are reported as values, never raised.
 
-    One pass over the bags lists each vertex's bag positions; the edge check
-    then looks only at the bags of the endpoint that is in fewer of them.
+    One pass over the bags lists each vertex's bag positions; an edge is
+    covered unless the sets of its endpoints' positions are disjoint.
     """
     if not bags:
         raise InvalidArgumentError("bags must be nonempty")
@@ -115,9 +115,9 @@ def validate_path_decomposition(
         if not positions[v]:
             return fail("uncovered-vertex", f"vertex {v} is in no bag", (v,))
 
+    sets = [set(pos) for pos in positions]
     for i, j in g.edges:
-        a, b = (i, j) if len(positions[i]) <= len(positions[j]) else (j, i)
-        if not any(b in bag_sets[r] for r in positions[a]):
+        if sets[i].isdisjoint(sets[j]):
             return fail("uncovered-edge", f"edge {{{i},{j}}} has no common bag", (i, j))
 
     for v in range(n):

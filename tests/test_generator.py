@@ -125,12 +125,27 @@ def test_build_chain_rejects_bad_params():
     (expected_arcs, (2.0,), "m", 2.0),
     (canonical_decomposition, (1.5,), "m", 1.5),
     (generator.chain_labels, (2.0,), "m", 2.0),
+    # unchecked, a float n would pass: S = 7.0 equals the top unary 7
+    (validate_chain, (build_chain(3, 3, "+"), 3.0, 3, "+"), "n", 3.0),
+    (validate_chain, (build_chain(3, 3, "+"), 3, 3.0, "+"), "m", 3.0),
 ])
 def test_generator_parameters_are_integers(func, args, name, value):
     # n, m and k go through operator.index; the error names the argument
     with pytest.raises(InvalidArgumentError) as err:
         func(*args)
     assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("func,args,message", [
+    (generator.chain_labels, (0,), "need m >= 1, got m=0"),
+    (generator.chain_labels, (-2,), "need m >= 1, got m=-2"),
+    (validate_chain, (build_chain(3, 3, "-"), 2, 3, "-"), "need 1 <= m <= n, got m=3, n=2"),
+    (validate_chain, (build_chain(3, 3, "-"), 3, 0, "-"), "need 1 <= m <= n, got m=0, n=3"),
+])
+def test_chain_labels_and_validate_chain_check_ranges(func, args, message):
+    with pytest.raises(RangeError) as err:
+        func(*args)
+    assert str(err.value) == message
 
 
 def test_generator_takes_bools_as_ints():
@@ -410,7 +425,7 @@ def reference_validate_weights(inst, n, sign, top_k):
 def outcome(func, *args):
     try:
         func(*args)
-    except Exception as e:  # noqa: BLE001 - the type and message are compared
+    except Exception as e:  # any exception: its type and message are compared
         return type(e).__name__, str(e)
     return "pass", ""
 
