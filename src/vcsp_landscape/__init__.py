@@ -45,6 +45,7 @@ from .landscape import (
     sign_depends,
 )
 from .search import (
+    PackedInts,
     Steps,
     Trace,
     TrialStats,

@@ -257,7 +257,9 @@ def _validate_weights(inst: Instance, n: int, sign: str, top_k: int) -> None:
         try:
             table = _gradient_table(inst, v)
         except TooLargeError:  # past the table's cap the gap is still named first
-            _raise_gap(inst.labels[v], [w for _, w in nbrs[:c]], slack)
+            incoming = [w for _, w in nbrs[:c]]
+            if max(incoming, default=0) > 0:  # no positive sum without a positive weight
+                _raise_gap(inst.labels[v], incoming, slack)
             raise
         for t in table[1:1 << c]:
             if 0 < t - u <= slack:

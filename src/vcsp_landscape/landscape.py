@@ -19,11 +19,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, islice, product
-from operator import itemgetter, or_
+from operator import eq, itemgetter, or_
 from typing import Sequence
 
 from .core import Bits, Instance, _gradient_table, _neighborhood
-from .search import _ascent_graph64, _orient64
+from .search import PackedInts, _ascent_graph64, _orient64
 from .errors import (
     CyclicOrientationError,
     InvalidArgumentError,
@@ -414,12 +414,17 @@ class AscentGraph:
     are the target node indices edges[offsets[k]:offsets[k + 1]], in
     ascending flipped variable.  An edge a -> b flips variable
     (nodes[a] ^ nodes[b]).bit_length() - 1 and gains fitness[b] - fitness[a].
+
+    The reference loop gives nodes, fitness, offsets and edges as tuples.
+    The kernel gives them as search.PackedInts, read-only int sequences over
+    packed arrays that equal, hash, print and pickle as those tuples, so a
+    graph from either path equals and hashes as the other.
     """
     start: Bits
-    nodes: tuple[int, ...]
-    fitness: tuple[int, ...]
-    offsets: tuple[int, ...]
-    edges: tuple[int, ...]
+    nodes: Sequence[int]
+    fitness: Sequence[int]
+    offsets: Sequence[int]
+    edges: Sequence[int]
     sinks: tuple[Bits, ...]
 
 
@@ -444,7 +449,7 @@ def ascent_graph(inst: Instance, start: Sequence[int], cap: int = ASCENT_GRAPH_C
     d = inst.num_vars
     native = _ascent_graph64(inst, start, f0, cap)
     if native:
-        nodes, fitness, offsets, edges = native
+        nodes, fitness, offsets, edges, peaks = native
     else:
         index = {sum(1 << v for v in range(d) if start[v]): 0}
         nodes, fitness, offsets, edges = list(index), [f0], [0], []
@@ -462,8 +467,8 @@ def ascent_graph(inst: Instance, start: Sequence[int], cap: int = ASCENT_GRAPH_C
                 edges.append(b)
             offsets.append(len(edges))
         nodes, fitness, offsets, edges = map(tuple, (nodes, fitness, offsets, edges))
-    sinks = sorted(_bits(x, d) for x, a, b in zip(nodes, offsets, islice(offsets, 1, None))
-                   if a == b)
+        peaks = compress(nodes, map(eq, offsets, islice(offsets, 1, None)))
+    sinks = sorted(_bits(x, d) for x in peaks)
     return AscentGraph(start, nodes, fitness, offsets, edges, tuple(sinks))
 
 
@@ -471,19 +476,23 @@ def shortest_ascent_length(graph: AscentGraph, target: Sequence[int]) -> int:
     """Length of the shortest improving path from the graph's start to target.
 
     The edges come in breadth-first order of their sources, so the first edge
-    into a node comes from the node that found it, one level nearer the start;
-    following first in-edges back to node 0 counts the levels.
+    into a node comes from the node that found it, one level nearer the start
+    and of a smaller index; following first in-edges back to node 0 counts
+    the levels.  On the kernel's graph the searches run on its arrays.
     """
     target = tuple(target)
     if len(target) != len(graph.start) or any(b not in (0, 1) for b in target):
         raise UnreachableError("target is not reachable from the start")
     mask = sum(1 << v for v, b in enumerate(target) if b)
+    nodes, offsets, edges = graph.nodes, graph.offsets, graph.edges
+    if type(nodes) is PackedInts:  # search the arrays at C speed
+        nodes, offsets, edges = nodes._array, offsets._array, edges._array
     try:
-        k = graph.nodes.index(mask)
+        k = nodes.index(mask)
     except ValueError:
         raise UnreachableError("target is not reachable from the start") from None
     length = 0
     while k:
-        k = bisect_right(graph.offsets, graph.edges.index(k)) - 1
+        k = bisect_right(offsets, edges.index(k), 0, k) - 1
         length += 1
     return length

@@ -64,7 +64,10 @@ every message comes from one place.
 landscape.ascent_graph's breadth-first search has one kernel path too,
 _ascent_graph64 (vcsp_ascent_graph64), on the int64 width for instances of
 at most 64 variables: the nodes are uint64 masks, found again through an
-open-addressing table, and the graph comes back as the reference's tuples.
+open-addressing table.  The graph's four C arrays are each copied once into
+an array.array and come back as PackedInts, which read, compare and hash as
+the reference's tuples, as a Steps does, so no node or edge is a Python int
+unless it is read; the sinks are found from the offsets' bytes.
 So has landscape.orient, _orient64 (vcsp_orient64), on the int64 width
 where no degree is above core.TABLE_DEGREE_CAP: the sign sources, the arcs
 and the topological order in one call.  The first call of either on an
@@ -85,6 +88,8 @@ import operator
 import os
 import random
 import struct
+import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,6 +182,66 @@ class Steps(Sequence):
     def __radd__(self, other):
         # only a tuple: list += steps must reach list's own in-place concat
         return other + tuple(self) if isinstance(other, tuple) else NotImplemented
+
+
+class PackedInts(Sequence):
+    """A read-only sequence of ints held in one array.array, as the kernel's
+    ascent graph holds its nodes, fitness, offsets and edges.
+
+    It reads as the tuple of the same ints: len, indexing, iteration, hash,
+    repr and pickling are the tuple's, and index, count and `in` run on the
+    array.  A slice is a PackedInts.  It equals another PackedInts and a
+    tuple with the same ints, and nothing else, as a tuple does not equal a
+    list.  It takes the array it is given as its own."""
+
+    __slots__ = ("_array",)
+
+    def __new__(cls, values: array):
+        self = object.__new__(cls)
+        object.__setattr__(self, "_array", values)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PackedInts is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PackedInts is immutable")
+
+    def __reduce__(self):
+        return PackedInts, (self._array,)
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __iter__(self):
+        return iter(self._array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PackedInts(self._array[i])
+        return self._array[i]
+
+    def __contains__(self, value) -> bool:
+        return value in self._array
+
+    def index(self, value, start: int = 0, stop: int = sys.maxsize) -> int:
+        return self._array.index(value, start, stop)
+
+    def count(self, value) -> int:
+        return self._array.count(value)
+
+    def __eq__(self, other):
+        if isinstance(other, PackedInts):
+            return self._array == other._array
+        if isinstance(other, tuple):
+            return len(other) == len(self._array) and all(map(operator.eq, self._array, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._array))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self._array))
 
 
 @dataclass(frozen=True, init=False)
@@ -765,16 +830,15 @@ def _replay64(inst: Instance, steps, start: list[int], fit: int) -> tuple[Bits, 
 def _ascent_graph64(inst: Instance, start: Bits, fit: int, cap: int):
     """landscape.ascent_graph's search from start, of fitness fit, on the
     kernel's int64 width (vcsp_ascent_graph64): its nodes, fitness, offsets
-    and edges as tuples of ints.  None where inst has more than 64 variables
-    or is not on that width, or cap is not an int.  Raises TooLargeError
-    with the reference's message at the cap, and MemoryError where the
-    kernel runs out of memory.
+    and edges as PackedInts, and a list of the masks of its sinks.  None
+    where inst has more than 64 variables or is not on that width, or cap is
+    not an int.  Raises TooLargeError with the reference's message at the
+    cap, and MemoryError where the kernel runs out of memory.
 
-    The C arrays are copied out one at a time, each copy dropped once it is
-    a tuple, and freed before the largest tuple, the edges, is built.  The
-    edges are the items of one list(range(n)), so that, as in the reference,
-    they share the node-index ints instead of holding an int object an
-    edge."""
+    Each C array is copied once, through from_address, into an array.array
+    (uint64 masks, int64 fitness, int32 offsets and edges) and freed before
+    the next is copied, so no node or edge is ever a Python int unless it is
+    read."""
     if inst.num_vars > 64 or not isinstance(cap, int):
         return None
     arrays = _kernel_arrays(inst)
@@ -796,17 +860,29 @@ def _ascent_graph64(inst: Instance, start: Bits, fit: int, cap: int):
         n, m = size
 
         def read(slot, code, count):
-            raw = ctypes.string_at(graph[slot], struct.calcsize(code) * count)
-            return memoryview(raw).cast(code)
+            values = array(code)
+            values.frombytes((ctypes.c_char * (values.itemsize * count)).from_address(graph[slot]))
+            width.free(graph[slot])
+            graph[slot] = None
+            return values
 
-        nodes = tuple(read(0, "Q", n))  # uint64: a mask of 2^63 or more stays positive
-        fitness = tuple(read(1, "q", n))
-        offsets = tuple(read(2, "i", n + 1))
-        targets = read(3, "i", m)
+        nodes, fitness = read(0, "Q", n), read(1, "q", n)  # a mask of 2^63 or more stays positive
+        offsets, edges = read(2, "i", n + 1), read(3, "i", m)
     finally:
         for p in graph:
             width.free(p)
-    return nodes, fitness, offsets, tuple(map(list(range(n)).__getitem__, targets))
+    # A node has at most 64 out-edges, so the low bytes of its two offsets
+    # are equal exactly when it has none.  One XOR of two ints compares the
+    # low bytes of all consecutive offsets; its zero bytes are the sinks.
+    low = offsets.tobytes()[0 if sys.byteorder == "little" else 3::4]
+    same = int.from_bytes(low[:-1], "little") ^ int.from_bytes(low[1:], "little")
+    same = same.to_bytes(n, "little")
+    sinks = []
+    k = same.find(0)
+    while k >= 0:
+        sinks.append(nodes[k])
+        k = same.find(0, k + 1)
+    return (*map(PackedInts, (nodes, fitness, offsets, edges)), sinks)
 
 
 def _orient64(inst: Instance):

@@ -21,7 +21,12 @@ from vcsp_landscape import (
     validate_path_decomposition,
 )
 from vcsp_landscape.core import _gradient_table
-from vcsp_landscape.errors import InvalidArgumentError, RangeError, SelfValidationError
+from vcsp_landscape.errors import (
+    InvalidArgumentError,
+    RangeError,
+    SelfValidationError,
+    TooLargeError,
+)
 
 
 def test_derived_params():
@@ -479,3 +484,15 @@ def test_validate_chain_matches_the_reference():
     assert got == outcome(reference_validate_weights, hub, 1, "-", 1) == (
         "SelfValidationError",
         "incoming binaries (1,) on (4, 4) fall in the dominance gap (0, 100]")
+
+
+def test_validate_weights_past_the_table_cap_sums_no_subset_of_negative_weights(monkeypatch):
+    # a hub whose 24 incoming weights are all -1 has no subset sum in the
+    # dominance gap, so past the gradient table's degree cap its 2^24 subsets
+    # are not enumerated: the table's TooLargeError comes at once
+    hub = Instance(25, 0, [(v, -100) for v in range(25)], [(v, 24, -1) for v in range(24)],
+                   [(v, 1 + v // 6, 1 + v % 6) for v in range(25)])
+    monkeypatch.setattr(generator, "_raise_gap", lambda *args: pytest.fail("subsets enumerated"))
+    with pytest.raises(TooLargeError, match="^variable 24 has 24 neighbors; tables over "
+                                            "neighborhood assignments are capped at 20$"):
+        generator._validate_weights(hub, 1, "-", 1)

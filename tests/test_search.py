@@ -453,12 +453,8 @@ def check_ascent_graphs(monkeypatch, calls):
     # d = 64 and 65: variable 63 flips up, so masks reach 2^63; d = 65 runs
     # on the Python loop
     for d in (64, 65):
-        inst = Instance(d, 0, [(v, 1 if v % 2 else -1) for v in range(d)],
-                        [(0, 63, 1), (60, 63, -3), (61, 62, 2), (62, 63, 2)])
-        start = [v % 2 for v in range(d)]
-        for v in (0, 60, 61, 62, 63):
-            start[v] ^= 1
-        cases += [(inst, tuple(start)), (inst, tuple(map(bool, start)))]
+        inst, start = high_mask_case(d)
+        cases += [(inst, start), (inst, tuple(map(bool, start)))]
         if np:
             cases.append((inst, np.array(start)))
     if np:
@@ -473,7 +469,9 @@ def check_ascent_graphs(monkeypatch, calls):
             caps = [landscape.ASCENT_GRAPH_CAP, -1, 0, 1, n - 1, n, 2 ** 64, -2 ** 70]
             wants = [graph_outcome(inst, start, cap) for cap in caps]
         assert calls["ascent_graph"] == before  # none without a kernel
-        assert [graph_outcome(inst, start, cap) for cap in caps] == wants
+        gots = [graph_outcome(inst, start, cap) for cap in caps]
+        assert gots == wants and list(map(hash, gots)) == list(map(hash, wants))
+        assert [pickle.loads(pickle.dumps(got)) for got in gots] == wants
         total = (abs(inst.constant) + sum(map(abs, inst.unaries.values()))
                  + sum(map(abs, inst.binaries.values())))
         kernel = bool(search._native_kernel()) and total < 2 ** 62 and inst.num_vars <= 64
@@ -485,6 +483,82 @@ def check_ascent_graphs(monkeypatch, calls):
         assert calls["ascent_graph"] - before == len(caps) * kernel
     assert high == (6 if np else 4)
     return on_kernel
+
+
+def high_mask_case(d):
+    """An instance of d variables and a start from which variable 63 flips
+    up, so that masks reach 2^63."""
+    inst = Instance(d, 0, [(v, 1 if v % 2 else -1) for v in range(d)],
+                    [(0, 63, 1), (60, 63, -3), (61, 62, 2), (62, 63, 2)])
+    start = [v % 2 for v in range(d)]
+    for v in (0, 60, 61, 62, 63):
+        start[v] ^= 1
+    return inst, tuple(start)
+
+
+def test_packed_ascent_graph_keeps_the_tuple_contract(monkeypatch):
+    # the kernel's AscentGraph, whose nodes, fitness, offsets and edges are
+    # PackedInts, behaves as the Python loop's, whose four are tuples:
+    # equality both ways, hash, repr, pickle, deepcopy and astuple; len,
+    # negative and out-of-range indexing, slices, iteration, index, count
+    # and `in`; and immutability.  A graph of one node and no edges, from
+    # the peak, one of 1,087 nodes and one whose masks reach 2^63
+    if search._native_kernel() is None:
+        pytest.skip("no native kernel on this machine")
+    c3 = build_chain(3, 3, "+")
+    for inst, start in ((c3, expected_peak(3, 3, "+")), (c3, expected_peak(3, 3, "-")),
+                        high_mask_case(64)):
+        got = ascent_graph(inst, start)
+        with monkeypatch.context() as mp:
+            mp.setattr(search, "_native_kernel", lambda: None)
+            want = ascent_graph(inst, start)
+        fields = ("nodes", "fitness", "offsets", "edges")
+        assert {type(getattr(got, f)) for f in fields} == {search.PackedInts}
+        assert {type(getattr(want, f)) for f in fields} == {tuple}
+        assert got == want and want == got and not got != want
+        assert hash(got) == hash(want) and repr(got) == repr(want)
+        for copied in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+            assert copied == want and hash(copied) == hash(want) and repr(copied) == repr(want)
+            assert type(copied.edges) is search.PackedInts
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.nodes = want.nodes
+        for f in fields:
+            seq, ref = getattr(got, f), getattr(want, f)
+            assert seq == ref and ref == seq and not seq != ref and not ref != seq
+            assert hash(seq) == hash(ref) and repr(seq) == repr(ref)
+            assert list(seq) == list(ref) and list(reversed(seq)) == list(reversed(ref))
+            assert (seq == list(ref)) is (ref == list(ref)) is False  # a tuple is not a list
+            assert seq != ref + (0,) and ref + (0,) != seq
+            n = len(seq)
+            assert n == len(ref) and bool(seq) == bool(ref)
+            for i in {0, 1, n - 1, -1, -n} & set(range(-n, n)):
+                assert seq[i] == ref[i] and type(seq[i]) is int
+            for i in (n, -n - 1, 2 ** 70):
+                with pytest.raises(IndexError):
+                    seq[i]
+            for part in (slice(None), slice(1, n - 1), slice(5, 2), slice(None, None, 2),
+                         slice(None, None, -3), slice(-4, None)):
+                assert seq[part] == ref[part] and ref[part] == seq[part]
+                assert type(seq[part]) is search.PackedInts
+            for value in {*ref[:3], *ref[-1:], max(ref, default=0) + 1, -1, 2 ** 64, 1.0, "1"}:
+                assert (value in seq) is (value in ref)
+                assert seq.count(value) == ref.count(value)
+                for bounds in ((), (1,), (-3,), (0, 2)):
+                    try:
+                        want_index = ref.index(value, *bounds)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            seq.index(value, *bounds)
+                    else:
+                        assert seq.index(value, *bounds) == want_index
+            with pytest.raises(TypeError):
+                seq[0] = 0
+            for edit in (lambda: setattr(seq, "_array", None), lambda: delattr(seq, "_array"),
+                         lambda: setattr(seq, "extra", 0)):
+                with pytest.raises(AttributeError, match="^PackedInts is immutable$"):
+                    edit()
+            assert seq == ref
 
 
 def orient_outcome(inst):
@@ -1381,6 +1455,29 @@ print(tr.num_steps, type(tr.steps).__name__, (status("VmHWM") - before) * 1024 /
     steps, kind, per_step = run_child(code).split()
     assert (int(steps), kind) == (predicted_ascent_length(16), "Steps")
     assert float(per_step) <= 64, f"peak RSS grew by {per_step} bytes a step"
+
+
+def test_ascent_graph_grows_rss_by_at_most_16_bytes_an_edge():
+    # the kernel's arrays and the PackedInts copied from them, at their peak
+    # together, in a child process's VmHWM: the 532,452 nodes and 4,220,412
+    # edges of chain(4, 4, '-') from all ones.  The kernel's C arrays and
+    # hash table come to about 9 bytes an edge, the copy of the edges to 4;
+    # tuples of Python ints took about 36
+    linux_kernel()
+    code = """
+from vcsp_landscape import ascent_graph, build_chain, expected_peak
+def status(field):
+    return int(open("/proc/self/status").read().split(field + ":")[1].split()[0])
+inst = build_chain(4, 4, "-")
+ascent_graph(inst, expected_peak(4, 4, "-"))  # loads the kernel, builds the arrays
+before = status("VmHWM")
+g = ascent_graph(inst, (1,) * 24, cap=2 ** 20)
+print(len(g.nodes), len(g.edges), type(g.edges).__name__,
+      (status("VmHWM") - before) * 1024 / len(g.edges))
+"""
+    nodes, edges, kind, per_edge = run_child(code).split()
+    assert (int(nodes), int(edges), kind) == (532452, 4220412, "PackedInts")
+    assert float(per_edge) <= 16, f"peak RSS grew by {per_edge} bytes an edge"
 
 
 def test_recorded_run_out_of_memory_raises_memory_error():
