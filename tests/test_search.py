@@ -1551,6 +1551,39 @@ def test_recorded_steps_keep_the_trace_contract(on_both, monkeypatch, rule, scal
         assert acc == [(-1, 0, 0), *ref]
 
 
+@pytest.mark.parametrize("limit", [None, 7])
+@pytest.mark.parametrize("rule", ["steepest", "random", "first"])
+def test_recorded_steps_search_as_the_tuple(on_both, rule, limit):
+    # `in`, count and index (with start and stop) on a kernel trace's steps
+    # search its (variable, gain, fitness after) tuples as the Python loop's
+    # tuple does: present and absent steps, and bare ints that are a step's
+    # variable or fitness, which no step equals.  Unlimited runs, and runs
+    # stopped after 7 steps
+    inst = build_chain(4, 4, "+")
+    order = list(range(24))
+    random.Random(6).shuffle(order)
+    engine = {"steepest": steepest_ascent, "random": random_with(2 ** 40 + 3),
+              "first": first_with(order)}[rule]
+    for start in (expected_peak(4, 4, "-"), (0,) * 24, expected_peak(4, 4, "+")):
+        got, want = on_both(engine, inst, start, max_steps=limit)
+        steps, ref = got.steps, want.steps
+        assert type(steps) is search.Steps and type(ref) is tuple
+        values = [(0, 1, 2), 0, -1, [0, 1, 2]]
+        for v, g, f in ref[:2] + ref[-1:]:
+            values += [(v, g, f), (v, g + 1, f), (v, g), v, f]
+        for value in values:
+            assert (value in steps) is (value in ref)
+            assert steps.count(value) == ref.count(value)
+            for bounds in ((), (1,), (-3,), (0, 2), (2, 5), (-5, -1), (3, 1)):
+                try:
+                    want_index = ref.index(value, *bounds)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        steps.index(value, *bounds)
+                else:
+                    assert steps.index(value, *bounds) == want_index
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_native_random_draws_match_cpython(on_both, seed):
     # the kernel's generator starts where random.Random(seed) does, and every
