@@ -415,10 +415,9 @@ class AscentGraph:
     ascending flipped variable.  An edge a -> b flips variable
     (nodes[a] ^ nodes[b]).bit_length() - 1 and gains fitness[b] - fitness[a].
 
-    The reference loop gives nodes, fitness, offsets and edges as tuples.
-    The kernel gives them as search.PackedInts, read-only int sequences over
-    packed arrays that equal, hash, print and pickle as those tuples, so a
-    graph from either path equals and hashes as the other.
+    The reference loop gives nodes, fitness, offsets and edges as tuples,
+    the kernel as search.PackedInts that read as those tuples (see there),
+    so a graph from either path equals and hashes as the other.
     """
     start: Bits
     nodes: Sequence[int]

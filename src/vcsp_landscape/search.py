@@ -42,37 +42,34 @@ init_by_array.  First-improvement in index order passes no order array
 (NULL).  On a 2-core Xeon a 43-step steepest ascent on chain(4, 4, '+')
 costs about 4.9 us a call.
 
-A recorded run on the kernel writes each step as one record (variable,
-gain, fitness after), in memory that the kernel grows as the run goes
-(1,024 records, then twice as many each time) and that is copied once into
-the steps and then freed.  At int64 the records are 24 bytes a step, and
-they become the Trace's steps as they are: a Steps, which reads them as the
-tuple of (variable, gain, fitness after) tuples that the Python loop
-records, so no step is ever a Python object unless it is read.  At 128 bits
-the records are read into that tuple.  replay and write_trace_csv each have
-one kernel path, taken exactly when the steps are a Steps, which holds only
-int64 records, so no step is checked or packed on the way in.  replay walks
-them over the instance's int64 arrays (vcsp_replay64), with the same checks
-in the same order, where the instance is on that width; write_trace_csv
-formats the rows (vcsp_csv_rows64) into a buffer of at most _CHUNK rows
-that it writes as it goes.  Their Python loops are the reference and run
-every other trace: hand-made or edited steps, which are tuples, replays on
-instances that are not on the int64 width, and every trace when there is no
-kernel.  replay also runs its loop after any failure on the kernel, so
-every message comes from one place.
+Two kernel results are arrays of ints, each copied once (_copy_out) into an
+array.array, freed, and returned as a PackedInts that reads, compares and
+hashes as the reference's tuple, so no item is a Python object unless it is
+read.  A recorded run's steps are a Steps, records (variable, gain, fitness
+after) of three int64s, which the kernel grows as the run goes (1,024, then
+twice as many each time); at 128 bits they are read into the tuple of tuples
+that the Python loop records instead.  landscape.ascent_graph's search runs
+on the int64 width for at most 64 variables (_ascent_graph64), with uint64
+masks found again through an open-addressing table; its nodes, fitness,
+offsets and edges are an int an item, and its sinks are found from the
+offsets' bytes.
 
-landscape.ascent_graph's breadth-first search has one kernel path too,
-_ascent_graph64 (vcsp_ascent_graph64), on the int64 width for instances of
-at most 64 variables: the nodes are uint64 masks, found again through an
-open-addressing table.  The graph's four C arrays are each copied once into
-an array.array and come back as PackedInts, which read, compare and hash as
-the reference's tuples, as a Steps does, so no node or edge is a Python int
-unless it is read; the sinks are found from the offsets' bytes.
-So has landscape.orient, _orient64 (vcsp_orient64), on the int64 width
-where no degree is above core.TABLE_DEGREE_CAP: the sign sources, the arcs
-and the topological order in one call.  The first call of either on an
-instance builds its kernel arrays, as the first ascent does.  The loops in
-landscape stay the reference for everything else.
+replay and write_trace_csv each have one kernel path, taken exactly when the
+steps are a Steps, whose array's buffer vcsp_replay64 and vcsp_csv_rows64
+read as it is.  replay walks the steps over the instance's int64 arrays,
+with the same checks in the same order, where the instance is on that width;
+write_trace_csv formats the rows into a buffer of at most _CHUNK rows that
+it writes as it goes.  Their Python loops are the reference and run every
+other trace: hand-made or edited steps, which are tuples, replays on
+instances not on the int64 width, and every trace when there is no kernel.
+replay also runs its loop after any failure on the kernel, so every message
+comes from one place.
+
+landscape.orient has a kernel path too, _orient64 (vcsp_orient64), on the
+int64 width where no degree is above core.TABLE_DEGREE_CAP: the sign
+sources, the arcs and the topological order in one call.  The first call of
+it or of ascent_graph on an instance builds its kernel arrays, as the first
+ascent does.  The loops in landscape stay the reference for everything else.
 
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
@@ -114,104 +111,45 @@ METHODS = ("steepest", "random", "first")
 _STEP = struct.Struct("3q")  # a step as the kernel records it at int64
 
 
-class Steps(Sequence):
-    """Recorded steps (variable, gain, fitness after) held as the kernel's
-    int64 records, 24 bytes a step, in one immutable bytes object.
-
-    It reads as the tuple of tuples that the Python loop records: len,
-    indexing, iteration, hash and repr are the tuple's.  A step-1 slice is a
-    Steps; any other slice, and a concatenation, is a tuple.  It equals
-    another Steps with the same bytes and a tuple with the same steps, and
-    nothing else, as a tuple does not equal a list."""
-
-    __slots__ = ("_raw",)
-
-    def __new__(cls, raw: bytes = b""):
-        raw = bytes(raw)
-        if len(raw) % _STEP.size:
-            raise ValueError(f"Steps needs a multiple of {_STEP.size} bytes, got {len(raw)}")
-        self = object.__new__(cls)
-        object.__setattr__(self, "_raw", raw)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Steps is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Steps is immutable")
-
-    def __reduce__(self):
-        return Steps, (self._raw,)
-
-    def __len__(self) -> int:
-        return len(self._raw) // _STEP.size
-
-    def __iter__(self):
-        return _STEP.iter_unpack(self._raw)
-
-    def __getitem__(self, i):
-        n = len(self)
-        if isinstance(i, slice):
-            start, stop, step = i.indices(n)
-            if step == 1:
-                return Steps(self._raw[_STEP.size * start:_STEP.size * stop])
-            return tuple(map(self.__getitem__, range(start, stop, step)))
-        i = operator.index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("Steps index out of range")
-        return _STEP.unpack_from(self._raw, _STEP.size * i)
-
-    def __eq__(self, other):
-        if isinstance(other, Steps):
-            return self._raw == other._raw
-        if isinstance(other, tuple):
-            return len(other) == len(self) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-    def __add__(self, other):
-        return tuple(self) + tuple(other) if isinstance(other, (tuple, Steps)) else NotImplemented
-
-    def __radd__(self, other):
-        # only a tuple: list += steps must reach list's own in-place concat
-        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
-
-
 class PackedInts(Sequence):
-    """A read-only sequence of ints held in one array.array, as the kernel's
-    ascent graph holds its nodes, fitness, offsets and edges.
+    """A read-only sequence of records of width ints, held in one
+    array.array: the kernel's ascent graph holds its nodes, fitness, offsets
+    and edges in these, an int an item, and a recorded run its steps in
+    their subclass Steps, three ints an item.
 
-    It reads as the tuple of the same ints: len, indexing, iteration, hash,
-    repr and pickling are the tuple's, and index, count and `in` run on the
-    array.  A slice is a PackedInts.  It equals another PackedInts and a
-    tuple with the same ints, and nothing else, as a tuple does not equal a
-    list.  It takes the array it is given as its own."""
+    It reads as the tuple of its items: len, indexing, iteration, hash, repr
+    and pickling are the tuple's.  It equals another of its class with the
+    same ints and a tuple with the same items, and nothing else, as a tuple
+    does not equal a list.  A slice is a PackedInts, and index, count and
+    `in` run on the array.  It takes an array it is given as its own, and
+    reads anything else as the bytes of whole int64 records."""
 
     __slots__ = ("_array",)
+    width = 1
 
-    def __new__(cls, values: array):
+    def __new__(cls, values: array | bytes = b""):
+        if not isinstance(values, array):
+            raw = bytes(values)
+            if len(raw) % (8 * cls.width):
+                raise ValueError(
+                    f"{cls.__name__} needs a multiple of {8 * cls.width} bytes, got {len(raw)}")
+            values = array("q", raw)
+        elif cls.width > 1 and (values.typecode != "q" or len(values) % cls.width):
+            raise ValueError(f"{cls.__name__} needs an int64 array of whole records")
         self = object.__new__(cls)
         object.__setattr__(self, "_array", values)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PackedInts is immutable")
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __delattr__(self, name):
-        raise AttributeError("PackedInts is immutable")
+    __delattr__ = __setattr__
 
     def __reduce__(self):
-        return PackedInts, (self._array,)
+        return type(self), (self._array,)
 
     def __len__(self) -> int:
-        return len(self._array)
+        return len(self._array) // self.width
 
     def __iter__(self):
         return iter(self._array)
@@ -231,17 +169,53 @@ class PackedInts(Sequence):
         return self._array.count(value)
 
     def __eq__(self, other):
-        if isinstance(other, PackedInts):
+        if type(other) is type(self):
             return self._array == other._array
         if isinstance(other, tuple):
-            return len(other) == len(self._array) and all(map(operator.eq, self._array, other))
+            return len(other) == len(self) and all(map(operator.eq, self, other))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self._array))
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return repr(tuple(self._array))
+        return repr(tuple(self))
+
+
+class Steps(PackedInts):
+    """Recorded steps: the kernel's int64 records, whose item is the
+    (variable, gain, fitness after) tuple that the Python loop records.
+    Only what a record changes differs from PackedInts: a step-1 slice is a
+    Steps and any other slice a tuple, as is a concatenation with a tuple;
+    index, count and `in` search the steps, as a tuple's do."""
+
+    __slots__ = ()
+    width = 3
+    __contains__, index, count = Sequence.__contains__, Sequence.index, Sequence.count
+
+    def __iter__(self):
+        return _STEP.iter_unpack(self._array)
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            start, stop, step = i.indices(n)
+            if step == 1:
+                return Steps(self._array[3 * start:3 * stop])
+            return tuple(map(self.__getitem__, range(start, stop, step)))
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("Steps index out of range")
+        return _STEP.unpack_from(self._array, _STEP.size * i)
+
+    def __add__(self, other):
+        return tuple(self) + tuple(other) if isinstance(other, (tuple, Steps)) else NotImplemented
+
+    def __radd__(self, other):
+        # only a tuple: list += steps must reach list's own in-place concat
+        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
 
 
 @dataclass(frozen=True, init=False)
@@ -251,8 +225,8 @@ class Trace:
     steps holds (flipped variable, gain, fitness after) per step when
     recording is on, else None (summary fields are always filled, which keeps
     multi-million-step runs in constant memory).  It is a tuple of such
-    tuples, or, for a run on the kernel's int64 width, a Steps of 24 bytes a
-    step that compares, hashes and prints as that tuple.  tie_events counts
+    tuples, or, for a run on the kernel's int64 width, a Steps (see
+    PackedInts) that reads as that tuple.  tie_events counts
     steps where two or more moves shared the maximal gain; it is only
     meaningful for the steepest engine and 0 elsewhere.  complete is False
     exactly when a max_steps limit stopped the run while some move still
@@ -486,6 +460,15 @@ def _c_array(ctype, values: Sequence[int]):
         struct.pack(f"{n}{'i' if ctype is ctypes.c_int32 else 'q'}", *values))
 
 
+def _copy_out(address: int | None, code: str, count: int) -> array:
+    """count items of typecode code at the C address, copied once into an
+    array.array; the address may be None where count is 0."""
+    values = array(code)
+    if count:
+        values.frombytes((ctypes.c_char * (values.itemsize * count)).from_address(address))
+    return values
+
+
 class _Int64:
     """The kernel at int64 (vcsp_ascend): exact while |constant| + sum of
     |weights| < 2^62.  Its integers, the constant included, are ctypes int64
@@ -520,8 +503,8 @@ class _Int64:
 
     @staticmethod
     def steps(out, k: int) -> Steps:
-        """The first k step records in out, as a Steps of their bytes."""
-        return Steps(ctypes.string_at(out, _STEP.size * k))
+        """The first k step records at out, a c_void_p, as a Steps."""
+        return Steps(_copy_out(out.value, "q", 3 * k))
 
 
 class _Int128(_Int64):
@@ -822,7 +805,7 @@ def _replay64(inst: Instance, steps, start: list[int], fit: int) -> tuple[Bits, 
     x = ctypes.create_string_buffer(bytes(start), len(start))
     f = (ctypes.c_int64 * 1)(fit)
     if arrays.width.replay(inst.num_vars, arrays.block, x, ctypes.c_int64(len(steps)),
-                           steps._raw, f):
+                           ctypes.c_void_p(steps._array.buffer_info()[0]), f):
         return None
     return tuple(x.raw), f[0]
 
@@ -835,10 +818,8 @@ def _ascent_graph64(inst: Instance, start: Bits, fit: int, cap: int):
     not an int.  Raises TooLargeError with the reference's message at the
     cap, and MemoryError where the kernel runs out of memory.
 
-    Each C array is copied once, through from_address, into an array.array
-    (uint64 masks, int64 fitness, int32 offsets and edges) and freed before
-    the next is copied, so no node or edge is ever a Python int unless it is
-    read."""
+    Each C array is copied by _copy_out (uint64 masks, int64 fitness, int32
+    offsets and edges) and freed before the next is copied."""
     if inst.num_vars > 64 or not isinstance(cap, int):
         return None
     arrays = _kernel_arrays(inst)
@@ -860,8 +841,7 @@ def _ascent_graph64(inst: Instance, start: Bits, fit: int, cap: int):
         n, m = size
 
         def read(slot, code, count):
-            values = array(code)
-            values.frombytes((ctypes.c_char * (values.itemsize * count)).from_address(graph[slot]))
+            values = _copy_out(graph[slot], code, count)
             width.free(graph[slot])
             graph[slot] = None
             return values
@@ -973,7 +953,7 @@ def write_trace_csv(trace: Trace, inst: Instance, path) -> None:
     # rows as csv.writer writes them: "\r\n" after each, and the label,
     # which holds a comma, in double quotes; each variable's "v,label," once
     label = {v: f'"({k},{i})"' for v, (k, i) in inst.labels.items()}
-    variables = (memoryview(steps._raw).cast("q")[0::3] if on_kernel
+    variables = (memoryview(steps._array)[0::3] if on_kernel
                  else map(operator.itemgetter(0), steps))
     prefix = {v: f"{v},{label.get(v, '')}," for v in set(variables)}
     header = (f"# method={trace.method}\n"
@@ -989,7 +969,8 @@ def write_trace_csv(trace: Trace, inst: Instance, path) -> None:
     # the same rows from the kernel, a buffer of at most _CHUNK rows at a time
     variables = sorted(prefix)
     pre = [prefix[v].encode() for v in variables]
-    args = (ctypes.c_int64(len(variables)), struct.pack(f"{len(variables)}q", *variables),
+    args = (ctypes.c_void_p(steps._array.buffer_info()[0]), ctypes.c_int64(len(variables)),
+            struct.pack(f"{len(variables)}q", *variables),
             _c_array(ctypes.c_int32, [0, *accumulate(map(len, pre))]), b"".join(pre))
     n = len(steps)
     out = ctypes.create_string_buffer(min(n, _CHUNK) * (64 + max(map(len, pre))))
@@ -998,5 +979,5 @@ def write_trace_csv(trace: Trace, inst: Instance, path) -> None:
         fh.flush()
         for t in range(0, n, _CHUNK):
             size = widths[0].csv_rows(ctypes.c_int64(t), ctypes.c_int64(min(_CHUNK, n - t)),
-                                      steps._raw, *args, out)
+                                      *args, out)
             fh.buffer.write(memoryview(out)[:size])

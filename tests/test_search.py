@@ -16,6 +16,7 @@ import sysconfig
 import threading
 import timeit
 import tracemalloc
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -1374,6 +1375,19 @@ def test_steps_take_whole_records_and_are_immutable():
     with pytest.raises(AttributeError, match="^Steps is immutable$"):
         del steps._raw
     assert steps == ((0, 7, 4),)
+
+
+def test_packed_ints_take_arrays_as_they_are_and_bytes_as_int64_records():
+    # an array is the sequence's own, so a Steps takes only what its kernel
+    # paths read: an int64 array of whole records.  Bytes are int64 records
+    assert search.Steps(array("q", [0, 7, 4])) == ((0, 7, 4),)
+    for values in (array("q", [0, 7]), array("i", [0, 7, 4]), array("Q", [0, 7, 4])):
+        with pytest.raises(ValueError, match="^Steps needs an int64 array of whole records$"):
+            search.Steps(values)
+    assert search.PackedInts(array("i", [1, -2])) == (1, -2)
+    assert search.PackedInts(struct.pack("2q", 5, -1)) == (5, -1) and search.PackedInts() == ()
+    with pytest.raises(ValueError, match="^PackedInts needs a multiple of 8 bytes, got 9$"):
+        search.PackedInts(bytes(9))
 
 
 def test_no_kernel_without_a_compiler(monkeypatch):
