@@ -98,12 +98,6 @@ def _dense(m: int, k: int, i: int) -> int:
     return 6 * (m - k) + (i - 1)
 
 
-def chain_labels(m: int) -> dict[int, tuple[int, int]]:
-    """Dense index -> (k, i) label map for an m-gadget chain."""
-    _, m = _params(None, m)
-    return {_dense(m, k, i): (k, i) for k in range(1, m + 1) for i in range(1, 7)}
-
-
 def _build(n: int, top: int, bottom: int, sign: str) -> Instance:
     """Gadgets top down to bottom, (k, i) at _dense(top, k, i), each linked
     to the one below it; the top one carries sign, the others '-'."""
@@ -283,3 +277,4 @@ def _raise_gap(label, incoming: list[int], slack: int) -> None:
             if 0 < sum(sub) <= slack:
                 raise SelfValidationError(
                     f"incoming binaries {sub} on {label} fall in the dominance gap (0, {slack}]")
+

@@ -129,7 +129,7 @@ def test_build_chain_rejects_bad_params():
     (expected_peak, (3, 2.0, "+"), "m", 2.0),
     (expected_arcs, (2.0,), "m", 2.0),
     (canonical_decomposition, (1.5,), "m", 1.5),
-    (generator.chain_labels, (2.0,), "m", 2.0),
+    (build_gadget, (3.0, 2, "-"), "n", 3.0),
     # unchecked, a float n would pass: S = 7.0 equals the top unary 7
     (validate_chain, (build_chain(3, 3, "+"), 3.0, 3, "+"), "n", 3.0),
     (validate_chain, (build_chain(3, 3, "+"), 3, 3.0, "+"), "m", 3.0),
@@ -141,15 +141,13 @@ def test_generator_parameters_are_integers(func, args, name, value):
     assert str(err.value) == f"{name} must be an integer, got {value!r}"
 
 
-@pytest.mark.parametrize("func,args,message", [
-    (generator.chain_labels, (0,), "need m >= 1, got m=0"),
-    (generator.chain_labels, (-2,), "need m >= 1, got m=-2"),
-    (validate_chain, (build_chain(3, 3, "-"), 2, 3, "-"), "need 1 <= m <= n, got m=3, n=2"),
-    (validate_chain, (build_chain(3, 3, "-"), 3, 0, "-"), "need 1 <= m <= n, got m=0, n=3"),
+@pytest.mark.parametrize("args,message", [
+    ((build_chain(3, 3, "-"), 2, 3, "-"), "need 1 <= m <= n, got m=3, n=2"),
+    ((build_chain(3, 3, "-"), 3, 0, "-"), "need 1 <= m <= n, got m=0, n=3"),
 ])
-def test_chain_labels_and_validate_chain_check_ranges(func, args, message):
+def test_validate_chain_checks_ranges(args, message):
     with pytest.raises(RangeError) as err:
-        func(*args)
+        validate_chain(*args)
     assert str(err.value) == message
 
 
@@ -195,8 +193,9 @@ def test_expected_arcs_and_decomposition_need_a_gadget():
     assert expected_arcs(1) == {(0, 1), (0, 3), (1, 2), (3, 4), (2, 5), (4, 5)}
     assert (5, 6) in expected_arcs(2) and len(expected_arcs(2)) == 13
     for build in (expected_arcs, canonical_decomposition):
-        with pytest.raises(RangeError, match="^need m >= 1, got m=0$"):
-            build(0)
+        for m in (0, -2):
+            with pytest.raises(RangeError, match=f"^need m >= 1, got m={m}$"):
+                build(m)
 
 
 def test_expected_peak():
@@ -496,3 +495,4 @@ def test_validate_weights_past_the_table_cap_sums_no_subset_of_negative_weights(
     with pytest.raises(TooLargeError, match="^variable 24 has 24 neighbors; tables over "
                                             "neighborhood assignments are capped at 20$"):
         generator._validate_weights(hub, 1, "-", 1)
+
