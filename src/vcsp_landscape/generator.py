@@ -22,6 +22,7 @@ written in _gadget_weights, and every instance is built by _build.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from itertools import combinations
 
 from .core import Bits, Instance, _gradient_table
@@ -271,10 +272,29 @@ def _validate_weights(inst: Instance, n: int, sign: str, top_k: int) -> None:
 
 
 def _raise_gap(label, incoming: list[int], slack: int) -> None:
-    """Raise on the first incoming subset, in combinations order, in (0, slack]."""
+    """Raise on the first incoming subset, in combinations order, in (0, slack].
+
+    Whether there is one is decided first, meeting in the middle: for each
+    subset sum a of one half, the smallest subset sum b of the other with
+    a + b > 0.  So where there is none, 2^(c/2) sums are made, not 2^c."""
+    half = len(incoming) // 2
+    right = sorted(_subset_sums(incoming[half:]))
+    for a in _subset_sums(incoming[:half]):
+        i = bisect_right(right, -a)
+        if i < len(right) and a + right[i] <= slack:
+            break
+    else:
+        return
     for r in range(1, len(incoming) + 1):
         for sub in combinations(incoming, r):
             if 0 < sum(sub) <= slack:
                 raise SelfValidationError(
                     f"incoming binaries {sub} on {label} fall in the dominance gap (0, {slack}]")
 
+
+def _subset_sums(weights: list[int]) -> list[int]:
+    """The sums of all 2^len(weights) subsets of weights, the empty one too."""
+    sums = [0]
+    for w in weights:
+        sums += [t + w for t in sums]
+    return sums

@@ -496,3 +496,40 @@ def test_validate_weights_past_the_table_cap_sums_no_subset_of_negative_weights(
                                             "neighborhood assignments are capped at 20$"):
         generator._validate_weights(hub, 1, "-", 1)
 
+
+def reference_raise_gap(label, incoming, slack):
+    """generator._raise_gap as first written: every subset, in combinations order."""
+    for r in range(1, len(incoming) + 1):
+        for sub in combinations(incoming, r):
+            if 0 < sum(sub) <= slack:
+                raise SelfValidationError(
+                    f"incoming binaries {sub} on {label} fall in the dominance gap (0, {slack}]")
+
+
+def test_raise_gap_matches_the_reference():
+    # seeded mixed-sign weight lists of up to 12 weights: the same subset is
+    # named, or none
+    rng = random.Random(4)
+    named = 0
+    for case in range(3000):
+        incoming = [rng.randint(-6, 6) for _ in range(rng.randint(0, 12))]
+        slack = rng.randint(0, 6)
+        got = outcome(generator._raise_gap, (1, 1), incoming, slack)
+        assert got == outcome(reference_raise_gap, (1, 1), incoming, slack), (case, incoming)
+        named += got[0] != "pass"
+    assert 1000 < named < 2900
+
+
+@pytest.mark.parametrize("c", [21, 30])
+def test_validate_weights_past_the_table_cap_sums_half_the_subsets_of_mixed_weights(
+        monkeypatch, c):
+    # a hub of c - 1 incoming weights -1 and one +1000, with slack 1, has no
+    # subset sum in the dominance gap: each half's 2^(c/2) sums decide that
+    # without enumerating the 2^c subsets, and the table's TooLargeError comes
+    hub = Instance(c + 1, 0, [(v, -2000) for v in range(c)] + [(c, -1)],
+                   [(v, c, -1) for v in range(c - 1)] + [(c - 1, c, 1000)],
+                   [(v, 1 + v // 6, 1 + v % 6) for v in range(c + 1)])
+    monkeypatch.setattr(generator, "combinations", lambda *args: pytest.fail("subsets enumerated"))
+    with pytest.raises(TooLargeError, match=f"^variable {c} has {c} neighbors; tables over "
+                                            "neighborhood assignments are capped at 20$"):
+        generator._validate_weights(hub, 1, "-", 1)
