@@ -548,7 +548,8 @@ def _native_kernel():
     The kernel's functions have no argtypes: ctypes then converts each
     argument by its type, about 1 us a call faster than through argtypes.
     So every caller passes ints only for the C functions' int32_t
-    parameters, a ctypes int64 for max_steps, and ctypes arrays, a byref()
+    parameters, a ctypes int64 for max_steps, and ctypes arrays, a byref(),
+    a c_void_p (never a bare int address, which ctypes passes as a C int)
     or None for the pointers (see _ascend.c).  vcsp_free alone has them, so
     that it takes the int addresses a ctypes c_void_p array reads as.
     """
