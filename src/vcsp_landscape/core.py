@@ -155,10 +155,7 @@ class Instance:
         by_label: dict[Label, int] = {}
         if labels is not None:
             if isinstance(labels, Mapping):
-                try:
-                    labels = [(idx, k, i) for idx, (k, i) in labels.items()]
-                except (TypeError, ValueError):  # a label that is not a pair: the loop names it
-                    labels = [(idx, *_items(label)) for idx, label in labels.items()]
+                labels = [(idx, *_items(label)) for idx, label in labels.items()]
             for entry in labels:
                 try:
                     idx, k, i = entry

@@ -22,11 +22,10 @@ written in _gadget_weights, and every instance is built by _build.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from itertools import combinations
 
 from .core import Bits, Instance, _gradient_table
-from .errors import InvalidArgumentError, RangeError, SelfValidationError, TooLargeError
+from .errors import IndexOutOfRangeError, InvalidArgumentError, RangeError, SelfValidationError
 from .structure import PathDecomposition
 
 Scope = tuple  # ((k,i),) for unaries, ((k,i),(k,j)) for binaries
@@ -198,13 +197,17 @@ def canonical_decomposition(m: int) -> PathDecomposition:
 def validate_chain(inst: Instance, n: int, m: int, sign: str) -> None:
     """Re-check a generated chain against the weight schedule's guarantees.
 
-    Raises SelfValidationError if any check fails.  Checks, per variable:
+    Raises SelfValidationError if any check fails.  The chain's shape comes
+    first: 6m unaries and 7m - 1 binaries, a variable labeled (m, 1) and a
+    label on every variable.  Then, per variable:
 
       * every unary is negative (except the top (m,1) under '+', which must
         equal S exactly);
       * the unary's magnitude exceeds the summed weight of the variable's
         outgoing binaries (those toward larger dense index), so no variable
         wants to be 1 for its downstream alone;
+      * it has at most 3 neighbours, so a hub is refused before any subset
+        of its weights is summed;
       * every nonempty subset of incoming binary weights sums to <= 0 or to
         more than the unary magnitude plus any negative outgoing weight, so
         upstream pressure, when positive, always wins;
@@ -224,16 +227,23 @@ def validate_chain(inst: Instance, n: int, m: int, sign: str) -> None:
 def _validate_weights(inst: Instance, n: int, sign: str, top_k: int) -> None:
     """validate_chain's checks but the counts; a variable's gadget is its label's k."""
     S = 2 * n + 1
-    top = inst.index_of((top_k, 1))
-    unaries = inst.unaries
+    try:
+        top = inst.index_of((top_k, 1))
+    except IndexOutOfRangeError:
+        raise SelfValidationError(f"no variable labeled {(top_k, 1)}") from None
+    unaries, labels = inst.unaries, inst.labels
+    if not inst.fully_labeled:
+        v = min(set(range(inst.num_vars)).difference(labels))
+        raise SelfValidationError(f"variable {v} has no label")
     for v, nbrs in enumerate(inst.neighbors):
+        label = labels[v]
         u = unaries.get(v, 0)
         is_plus_top = sign == "+" and v == top
         if is_plus_top:
             if u != S:
-                raise SelfValidationError(f"unary on {inst.labels[v]} must be {S}, got {u}")
+                raise SelfValidationError(f"unary on {label} must be {S}, got {u}")
         elif u >= 0:
-            raise SelfValidationError(f"unary on {inst.labels[v]} must be negative, got {u}")
+            raise SelfValidationError(f"unary on {label} must be negative, got {u}")
 
         # the sorted neighbours put the c incoming ones (smaller dense index)
         # first, so table[1:2^c] is u plus every nonempty incoming subset sum
@@ -247,54 +257,26 @@ def _validate_weights(inst: Instance, n: int, sign: str, top_k: int) -> None:
                 c += 1
         if not is_plus_top and abs(u) <= outgoing:
             raise SelfValidationError(
-                f"unary magnitude on {inst.labels[v]} does not dominate its outgoing binaries")
+                f"unary magnitude on {label} does not dominate its outgoing binaries")
+        if len(nbrs) > 3:
+            raise SelfValidationError(
+                f"variable {label} has {len(nbrs)} neighbors; chain variables have at most 3")
         slack = abs(u) + negative_outgoing
-        try:
-            table = _gradient_table(inst, v)
-        except TooLargeError:  # past the table's cap the gap is still named first
-            incoming = [w for _, w in nbrs[:c]]
-            if max(incoming, default=0) > 0:  # no positive sum without a positive weight
-                _raise_gap(inst.labels[v], incoming, slack)
-            raise
+        table = _gradient_table(inst, v)
         for t in table[1:1 << c]:
-            if 0 < t - u <= slack:
-                _raise_gap(inst.labels[v], [w for _, w in nbrs[:c]], slack)
-
-        s_k = n + 1 - inst.labels[v][0]
-        for g in table:
-            if g == 0:
-                raise SelfValidationError(
-                    f"zero gradient on {inst.labels[v]} for some neighborhood assignment")
-            if abs(g) < S - s_k and abs(g) != s_k:
-                raise SelfValidationError(
-                    f"gradient magnitude {abs(g)} on {inst.labels[v]} is neither the "
-                    f"small step {s_k} nor >= the large-step floor {S - s_k}")
-
-
-def _raise_gap(label, incoming: list[int], slack: int) -> None:
-    """Raise on the first incoming subset, in combinations order, in (0, slack].
-
-    Whether there is one is decided first, meeting in the middle: for each
-    subset sum a of one half, the smallest subset sum b of the other with
-    a + b > 0.  So where there is none, 2^(c/2) sums are made, not 2^c."""
-    half = len(incoming) // 2
-    right = sorted(_subset_sums(incoming[half:]))
-    for a in _subset_sums(incoming[:half]):
-        i = bisect_right(right, -a)
-        if i < len(right) and a + right[i] <= slack:
-            break
-    else:
-        return
-    for r in range(1, len(incoming) + 1):
-        for sub in combinations(incoming, r):
-            if 0 < sum(sub) <= slack:
+            if 0 < t - u <= slack:  # named by the first subset in combinations order
+                incoming = [w for _, w in nbrs[:c]]
+                sub = next(sub for r in range(1, c + 1) for sub in combinations(incoming, r)
+                           if 0 < sum(sub) <= slack)
                 raise SelfValidationError(
                     f"incoming binaries {sub} on {label} fall in the dominance gap (0, {slack}]")
 
-
-def _subset_sums(weights: list[int]) -> list[int]:
-    """The sums of all 2^len(weights) subsets of weights, the empty one too."""
-    sums = [0]
-    for w in weights:
-        sums += [t + w for t in sums]
-    return sums
+        s_k = n + 1 - label[0]
+        for g in table:
+            if g == 0:
+                raise SelfValidationError(
+                    f"zero gradient on {label} for some neighborhood assignment")
+            if abs(g) < S - s_k and abs(g) != s_k:
+                raise SelfValidationError(
+                    f"gradient magnitude {abs(g)} on {label} is neither the "
+                    f"small step {s_k} nor >= the large-step floor {S - s_k}")

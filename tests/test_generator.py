@@ -25,7 +25,6 @@ from vcsp_landscape.errors import (
     InvalidArgumentError,
     RangeError,
     SelfValidationError,
-    TooLargeError,
 )
 
 
@@ -476,60 +475,51 @@ def test_validate_chain_matches_the_reference():
     assert {"", "unary on", "unary magnitude", "incoming binaries", "zero gradient",
             "gradient magnitude"} <= messages
     assert ("SelfValidationError", "gradient magnitude", True) in seen
-    # past the gradient table's degree cap the gap is still named first
+    # a hub is refused by its degree before any subset of its weights is summed
     hub = Instance(22, 0, [(v, -100) for v in range(22)], [(v, 21, 1) for v in range(21)],
                    [(v, 1 + v // 6, 1 + v % 6) for v in range(22)])
-    got = outcome(generator._validate_weights, hub, 1, "-", 1)
-    assert got == outcome(reference_validate_weights, hub, 1, "-", 1) == (
-        "SelfValidationError",
-        "incoming binaries (1,) on (4, 4) fall in the dominance gap (0, 100]")
+    assert outcome(generator._validate_weights, hub, 1, "-", 1) == (
+        "SelfValidationError", "variable (4, 4) has 21 neighbors; chain variables have at most 3")
 
 
-def test_validate_weights_past_the_table_cap_sums_no_subset_of_negative_weights(monkeypatch):
-    # a hub whose 24 incoming weights are all -1 has no subset sum in the
-    # dominance gap, so past the gradient table's degree cap its 2^24 subsets
-    # are not enumerated: the table's TooLargeError comes at once
-    hub = Instance(25, 0, [(v, -100) for v in range(25)], [(v, 24, -1) for v in range(24)],
-                   [(v, 1 + v // 6, 1 + v % 6) for v in range(25)])
-    monkeypatch.setattr(generator, "_raise_gap", lambda *args: pytest.fail("subsets enumerated"))
-    with pytest.raises(TooLargeError, match="^variable 24 has 24 neighbors; tables over "
-                                            "neighborhood assignments are capped at 20$"):
-        generator._validate_weights(hub, 1, "-", 1)
-
-
-def reference_raise_gap(label, incoming, slack):
-    """generator._raise_gap as first written: every subset, in combinations order."""
-    for r in range(1, len(incoming) + 1):
-        for sub in combinations(incoming, r):
-            if 0 < sum(sub) <= slack:
-                raise SelfValidationError(
-                    f"incoming binaries {sub} on {label} fall in the dominance gap (0, {slack}]")
-
-
-def test_raise_gap_matches_the_reference():
-    # seeded mixed-sign weight lists of up to 12 weights: the same subset is
-    # named, or none
-    rng = random.Random(4)
-    named = 0
-    for case in range(3000):
-        incoming = [rng.randint(-6, 6) for _ in range(rng.randint(0, 12))]
-        slack = rng.randint(0, 6)
-        got = outcome(generator._raise_gap, (1, 1), incoming, slack)
-        assert got == outcome(reference_raise_gap, (1, 1), incoming, slack), (case, incoming)
-        named += got[0] != "pass"
-    assert 1000 < named < 2900
-
-
-@pytest.mark.parametrize("c", [21, 30])
-def test_validate_weights_past_the_table_cap_sums_half_the_subsets_of_mixed_weights(
-        monkeypatch, c):
-    # a hub of c - 1 incoming weights -1 and one +1000, with slack 1, has no
-    # subset sum in the dominance gap: each half's 2^(c/2) sums decide that
-    # without enumerating the 2^c subsets, and the table's TooLargeError comes
-    hub = Instance(c + 1, 0, [(v, -2000) for v in range(c)] + [(c, -1)],
-                   [(v, c, -1) for v in range(c - 1)] + [(c - 1, c, 1000)],
-                   [(v, 1 + v // 6, 1 + v % 6) for v in range(c + 1)])
+@pytest.mark.parametrize("incoming,hub_unary", [
+    ([-1] * 24, -100),
+    ([-1] * 20 + [1000], -1),
+    ([-1] * 29 + [1000], -1),
+    ([-1] * 15 + [16], -1),
+    ([-1] * 19 + [20], -1),
+    ([-1] * 21 + [22], -1),
+], ids=["negative-24", "mixed-21", "mixed-30", "gap-16", "gap-20", "gap-22"])
+def test_validate_chain_refuses_a_hub_by_its_degree(monkeypatch, incoming, hub_unary):
+    # a hub at index c whose c incoming weights would cost 2^c subsets to sum:
+    # all -1, none in the gap; c - 1 of -1 and one +1000 with slack 1, none in
+    # it either; c - 1 of -1 and one +c with slack 1, only the whole set in it.
+    # It has the counts of an m-gadget chain, 6m unaries and 7m - 1 binaries
+    # (its spare ones pair up sources), a label on every variable, and passes
+    # every check before the degree, which comes before any subset is summed
+    c = len(incoming)
+    m = c // 6 + 1
+    unaries = [(v, hub_unary if v == c else -2000) for v in range(6 * m)]
+    binaries = ([(v, c, w) for v, w in enumerate(incoming)]
+                + [(2 * p, 2 * p + 1, -1) for p in range(7 * m - 1 - c)])
+    hub = Instance(6 * m, 0, unaries, binaries,
+                   [(v, 1 + v // 6, 1 + v % 6) for v in range(6 * m)])
     monkeypatch.setattr(generator, "combinations", lambda *args: pytest.fail("subsets enumerated"))
-    with pytest.raises(TooLargeError, match=f"^variable {c} has {c} neighbors; tables over "
-                                            "neighborhood assignments are capped at 20$"):
-        generator._validate_weights(hub, 1, "-", 1)
+    with pytest.raises(SelfValidationError) as err:
+        validate_chain(hub, m, m, "-")
+    assert str(err.value) == (f"variable {(1 + c // 6, 1 + c % 6)} has {c} neighbors; "
+                              "chain variables have at most 3")
+
+
+def test_validate_chain_names_a_missing_label():
+    # a variable without a label, and a chain without the top's (m, 1), are
+    # refused as chains, not with the lookup's own error
+    good = build_chain(3, 2, "-")
+    labels = dict(good.labels)
+    del labels[7]
+    for labels, message in ((labels, "variable 7 has no label"),
+                            (None, "no variable labeled (2, 1)")):
+        inst = Instance(good.num_vars, 0, dict(good.unaries), dict(good.binaries), labels)
+        with pytest.raises(SelfValidationError) as err:
+            validate_chain(inst, 3, 2, "-")
+        assert str(err.value) == message
