@@ -26,8 +26,8 @@
    Under its bound no fitness, gradient or gain can overflow its width.
 
    A recorded run writes each step as one record of three cells, (variable,
-   gain, fitness after), at either width; at int64 that is the 24 bytes a
-   step that search.Steps holds, and the replay and CSV functions below read.
+   gain, fitness after), at either width; at int64 they are the array of a
+   search.Steps, which the replay and CSV functions below read.
    The kernel grows the records with realloc and hands them to the caller,
    who frees them with vcsp_free, as it does the ascent-graph search's
    arrays.  That search and the orientation, at the end of the int64 part,
@@ -36,10 +36,10 @@
    Compiled on first use by search._native_kernel and called through ctypes
    with no argtypes (but for vcsp_free), which converts each argument by its
    Python type: ints as C int, so every integer parameter is int32_t except
-   the 64-bit ones (max_steps, the counts of the trace functions, and the
-   start mask, fitness and cap of the ascent-graph search), which the caller
-   passes as ctypes int64s or uint64s, and every pointer as a ctypes array,
-   bytes, a byref() or None. */
+   the 64-bit ones (max_steps, the trace functions' counts, the CSV one's d,
+   and the start mask, fitness and cap of the ascent-graph search), which the
+   caller passes as ctypes int64s or uint64s, and every pointer as a ctypes
+   array, bytes, a byref() or None. */
 #ifndef VALUE
 
 #include <stddef.h>
@@ -222,19 +222,11 @@ static int32_t fenwick_find(const int32_t *tree, int32_t d, int32_t top, int32_t
 
 /* --- Recorded int64 traces: replay and CSV rows ---
 
-   search.replay and search.write_trace_csv hand over the bytes of a
-   search.Steps: the int64 records (variable, gain, fitness after) that
-   vcsp_ascend wrote, in a bytes object with no alignment promise, so each
-   value is read with memcpy.  The Python loops stay the reference: they run
-   every trace whose steps are not a Steps, and replay runs its loop again
-   after any failure here, so that it raises its own message. */
-
-static int64_t load64(const unsigned char *p, int64_t i)
-{
-    int64_t v;
-    memcpy(&v, p + 8 * i, sizeof v);
-    return v;
-}
+   search.replay and search.write_trace_csv hand over a search.Steps' int64
+   array: the records as vcsp_ascend wrote them.  The Python loops stay the
+   reference: they run every trace whose steps are not a Steps, and replay
+   runs its loop again after any failure here, so that it raises its own
+   message. */
 
 /* Replays n steps over the instance's int64 arrays (as vcsp_ascend reads
    them) from the assignment x at fitness *fit.  Each step is checked as
@@ -246,13 +238,13 @@ static int64_t load64(const unsigned char *p, int64_t i)
    sum is a real move of the instance, so under vcsp_ascend's bound on the
    weights nothing overflows. */
 int64_t vcsp_replay64(int32_t d, const void *const *arrays, uint8_t *x, int64_t n,
-                      const unsigned char *steps, int64_t *fit)
+                      const int64_t *steps, int64_t *fit)
 {
     const int64_t *w = arrays[3], *unary = arrays[4];
     const int32_t *off = arrays[1], *nbr = arrays[2];
     int64_t f = *fit;
     for (int64_t t = 0; t < n; t++) {
-        int64_t v = load64(steps, 3 * t), gain = load64(steps, 3 * t + 1);
+        int64_t v = steps[3 * t], gain = steps[3 * t + 1];
         if (v < 0 || v >= d)
             return t + 1;
         int64_t g = unary[v];
@@ -265,7 +257,7 @@ int64_t vcsp_replay64(int32_t d, const void *const *arrays, uint8_t *x, int64_t 
             return t + 1;
         x[v] ^= 1;
         f += gain;
-        if (f != load64(steps, 3 * t + 2))
+        if (f != steps[3 * t + 2])
             return t + 1;
     }
     *fit = f;
@@ -287,33 +279,29 @@ static char *put_int64(char *out, int64_t v)
     return out + len;
 }
 
-/* Writes steps t0 .. t0 + n - 1 as the CSV rows "t,<prefix of v>gain,after\r\n"
+/* Writes steps t0 .. t0 + n - 1 as the CSV rows "t,v,label,gain,after\r\n"
    that search.write_trace_csv writes, numbered from t0 + 1, into out;
-   returns the number of bytes written.  vars holds u > 0 int64 values in increasing
-   order, every step's variable among them, and the prefix of vars[k] is
-   pre[pre_off[k] .. pre_off[k + 1]).  A row takes at most 64 bytes besides
-   its prefix. */
-int64_t vcsp_csv_rows64(int64_t t0, int64_t n, const unsigned char *steps, int64_t u,
-                        const unsigned char *vars, const int32_t *pre_off, const char *pre,
-                        char *out)
+   returns the number of bytes written.  Variable v in [0, d) has the label
+   label[label_off[v] .. label_off[v + 1]); any other v has an empty one.  A
+   row takes at most 85 bytes besides its label. */
+int64_t vcsp_csv_rows64(int64_t t0, int64_t n, const int64_t *steps, int64_t d,
+                        const int32_t *label_off, const char *label, char *out)
 {
     char *p = out;
     for (int64_t t = t0; t < t0 + n; t++) {
-        int64_t v = load64(steps, 3 * t), lo = 0, hi = u - 1;
-        while (lo < hi) {  /* the k with vars[k] == v, always in [0, u) */
-            int64_t mid = lo + (hi - lo) / 2;
-            if (load64(vars, mid) < v)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
+        int64_t v = steps[3 * t];
         p = put_int64(p, t + 1);
         *p++ = ',';
-        memcpy(p, pre + pre_off[lo], (size_t)(pre_off[lo + 1] - pre_off[lo]));
-        p += pre_off[lo + 1] - pre_off[lo];
-        p = put_int64(p, load64(steps, 3 * t + 1));
+        p = put_int64(p, v);
         *p++ = ',';
-        p = put_int64(p, load64(steps, 3 * t + 2));
+        if (v >= 0 && v < d) {
+            memcpy(p, label + label_off[v], (size_t)(label_off[v + 1] - label_off[v]));
+            p += label_off[v + 1] - label_off[v];
+        }
+        *p++ = ',';
+        p = put_int64(p, steps[3 * t + 1]);
+        *p++ = ',';
+        p = put_int64(p, steps[3 * t + 2]);
         *p++ = '\r';
         *p++ = '\n';
     }

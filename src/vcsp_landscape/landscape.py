@@ -23,7 +23,7 @@ from operator import eq, itemgetter, or_
 from typing import Sequence
 
 from .core import Bits, Instance, _gradient_table, _neighborhood
-from .search import PackedInts, _ascent_graph64, _orient64
+from .search import _ascent_graph64, _orient64
 from .errors import (
     CyclicOrientationError,
     InvalidArgumentError,
@@ -477,15 +477,13 @@ def shortest_ascent_length(graph: AscentGraph, target: Sequence[int]) -> int:
     The edges come in breadth-first order of their sources, so the first edge
     into a node comes from the node that found it, one level nearer the start
     and of a smaller index; following first in-edges back to node 0 counts
-    the levels.  On the kernel's graph the searches run on its arrays.
+    the levels.
     """
     target = tuple(target)
     if len(target) != len(graph.start) or any(b not in (0, 1) for b in target):
         raise UnreachableError("target is not reachable from the start")
     mask = sum(1 << v for v, b in enumerate(target) if b)
     nodes, offsets, edges = graph.nodes, graph.offsets, graph.edges
-    if type(nodes) is PackedInts:  # search the arrays at C speed
-        nodes, offsets, edges = nodes._array, offsets._array, edges._array
     try:
         k = nodes.index(mask)
     except ValueError:

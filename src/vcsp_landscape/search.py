@@ -55,15 +55,15 @@ offsets and edges are an int an item, and its sinks are found from the
 offsets' bytes.
 
 replay and write_trace_csv each have one kernel path, taken exactly when the
-steps are a Steps, whose array's buffer vcsp_replay64 and vcsp_csv_rows64
-read as it is.  replay walks the steps over the instance's int64 arrays,
-with the same checks in the same order, where the instance is on that width;
-write_trace_csv formats the rows into a buffer of at most _CHUNK rows that
-it writes as it goes.  Their Python loops are the reference and run every
-other trace: hand-made or edited steps, which are tuples, replays on
-instances not on the int64 width, and every trace when there is no kernel.
-replay also runs its loop after any failure on the kernel, so every message
-comes from one place.
+steps are a Steps, whose int64 array vcsp_replay64 and vcsp_csv_rows64 read
+in place.  replay walks the steps over the instance's int64 arrays, with the
+same checks in the same order, where the instance is on that width;
+write_trace_csv formats the rows, each labelled by its variable's index,
+into a buffer of at most _CHUNK rows that it writes as it goes.  Their
+Python loops are the reference and run every other trace: hand-made or
+edited steps, which are tuples, replays on instances not on the int64
+width, and every trace when there is no kernel.  replay also runs its loop
+after any failure on the kernel, so every message comes from one place.
 
 landscape.orient has a kernel path too, _orient64 (vcsp_orient64), on the
 int64 width where no degree is above core.TABLE_DEGREE_CAP: the sign
@@ -942,9 +942,9 @@ def write_trace_csv(trace: Trace, inst: Instance, path) -> None:
     """Write a recorded trace as CSV with metadata comment lines.
 
     Columns: step, var_index, var_label, gain, fitness_after.  var_label is
-    "(k,i)" for labeled variables, empty otherwise.  The variables are not
-    checked against inst.  The rows of a Steps with at least one step come
-    from the kernel (see the module docstring), with the same bytes.
+    "(k,i)" for labeled variables, empty otherwise, as for a variable that
+    inst lacks (none is checked).  A Steps with steps has its rows written
+    by the kernel (see the module docstring), with the same bytes.
     """
     steps = trace.steps
     if steps is None:
@@ -952,29 +952,25 @@ def write_trace_csv(trace: Trace, inst: Instance, path) -> None:
     widths = _native_kernel()
     on_kernel = type(steps) is Steps and steps and widths
     # rows as csv.writer writes them: "\r\n" after each, and the label,
-    # which holds a comma, in double quotes; each variable's "v,label," once
+    # which holds a comma, in double quotes
     label = {v: f'"({k},{i})"' for v, (k, i) in inst.labels.items()}
-    variables = (memoryview(steps._array)[0::3] if on_kernel
-                 else map(operator.itemgetter(0), steps))
-    prefix = {v: f"{v},{label.get(v, '')}," for v in set(variables)}
     header = (f"# method={trace.method}\n"
               f"# seed={trace.seed if trace.seed is not None else ''}\n"
               f"# instance=sha256:{inst.content_hash()}\n"
               "step,var_index,var_label,gain,fitness_after\r\n")
-    if not on_kernel:  # the reference
+    if not on_kernel:  # the reference: each variable's "v,label," once
+        prefix = {v: f"{v},{label.get(v, '')}," for v in set(map(operator.itemgetter(0), steps))}
         rows = ["%d,%s%d,%d\r\n" % (t, prefix[v], gain, after)
                 for t, (v, gain, after) in enumerate(steps, start=1)]
         with open(path, "w", newline="") as fh:
             fh.write(header + "".join(rows))
         return
     # the same rows from the kernel, a buffer of at most _CHUNK rows at a time
-    variables = sorted(prefix)
-    pre = [prefix[v].encode() for v in variables]
-    args = (ctypes.c_void_p(steps._array.buffer_info()[0]), ctypes.c_int64(len(variables)),
-            struct.pack(f"{len(variables)}q", *variables),
-            _c_array(ctypes.c_int32, [0, *accumulate(map(len, pre))]), b"".join(pre))
+    labels = [label.get(v, "").encode() for v in range(inst.num_vars)]
+    args = (ctypes.c_void_p(steps._array.buffer_info()[0]), ctypes.c_int64(inst.num_vars),
+            _c_array(ctypes.c_int32, [0, *accumulate(map(len, labels))]), b"".join(labels))
     n = len(steps)
-    out = ctypes.create_string_buffer(min(n, _CHUNK) * (64 + max(map(len, pre))))
+    out = ctypes.create_string_buffer(min(n, _CHUNK) * (96 + max(map(len, labels), default=0)))
     with open(path, "w", newline="") as fh:
         fh.write(header)
         fh.flush()

@@ -20,13 +20,6 @@ class ConstraintGraph:
     num_vars: int
     edges: tuple[tuple[int, int], ...]  # sorted pairs, no duplicates
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.num_vars)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
 
 def constraint_graph(inst: Instance) -> ConstraintGraph:
     return ConstraintGraph(inst.num_vars, tuple(sorted(inst.binaries)))

@@ -1730,7 +1730,7 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
     check_csv_files(monkeypatch, tmp_path)
     assert check_ascent_graphs(monkeypatch, calls) > 100
     assert check_orients(monkeypatch, calls) == 253
-    assert calls["replay"] > 60 and calls["csv_rows"] == 16
+    assert calls["replay"] > 60 and calls["csv_rows"] == 20
     inst = build_chain(2, 2, "+")
     steepest_ascent(inst, (0,) * 12)
     assert inst._native.width in sanitized  # the runs above used the sanitized build
@@ -1781,12 +1781,15 @@ def both_csv_files(monkeypatch, tmp_path, trace, inst):
 def test_trace_csv_matches_the_python_writer(monkeypatch, tmp_path, kernel_calls):
     # write_trace_csv writes the Python writer's bytes: across several
     # buffers of rows, with no steps, with negative and near-int64 gains and
-    # fitness, with labels on some variables only, and with variables the
+    # fitness, with labels on some variables only, with variables the
     # instance does not have (the writer does not check them, so it writes
-    # what the trace holds)
+    # what the trace holds), with the widest int64 rows and on an instance
+    # with no variables
     check_csv_files(monkeypatch, tmp_path)
-    if search._native_kernel():  # the long trace in 8 calls, and 8 hand-made traces
-        assert kernel_calls["csv_rows"] == 16
+    # the long trace in 8 calls, the widest rows twice in 2 each, and 8
+    # more hand-made traces in 1 each
+    if search._native_kernel():
+        assert kernel_calls["csv_rows"] == 20
 
 
 def check_csv_files(monkeypatch, tmp_path):
@@ -1817,10 +1820,17 @@ def check_csv_files(monkeypatch, tmp_path):
     # each hand-made trace as a tuple, for the Python writer on both sides,
     # and packed where it packs, for the kernel
     made = [steps for steps in map(packed, rows) if type(steps) is search.Steps] + rows
+    # the widest rows, over two kernel calls, on an instance with labels and
+    # on one with no variables, whose label table is empty
+    wide = packed([(-(2 ** 63),) * 3] * (search._CHUNK + 1))
+
+    def made_trace(steps):
+        return Trace("random", (0,) * 4, (0,) * 4, len(steps), 0, 0, None, 0, steps, 2 ** 40)
+
     traces = [(long, chain),
               (steepest_ascent(chain, expected_peak(10, 10, "+")), chain),
-              *((Trace("random", (0,) * 4, (0,) * 4, len(steps), 0, 0, None, 0, steps, 2 ** 40),
-                 part) for steps in made)]
+              (made_trace(wide), part), (made_trace(wide), Instance(0)),
+              *((made_trace(steps), part) for steps in made)]
     for tr, inst in traces:
         got, want = both_csv_files(monkeypatch, tmp_path, tr, inst)
         assert got == want

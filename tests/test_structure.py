@@ -32,7 +32,6 @@ def test_gadget_graph_is_a_six_cycle(gadget_minus):
     assert g.num_vars == 6
     assert len(g.edges) == 6
     assert max_degree(g) == 2
-    assert all(len(adj) == 2 for adj in g.adjacency())
     assert has_cycle(g)
 
 
