@@ -30,16 +30,16 @@
    search.Steps, which the replay and CSV functions below read.
    The kernel grows the records with realloc and hands them to the caller,
    who frees them with vcsp_free, as it does the ascent-graph search's
-   arrays.  That search and the orientation, at the end of the int64 part,
-   read the same arrays as vcsp_ascend.
+   arrays.  That search, the orientation and the chain-weight check, at the
+   end of the int64 part, read the same arrays as vcsp_ascend.
 
    Compiled on first use by search._native_kernel and called through ctypes
    with no argtypes (but for vcsp_free), which converts each argument by its
    Python type: ints as C int, so every integer parameter is int32_t except
    the 64-bit ones (max_steps, the trace functions' counts, the CSV one's d,
-   and the start mask, fitness and cap of the ascent-graph search), which the
-   caller passes as ctypes int64s or uint64s, and every pointer as a ctypes
-   array, bytes, a byref() or None. */
+   the start mask, fitness and cap of the ascent-graph search, and the weight
+   check's S), which the caller passes as ctypes int64s or uint64s, and every
+   pointer as a ctypes array, bytes, a byref() or None. */
 #ifndef VALUE
 
 #include <stddef.h>
@@ -595,6 +595,54 @@ done:
     free(ints);
     free(flags);
     return status;
+}
+
+/* --- Chain weight checks at int64 ---
+
+   The twin of generator._validate_weights' per-variable loop, which stays
+   the reference and runs after any failure here, so every message is its
+   own.  Returns 0 when every variable v of the instance's int64 arrays (as
+   vcsp_ascend reads them) on d variables passes, else 1 + the first that
+   fails: its unary is negative, or S where v is top (the '+' top, -1 under
+   '-'); its magnitude exceeds the sum of its outgoing binaries; it has at
+   most 3 neighbours, checked before its gradient table is built; no sum of
+   its c incoming binaries (table[1 .. 2^c)) is in (0, slack]; and every
+   table entry is nonzero with magnitude s[v] or at least S - s[v].  The
+   caller keeps 0 < S < 2^41; under vcsp_ascend's bound no sum overflows. */
+int vcsp_validate64(int32_t d, const void *const *arrays, int64_t S, int32_t top,
+                    const int64_t *s)
+{
+    const int64_t *w = arrays[3], *unary = arrays[4];
+    const int32_t *off = arrays[1], *nbr = arrays[2];
+    int64_t table[8];
+    for (int32_t v = 0; v < d; v++) {
+        int64_t u = unary[v], size = u < 0 ? -u : u, outgoing = 0, slack = size;
+        int32_t deg = off[v + 1] - off[v], c = 0;
+        if (v == top ? u != S : u >= 0)
+            return v + 1;
+        for (int32_t k = off[v]; k < off[v + 1]; k++) {
+            c += nbr[k] < v;
+            outgoing += nbr[k] > v ? w[k] : 0;
+            slack -= nbr[k] > v && w[k] < 0 ? w[k] : 0;
+        }
+        if ((v != top && size <= outgoing) || deg > 3)
+            return v + 1;
+        table[0] = u;
+        for (int32_t b = 0; b < deg; b++)
+            for (int32_t m = 0; m < 1 << b; m++)
+                table[(1 << b) + m] = table[m] + w[off[v] + b];
+        for (int32_t m = 1; m < 1 << c; m++)
+            if (table[m] - u > 0 && table[m] - u <= slack)
+                return v + 1;
+        /* below -2^62, S - s[v] would overflow, and exceeds every |g| < 2^62 */
+        int64_t large = s[v] < -(INT64_C(1) << 62) ? INT64_MAX : S - s[v];
+        for (int32_t m = 0; m < 1 << deg; m++) {
+            int64_t g = table[m] < 0 ? -table[m] : table[m];
+            if (!g || (g != s[v] && g < large))
+                return v + 1;
+        }
+    }
+    return 0;
 }
 
 #if defined(__SIZEOF_INT128__) && defined(__BYTE_ORDER__) \

@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 from itertools import combinations
 
+from . import search
 from .core import Bits, Instance, _gradient_table
 from .errors import IndexOutOfRangeError, InvalidArgumentError, RangeError, SelfValidationError
 from .structure import PathDecomposition
@@ -214,6 +215,11 @@ def validate_chain(inst: Instance, n: int, m: int, sign: str) -> None:
       * over every assignment to a variable's neighborhood the gradient is
         nonzero and its magnitude is either exactly s_k or at least S - s_k
         (the small-step / large-step dichotomy for the variable's gadget k).
+
+    The per-variable checks run in one native call (search._validate64),
+    which builds the kernel arrays that orient and the ascents reuse, where
+    the weights are on its int64 width.  Where it fails or cannot run, the
+    Python loop here checks them, so every message comes from that loop.
     """
     _check_sign(sign)
     n, m = _params(n, m)
@@ -235,6 +241,8 @@ def _validate_weights(inst: Instance, n: int, sign: str, top_k: int) -> None:
     if not inst.fully_labeled:
         v = min(set(range(inst.num_vars)).difference(labels))
         raise SelfValidationError(f"variable {v} has no label")
+    if search._validate64(inst, n, sign, top):
+        return
     for v, nbrs in enumerate(inst.neighbors):
         label = labels[v]
         u = unaries.get(v, 0)

@@ -67,9 +67,12 @@ after any failure on the kernel, so every message comes from one place.
 
 landscape.orient has a kernel path too, _orient64 (vcsp_orient64), on the
 int64 width where no degree is above core.TABLE_DEGREE_CAP: the sign
-sources, the arcs and the topological order in one call.  The first call of
-it or of ascent_graph on an instance builds its kernel arrays, as the first
-ascent does.  The loops in landscape stay the reference for everything else.
+sources, the arcs and the topological order in one call.  So has
+generator._validate_weights, _validate64 (vcsp_validate64) on the int64
+width: it only decides pass or fail, and the Python loop runs after a fail,
+so every message is the loop's.  Those loops stay the reference for
+everything else.  The first call of any of these on an instance builds its
+kernel arrays, as the first ascent does; a chain's first is its validation.
 
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
@@ -476,15 +479,15 @@ class _Int64:
     from a copy of mt_table, the bytes of vcsp_mt_table's state, and free is
     vcsp_free.  steps makes a recorded run's records a Steps; the 128-bit
     width reads them into a tuple of tuples instead.  replay, csv_rows,
-    ascent_graph and orient are vcsp_replay64, vcsp_csv_rows64,
-    vcsp_ascent_graph64 and vcsp_orient64 at this width, None at the
-    others."""
+    ascent_graph, orient and validate are vcsp_replay64, vcsp_csv_rows64,
+    vcsp_ascent_graph64, vcsp_orient64 and vcsp_validate64 at this width,
+    None at the others."""
 
     symbol = "vcsp_ascend"
     bound = 2 ** 62
     size = 8  # bytes an integer
     Result = ctypes.c_int64 * 7  # the kernel's res[], as in _ascend.c
-    replay = csv_rows = ascent_graph = orient = None
+    replay = csv_rows = ascent_graph = orient = validate = None
 
     def __init__(self, fn, lib, mt_table: bytes):
         self.fn = fn
@@ -580,6 +583,7 @@ def _native_kernel():
     widths[0].csv_rows = lib.vcsp_csv_rows64
     widths[0].ascent_graph = lib.vcsp_ascent_graph64
     widths[0].orient = lib.vcsp_orient64
+    widths[0].validate = lib.vcsp_validate64
     return tuple(widths)
 
 
@@ -892,6 +896,26 @@ def _orient64(inst: Instance):
         return (), (), tuple(info)
     ends = iter(arcs[:2 * info[0]])
     return tuple(zip(ends, ends)), tuple(topo[:info[1]]), None
+
+
+def _validate64(inst: Instance, n: int, sign: str, top: int) -> bool:
+    """generator._validate_weights' per-variable checks of the fully
+    labelled inst, whose label (top_k, 1) is at index top, on the kernel's
+    int64 width (vcsp_validate64): True when every variable passes.  False
+    when one fails, and where inst is not on that width, n is outside
+    1 <= n < 2^40 or some n + 1 - k of a label (k, i) does not pack as int64."""
+    if not 1 <= n < 2 ** 40:
+        return False
+    arrays = _kernel_arrays(inst)
+    if not (arrays and arrays.width.validate):
+        return False
+    labels = inst.labels
+    try:
+        s = _c_array(ctypes.c_int64, [n + 1 - labels[v][0] for v in range(inst.num_vars)])
+    except struct.error:
+        return False
+    return not arrays.width.validate(inst.num_vars, arrays.block, ctypes.c_int64(2 * n + 1),
+                                     top if sign == "+" else -1, s)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ import sys
 
 import pytest
 
-from vcsp_landscape import Instance, build_chain, build_gadget
+from vcsp_landscape import Instance, build_chain, build_gadget, generator, search
+from vcsp_landscape.core import _gradient_table
+from vcsp_landscape.errors import SelfValidationError
 
 
 def brute_fitness(inst: Instance, x) -> int:
@@ -122,6 +124,166 @@ def weighted_star(rng, d):
         elif kind < 0.95:
             unaries.append((j, -w))
     return Instance(d + 1, 0, unaries, [(0, j, w) for j, w in enumerate(weights, start=1)])
+
+
+KERNEL_FUNCTIONS = ("replay", "csv_rows", "ascent_graph", "orient", "validate")
+
+
+def count_calls(monkeypatch, width):
+    """Counts the calls of the int64 width's replay, CSV, ascent-graph,
+    orientation and chain-validation functions."""
+    calls = dict.fromkeys(KERNEL_FUNCTIONS, 0)
+    for name in calls:
+        def counted(*args, fn=getattr(width, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(width, name, counted)
+    return calls
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """count_calls on the kernel built here; no calls where there is none."""
+    widths = search._native_kernel()
+    return (count_calls(monkeypatch, widths[0]) if widths
+            else dict.fromkeys(KERNEL_FUNCTIONS, 0))
+
+
+def reference_validate_weights(inst, n, sign, top_k):
+    """generator._validate_weights as first written, every incoming subset
+    summed by itertools.combinations: the oracle of check_validations."""
+    S = 2 * n + 1
+    top = inst.index_of((top_k, 1))
+    unaries = inst.unaries
+    for v, nbrs in enumerate(inst.neighbors):
+        u = unaries.get(v, 0)
+        is_plus_top = sign == "+" and v == top
+        if is_plus_top:
+            if u != S:
+                raise SelfValidationError(f"unary on {inst.labels[v]} must be {S}, got {u}")
+        elif u >= 0:
+            raise SelfValidationError(f"unary on {inst.labels[v]} must be negative, got {u}")
+
+        # one pass over the neighbours: binaries toward larger dense index are
+        # outgoing, the others incoming
+        outgoing = negative_outgoing = 0
+        incoming = []
+        for j, w in nbrs:
+            if j > v:
+                outgoing += w
+                if w < 0:
+                    negative_outgoing -= w
+            else:
+                incoming.append(w)
+        if not is_plus_top and abs(u) <= outgoing:
+            raise SelfValidationError(
+                f"unary magnitude on {inst.labels[v]} does not dominate its outgoing binaries")
+        slack = abs(u) + negative_outgoing
+        for r in range(1, len(incoming) + 1):
+            for sub in itertools.combinations(incoming, r):
+                t = sum(sub)
+                if t > 0 and t <= slack:
+                    raise SelfValidationError(
+                        f"incoming binaries {sub} on {inst.labels[v]} fall in the "
+                        f"dominance gap (0, {slack}]")
+
+        s_k = n + 1 - inst.labels[v][0]
+        for g in _gradient_table(inst, v):
+            if g == 0:
+                raise SelfValidationError(
+                    f"zero gradient on {inst.labels[v]} for some neighborhood assignment")
+            if abs(g) != s_k and abs(g) < S - s_k:
+                raise SelfValidationError(
+                    f"gradient magnitude {abs(g)} on {inst.labels[v]} is neither the "
+                    f"small step {s_k} nor >= the large-step floor {S - s_k}")
+
+
+def validation_outcome(func, *args):
+    """("pass", "") when func(*args) returns, else the class and message it
+    raised."""
+    try:
+        func(*args)
+    except Exception as e:  # any exception: its type and message are compared
+        return type(e).__name__, str(e)
+    return "pass", ""
+
+
+def check_validations(monkeypatch, calls, count):
+    """generator._validate_weights as dispatched and with the kernel
+    switched off, both against reference_validate_weights, on count seeded
+    weight mutants of chains and gadgets with n <= 8: one to three weights
+    shifted by 1 to 3, negated, halved, replaced by a small random weight or
+    deleted, checked with the sign they were built with (now and then the
+    other one) and with their n or a smaller one, so that labels exceed n
+    and s_k <= 0.  Then three hand-made instances at the edges of the
+    gradient check, and inputs at the kernel's limits: the first 20 mutants
+    scaled by 2^62, past the int64 width; a chain at n = 2^40 - 1 and at
+    2^40; labels k whose n + 1 - k is -2^63 and one less, which does not
+    pack as an int64.  Where the kernel's validator runs (calls counts it,
+    from count_calls), its own verdict must be the reference's too.
+    Returns the outcomes seen, as (kind, the message's first two words,
+    whether the n checked is below the top's k), and the number of inputs
+    checked on the kernel."""
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        sign = rng.choice("+-")
+        gadget = rng.random() < 0.2
+        top = rng.randint(1, n)
+        good = (build_gadget if gadget else build_chain)(n, top, sign)
+        u, b = dict(good.unaries), dict(good.binaries)
+        for _ in range(rng.randint(0, 3)):
+            table = rng.choice((u, b))
+            key = rng.choice(sorted(table))
+            w, kind = table[key], rng.randrange(5)
+            w = (w + rng.choice((-3, -2, -1, 1, 2, 3)) if kind == 0 else -w if kind == 1
+                 else w // 2 if kind == 2 else rng.randint(-6, 6) if kind == 3 else 0)
+            if w:
+                table[key] = w
+            elif len(table) > 1:
+                del table[key]
+        inst = Instance(good.num_vars, 0, u, b, good.labels)
+        check_n = n if rng.random() < 0.7 else rng.randint(1, top)
+        check_sign = sign if rng.random() < 0.9 else "-+"[sign == "-"]
+        cases.append((inst, check_n, check_sign, top))
+    for inst, n, sign, top in cases[:20]:
+        cases.append((Instance(inst.num_vars, 0,
+                               {v: w << 62 for v, w in inst.unaries.items()},
+                               {e: w << 62 for e, w in inst.binaries.items()}, inst.labels),
+                       n, sign, top))
+    # a zero gradient on (2, 1) where s_k = n + 1 - k = 0; a lone variable
+    # whose gradient is exactly S - s_k = 2; and one whose gradient 3 * 2^60
+    # is above S - s_k = 2^61 + 4
+    cases.append((Instance(3, 0, [(0, -10), (1, -5), (2, -5)], [(0, 1, 10), (0, 2, -3)],
+                           [(0, 2, 1), (1, 2, 2), (2, 2, 3)]), 1, "-", 2))
+    cases.append((Instance(1, 0, [(0, -2)], [], [(0, 1, 1)]), 1, "-", 1))
+    cases.append((Instance(1, 0, [(0, -3 << 60)], [], [(0, 2 ** 61 + 3, 1)]),
+                  1, "-", 2 ** 61 + 3))
+    for n in (2 ** 40 - 1, 2 ** 40):
+        cases.append((build_chain(n, 2, "-", validate=False), n, "-", 2))
+    chain = build_chain(5, 2, "+")
+    for k in (6 + 2 ** 63, 7 + 2 ** 63):  # n + 1 - k at n = 5: -2^63 and one less
+        labels = dict(chain.labels)
+        labels[7] = (k, 2)
+        cases.append((Instance(12, 0, chain.unaries, chain.binaries, labels), 5, "+", 2))
+    seen = set()
+    on_kernel = 0
+    for case, args in enumerate(cases):
+        want = validation_outcome(reference_validate_weights, *args)
+        with monkeypatch.context() as off:
+            off.setattr(search, "_native_kernel", lambda: None)
+            assert validation_outcome(generator._validate_weights, *args) == want, case
+        before = calls["validate"]
+        assert validation_outcome(generator._validate_weights, *args) == want, case
+        if calls["validate"] > before:
+            on_kernel += 1
+            # the kernel's own verdict, which a fallback to the loop would hide
+            inst, n, sign, top_k = args
+            assert search._validate64(inst, n, sign, inst.index_of((top_k, 1))) == (
+                want[0] == "pass"), case
+        seen.add((want[0], " ".join(want[1].split()[:2]), args[1] < args[3]))
+    return seen, on_kernel
 
 
 @pytest.fixture

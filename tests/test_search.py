@@ -24,6 +24,8 @@ import pytest
 
 from conftest import (
     ascent_graph_cases,
+    check_validations,
+    count_calls,
     dense_instance,
     random_bits,
     random_instance,
@@ -266,26 +268,6 @@ def test_replay_detects_corruption(gadget_plus):
         bad_var = dataclasses.replace(tr, steps=tr.steps[:3] + ((bad, g, f),) + tr.steps[4:])
         with pytest.raises(IndexOutOfRangeError):
             replay(gadget_plus, bad_var)
-
-
-def count_calls(monkeypatch, width):
-    """Counts the calls of the int64 width's replay, CSV, ascent-graph and
-    orientation functions."""
-    calls = {"replay": 0, "csv_rows": 0, "ascent_graph": 0, "orient": 0}
-    for name in calls:
-        def counted(*args, fn=getattr(width, name), name=name):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(width, name, counted)
-    return calls
-
-
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """count_calls on the kernel built here; no calls where there is none."""
-    widths = search._native_kernel()
-    return (count_calls(monkeypatch, widths[0]) if widths
-            else {"replay": 0, "csv_rows": 0, "ascent_graph": 0, "orient": 0})
 
 
 def replay_outcome(inst, trace):
@@ -1700,8 +1682,9 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
     # reference checks without a report: no signed overflow, no shift or
     # index out of range, no misaligned access, at both widths, also where
     # the records grow; and the
-    # replay, trace CSV, ascent-graph (caps hit, d = 64) and orientation
-    # checks (conflicts, stars up to degree 12, a degree cap), on the int64
+    # replay, trace CSV, ascent-graph (caps hit, d = 64), orientation
+    # (conflicts, stars up to degree 12, a degree cap) and chain-validation
+    # checks (200 weight mutants, a label at n + 1 - k = -2^63), on the int64
     # width
     widths = search._native_kernel()
     # the library's name is keyed by source and platform, not by flags: a
@@ -1730,6 +1713,7 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
     check_csv_files(monkeypatch, tmp_path)
     assert check_ascent_graphs(monkeypatch, calls) > 100
     assert check_orients(monkeypatch, calls) == 253
+    assert check_validations(monkeypatch, calls, 200)[1] == 205
     assert calls["replay"] > 60 and calls["csv_rows"] == 20
     inst = build_chain(2, 2, "+")
     steepest_ascent(inst, (0,) * 12)
