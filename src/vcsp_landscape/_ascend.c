@@ -30,8 +30,9 @@
    search.Steps, which the replay and CSV functions below read.
    The kernel grows the records with realloc and hands them to the caller,
    who frees them with vcsp_free, as it does the ascent-graph search's
-   arrays.  That search, the orientation and the chain-weight check, at the
-   end of the int64 part, read the same arrays as vcsp_ascend.
+   arrays.  That search, the sign-dependence arcs of landscape.orient and
+   the chain-weight check, at the end of the int64 part, read the same
+   arrays as vcsp_ascend.
 
    Compiled on first use by search._native_kernel and called through ctypes
    with no argtypes (but for vcsp_free), which converts each argument by its
@@ -439,17 +440,16 @@ done:
 
 /* --- Orientation at int64 ---
 
-   The native twin of the loop of landscape.orient, which stays the
-   reference.  Neighbour b of v (its b-th CSR entry) is a sign source of v
-   when some assignment of v's other neighbours gives v's gradient a
-   different three-valued sign (0 is its own sign) with b at 0 and at 1.  An
-   edge is a conflict when each end is a sign source of the other, and
-   otherwise carries an arc from each sign source to the variable that
-   depends on it. */
+   The native twin of landscape._orient_loop, which stays the reference:
+   the part of orient that reads the weights.  Neighbour b of v (its b-th
+   CSR entry) is a sign source of v when some assignment of v's other
+   neighbours gives v's gradient a different three-valued sign (0 is its own
+   sign) with b at 0 and at 1.  An edge is a conflict when each end is a
+   sign source of the other, and otherwise carries an arc from each sign
+   source to the variable that depends on it.  The order of the arcs needs
+   no weights, so landscape.orient finds it in Python for both paths. */
 
 enum { CONFLICT = 4 };  /* a status of vcsp_orient64, after the ones above */
-
-enum { SOURCE = 1, ARC_OUT = 2 };  /* the flags of a CSR entry in vcsp_orient64 */
 
 static int sign64(int64_t g)
 {
@@ -468,45 +468,18 @@ static int changes_sign(const int64_t *table, size_t size, size_t h)
     return 0;
 }
 
-/* Adds v to the min-heap heap[0 .. n). */
-static void heap_push(int32_t *heap, int32_t n, int32_t v)
-{
-    for (; n > 0 && heap[(n - 1) / 2] > v; n = (n - 1) / 2)
-        heap[n] = heap[(n - 1) / 2];
-    heap[n] = v;
-}
-
-/* Removes and returns the least entry of the min-heap heap[0 .. n), n > 0. */
-static int32_t heap_pop(int32_t *heap, int32_t n)
-{
-    int32_t least = heap[0], v = heap[--n], i = 0, c;
-    while ((c = 2 * i + 1) < n) {
-        if (c + 1 < n && heap[c + 1] < heap[c])
-            c++;
-        if (heap[c] >= v)
-            break;
-        heap[i] = heap[c];
-        i = c;
-    }
-    heap[i] = v;
-    return least;
-}
-
-/* The orientation of the instance's int64 arrays (as vcsp_ascend reads
-   them) on d variables.  Each variable's gradient table, in the mask order
-   of core._gradient_table, is built by doubling into one buffer of
+/* The sign-dependence arcs of the instance's int64 arrays (as vcsp_ascend
+   reads them) on d variables.  Each variable's gradient table, in the mask
+   order of core._gradient_table, is built by doubling into one buffer of
    2^(max degree) entries.  The edges are then walked in the order of
    sorted(inst.binaries): i ascending, then its neighbours j > i ascending.
-   arcs has room for two int32_t a binary, topo for d.  Returns LIMIT, before
-   any work, when a degree is above cap or 31; NO_MEMORY when the
-   scratch cannot be allocated; CONFLICT at the first edge whose ends depend
-   on each other, with the edge (i < j) in info[0] and info[1]; PEAK
-   otherwise, with info[0] arcs (a, b), b depending on a, in arcs[] in edge
-   order, and info[1] variables in topo[]: Kahn's topological order, the
-   lowest ready index first, which holds fewer than d only if the arcs form
-   a cycle. */
+   arcs has room for two int32_t a binary.  Returns LIMIT, before any work,
+   when a degree is above cap or 31; NO_MEMORY when the scratch cannot be
+   allocated; CONFLICT at the first edge whose ends depend on each other,
+   with the edge (i < j) in info[0] and info[1]; PEAK otherwise, with info[0]
+   arcs (a, b), b depending on a, in arcs[] in edge order. */
 int vcsp_orient64(int32_t d, const void *const *arrays, int32_t cap, int32_t *arcs,
-                  int32_t *topo, int32_t *info)
+                  int32_t *info)
 {
     const int64_t *w = arrays[3], *unary = arrays[4];
     const int32_t *off = arrays[1], *nbr = arrays[2];
@@ -520,12 +493,11 @@ int vcsp_orient64(int32_t d, const void *const *arrays, int32_t cap, int32_t *ar
     int64_t *table = NULL;
     if (((size_t)1 << max_deg) <= SIZE_MAX / sizeof *table)
         table = malloc(((size_t)1 << max_deg) * sizeof *table);
-    int32_t *ints = malloc(2 * n * sizeof *ints);  /* indeg[] and heap[] */
-    uint8_t *flags = calloc(entries, 1);  /* SOURCE and ARC_OUT per CSR entry */
+    int32_t *next = malloc(n * sizeof *next);
+    uint8_t *source = malloc(entries);  /* per CSR entry: a sign source? */
     int status = NO_MEMORY;
-    if (!(table && ints && flags))
+    if (!(table && next && source))
         goto done;
-    int32_t *indeg = ints, *heap = ints + n;
 
     for (int32_t v = 0; v < d; v++) {
         int32_t deg = off[v + 1] - off[v];
@@ -536,64 +508,40 @@ int vcsp_orient64(int32_t d, const void *const *arrays, int32_t cap, int32_t *ar
             for (size_t m = 0; m < h; m++)
                 table[h + m] = table[m] + w[off[v] + b];
         }
-        indeg[v] = 0;
-        for (int32_t b = 0; b < deg; b++) {
-            if (changes_sign(table, size, (size_t)1 << b)) {
-                flags[off[v] + b] = SOURCE;
-                indeg[v]++;
-            }
-        }
+        for (int32_t b = 0; b < deg; b++)
+            source[off[v] + b] = (uint8_t)changes_sign(table, size, (size_t)1 << b);
     }
 
     /* Entry k of i's row holds j; j's row lists its neighbours below j
        first, in ascending order, so next[j] walks to the entry that holds i
-       as the edges (i, j) come in ascending i.  heap[] serves as next[]. */
+       as the edges (i, j) come in ascending i. */
     int32_t n_arcs = 0;
     for (int32_t v = 0; v < d; v++)
-        heap[v] = off[v];
+        next[v] = off[v];
     for (int32_t i = 0; i < d; i++) {
         for (int32_t k = off[i]; k < off[i + 1]; k++) {
             int32_t j = nbr[k];
             if (j < i)
                 continue;
-            int32_t kj = heap[j]++;
-            int i_on_j = flags[k] & SOURCE, j_on_i = flags[kj] & SOURCE;
+            int i_on_j = source[k], j_on_i = source[next[j]++];
             if (i_on_j && j_on_i) {
                 info[0] = i;
                 info[1] = j;
                 status = CONFLICT;
                 goto done;
             }
-            if (j_on_i) {
-                arcs[2 * n_arcs] = i;
-                arcs[2 * n_arcs++ + 1] = j;
-                flags[k] |= ARC_OUT;
-            } else if (i_on_j) {
-                arcs[2 * n_arcs] = j;
-                arcs[2 * n_arcs++ + 1] = i;
-                flags[kj] |= ARC_OUT;
+            if (j_on_i || i_on_j) {
+                arcs[2 * n_arcs] = j_on_i ? i : j;
+                arcs[2 * n_arcs++ + 1] = j_on_i ? j : i;
             }
         }
     }
-
-    /* An arc leaves each sign source of v, so v waits for indeg[v] of them. */
-    int32_t ready = 0, placed = 0;
-    for (int32_t v = 0; v < d; v++)
-        if (!indeg[v])
-            heap[ready++] = v;  /* ascending: already a min-heap */
-    while (ready) {
-        int32_t v = topo[placed++] = heap_pop(heap, ready--);
-        for (int32_t k = off[v]; k < off[v + 1]; k++)
-            if ((flags[k] & ARC_OUT) && !--indeg[nbr[k]])
-                heap_push(heap, ready++, nbr[k]);
-    }
     info[0] = n_arcs;
-    info[1] = placed;
     status = PEAK;
 done:
     free(table);
-    free(ints);
-    free(flags);
+    free(next);
+    free(source);
     return status;
 }
 

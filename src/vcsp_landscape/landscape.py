@@ -7,10 +7,10 @@ self-validation asserts it), but arbitrary instances may.
 
 The brute-force oracles (peak enumeration, semismoothness, ascent graphs) are
 exponential by nature and guarded by size caps; they exist to certify the
-polynomial-time paths on small instances.  The ascent-graph search and the
-orientation also run on the native kernel, where the instance's weights fit
-its int64 width (see ascent_graph and orient); the first call on an
-instance then builds its kernel arrays.
+polynomial-time paths on small instances.  The ascent-graph search and
+orient's sign-dependence analysis also run on the native kernel, where the
+instance's weights fit its int64 width (see ascent_graph and orient); the
+first call on an instance then builds its kernel arrays.
 """
 from __future__ import annotations
 
@@ -108,7 +108,8 @@ class Orientation:
 
 
 def orient(inst: Instance) -> Orientation:
-    """Sign-dependence analysis of every edge, in sorted edge order.
+    """Sign-dependence analysis of every edge, in sorted edge order, then
+    the arcs' topological order.
 
     The kernel builds each variable's 2^degree gradient table once, in
     O(sum of degree * 2^degree); the loop asks sign_depends both ways on
@@ -118,31 +119,31 @@ def orient(inst: Instance) -> Orientation:
 
     _orient_loop is the reference.  Where the instance is on the native
     kernel's int64 width and no degree is above that cap, the same analysis
-    runs in C (search._orient64) and gives the same arcs, order and
-    conflict.  The loop runs for weights at or past 2^62, above the cap
-    (where it raises) and where there is no kernel.  The first call builds
-    the kernel if it is not built yet, and the instance's kernel arrays
-    (Instance._native), as the first ascent does.
+    runs in C (search._orient64) and gives the same arcs and conflict.  The
+    loop runs for weights at or past 2^62, above the cap (where it raises)
+    and where there is no kernel.  The first call builds the kernel if it is
+    not built yet, and the instance's kernel arrays (Instance._native), as
+    the first ascent does.  Either way, _topo_order orders the arcs.
     """
     native = _orient64(inst)
-    arcs, topo, conflict = native if native else _orient_loop(inst)
+    arcs, conflict = native if native else _orient_loop(inst)
     if conflict:
         i, j = conflict
         return Orientation(False, conflict=conflict,
                            conflict_witnesses=(sign_depends(inst, i, j),
                                                sign_depends(inst, j, i)))
+    topo = _topo_order(inst.num_vars, arcs)
     if len(topo) != inst.num_vars:
         # one-directional sign dependence cannot produce a directed cycle
         raise CyclicOrientationError("sign-dependence arcs form a directed cycle")
     return Orientation(True, arcs, topo)
 
 
-def _orient_loop(inst: Instance) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...],
+def _orient_loop(inst: Instance) -> tuple[tuple[tuple[int, int], ...],
                                           tuple[int, int] | None]:
-    """orient's analysis in Python: (arcs, topo_order, conflict), as
+    """orient's sign-dependence analysis in Python: (arcs, conflict), as
     search._orient64 returns it.  Each edge asks sign_depends both ways,
-    after every degree is checked against the cap in index order; the order
-    is Kahn's, the lowest ready index first.
+    after every degree is checked against the cap in index order.
     """
     for v in range(inst.num_vars):
         _neighborhood(inst, v)  # raises above the cap
@@ -151,17 +152,27 @@ def _orient_loop(inst: Instance) -> tuple[tuple[tuple[int, int], ...], tuple[int
         j_on_i = sign_depends(inst, j, i) is not None
         i_on_j = sign_depends(inst, i, j) is not None
         if j_on_i and i_on_j:
-            return (), (), (i, j)
+            return (), (i, j)
         if j_on_i:
             arcs.append((i, j))
         elif i_on_j:
             arcs.append((j, i))
-    out: list[list[int]] = [[] for _ in range(inst.num_vars)]
-    indeg = [0] * inst.num_vars
+    return tuple(arcs), None
+
+
+def _topo_order(d: int, arcs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """Kahn's topological order of the variables range(d) under arcs, the
+    lowest ready index first; shorter than d exactly where the arcs form a
+    cycle.  Where every arc goes up in index, as on every generated chain,
+    that order is index order, with no heap."""
+    if all(a < b for a, b in arcs):
+        return tuple(range(d))
+    out: list[list[int]] = [[] for _ in range(d)]
+    indeg = [0] * d
     for a, b in arcs:
         out[a].append(b)
         indeg[b] += 1
-    ready = [v for v in range(inst.num_vars) if indeg[v] == 0]
+    ready = [v for v in range(d) if indeg[v] == 0]
     heapq.heapify(ready)
     topo: list[int] = []
     while ready:
@@ -171,7 +182,7 @@ def _orient_loop(inst: Instance) -> tuple[tuple[tuple[int, int], ...], tuple[int
             indeg[u] -= 1
             if indeg[u] == 0:
                 heapq.heappush(ready, u)
-    return tuple(arcs), tuple(topo), None
+    return tuple(topo)
 
 
 def is_local_peak(inst: Instance, x: Sequence[int]) -> bool:

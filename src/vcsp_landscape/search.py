@@ -67,12 +67,13 @@ after any failure on the kernel, so every message comes from one place.
 
 landscape.orient has a kernel path too, _orient64 (vcsp_orient64), on the
 int64 width where no degree is above core.TABLE_DEGREE_CAP: the sign
-sources, the arcs and the topological order in one call.  So has
-generator._validate_weights, _validate64 (vcsp_validate64) on the int64
-width: it only decides pass or fail, and the Python loop runs after a fail,
-so every message is the loop's.  Those loops stay the reference for
-everything else.  The first call of any of these on an instance builds its
-kernel arrays, as the first ascent does; a chain's first is its validation.
+sources, the conflict and the arcs in one call; orient orders the arcs in
+Python on either path.  So has generator._validate_weights, _validate64
+(vcsp_validate64) on the int64 width: it only decides pass or fail, and the
+Python loop runs after a fail, so every message is the loop's.  Those loops
+stay the reference for everything else.  The first call of any of these on
+an instance builds its kernel arrays, as the first ascent does; a chain's
+first is its validation.
 
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
@@ -871,31 +872,27 @@ def _ascent_graph64(inst: Instance, start: Bits, fit: int, cap: int):
 
 
 def _orient64(inst: Instance):
-    """landscape.orient's analysis on the kernel's int64 width
-    (vcsp_orient64): (arcs, topo_order, conflict) as tuples, as the
-    reference loop finds them.  conflict is None, or the first edge (i, j)
-    whose ends depend on each other, and then arcs and topo_order are
-    empty; topo_order is shorter than num_vars only where the arcs form a
-    cycle.  None where inst is not on that width or has a degree above
-    core.TABLE_DEGREE_CAP, read at call time.  Raises MemoryError where the
-    kernel cannot allocate its scratch."""
+    """landscape.orient's sign-dependence analysis on the kernel's int64
+    width (vcsp_orient64): (arcs, conflict), as landscape._orient_loop
+    finds them.  conflict is None, or the first edge (i, j) whose ends
+    depend on each other, and then arcs is empty.  None where inst is not on
+    that width or has a degree above core.TABLE_DEGREE_CAP, read at call
+    time.  Raises MemoryError where the kernel cannot allocate its scratch."""
     arrays = _kernel_arrays(inst)
     if not (arrays and arrays.width.orient):
         return None
-    d = inst.num_vars
     arcs = (ctypes.c_int32 * (2 * len(inst.binaries)))()
-    topo = (ctypes.c_int32 * d)()
     info = (ctypes.c_int32 * 2)()
-    status = arrays.width.orient(d, arrays.block, min(core.TABLE_DEGREE_CAP, 31), arcs, topo,
-                                 info)
+    status = arrays.width.orient(inst.num_vars, arrays.block, min(core.TABLE_DEGREE_CAP, 31),
+                                 arcs, info)
     if status == _LIMIT:
         return None
     if status == _NO_MEMORY:
         raise MemoryError("the orientation kernel could not allocate its scratch")
     if status == _CONFLICT:
-        return (), (), tuple(info)
+        return (), tuple(info)
     ends = iter(arcs[:2 * info[0]])
-    return tuple(zip(ends, ends)), tuple(topo[:info[1]]), None
+    return tuple(zip(ends, ends)), None
 
 
 def _validate64(inst: Instance, n: int, sign: str, top: int) -> bool:

@@ -126,6 +126,17 @@ def weighted_star(rng, d):
     return Instance(d + 1, 0, unaries, [(0, j, w) for j, w in enumerate(weights, start=1)])
 
 
+def relabel(inst: Instance, perm) -> Instance:
+    """inst with variable v renumbered perm[v]: its unary, its binaries and
+    its label move with it, so the display order, and every assignment
+    string, stays the same."""
+    return Instance(inst.num_vars, inst.constant,
+                    {perm[v]: w for v, w in inst.unaries.items()},
+                    {tuple(sorted((perm[i], perm[j]))): w
+                     for (i, j), w in inst.binaries.items()},
+                    {perm[v]: label for v, label in inst.labels.items()})
+
+
 KERNEL_FUNCTIONS = ("replay", "csv_rows", "ascent_graph", "orient", "validate")
 
 

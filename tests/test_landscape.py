@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +25,14 @@ from vcsp_landscape import (
     search,
     shortest_ascent_length,
     sign_depends,
+    steepest_ascent,
 )
-from vcsp_landscape.errors import TooLargeError, UnreachableError, ZeroGradientError
+from vcsp_landscape.errors import (
+    CyclicOrientationError,
+    TooLargeError,
+    UnreachableError,
+    ZeroGradientError,
+)
 
 from conftest import (
     ascent_graph_cases,
@@ -35,9 +42,12 @@ from conftest import (
     dense_instance,
     random_bits,
     random_instance,
+    relabel,
     star,
     weighted_star,
 )
+
+DATA = Path(__file__).with_name("data")
 
 
 def orient_paths(monkeypatch):
@@ -105,6 +115,108 @@ def test_orient_conflict(two_peak_pair, monkeypatch):
         assert o.conflict == (0, 1)
         w1, w2 = o.conflict_witnesses
         assert {w1.target, w2.target} == {0, 1}
+
+
+def lowest_ready_order(d, arcs):
+    """The order of range(d) that places, each round, the lowest variable
+    whose every predecessor under arcs is placed, and stops, short of d,
+    where none is left: the oracle of landscape._topo_order."""
+    before = [{a for a, b in arcs if b == v} for v in range(d)]
+    order, placed = [], set()
+    while ready := [v for v in range(d) if v not in placed and before[v] <= placed]:
+        order.append(ready[0])
+        placed.add(ready[0])
+    return tuple(order)
+
+
+def test_topo_order_is_the_lowest_ready_first_order():
+    # seeded arc lists on at most 10 variables: DAGs, whose order is the
+    # oracle's; lists with a directed cycle, whose order stops short; and
+    # lists whose every arc goes up in index, whose order is index order
+    rng = random.Random(30)
+    seen = {"dag": 0, "cycle": 0, "up": 0}
+    for t in range(900):
+        d = rng.randint(1, 10)
+        pairs = [p for p in itertools.permutations(range(d), 2) if rng.random() < 0.3]
+        kind = ("dag", "cycle", "up")[t % 3]
+        if kind == "dag":
+            rank = rng.sample(range(d), d)
+            arcs = [(a, b) for a, b in pairs if rank[a] < rank[b]]
+        elif kind == "up":
+            arcs = [(a, b) for a, b in pairs if a < b]
+        else:
+            if d < 2:
+                continue
+            ring = rng.sample(range(d), rng.randint(2, d))
+            arcs = pairs + [(a, b) for a, b in zip(ring, ring[1:] + ring[:1])
+                            if (a, b) not in pairs]
+        rng.shuffle(arcs)
+        got = landscape._topo_order(d, arcs)
+        assert got == lowest_ready_order(d, arcs), (d, arcs)
+        assert (len(got) < d) == (kind == "cycle")
+        if kind == "up":
+            assert got == tuple(range(d))
+        seen[kind] += kind != "dag" or got != tuple(range(d))
+    assert min(seen.values()) >= 150, seen
+
+
+def test_orient_raises_on_cyclic_arcs(monkeypatch):
+    # no instance is known whose one-way arcs form a cycle, so the loop's
+    # answer is replaced: orient checks the order after either path
+    monkeypatch.setattr(search, "_native_kernel", lambda: None)
+    monkeypatch.setattr(landscape, "_orient_loop",
+                        lambda inst: (((0, 1), (2, 0), (1, 2)), None))
+    with pytest.raises(CyclicOrientationError, match="form a directed cycle"):
+        orient(Instance(4))
+
+
+def moved(x, perm):
+    """The assignment x with the bit of variable v moved to perm[v]."""
+    y = [0] * len(x)
+    for v, b in enumerate(x):
+        y[perm[v]] = b
+    return tuple(y)
+
+
+def test_orient_renumbered_chains(monkeypatch):
+    # every chain with m <= n <= 8, both signs, its variables renumbered by
+    # two seeded permutations: the arcs and the peak move with the variables,
+    # the order is the lowest-ready-first one, and steepest ascent from the
+    # other peak keeps its length, zero ties, least gain and end fitness.
+    # Arcs that go down in index send orient through Kahn's heap
+    rng = random.Random(16)
+    cases = []
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            for sign in "+-":
+                inst = build_chain(n, m, sign)
+                start = expected_peak(n, m, "-" if sign == "+" else "+")
+                tr = steepest_ascent(inst, start)
+                for _ in range(2):
+                    perm = rng.sample(range(6 * m), 6 * m)
+                    cases.append((relabel(inst, perm), m, perm, moved(start, perm),
+                                  moved(expected_peak(n, m, sign), perm), tr))
+    for _ in orient_paths(monkeypatch):
+        down = 0
+        for inst, m, perm, start, peak, tr in cases:
+            o = orient(inst)
+            assert o.oriented
+            assert set(o.arcs) == {(perm[a], perm[b]) for a, b in expected_arcs(m)}
+            assert o.topo_order == lowest_ready_order(inst.num_vars, o.arcs)
+            assert peak_of_oriented(inst, o) == peak
+            got = steepest_ascent(inst, start)
+            assert (got.num_steps, got.tie_events, got.min_gain, got.fitness_end, got.end) == (
+                7 * (2 ** m - 1), 0, tr.min_gain, tr.fitness_end, peak)
+            down += any(a > b for a, b in o.arcs)
+        assert down == len(cases) == 144
+
+
+def test_relabelled_chain_file_regenerates():
+    # tests/data/chain-6-6-plus-relabelled.vcsp is chain(6, 6, '+') renumbered
+    # by the permutation of seed 6, byte for byte; some of its arcs go down
+    inst = relabel(build_chain(6, 6, "+"), random.Random(6).sample(range(36), 36))
+    assert core.to_text(inst).encode() == (DATA / "chain-6-6-plus-relabelled.vcsp").read_bytes()
+    assert any(a > b for a, b in orient(inst).arcs)
 
 
 def test_is_local_peak(gadget_plus):
