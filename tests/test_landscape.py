@@ -52,8 +52,8 @@ DATA = Path(__file__).with_name("data")
 
 def orient_paths(monkeypatch):
     """Yields twice, so that a loop over it runs its body twice: with orient
-    as dispatched, and then with the native kernel switched off, so that
-    orient runs its Python loop, the reference."""
+    (or any other kernel path) as dispatched, and then with the native
+    kernel switched off, so that it runs its Python loop, the reference."""
     yield "dispatched"
     with monkeypatch.context() as mp:
         mp.setattr(search, "_native_kernel", lambda: None)
@@ -542,6 +542,17 @@ def test_ascent_graph_sizes_on_the_minus_chains(n, start, size):
     g = ascent_graph(build_chain(n, n, "-"), start)
     assert (len(g.nodes), len(g.edges)) == size
     assert g.sinks == (expected_peak(n, n, "-"),)
+
+
+def test_ascent_graph_of_chain_4_4_plus_is_pinned(monkeypatch):
+    # every field of the 23,349-node graph from all zeros, as the sha256 of
+    # their repr (a PackedInts reads as the tuple of its items), on both paths
+    inst = build_chain(4, 4, "+")
+    for path in orient_paths(monkeypatch):
+        g = ascent_graph(inst, (0,) * 24)
+        text = repr((g.nodes, g.fitness, g.offsets, g.edges, g.sinks))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "8223fcade2e231f438e1e538c989182d80be3a98aa14907639968d8caa5a2f4b", path
 
 
 def test_ascent_graph_edges_strictly_increase(gadget_plus):
