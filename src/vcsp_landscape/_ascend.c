@@ -317,7 +317,15 @@ int64_t vcsp_csv_rows64(int64_t t0, int64_t n, const int64_t *steps, int64_t d,
    x_v).  The nodes are their own queue, in discovery order, and each node's
    edges come in ascending variable.  An open-addressing table of node
    indices, at most half full, finds a mask's node.  A node's gains are
-   recomputed from its mask in O(d + edges), so none are stored. */
+   recomputed from its mask in O(d + edges), so none are stored.
+
+   That recomputation has no branch on the mask: each weight is added under
+   a mask of all ones or all zeros, the sign is flipped by xor and subtract,
+   and every variable is written to a list whose count grows only when its
+   gain is positive.  Over breadth-first masks a branch on a bit is taken
+   about as often as not, so it was mispredicted about half the time; on a
+   2-core Xeon the search over chain(3, 3, +) from the other peak went from
+   about 155 to 84 us. */
 
 enum { G_NODES, G_FITNESS, G_OFFSETS, G_EDGES };  /* the slots of graph[] */
 
@@ -374,16 +382,20 @@ int vcsp_ascent_graph64(int32_t d, const void *const *arrays, uint64_t start, in
     table[find_slot(table, bits, nodes, start)] = 0;
     for (int64_t k = 0; k < n; k++) {
         uint64_t x = nodes[k];
+        int32_t imp[64], n_up = 0;  /* the improving variables, ascending, */
+        int64_t gain[64];           /* and their gains */
         offsets[k] = (int32_t)m;
         for (int32_t v = 0; v < d; v++) {
-            int64_t g = unary[v];
+            int64_t g = unary[v], flip = -(int64_t)(x >> v & 1);
             for (int32_t e = off[v]; e < off[v + 1]; e++)
-                if (x >> nbr[e] & 1)
-                    g += w[e];
-            if (x >> v & 1)
-                g = -g;
-            if (g <= 0)
-                continue;
+                g += w[e] & -(int64_t)(x >> nbr[e] & 1);
+            imp[n_up] = v;
+            gain[n_up] = (g ^ flip) - flip;  /* -g where x_v = 1 */
+            n_up += gain[n_up] > 0;
+        }
+        for (int32_t j = 0; j < n_up; j++) {
+            int32_t v = imp[j];
+            int64_t g = gain[j];
             uint64_t y = x ^ (uint64_t)1 << v, h = find_slot(table, bits, nodes, y);
             int32_t b = table[h];
             if (b < 0) {  /* a new node */

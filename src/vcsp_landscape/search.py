@@ -672,10 +672,11 @@ def _ascend_native(a: _NativeArrays, rule, args, inst: Instance, start: Sequence
                  ties, steps, rule.seed, status == _PEAK)
 
 
-def _kernel_arrays(inst: Instance) -> _NativeArrays | bool | None:
+def _kernel_arrays(inst: Instance, int64_only: bool = False) -> _NativeArrays | bool | None:
     """inst's kernel arrays, built on first use at the narrowest width that
     is exact on it; False where its weights are too large for every width,
-    None where there is no kernel."""
+    None where there is no kernel.  With int64_only, a first use whose
+    weights need a wider width builds nothing and returns None."""
     widths = _native_kernel()
     if not widths:
         return None
@@ -684,6 +685,8 @@ def _kernel_arrays(inst: Instance) -> _NativeArrays | bool | None:
         total = (abs(inst.constant) + sum(map(abs, inst.unaries.values()))
                  + sum(map(abs, inst.binaries.values())))
         width = next((w for w in widths if total < w.bound), None)
+        if int64_only and width is not widths[0]:
+            return None
         arrays = inst._native = _NativeArrays(inst, width) if width else False
     return arrays
 
@@ -903,7 +906,7 @@ def _validate64(inst: Instance, n: int, sign: str, top: int) -> bool:
     1 <= n < 2^40 or some n + 1 - k of a label (k, i) does not pack as int64."""
     if not 1 <= n < 2 ** 40:
         return False
-    arrays = _kernel_arrays(inst)
+    arrays = _kernel_arrays(inst, int64_only=True)
     if not (arrays and arrays.width.validate):
         return False
     labels = inst.labels

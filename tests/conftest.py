@@ -78,8 +78,9 @@ def dense_instance(rng: random.Random, d: int, weights, unaries=()) -> Instance:
 def ascent_graph_cases() -> list[tuple[Instance, tuple[int, ...]]]:
     """Seeded (instance, start) pairs for the ascent-graph oracles: no
     variables, random sparse instances, dense couplings with and without
-    unaries (many zero gains), weights past 2^64, and starts that are
-    already peaks."""
+    unaries (many zero gains), weights past 2^64, starts that are already
+    peaks, and weight totals of 2^62 - 1, the largest on the kernel's int64
+    width, from starts mostly at 1 (zero gains among them)."""
     rng = random.Random(907)
     big = 3 * 2 ** 70
     cases = [(Instance(0), ())]
@@ -101,6 +102,18 @@ def ascent_graph_cases() -> list[tuple[Instance, tuple[int, ...]]]:
         cases.append((inst, random_bits(rng, inst.num_vars)))
     for inst, _ in cases[1:21]:  # starts that are already peaks
         cases.append((inst, brute_peaks(inst)[0]))
+    top = 2 ** 62 - 1  # the largest weight total on the kernel's int64 width
+    for _ in range(20):  # weights that small multiples of scale sum to top
+        d = rng.randint(2, 10)
+        unaries = [(v, rng.choice((-2, -1, 1, 2))) for v in range(d)]
+        binaries = [(i, j, rng.choice((-2, -1, 1, 2)))
+                    for i, j in itertools.combinations(range(d), 2) if rng.random() < 0.6]
+        units = sum(abs(w) for *_, w in unaries + binaries)
+        scale = top // units
+        inst = Instance(d, rng.choice((-1, 1)) * (top - scale * units),
+                        [(v, scale * w) for v, w in unaries],
+                        [(i, j, scale * w) for i, j, w in binaries])
+        cases.append((inst, tuple(int(rng.random() < 0.8) for _ in range(d))))
     return cases
 
 

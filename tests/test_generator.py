@@ -411,6 +411,16 @@ def test_validate_chain_matches_the_reference(monkeypatch, kernel_calls):
         assert not kernel or not search._validate64(inst, 1, "-", 0)
 
 
+def test_validation_builds_kernel_arrays_only_at_int64():
+    # validation runs on the kernel's int64 width alone: chain(20, 6, '+')
+    # gets its int64 arrays from it, which orient and the ascents reuse, and
+    # chain(60, 60, '+'), whose weight total passes 2^62, gets none
+    widths = search._native_kernel()
+    assert build_chain(60, 60, "+")._native is None
+    arrays = build_chain(20, 6, "+")._native
+    assert arrays.width is widths[0] if widths else arrays is None
+
+
 @pytest.mark.parametrize("incoming,hub_unary", [
     ([-1] * 24, -100),
     ([-1] * 20 + [1000], -1),
