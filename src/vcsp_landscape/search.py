@@ -73,7 +73,8 @@ Python on either path.  So has generator._validate_weights, _validate64
 Python loop runs after a fail, so every message is the loop's.  Those loops
 stay the reference for everything else.  The first call of any of these on
 an instance builds its kernel arrays, as the first ascent does; a chain's
-first is its validation.
+first is its validation, which builds nothing where the arrays would be
+wider than int64.
 
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
@@ -903,7 +904,8 @@ def _validate64(inst: Instance, n: int, sign: str, top: int) -> bool:
     labelled inst, whose label (top_k, 1) is at index top, on the kernel's
     int64 width (vcsp_validate64): True when every variable passes.  False
     when one fails, and where inst is not on that width, n is outside
-    1 <= n < 2^40 or some n + 1 - k of a label (k, i) does not pack as int64."""
+    1 <= n < 2^40 or some n + 1 - k of a label (k, i) does not pack as int64.
+    Builds inst's kernel arrays only where they are int64."""
     if not 1 <= n < 2 ** 40:
         return False
     arrays = _kernel_arrays(inst, int64_only=True)
