@@ -103,7 +103,7 @@ def ascent_graph_cases() -> list[tuple[Instance, tuple[int, ...]]]:
     for inst, _ in cases[1:21]:  # starts that are already peaks
         cases.append((inst, brute_peaks(inst)[0]))
     top = 2 ** 62 - 1  # the largest weight total on the kernel's int64 width
-    for _ in range(20):  # weights of -2 to 2 times one scale; the constant makes up top
+    for _ in range(20):  # weights of ±1 or ±2 times one scale; the constant makes up top
         d = rng.randint(2, 10)
         unaries = [(v, rng.choice((-2, -1, 1, 2))) for v in range(d)]
         binaries = [(i, j, rng.choice((-2, -1, 1, 2)))
