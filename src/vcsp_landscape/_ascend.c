@@ -5,14 +5,16 @@
      STEEPEST  a variable of maximal gain, the lowest index on ties, with the
                same tie count and "error" tie policy as search._Steepest;
      RANDOM    sorted(improving)[random.Random(seed).randrange(count)], drawn
-               bit for bit as CPython draws it (see "Random draws" below);
+               as randrange draws it, from words the caller drew from that
+               Random (see "Random draws" below);
      FIRST     the next improving variable in a cyclic scan order, resuming
                just past the last flip.
    Every rule has the same minimum gain and max_steps guard.  The instance's
    arrays are only read, so threads may share them.  The caller's other
    buffers belong to one call, and so does the scratch, which each call
-   allocates and frees.  A whole run is one call: it starts from the caller's
-   assignment, with RANDOM's generator in a caller-owned state buffer.
+   allocates and frees.  A whole run is one call from the caller's
+   assignment, but for a RANDOM run whose words run out: it stops with DRAWN,
+   and the caller runs it again with more, which repeats what it read.
 
    The loop is written once, at the end of this file, and compiled at two
    widths, with one signature, by including the file into itself:
@@ -37,10 +39,10 @@
    Compiled on first use by search._native_kernel and called through ctypes
    with no argtypes (but for vcsp_free), which converts each argument by its
    Python type: ints as C int, so every integer parameter is int32_t except
-   the 64-bit ones (max_steps, the trace functions' counts, the CSV one's d,
-   the start mask, fitness and cap of the ascent-graph search, and the weight
-   check's S), which the caller passes as ctypes int64s or uint64s, and every
-   pointer as a ctypes array, bytes, a byref() or None. */
+   the 64-bit ones (max_steps and n_words, the trace functions' counts, the
+   CSV one's d, the start mask, fitness and cap of the ascent-graph search,
+   and the weight check's S), which the caller passes as ctypes int64s or
+   uint64s, and every pointer as a ctypes array, bytes, a byref() or None. */
 #ifndef VALUE
 
 #include <stddef.h>
@@ -48,7 +50,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { PEAK = 0, LIMIT = 1, TIE = 2, NO_MEMORY = 3 };  /* why the run stopped */
+enum { PEAK = 0, LIMIT = 1, TIE = 2, NO_MEMORY = 3, DRAWN = 4 };  /* why the run stopped */
 
 enum { STEEPEST = 0, RANDOM = 1, FIRST = 2 };  /* the selection rules */
 
@@ -88,97 +90,28 @@ void vcsp_free(void *p)
     free(p);
 }
 
-/* --- Random draws: CPython's MT19937, as Modules/_randommodule.c has it ---
+/* --- Random draws, from words the caller drew from random.Random ---
 
-   The state is MT_N + 1 words: the generator's words, then the index of the
-   next one to temper.  random.Random(seed) seeds it from an int seed with
-   init_by_array on the 32-bit words of abs(seed), least significant first,
-   which starts from init_genrand(19650218).  Those first MT_N words are the
-   same for every seed, so vcsp_mt_table computes them once and vcsp_mt_seed
-   runs only the seed-dependent steps, on a copy of the table.
-   randbelow(n) is Random._randbelow_with_getrandbits: getrandbits(k) =
-   genrand_uint32() >> (32 - k) with k = n.bit_length(), redrawn while it is
-   n or more, which is what randrange(n) returns. */
-
-enum { MT_N = 624, MT_M = 397 };
-
-static uint32_t genrand_uint32(uint32_t *mt)
-{
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t y;
-    int kk;
-    if (mt[MT_N] >= MT_N) {  /* generate MT_N words at one time */
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        mt[MT_N] = 0;
-    }
-    y = mt[mt[MT_N]++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
-}
-
-/* The table: init_genrand(19650218) in mt[0 .. MT_N), and MT_N in mt[MT_N]. */
-void vcsp_mt_table(uint32_t *mt)
-{
-    uint32_t prev = 19650218U;
-    mt[0] = prev;
-    for (uint32_t i = 1; i < MT_N; i++)
-        mt[i] = prev = 1812433253U * (prev ^ (prev >> 30)) + i;
-    mt[MT_N] = MT_N;
-}
-
-/* mt holds the table on entry.  key holds 4 * words bytes: abs(seed) in
-   little-endian order, words >= 1.  Each word depends on the one before;
-   prev keeps it in a register. */
-void vcsp_mt_seed(uint32_t *mt, const unsigned char *key, int32_t words)
-{
-    uint32_t i = 1, j = 0, k, prev = mt[0];
-    for (k = MT_N > (uint32_t)words ? MT_N : (uint32_t)words; k; k--) {
-        const unsigned char *b = key + 4 * (size_t)j;
-        uint32_t word = (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16
-                        | (uint32_t)b[3] << 24;
-        mt[i] = prev = (mt[i] ^ ((prev ^ (prev >> 30)) * 1664525U)) + word + j;
-        i++;
-        j++;
-        if (i >= MT_N) {
-            mt[0] = prev;
-            i = 1;
-        }
-        if (j >= (uint32_t)words)
-            j = 0;
-    }
-    for (k = MT_N - 1; k; k--) {
-        mt[i] = prev = (mt[i] ^ ((prev ^ (prev >> 30)) * 1566083941U)) - i;
-        i++;
-        if (i >= MT_N) {
-            mt[0] = prev;
-            i = 1;
-        }
-    }
-    mt[0] = 0x80000000U;  /* MSB is 1; assuring non-zero initial array */
-}
-
-/* A uniform draw from [0, n) for 0 < n < 2^31. */
-static int32_t randbelow(uint32_t *mt, int32_t n)
+   The words of random.Random(seed).getrandbits(32 * N), 4 little-endian
+   bytes each, least significant first, are those of N calls of
+   getrandbits(32).  randbelow(n), for 0 < n < 2^31, draws from them as
+   randrange(n) does (Random._randbelow_with_getrandbits): the top k =
+   n.bit_length() bits of the next word, redrawn while they are n or more.
+   *next is the index of the next of the n_words words; it returns -1 when
+   they run out. */
+static int32_t randbelow(const unsigned char *words, int64_t n_words, int64_t *next, int32_t n)
 {
     int k = 0;
     uint32_t r;
     while (n >> k)
         k++;
-    do
-        r = genrand_uint32(mt) >> (32 - k);
-    while (r >= (uint32_t)n);
+    do {
+        if (*next == n_words)
+            return -1;
+        const unsigned char *b = words + 4 * (*next)++;
+        r = ((uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16
+             | (uint32_t)b[3] << 24) >> (32 - k);
+    } while (r >= (uint32_t)n);
     return (int32_t)r;
 }
 
@@ -461,7 +394,7 @@ done:
    source to the variable that depends on it.  The order of the arcs needs
    no weights, so landscape.orient finds it in Python for both paths. */
 
-enum { CONFLICT = 4 };  /* a status of vcsp_orient64, after the ones above */
+enum { CONFLICT = 5 };  /* a status of vcsp_orient64, after the ones above */
 
 static int sign64(int64_t g)
 {
@@ -646,7 +579,7 @@ static void store128(cell128 *p, int128 v)
 PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t *off,
                   const int32_t *nbr, const CELL *w, const CELL *unary, uint8_t *x,
                   int64_t max_steps, int32_t stop_on_tie, const int32_t *order,
-                  uint32_t *state, void **out, CELL *res,
+                  const unsigned char *words, int64_t n_words, void **out, CELL *res,
                   CELL *gain, int32_t *imp, int32_t *pos)
 {
     VALUE fit = LOAD(constant, 0);
@@ -688,6 +621,7 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
     STORE(res, R_FIT_START, fit);
 
     int64_t steps = 0, ties = 0, cap = 0;  /* cap: the records *out holds */
+    int64_t drawn = 0;  /* RANDOM's words read */
     CELL *rec = NULL;
     uint32_t scan = 0;  /* FIRST's position in order */
     VALUE min_gain = 0;
@@ -736,7 +670,12 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
             pos[last] = pos[best];
             pos[best] = -1;
         } else if (rule == RANDOM) {
-            best = fenwick_find(imp, d, top, randbelow(state, n_imp));
+            int32_t r = randbelow(words, n_words, &drawn, n_imp);
+            if (r < 0) {
+                status = DRAWN;
+                break;
+            }
+            best = fenwick_find(imp, d, top, r);
             fenwick_add(imp, d, best, -1);
             best_g = LOAD(gain, best);
         } else {
@@ -799,18 +738,19 @@ PER_RULE int LOOP(const int rule, int32_t d, const CELL *constant, const int32_t
    the start on entry and the end on return.  max_steps < 0 means no limit.
    rule picks the selection rule.  Under STEEPEST, a tie with stop_on_tie set
    stops the run before the tied step and reports the tie's size and gain.
-   Under RANDOM, state holds the generator (MT_N + 1 words, see
-   vcsp_mt_seed); under FIRST, the scan goes through order[] (a permutation
-   of 0 .. d-1, or NULL for 0, 1, .., d-1) from its first position.  When
-   out is not NULL, *out is NULL on entry, and on return it holds the run's
-   records, or NULL after no step: step t's variable, gain and the fitness
-   after it are the CELLs at 3t, 3t + 1 and 3t + 2.  The caller owns them
-   and frees them with vcsp_free.  The run stops with NO_MEMORY if the
-   scratch cannot be allocated or the records cannot grow; *out then holds
-   the records so far. */
+   Under RANDOM, the draws read the n_words words at words (see randbelow),
+   and the run stops with DRAWN before a step that needs more.  Under FIRST,
+   the scan goes through order[] (a permutation of 0 .. d-1, or NULL for 0,
+   1, .., d-1) from its first position.  When out is not NULL, *out is NULL
+   on entry, and on return it holds the run's records, or NULL after no
+   step: step t's variable, gain and the fitness after it are the CELLs at
+   3t, 3t + 1 and 3t + 2.  The caller owns them and frees them with
+   vcsp_free.  The run stops with NO_MEMORY if the scratch cannot be
+   allocated or the records cannot grow; *out then holds the records so
+   far. */
 LINE_ALIGNED int ASCEND(int32_t d, const void *const *arrays, uint8_t *x, int64_t max_steps,
                         int32_t rule, int32_t stop_on_tie, const int32_t *order,
-                        uint32_t *state, void **out, CELL *res)
+                        const unsigned char *words, int64_t n_words, void **out, CELL *res)
 {
     const CELL *constant = arrays[0], *w = arrays[3], *unary = arrays[4];
     const int32_t *off = arrays[1], *nbr = arrays[2];
@@ -824,13 +764,13 @@ LINE_ALIGNED int ASCEND(int32_t d, const void *const *arrays, uint8_t *x, int64_
         int32_t *pos = imp + n;
         if (rule == STEEPEST)
             status = LOOP(STEEPEST, d, constant, off, nbr, w, unary, x, max_steps, stop_on_tie,
-                          order, state, out, res, gain, imp, pos);
+                          order, words, n_words, out, res, gain, imp, pos);
         else if (rule == RANDOM)
             status = LOOP(RANDOM, d, constant, off, nbr, w, unary, x, max_steps, stop_on_tie,
-                          order, state, out, res, gain, imp, pos);
+                          order, words, n_words, out, res, gain, imp, pos);
         else
             status = LOOP(FIRST, d, constant, off, nbr, w, unary, x, max_steps, stop_on_tie,
-                          order, state, out, res, gain, imp, pos);
+                          order, words, n_words, out, res, gain, imp, pos);
     }
     free(gain);
     free(imp);

@@ -20,13 +20,13 @@ platform's C compiler on first use and loaded through ctypes, at two widths:
 int64 for instances with |constant| + sum of |weights| below 2^62, and
 128-bit (where the compiler has __int128) below 2^126.  Within its bound a
 width's arithmetic is exact, and every rule gives the same Trace as _ascend
-with that rule.  The kernel runs CPython's Mersenne Twister itself, seeded as
-random.Random seeds from an int, and finds the r-th smallest improving
-variable with a Fenwick tree, so a random step costs O(degree * log d) and
-draws what randrange draws on CPython 3.10 to 3.13.  _ascend is the
-reference, and it runs everything else: instances at or above 2^126, above
-2^62 when there is no 128-bit width, random ascents whose seed is not an int
-(random.Random hashes those), and all runs when no kernel can be built.
+with that rule.  A random ascent's kernel draws from words that
+random.Random(seed) drew, as randrange draws from them (see _Random), for
+every seed that random.Random takes, and finds the r-th smallest improving
+variable with a Fenwick tree, so a random step costs O(degree * log d).
+_ascend is the reference, and it runs everything else: instances at or
+above 2^126, above 2^62 when there is no 128-bit width, and all runs when no
+kernel can be built.
 
 Most ascents that check the paper's claims are short, so a kernel call is
 kept to little more than the kernel's own work.  Every ascent is one call.
@@ -35,10 +35,9 @@ as one block of their addresses, built with the arrays.  The start is
 checked and converted once, by check_assignment, whose bytes fill the
 kernel's buffer and give Trace.start.  Trace's own __init__ stores its
 fields straight into its __dict__, in place of the frozen dataclass's
-eleven object.__setattr__ calls.  A random ascent's generator starts from a
-copy of init_genrand(19650218), the same for every seed and computed once
-when the kernel is loaded, and runs only the seed-dependent steps of
-init_by_array.  First-improvement in index order passes no order array
+eleven object.__setattr__ calls.  A random ascent hands the kernel _WORDS
+words, enough for most short ascents, and runs again with twice as many
+where they run out.  First-improvement in index order passes no order array
 (NULL).  On a 2-core Xeon a 43-step steepest ascent on chain(4, 4, '+')
 costs about 4.9 us a call.
 
@@ -333,7 +332,9 @@ def _ascend(rule, inst: Instance, start: Sequence[int], record_steps: bool,
 # --- the selection rules ------------------------------------------------------
 
 _STEEPEST, _RANDOM, _FIRST = 0, 1, 2  # the kernel's rules, as in _ascend.c
-_MTState = ctypes.c_uint32 * 625  # the random rule's kernel state: 624 words and an index
+# a random ascent's first words for the kernel: at seeds 1, 2, 3, 7 and 11, those
+# of perfbench's param-sweep use at most 201 (36 at the median), cli-session's 286
+_WORDS = 256
 
 
 class _Steepest:
@@ -369,46 +370,36 @@ class _Steepest:
             self.ties += 1
         return best
 
-    def kernel_args(self, width):
-        """The kernel's rule, stop_on_tie, order and state arguments for a
-        run on width, or None where the kernel cannot run the rule."""
-        return _STEEPEST, int(self.raise_on_tie), None, None
+    def kernel_args(self):
+        """The kernel's rule, stop_on_tie, order and words arguments; only
+        the random rule has words."""
+        return _STEEPEST, int(self.raise_on_tie), None, b""
 
 
 class _Random:
     """Random ascent's selection rule: the improving variable at a uniformly
     random rank in index order, sorted(imp)[randrange(len(imp))], drawn from
-    random.Random(seed)."""
+    random.Random(seed).  The kernel draws as randrange does from the words
+    that draw takes from the same generator."""
 
     method = "random"
     ties = 0
 
     def __init__(self, seed):
         self.seed = seed
-        if not isinstance(seed, int):
-            # only the Python loop draws for such seeds; making the generator
-            # now raises at once for a seed that random.Random rejects
-            self.randrange = random.Random(seed).randrange
-
-    @functools.cached_property
-    def randrange(self):
-        return random.Random(self.seed).randrange
+        self.rng = random.Random(seed)  # raises here for a seed that Random rejects
 
     def __call__(self, imp: dict[int, int]) -> int:
-        return sorted(imp)[self.randrange(len(imp))]
+        return sorted(imp)[self.rng.randrange(len(imp))]
 
-    def kernel_args(self, width):
-        """As _Steepest.kernel_args, with a generator seeded as random.Random
-        seeds from an int: from the 32-bit words of the seed's absolute value
-        (int's own abs, also for int subclasses such as bool).  None for other
-        seeds, which random.Random hashes."""
-        if not isinstance(self.seed, int):
-            return None
-        key = int.__abs__(self.seed)
-        words = max(1, (key.bit_length() + 31) // 32)
-        state = _MTState.from_buffer_copy(width.mt_table)
-        width.mt_seed(state, key.to_bytes(4 * words, "little"), words)
-        return _RANDOM, 0, None, state
+    def kernel_args(self):
+        """As _Steepest.kernel_args, with the generator's first _WORDS words."""
+        return _RANDOM, 0, None, self.draw(_WORDS)
+
+    def draw(self, n: int) -> bytes:
+        """The generator's next n 32-bit words: 4 little-endian bytes each,
+        in the order that n calls of getrandbits(32) return them."""
+        return self.rng.getrandbits(32 * n).to_bytes(4 * n, "little")
 
 
 class _First:
@@ -437,11 +428,11 @@ class _First:
                 self.pos = pos
                 return v
 
-    def kernel_args(self, width):
+    def kernel_args(self):
         """As _Steepest.kernel_args; a None order is NULL, which the kernel
         scans in index order."""
         order = None if self.order is None else _c_array(ctypes.c_int32, self.order)
-        return _FIRST, 0, order, None
+        return _FIRST, 0, order, b""
 
 
 def _tie_error(step: int, moves: int, gain: int) -> TieEncounteredError:
@@ -451,8 +442,8 @@ def _tie_error(step: int, moves: int, gain: int) -> TieEncounteredError:
 # --- the native kernel ----------------------------------------------------------
 
 _CHUNK = 2 ** 14  # trace CSV rows per kernel call
-_PEAK, _LIMIT, _TIE, _NO_MEMORY = 0, 1, 2, 3  # the kernel's stop reasons, as in _ascend.c
-_CONFLICT = 4  # vcsp_orient64's status for a two-way dependence, as in _ascend.c
+_PEAK, _LIMIT, _TIE, _NO_MEMORY, _DRAWN = range(5)  # the kernel's stop reasons, as in _ascend.c
+_CONFLICT = 5  # vcsp_orient64's status for a two-way dependence, as in _ascend.c
 _SRC = Path(__file__).with_name("_ascend.c")
 
 
@@ -477,13 +468,11 @@ def _copy_out(address: int | None, code: str, count: int) -> array:
 class _Int64:
     """The kernel at int64 (vcsp_ascend): exact while |constant| + sum of
     |weights| < 2^62.  Its integers, the constant included, are ctypes int64
-    arrays.  mt_seed is vcsp_mt_seed, which seeds the random rule's state
-    from a copy of mt_table, the bytes of vcsp_mt_table's state, and free is
-    vcsp_free.  steps makes a recorded run's records a Steps; the 128-bit
-    width reads them into a tuple of tuples instead.  replay, csv_rows,
-    ascent_graph, orient and validate are vcsp_replay64, vcsp_csv_rows64,
-    vcsp_ascent_graph64, vcsp_orient64 and vcsp_validate64 at this width,
-    None at the others."""
+    arrays.  fn is the width's vcsp_ascend and free is vcsp_free.  steps
+    makes a recorded run's records a Steps; the 128-bit width reads them into
+    a tuple of tuples instead.  replay, csv_rows, ascent_graph, orient and
+    validate are vcsp_replay64, vcsp_csv_rows64, vcsp_ascent_graph64,
+    vcsp_orient64 and vcsp_validate64 at this width, None at the others."""
 
     symbol = "vcsp_ascend"
     bound = 2 ** 62
@@ -491,11 +480,9 @@ class _Int64:
     Result = ctypes.c_int64 * 7  # the kernel's res[], as in _ascend.c
     replay = csv_rows = ascent_graph = orient = validate = None
 
-    def __init__(self, fn, lib, mt_table: bytes):
+    def __init__(self, fn, lib):
         self.fn = fn
-        self.mt_seed = lib.vcsp_mt_seed
         self.free = lib.vcsp_free
-        self.mt_table = mt_table
 
     @staticmethod
     def array(values: Sequence[int]):
@@ -553,10 +540,11 @@ def _native_kernel():
     The kernel's functions have no argtypes: ctypes then converts each
     argument by its type, about 1 us a call faster than through argtypes.
     So every caller passes ints only for the C functions' int32_t
-    parameters, a ctypes int64 for max_steps, and ctypes arrays, a byref(),
-    a c_void_p (never a bare int address, which ctypes passes as a C int)
-    or None for the pointers (see _ascend.c).  vcsp_free alone has them, so
-    that it takes the int addresses a ctypes c_void_p array reads as.
+    parameters, ctypes int64s for max_steps and n_words, and ctypes arrays,
+    bytes, a byref(), a c_void_p (never a bare int address, which ctypes
+    passes as a C int) or None for the pointers (see _ascend.c).  vcsp_free
+    alone has them, so that it takes the int addresses a ctypes c_void_p
+    array reads as.
     """
     import sysconfig
 
@@ -571,16 +559,14 @@ def _native_kernel():
         lib = ctypes.CDLL(str(lib))
     except OSError:
         return None
-    lib.vcsp_mt_table.restype = lib.vcsp_mt_seed.restype = lib.vcsp_free.restype = None
+    lib.vcsp_free.restype = None
     lib.vcsp_free.argtypes = [ctypes.c_void_p]
     lib.vcsp_replay64.restype = lib.vcsp_csv_rows64.restype = ctypes.c_int64
-    table = _MTState()
-    lib.vcsp_mt_table(table)
     widths = []
     for width in (_Int64, _Int128):
         fn = getattr(lib, width.symbol, None)
         if fn is not None:
-            widths.append(width(fn, lib, bytes(table)))
+            widths.append(width(fn, lib))
     widths[0].replay = lib.vcsp_replay64  # the int64 width, which every build has
     widths[0].csv_rows = lib.vcsp_csv_rows64
     widths[0].ascent_graph = lib.vcsp_ascent_graph64
@@ -643,32 +629,40 @@ class _NativeArrays:
                                            at + size * (1 + len(w)))
 
 
-def _ascend_native(a: _NativeArrays, rule, args, inst: Instance, start: Sequence[int],
+def _ascend_native(a: _NativeArrays, rule, inst: Instance, start: Sequence[int],
                    record_steps: bool, limit: int) -> Trace:
-    """_ascend with rule, on the kernel; args are rule.kernel_args(a.width).
-    The whole run is one call.  A recorded run's records come back in memory
-    the kernel grew, which is copied once into the steps and then freed."""
-    code, stop_on_tie, order, state = args
+    """_ascend with rule, on the kernel.  The whole run is one call, but for a
+    random ascent whose words run out (_DRAWN): it runs again from the start
+    with twice as many, the rest drawn from the same generator, and repeats
+    what it read.  A recorded run's records come back in memory the kernel
+    grew, which is copied once into the steps and then freed."""
+    code, stop_on_tie, order, words = rule.kernel_args()
     bits = inst.check_assignment(start)
     d = inst.num_vars
-    x = ctypes.create_string_buffer(bits, d)
     if limit >= 2 ** 63:
         limit = -1  # no limit in practice: at 30M steps/s, 2^63 steps take about 10^4 years
     width = a.width
     res = width.Result()
-    out = ctypes.c_void_p() if record_steps else None
-    try:
-        status = width.fn(d, a.block, x, ctypes.c_int64(limit), code, stop_on_tie, order, state,
-                          out if out is None else ctypes.byref(out), res)
-        if status == _NO_MEMORY:
-            raise MemoryError("the ascent kernel could not allocate its scratch or step records")
-        k, fit0, fit, least, ties, tie_moves, tie_gain = width.read(res, 7)
-        if status == _TIE:
-            raise _tie_error(k + 1, tie_moves, tie_gain)
-        steps = None if out is None else width.steps(out, k)
-    finally:
-        if out:
-            width.free(out)
+    while True:
+        x = ctypes.create_string_buffer(bits, d)
+        out = ctypes.c_void_p() if record_steps else None
+        try:
+            status = width.fn(d, a.block, x, ctypes.c_int64(limit), code, stop_on_tie, order,
+                              words, ctypes.c_int64(len(words) // 4),
+                              out if out is None else ctypes.byref(out), res)
+            if status == _NO_MEMORY:
+                raise MemoryError(
+                    "the ascent kernel could not allocate its scratch or step records")
+            if status != _DRAWN:
+                k, fit0, fit, least, ties, tie_moves, tie_gain = width.read(res, 7)
+                if status == _TIE:
+                    raise _tie_error(k + 1, tie_moves, tie_gain)
+                steps = None if out is None else width.steps(out, k)
+                break
+        finally:
+            if out:
+                width.free(out)
+        words += rule.draw(len(words) // 4)
     return Trace(rule.method, tuple(bits), tuple(x.raw), k, fit0, fit, least if k else None,
                  ties, steps, rule.seed, status == _PEAK)
 
@@ -694,12 +688,11 @@ def _kernel_arrays(inst: Instance, int64_only: bool = False) -> _NativeArrays | 
 
 def _run(rule, inst: Instance, start: Sequence[int], record_steps: bool, limit: int) -> Trace:
     """rule's ascent on the narrowest kernel width that is exact on inst, or
-    on _ascend where there is none or rule has no kernel arguments."""
+    on _ascend where there is none."""
     arrays = _kernel_arrays(inst)
-    args = rule.kernel_args(arrays.width) if arrays else None
-    if args is None:
+    if not arrays:
         return _ascend(rule, inst, start, record_steps, limit)
-    return _ascend_native(arrays, rule, args, inst, start, record_steps, limit)
+    return _ascend_native(arrays, rule, inst, start, record_steps, limit)
 
 
 def steepest_ascent(
@@ -730,9 +723,11 @@ def random_ascent(
 ) -> Trace:
     """Flip a uniformly random improving variable each step.
 
-    Deterministic given the seed (Mersenne Twister over the sorted improving
-    set), so experiment runs are reproducible in CI.  An int seed runs on the
-    native kernel where there is one, with the same draws.
+    Deterministic given the seed (random.Random(seed).randrange over the
+    sorted improving set), so experiment runs are reproducible in CI.  The
+    seed is any that random.Random takes; a seed it rejects raises before any
+    draw.  The run is on the native kernel where there is one, with the same
+    draws.
     """
     limit = _step_limit(max_steps)
     return _run(_Random(seed), inst, start, record_steps, limit)
@@ -943,8 +938,9 @@ def run_trials(
     """Run independent ascents and aggregate their step counts.
 
     Per-trial seeds are seed * 2^32 + t for trial t, so a batch is fully
-    determined by the master seed.  Deterministic methods take no seed: they
-    run once, and every trial repeats that run's step count.
+    determined by the master seed, which must be an integer (numpy ints
+    too).  Deterministic methods take no seed: they run once, and every
+    trial repeats that run's step count.
     """
     try:
         trials = operator.index(trials)
@@ -955,6 +951,10 @@ def run_trials(
     if method not in METHODS:
         raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
     if method == "random":
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise InvalidArgumentError(f"seed must be an integer, got {seed!r}") from None
         counts = [random_ascent(inst, start, seed=seed * 2 ** 32 + t, record_steps=False,
                                 **kwargs).num_steps for t in range(trials)]
     else:

@@ -788,6 +788,14 @@ def test_run_trials_rejects_empty(gadget_plus):
         run_trials(gadget_plus, (0,) * 6, method="steepest", trials=2.5)
 
 
+@pytest.mark.parametrize("seed", ["", b"", (), None, 2.5])
+def test_run_trials_rejects_a_seed_that_is_not_an_int(gadget_plus, seed):
+    # checked before the per-trial seeds seed * 2^32 + t are made, which
+    # would repeat a sequence 2^32 times or raise a bare TypeError
+    with pytest.raises(InvalidArgumentError, match=r"^seed must be an integer, got "):
+        run_trials(gadget_plus, (0,) * 6, trials=2, seed=seed)
+
+
 def test_trace_csv(tmp_path, gadget_plus):
     tr = steepest_ascent(gadget_plus, (0,) * 6)
     path = tmp_path / "trace.csv"
@@ -1582,11 +1590,26 @@ def test_recorded_steps_search_as_the_tuple(on_both, rule, limit):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_native_random_draws_match_cpython(on_both, seed):
-    # the kernel's generator starts where random.Random(seed) does, and every
-    # step of a 1,000-step run draws (1,300 words: the state is regenerated twice)
-    rule = search._Random(seed)
-    state = rule.kernel_args(search._native_kernel()[0])[3]
-    assert tuple(state) == random.Random(seed).getstate()[1]
+    # what the kernel's draws rest on, pinned so that a change in CPython
+    # fails here first: the words of getrandbits(32 * N), least significant
+    # first, are those of N calls of getrandbits(32), and the top
+    # n.bit_length() bits of a word, drawn again while they are n or more,
+    # are randrange(n)
+    n = 1000
+    raw = search._Random(seed).draw(n)
+    words = struct.unpack(f"<{n}I", raw)
+    ref = random.Random(seed)
+    assert list(words) == [ref.getrandbits(32) for _ in range(n)]
+    ref = random.Random(seed)
+    left = iter(words)
+    for below in range(1, 200):
+        k = below.bit_length()
+        r = next(left) >> (32 - k)
+        while r >= below:
+            r = next(left) >> (32 - k)
+        assert r == ref.randrange(below)
+    # every step of a 1,000-step run draws: about 1,300 words, so the kernel
+    # runs out of its first words and starts again three times
     d = 1000
     inst = Instance(d, 0, [(i, 1) for i in range(d)], [])
     got, want = on_both(random_ascent, inst, (0,) * d, seed=seed)
@@ -1594,20 +1617,48 @@ def test_native_random_draws_match_cpython(on_both, seed):
 
 
 @pytest.mark.parametrize("seed", ["vcsp", b"vcsp", 2.5, None])
-def test_random_ascent_with_a_non_int_seed_runs_on_the_python_loop(monkeypatch, seed):
-    # random.Random hashes these seeds, which the kernel does not mirror
-    loops = []
-    ascend = search._ascend
-    monkeypatch.setattr(search, "_ascend", lambda *a: loops.append(1) or ascend(*a))
+def test_random_ascent_with_a_non_int_seed_runs_on_the_kernel(on_both, seed):
+    # random.Random hashes these seeds; the kernel reads the words it draws
     inst = build_chain(3, 3, "+")
     start = expected_peak(3, 3, "-")
-    tr = random_ascent(inst, start, seed=seed)
-    assert loops and tr.end == expected_peak(3, 3, "+") and tr.seed == seed
+    if seed is None:  # None seeds from the operating system: no two runs agree
+        tr = random_ascent(inst, start, seed=seed)
+        assert type(tr.steps) is search.Steps  # a run on the kernel's int64 width
+    else:
+        tr, want = on_both(random_ascent, inst, start, seed=seed)
+        assert tr == want
+    assert tr.end == expected_peak(3, 3, "+") and tr.seed == seed
     replay(inst, tr)
-    if seed is not None:  # None seeds from the operating system
-        assert random_ascent(inst, start, seed=seed) == tr
     with pytest.raises(TypeError):  # a seed random.Random rejects raises before any draw
         random_ascent(inst, expected_peak(3, 3, "+"), seed=[1])
+
+
+@pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "int128"])
+def test_random_runs_outgrow_their_words(on_both, scale):
+    check_random_runs_outgrow_their_words(on_both, scale)
+
+
+def check_random_runs_outgrow_their_words(on_both, scale):
+    """Random ascents whose kernel gets one word at first, so that a run
+    stops for more words and starts again as often as its draws double
+    them: recorded and not, with and without a step limit, each gives the
+    Python loop's Trace."""
+    widths_for(scale)
+    drawn = []
+    draw = search._Random.draw
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_WORDS", 1)
+        mp.setattr(search._Random, "draw", lambda rule, n: drawn.append(n) or draw(rule, n))
+        for n in (2, 5):
+            inst = scaled(build_chain(n, n, "+"), scale)
+            for start in (expected_peak(n, n, "-"), (0,) * (6 * n)):
+                for seed in SEEDS[::3]:
+                    for limit in (None, 0, 1, 9):
+                        for record in (False, True):
+                            got, want = on_both(random_ascent, inst, start, seed=seed,
+                                                record_steps=record, max_steps=limit)
+                            assert got == want
+    assert max(drawn) >= 32  # some run started again six times
 
 
 def test_scan_order_takes_numpy_ints_and_rejects_floats():
@@ -1709,6 +1760,7 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
         check_rules_on_random_instances(on_both, scale, 60)
         check_ties(reference, scale)
         check_recorded_runs_outgrow_the_first_buffer(on_both, scale)
+        check_random_runs_outgrow_their_words(on_both, scale)
     check_replay_outcomes(monkeypatch, 1, 120)
     check_csv_files(monkeypatch, tmp_path)
     assert check_ascent_graphs(monkeypatch, calls) > 100
