@@ -32,9 +32,9 @@
    search.Steps, which the replay and CSV functions below read.
    The kernel grows the records with realloc and hands them to the caller,
    who frees them with vcsp_free, as it does the ascent-graph search's
-   arrays.  That search, the sign-dependence arcs of landscape.orient and
-   the chain-weight check, at the end of the int64 part, read the same
-   arrays as vcsp_ascend.
+   arrays.  That search, the sign-dependence arcs of landscape.orient, the
+   chain-weight check and the semismoothness count, at the end of the int64
+   part, read the same arrays as vcsp_ascend.
 
    Compiled on first use by search._native_kernel and called through ctypes
    with no argtypes (but for vcsp_free), which converts each argument by its
@@ -536,6 +536,75 @@ int vcsp_validate64(int32_t d, const void *const *arrays, int64_t S, int32_t top
         }
     }
     return 0;
+}
+
+/* --- Semismoothness at int64 ---
+
+   The twin of landscape._superset_sum, which stays the reference, step for
+   step, but it only decides: check_semismooth runs the reference after a
+   fail, so every violation is the reference's.  Returns 0 when every face
+   of the cube of the instance's int64 arrays (as vcsp_ascend reads them) on
+   d variables has exactly one peak, 1 when some face has not, NO_MEMORY
+   when the tables cannot be allocated.  The caller keeps 0 <= d <= 24, so
+   every mask and count fits a uint32_t.  fit[] (8 bytes a mask) is freed
+   before cnt[] (4) is allocated, beside up[] (4). */
+
+/* The number of ones in x, in plain C99. */
+static int ones32(uint32_t x)
+{
+    x -= x >> 1 & 0x55555555u;
+    x = (x & 0x33333333u) + (x >> 2 & 0x33333333u);
+    x = (x + (x >> 4)) & 0x0f0f0f0fu;
+    return (int)((x * 0x01010101u) >> 24);
+}
+
+int vcsp_semismooth64(int32_t d, const void *const *arrays)
+{
+    const int64_t *constant = arrays[0], *w = arrays[3], *unary = arrays[4];
+    const int32_t *off = arrays[1], *nbr = arrays[2];
+    uint32_t n = (uint32_t)1 << d, *cnt = NULL;
+    int64_t *fit = malloc((size_t)n * sizeof *fit);
+    uint32_t *up = malloc((size_t)n * sizeof *up);
+    int status = NO_MEMORY;
+    if (!(fit && up))
+        goto done;
+    fit[0] = constant[0];
+    for (int32_t v = 0; v < d; v++) {  /* a row lists its neighbours below v first */
+        uint32_t h = (uint32_t)1 << v;
+        for (uint32_t x = 0; x < h; x++) {
+            int64_t f = fit[x] + unary[v];
+            for (int32_t e = off[v]; e < off[v + 1] && nbr[e] < v; e++)
+                f += w[e] & -(int64_t)(x >> nbr[e] & 1);
+            fit[h + x] = f;
+        }
+    }
+    for (uint32_t x = 0; x < n; x++) {
+        uint32_t u = 0;
+        for (int32_t v = 0; v < d; v++)
+            u |= (uint32_t)(fit[x] >= fit[x ^ (uint32_t)1 << v]) << v;
+        up[x] = u;
+    }
+    free(fit);
+    fit = NULL;
+    cnt = calloc(n, sizeof *cnt);
+    if (!cnt)
+        goto done;
+    for (uint32_t x = 0; x < n; x++)
+        cnt[up[x]]++;
+    for (int32_t v = 0; v < d; v++) {  /* cnt[s] += cnt[s | bit v], s without v */
+        uint32_t h = (uint32_t)1 << v;
+        for (uint32_t base = 0; base < n; base += 2 * h)
+            for (uint32_t s = base; s < base + h; s++)
+                cnt[s] += cnt[s + h];
+    }
+    status = 0;
+    for (uint32_t s = 1; s < n && !status; s++)
+        status = cnt[s] != n >> ones32(s);
+done:
+    free(fit);
+    free(up);
+    free(cnt);
+    return status;
 }
 
 #if defined(__SIZEOF_INT128__) && defined(__BYTE_ORDER__) \

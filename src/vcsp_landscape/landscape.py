@@ -7,23 +7,23 @@ self-validation asserts it), but arbitrary instances may.
 
 The brute-force oracles (peak enumeration, semismoothness, ascent graphs) are
 exponential by nature and guarded by size caps; they exist to certify the
-polynomial-time paths on small instances.  The ascent-graph search and
-orient's sign-dependence analysis also run on the native kernel, where the
-instance's weights fit its int64 width (see ascent_graph and orient); the
-first call on an instance then builds its kernel arrays.
+polynomial-time paths on small instances.  The ascent-graph search,
+orient's sign-dependence analysis and the semismoothness count also run on
+the native kernel, where the instance's weights fit its int64 width (see
+ascent_graph, orient and check_semismooth); the first call on an instance
+then builds its kernel arrays.
 """
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress, islice, product
-from operator import eq, itemgetter, or_
+from operator import eq, itemgetter
 from typing import Sequence
 
-from .core import Bits, Instance, _gradient_table, _neighborhood
-from .search import _ascent_graph64, _orient64
+from .core import Bits, Instance, _neighborhood
+from .search import _ascent_graph64, _orient64, _semismooth64
 from .errors import (
     CyclicOrientationError,
     InvalidArgumentError,
@@ -35,10 +35,10 @@ from .errors import (
 
 PEAKS_CAP = 24
 SEMISMOOTH_CAP = 12
-# check_semismooth's bitset path runs up to this many variables: past it the
-# superset sum soon wins (0.28 s against 0.78 s on a sparse instance of 17),
-# and a dense instance of 16 would hold 2^15 neighbor-pattern sets of 8 KB
-_BITSET_VARS = 12
+# check_semismooth refuses more variables than this at any cap: its tables
+# hold 2^d entries (about 200 MB on the kernel at 24, and many times that in
+# Python), and the kernel counts them in uint32
+_SEMISMOOTH_VARS = 24
 ASCENT_GRAPH_CAP = 1 << 18
 
 
@@ -312,18 +312,29 @@ def check_semismooth(inst: Instance, cap: int = SEMISMOOTH_CAP) -> SemismoothRes
     order, come first among those with two or more peaks; its peaks are
     sorted.
 
-    Two paths find the first failing F and give the same result.
+    Raises TooLargeError above cap variables, and above 24 at any cap,
+    before any table of 2^d entries is built.
+
     _superset_sum, the reference, counts cnt for every F at once, in d
-    passes over 2^d entries.  For d at most _BITSET_VARS (12, the default
-    cap; read at call time), _bitset_counts runs instead: it holds, for each
-    variable v, the set of x with v in up[x] as one 2^d-bit int, and cnt[F]
-    is the popcount of the AND of the sets of F's variables.  Above 12,
-    which only a caller that raises cap reaches, the reference runs.
+    passes over 2^d entries, and finds the violation.  Where the instance
+    is on the native kernel's int64 width, the same count runs in C first
+    (search._semismooth64) and only decides: when every F passes, the
+    result is SemismoothResult(True) with no table in Python.  The
+    reference runs after a fail, for weights at or past 2^62 and where
+    there is no kernel, so every violation comes from it.  On an instance
+    of int64 weights, the first call builds the kernel if it is not built
+    yet, and the instance's kernel arrays (Instance._native), as the first
+    ascent does.
     """
     d = inst.num_vars
     if d > cap:
         raise TooLargeError(f"{d} variables exceeds the semismoothness cap {cap}")
-    bad = _bitset_counts(inst) if d <= _BITSET_VARS else _superset_sum(inst)
+    if d > _SEMISMOOTH_VARS:
+        raise TooLargeError(f"{d} variables exceeds {_SEMISMOOTH_VARS}, the most that "
+                            "check_semismooth takes at any cap")
+    if _semismooth64(inst):
+        return SemismoothResult(True)
+    bad = _superset_sum(inst)
     if bad is None:
         return SemismoothResult(True)
     free, peaks = bad
@@ -367,51 +378,6 @@ def _superset_sum(inst: Instance) -> tuple[int, list[int]] | None:
     if free is None:
         return None
     return free, [x for x, u in enumerate(up) if u & free == free]
-
-
-def _bitset_counts(inst: Instance) -> tuple[int, list[int]] | None:
-    """_superset_sum's result, counted on sets of assignments held as
-    2^d-bit ints (bit x for assignment x).
-
-    ones[j], the set of x with x_j = 1, is runs of 2^j zeros and 2^j ones.
-    up_set[v], the set of x with v in up[x], holds the x where x_v = 1 and
-    v's gradient is positive, where x_v = 0 and it is negative, and where
-    it is 0.  Entry p of core._gradient_table(inst, v) is the gradient on
-    patterns[p], the x whose neighbors of v read p.  The AND over F = s | t
-    (s a set of the low (d+1)//2 variables, t of the others) is
-    low[s] & high[t], so the two tables hold O(2^(d/2)) sets.
-    """
-    d = inst.num_vars
-    n = 1 << d
-    full = (1 << n) - 1
-    ones = [full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) << (1 << j)
-            for j in range(d)]
-    up_set = []
-    for v, nbrs in enumerate(inst.neighbors):
-        patterns = [full]  # in _gradient_table's order: bit b is nbrs[b]'s value
-        for j, _ in nbrs:
-            patterns = [p & half for half in (full ^ ones[j], ones[j]) for p in patterns]
-        table = _gradient_table(inst, v)
-        up = full ^ ones[v] ^ reduce(or_, compress(patterns, [g > 0 for g in table]), 0)
-        if 0 in table:
-            up |= reduce(or_, compress(patterns, [g == 0 for g in table]))
-        up_set.append(up)
-    h = (d + 1) // 2
-    low = [full]
-    for u in up_set[:h]:
-        low += [a & u for a in low]
-    high = [full]
-    for u in up_set[h:]:
-        high += [b & u for b in high]
-    want = [n >> s.bit_count() for s in range(len(low))]
-    for t, b in enumerate(high):
-        k = t.bit_count()  # cnt[s | t << h] << k must be n >> |s|
-        cnt = [(a & b).bit_count() << k for a in low]
-        if cnt != want:
-            s = next(s for s, (c, w) in enumerate(zip(cnt, want)) if c != w)
-            peaks = low[s] & b
-            return t << h | s, [x for x in range(n) if peaks >> x & 1]
-    return None
 
 
 @dataclass(frozen=True)

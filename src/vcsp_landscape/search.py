@@ -67,13 +67,15 @@ after any failure on the kernel, so every message comes from one place.
 landscape.orient has a kernel path too, _orient64 (vcsp_orient64), on the
 int64 width where no degree is above core.TABLE_DEGREE_CAP: the sign
 sources, the conflict and the arcs in one call; orient orders the arcs in
-Python on either path.  So has generator._validate_weights, _validate64
-(vcsp_validate64) on the int64 width: it only decides pass or fail, and the
-Python loop runs after a fail, so every message is the loop's.  Those loops
-stay the reference for everything else.  The first call of any of these on
-an instance builds its kernel arrays, as the first ascent does; a chain's
-first is its validation, which builds nothing where the arrays would be
-wider than int64.
+Python on either path.  So have generator._validate_weights, _validate64
+(vcsp_validate64), and landscape.check_semismooth, _semismooth64
+(vcsp_semismooth64), on the int64 width: each only decides pass or fail,
+and its Python loop runs after a fail, so every message and every face
+violation is the loop's.  Those loops stay the reference for everything
+else.  The first call of any of these on an instance builds its kernel
+arrays, as the first ascent does; a chain's first is its validation.
+Validation and the semismoothness count build nothing where the arrays
+would be wider than int64.
 
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
@@ -470,15 +472,16 @@ class _Int64:
     |weights| < 2^62.  Its integers, the constant included, are ctypes int64
     arrays.  fn is the width's vcsp_ascend and free is vcsp_free.  steps
     makes a recorded run's records a Steps; the 128-bit width reads them into
-    a tuple of tuples instead.  replay, csv_rows, ascent_graph, orient and
-    validate are vcsp_replay64, vcsp_csv_rows64, vcsp_ascent_graph64,
-    vcsp_orient64 and vcsp_validate64 at this width, None at the others."""
+    a tuple of tuples instead.  replay, csv_rows, ascent_graph, orient,
+    validate and semismooth are vcsp_replay64, vcsp_csv_rows64,
+    vcsp_ascent_graph64, vcsp_orient64, vcsp_validate64 and
+    vcsp_semismooth64 at this width, None at the others."""
 
     symbol = "vcsp_ascend"
     bound = 2 ** 62
     size = 8  # bytes an integer
     Result = ctypes.c_int64 * 7  # the kernel's res[], as in _ascend.c
-    replay = csv_rows = ascent_graph = orient = validate = None
+    replay = csv_rows = ascent_graph = orient = validate = semismooth = None
 
     def __init__(self, fn, lib):
         self.fn = fn
@@ -572,6 +575,7 @@ def _native_kernel():
     widths[0].ascent_graph = lib.vcsp_ascent_graph64
     widths[0].orient = lib.vcsp_orient64
     widths[0].validate = lib.vcsp_validate64
+    widths[0].semismooth = lib.vcsp_semismooth64
     return tuple(widths)
 
 
@@ -913,6 +917,22 @@ def _validate64(inst: Instance, n: int, sign: str, top: int) -> bool:
         return False
     return not arrays.width.validate(inst.num_vars, arrays.block, ctypes.c_int64(2 * n + 1),
                                      top if sign == "+" else -1, s)
+
+
+def _semismooth64(inst: Instance) -> bool | None:
+    """landscape.check_semismooth's count on the kernel's int64 width
+    (vcsp_semismooth64), for at most 24 variables, which check_semismooth
+    checks first: True when every face has one peak, False when some face
+    has not, None where inst is not on that width.  Builds inst's kernel
+    arrays only where they are int64.  Raises MemoryError where the kernel
+    cannot allocate its tables."""
+    arrays = _kernel_arrays(inst, int64_only=True)
+    if not (arrays and arrays.width.semismooth):
+        return None
+    status = arrays.width.semismooth(inst.num_vars, arrays.block)
+    if status == _NO_MEMORY:
+        raise MemoryError("the semismoothness kernel could not allocate its tables")
+    return not status
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,16 @@ import sys
 
 import pytest
 
-from vcsp_landscape import Instance, build_chain, build_gadget, generator, search
+from vcsp_landscape import (
+    Instance,
+    build_chain,
+    build_gadget,
+    check_semismooth,
+    core,
+    generator,
+    landscape,
+    search,
+)
 from vcsp_landscape.core import _gradient_table
 from vcsp_landscape.errors import SelfValidationError
 
@@ -150,12 +159,12 @@ def relabel(inst: Instance, perm) -> Instance:
                     {perm[v]: label for v, label in inst.labels.items()})
 
 
-KERNEL_FUNCTIONS = ("replay", "csv_rows", "ascent_graph", "orient", "validate")
+KERNEL_FUNCTIONS = ("replay", "csv_rows", "ascent_graph", "orient", "validate", "semismooth")
 
 
 def count_calls(monkeypatch, width):
     """Counts the calls of the int64 width's replay, CSV, ascent-graph,
-    orientation and chain-validation functions."""
+    orientation, chain-validation and semismoothness functions."""
     calls = dict.fromkeys(KERNEL_FUNCTIONS, 0)
     for name in calls:
         def counted(*args, fn=getattr(width, name), name=name):
@@ -308,6 +317,92 @@ def check_validations(monkeypatch, calls, count):
                 want[0] == "pass"), case
         seen.add((want[0], " ".join(want[1].split()[:2]), args[1] < args[3]))
     return seen, on_kernel
+
+
+def weighted_instance(rng: random.Random, d: int, density: float, unaries, weights) -> Instance:
+    """A unary on every variable; each pair coupled with probability density."""
+    return Instance(d, 0, [(v, rng.choice(unaries)) for v in range(d)],
+                    [(i, j, rng.choice(weights)) for i, j in itertools.combinations(range(d), 2)
+                     if rng.random() < density])
+
+
+def planted_pair(rng: random.Random, d: int) -> Instance:
+    """The two-peak pair on variables i < j, (i, j) != (0, 1), inside an
+    instance whose other variables have strong unaries and weak couplings."""
+    i, j = sorted(rng.sample(range(d), 2))
+    while (i, j) == (0, 1):
+        i, j = sorted(rng.sample(range(d), 2))
+    unaries = [(v, 1 if v in (i, j) else rng.choice((-9, 9))) for v in range(d)]
+    binaries = [(a, b, rng.choice((-1, 1))) for a, b in itertools.combinations(range(d), 2)
+                if {a, b}.isdisjoint((i, j)) and rng.random() < 0.5]
+    return Instance(d, 0, unaries, binaries + [(i, j, -3)])
+
+
+def semismooth_cases() -> list[Instance]:
+    """Seeded instances of at most 8 variables for check_semismooth: zero
+    gradients make the ties, planted_pair two peaks on an edge, and weights
+    of 3 * 2^70 are past every kernel width."""
+    rng = random.Random(47)
+    big = 3 * 2 ** 70
+    densities = (0.1, 0.3, 0.6, 1.0)
+    cases = [Instance(0), Instance(5), build_chain(1, 1, "+"), build_chain(1, 1, "-")]
+    cases += [random_instance(rng, max_vars=8) for _ in range(40)]
+    cases += [random_instance(rng, max_vars=8, max_weight=2) for _ in range(30)]
+    cases += [weighted_instance(rng, rng.randint(1, 8), rng.choice(densities),
+                                (-12, -7, -5, 5, 8, 11), (-6, -3, -1, 2, 4, 6))
+              for _ in range(60)]
+    cases += [weighted_instance(rng, rng.randint(1, 8), rng.choice(densities),
+                                (-4 * big, -big, big, 3 * big), (-big, big, -1, 2))
+              for _ in range(30)]
+    cases += [weighted_instance(rng, rng.randint(3, 8), rng.choice((0.5, 1.0)), (1, 2),
+                                (-5, -3, 1)) for _ in range(30)]
+    cases += [dense_instance(rng, rng.randint(2, 8), (-1, 1)) for _ in range(20)]
+    cases += [planted_pair(rng, rng.randint(3, 8)) for _ in range(30)]
+    return cases
+
+
+def check_semismooths(monkeypatch, calls) -> int:
+    """check_semismooth as dispatched against the reference alone (no
+    kernel): the same SemismoothResult on semismooth_cases(), on instances
+    of 13 to 16 variables with and without a planted pair, and on weight
+    totals of 2^62 - 1, the largest on the kernel's int64 width, and 2^62,
+    one past it.  Where the kernel's count runs (calls counts it, from
+    count_calls), its own verdict must be the reference's, and the reference
+    must run exactly after a fail.  Returns the number of cases decided on
+    the kernel."""
+    rng = random.Random(1316)
+    cases = semismooth_cases()
+    for d in range(13, 17):  # at each size, unaries that outweigh every coupling, and a pair
+        cases.append(weighted_instance(rng, d, 0.3, (-9, 9), (-1, 1)))
+        cases.append(planted_pair(rng, d))
+    top = 2 ** 62 - 1
+    for _ in range(10):  # unaries of +-3 or +-5 and binaries of +-1 or +-2 times one
+        d = rng.randint(2, 8)  # scale, 6 of them semismooth; the constant makes up top
+        unaries = [(v, rng.choice((-5, -3, 3, 5))) for v in range(d)]
+        binaries = [(i, j, rng.choice((-2, -1, 1, 2)))
+                    for i, j in itertools.combinations(range(d), 2) if rng.random() < 0.5]
+        units = sum(abs(w) for *_, w in unaries + binaries)
+        scale = top // units
+        for constant in (top - scale * units, top - scale * units + 1):
+            cases.append(Instance(d, constant, [(v, scale * w) for v, w in unaries],
+                                  [(i, j, scale * w) for i, j, w in binaries]))
+    reference = landscape._superset_sum
+    ran = []
+    monkeypatch.setattr(landscape, "_superset_sum", lambda inst: ran.append(1) or reference(inst))
+    on_kernel = 0
+    for inst in cases:
+        with monkeypatch.context() as off:
+            off.setattr(search, "_native_kernel", lambda: None)
+            want = check_semismooth(inst, cap=16)
+        before = calls["semismooth"]
+        ran.clear()
+        assert check_semismooth(inst, cap=16) == want, core.to_text(inst)
+        if calls["semismooth"] > before:
+            on_kernel += 1
+            # the kernel's own verdict, which the reference after a fail would hide
+            assert search._semismooth64(inst) is want.semismooth, core.to_text(inst)
+            assert len(ran) == (not want.semismooth)
+    return on_kernel
 
 
 @pytest.fixture

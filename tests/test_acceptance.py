@@ -8,6 +8,8 @@ walks about 59 million steepest-ascent steps.
 import itertools
 import random
 
+import pytest
+
 from vcsp_landscape import (
     Instance,
     ascent_graph,
@@ -29,6 +31,7 @@ from vcsp_landscape import (
     predicted_ascent_length,
     random_ascent,
     replay,
+    search,
     shortest_ascent_length,
     sign_depends,
     steepest_ascent,
@@ -141,6 +144,23 @@ def test_acceptance_3c_semismooth_up_to_the_cap():
                 if not r.semismooth:
                     failures.append(f"semismooth(n={n},m={m},{sign}): {r.violation}")
     _conclude("3c", "every face single peaked on every chain up to 12 variables", failures)
+
+
+def test_acceptance_3d_semismooth_at_18_variables(kernel_calls):
+    # every chain with m = 3 and 3 <= n <= 20, both signs, has exactly one
+    # peak on every face of its hypercube of 18 variables, each decided on
+    # the kernel's count
+    if not search._native_kernel():
+        pytest.skip("no native kernel can be built here, and the reference takes "
+                    "about 1 s a chain at 18 variables (36 chains)")
+    failures = []
+    for n in range(3, 21):
+        for sign in ("+", "-"):
+            r = check_semismooth(build_chain(n, 3, sign), cap=18)
+            if not r.semismooth:
+                failures.append(f"semismooth(n={n},m=3,{sign}): {r.violation}")
+    assert kernel_calls["semismooth"] == 36
+    _conclude("3d", "every face single peaked on every chain of 18 variables", failures)
 
 
 def test_acceptance_4_structural_claims():

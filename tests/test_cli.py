@@ -380,6 +380,13 @@ def test_oracle_semismooth_too_large(tmp_path, capsys):
     code, _, stderr = run(capsys, "oracle", "--instance", str(path), "--semismooth")
     assert code != 0
     assert "TooLarge" in stderr
+    # above 24 variables a raised cap is refused too, before any table is built
+    path.write_text("vcsp 1\nn 25\n")
+    code, stdout, stderr = run(capsys, "oracle", "--instance", str(path), "--semismooth",
+                               "--cap", "25")
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: TooLargeError: 25 variables exceeds 24, the most that "
+                      "check_semismooth takes at any cap\n")
 
 
 def test_structure_report(tmp_path, capsys):

@@ -39,11 +39,14 @@ from conftest import (
     brute_fitness,
     brute_improving,
     brute_peaks,
+    check_semismooths,
     dense_instance,
     random_bits,
     random_instance,
     relabel,
+    semismooth_cases,
     star,
+    weighted_instance,
     weighted_star,
 )
 
@@ -345,49 +348,11 @@ def _semismooth_by_faces(inst):
     return SemismoothResult(True)
 
 
-def _weighted(rng, d, density, unaries, weights):
-    # a unary on every variable; each pair coupled with probability density
-    return Instance(d, 0, [(v, rng.choice(unaries)) for v in range(d)],
-                    [(i, j, rng.choice(weights)) for i, j in itertools.combinations(range(d), 2)
-                     if rng.random() < density])
-
-
-def _planted_pair(rng, d):
-    # the two-peak pair on variables i < j, (i, j) != (0, 1), inside an
-    # instance whose other variables have strong unaries and weak couplings
-    i, j = sorted(rng.sample(range(d), 2))
-    while (i, j) == (0, 1):
-        i, j = sorted(rng.sample(range(d), 2))
-    unaries = [(v, 1 if v in (i, j) else rng.choice((-9, 9))) for v in range(d)]
-    binaries = [(a, b, rng.choice((-1, 1))) for a, b in itertools.combinations(range(d), 2)
-                if {a, b}.isdisjoint((i, j)) and rng.random() < 0.5]
-    return Instance(d, 0, unaries, binaries + [(i, j, -3)])
-
-
-def _semismooth_cases():
-    # zero gradients make the ties, _planted_pair two peaks on an edge
-    rng = random.Random(47)
-    big = 3 * 2 ** 70
-    densities = (0.1, 0.3, 0.6, 1.0)
-    cases = [Instance(0), Instance(5), build_chain(1, 1, "+"), build_chain(1, 1, "-")]
-    cases += [random_instance(rng, max_vars=8) for _ in range(40)]
-    cases += [random_instance(rng, max_vars=8, max_weight=2) for _ in range(30)]
-    cases += [_weighted(rng, rng.randint(1, 8), rng.choice(densities),
-                        (-12, -7, -5, 5, 8, 11), (-6, -3, -1, 2, 4, 6)) for _ in range(60)]
-    cases += [_weighted(rng, rng.randint(1, 8), rng.choice(densities),
-                        (-4 * big, -big, big, 3 * big), (-big, big, -1, 2)) for _ in range(30)]
-    cases += [_weighted(rng, rng.randint(3, 8), rng.choice((0.5, 1.0)), (1, 2), (-5, -3, 1))
-              for _ in range(30)]
-    cases += [dense_instance(rng, rng.randint(2, 8), (-1, 1)) for _ in range(20)]
-    cases += [_planted_pair(rng, rng.randint(3, 8)) for _ in range(30)]
-    return cases
-
-
 def test_check_semismooth_matches_every_face():
     # the whole SemismoothResult: the first bad free set, its background and
     # the order of its peaks
     semismooth = edges = off_first_pair = 0
-    for inst in _semismooth_cases():
+    for inst in semismooth_cases():
         r = check_semismooth(inst)
         assert r == _semismooth_by_faces(inst), core.to_text(inst)
         if r.semismooth:
@@ -398,31 +363,23 @@ def test_check_semismooth_matches_every_face():
     assert semismooth >= 50 and edges >= 20 and off_first_pair >= 20
 
 
-def test_check_semismooth_paths_agree(monkeypatch):
-    # the bitset path, which runs up to landscape._BITSET_VARS variables,
-    # against the superset sum, forced by a bound of -1.  The corpus has
-    # Instance(0), weights of 3 * 2^70 and odd d, where the low half of the
-    # variables has one more than the high half
-    cases = _semismooth_cases()
-    assert {inst.num_vars % 2 for inst in cases} == {0, 1}
-    bitsets = [check_semismooth(inst) for inst in cases]
-    monkeypatch.setattr(landscape, "_BITSET_VARS", -1)
-    assert [check_semismooth(inst) for inst in cases] == bitsets
+def test_check_semismooth_kernel_matches_the_reference(monkeypatch, kernel_calls):
+    # the kernel's count against the superset sum, on check_semismooths'
+    # corpus: every case on the int64 width, of at most 16 variables, is
+    # decided on the kernel, with the reference's verdict
+    on_kernel = check_semismooths(monkeypatch, kernel_calls)
+    assert on_kernel == (232 if search._native_kernel() else 0)
 
 
-def test_check_semismooth_above_the_bitset_bound(monkeypatch):
-    # past the default cap only the superset sum runs; the bitset path,
-    # forced on the same 13 variables, agrees with it
-    rng = random.Random(13)
-    smooth = _weighted(rng, 13, 0.3, (-9, 9), (-1, 1))  # no gradient changes sign
-    for inst, expected in ((smooth, True), (_planted_pair(rng, 13), False)):
-        with monkeypatch.context() as mp:
-            mp.setattr(landscape, "_bitset_counts", lambda inst: pytest.fail("bitset path ran"))
-            reference = check_semismooth(inst, cap=13)
-        with monkeypatch.context() as mp:
-            mp.setattr(landscape, "_BITSET_VARS", 13)
-            assert check_semismooth(inst, cap=13) == reference
-        assert reference.semismooth is expected
+def test_check_semismooth_refuses_more_than_24_variables(monkeypatch):
+    # at any cap, before a table is built or the kernel is called
+    monkeypatch.setattr(landscape, "_superset_sum", lambda inst: pytest.fail("table built"))
+    monkeypatch.setattr(landscape, "_semismooth64", lambda inst: pytest.fail("kernel called"))
+    for cap in (25, 10 ** 6):
+        with pytest.raises(TooLargeError, match="^25 variables exceeds 24, the most that "):
+            check_semismooth(Instance(25), cap=cap)
+    with pytest.raises(TooLargeError, match="^25 variables exceeds the semismoothness cap 24$"):
+        check_semismooth(Instance(25), cap=24)
 
 
 def test_oriented_without_zero_gradients_is_semismooth():
@@ -433,7 +390,7 @@ def test_oriented_without_zero_gradients_is_semismooth():
     for _ in range(1500):
         d = rng.randint(1, 9)
         scale, density = rng.choice((3, 10, 30)), rng.choice((0.2, 0.4, 0.7))
-        inst = _weighted(rng, d, density, [w for w in range(-scale, scale + 1) if w],
+        inst = weighted_instance(rng, d, density, [w for w in range(-scale, scale + 1) if w],
                          [w for w in range(-10, 11) if w])
         o = orient(inst)
         if o.oriented and all(0 not in core._gradient_table(inst, v) for v in range(d)):

@@ -24,6 +24,7 @@ import pytest
 
 from conftest import (
     ascent_graph_cases,
+    check_semismooths,
     check_validations,
     count_calls,
     dense_instance,
@@ -1734,8 +1735,9 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
     # index out of range, no misaligned access, at both widths, also where
     # the records grow; and the
     # replay, trace CSV, ascent-graph (caps hit, d = 64), orientation
-    # (conflicts, stars up to degree 12, a degree cap) and chain-validation
-    # checks (200 weight mutants, a label at n + 1 - k = -2^63), on the int64
+    # (conflicts, stars up to degree 12, a degree cap), chain-validation
+    # (200 weight mutants, a label at n + 1 - k = -2^63) and semismoothness
+    # checks (up to 16 variables, a weight total of 2^62 - 1), on the int64
     # width
     widths = search._native_kernel()
     # the library's name is keyed by source and platform, not by flags: a
@@ -1766,6 +1768,7 @@ def test_kernel_runs_clean_under_ubsan(on_both, reference, monkeypatch, tmp_path
     assert check_ascent_graphs(monkeypatch, calls) > 100
     assert check_orients(monkeypatch, calls) == 253
     assert check_validations(monkeypatch, calls, 200)[1] == 205
+    assert check_semismooths(monkeypatch, calls) == 232
     assert calls["replay"] > 60 and calls["csv_rows"] == 20
     inst = build_chain(2, 2, "+")
     steepest_ascent(inst, (0,) * 12)
