@@ -41,6 +41,7 @@ from conftest import (
     brute_peaks,
     check_semismooths,
     dense_instance,
+    planted_pair,
     random_bits,
     random_instance,
     relabel,
@@ -361,6 +362,33 @@ def test_check_semismooth_matches_every_face():
             edges += len(r.violation.free_vars) == 1
             off_first_pair += r.violation.free_vars != (0, 1)
     assert semismooth >= 50 and edges >= 20 and off_first_pair >= 20
+
+
+def test_check_semismooth_paths_agree(monkeypatch, kernel_calls):
+    # the kernel path, as dispatched, against the superset sum alone, forced
+    # by taking the kernel away.  The corpus has Instance(0), weights of
+    # 3 * 2^70, which only the reference takes, and odd and even d
+    cases = semismooth_cases()
+    assert {inst.num_vars % 2 for inst in cases} == {0, 1}
+    dispatched = [check_semismooth(inst) for inst in cases]
+    assert (kernel_calls["semismooth"] > 0) is bool(search._native_kernel())
+    monkeypatch.setattr(search, "_native_kernel", lambda: None)
+    assert [check_semismooth(inst) for inst in cases] == dispatched
+
+
+def test_check_semismooth_above_the_bitset_bound(monkeypatch):
+    # 13 variables, one past the default cap: as dispatched and on the
+    # superset sum alone, one semismooth and one planted two-peak instance
+    rng = random.Random(13)
+    smooth = weighted_instance(rng, 13, 0.3, (-9, 9), (-1, 1))  # no gradient changes sign
+    for inst, expected in ((smooth, True), (planted_pair(rng, 13), False)):
+        with pytest.raises(TooLargeError):
+            check_semismooth(inst)
+        with monkeypatch.context() as mp:
+            mp.setattr(search, "_native_kernel", lambda: None)
+            reference = check_semismooth(inst, cap=13)
+        assert check_semismooth(inst, cap=13) == reference
+        assert reference.semismooth is expected
 
 
 def test_check_semismooth_kernel_matches_the_reference(monkeypatch, kernel_calls):
