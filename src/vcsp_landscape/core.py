@@ -129,7 +129,9 @@ class Instance:
         if isinstance(binaries, Mapping):
             binaries = [(*_items(key), w) for key, w in binaries.items()]
         bdict: dict[tuple[int, int], int] = {}
-        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # only a variable that a binary touches gets a list; the others share
+        # one empty row, so NUM_VARS_CAP variables need no list each
+        nbrs: list[list[tuple[int, int]] | tuple[()]] = [()] * n
         for entry in binaries:
             try:
                 i, j, w = entry
@@ -147,8 +149,14 @@ class Instance:
             if key in bdict:
                 raise DuplicateScopeError(f"duplicate binary scope {{{key[0]},{key[1]}}}")
             bdict[key] = w
-            nbrs[i].append((j, w))
-            nbrs[j].append((i, w))
+            if row := nbrs[i]:
+                row.append((j, w))
+            else:
+                nbrs[i] = [(j, w)]
+            if row := nbrs[j]:
+                row.append((i, w))
+            else:
+                nbrs[j] = [(i, w)]
         store(self, "binaries", MappingProxyType(bdict))
 
         ldict: dict[int, Label] = {}
@@ -176,7 +184,7 @@ class Instance:
         store(self, "labels", MappingProxyType(ldict))
         store(self, "_index_by_label", by_label)
 
-        for row in nbrs:
+        for row in filter(None, nbrs):
             row.sort()
         store(self, "neighbors", tuple(map(tuple, nbrs)))
         # the native kernel's read-only arrays, built by search on first use,

@@ -121,9 +121,10 @@ def orient(inst: Instance) -> Orientation:
     kernel's int64 width and no degree is above that cap, the same analysis
     runs in C (search._orient64) and gives the same arcs and conflict.  The
     loop runs for weights at or past 2^62, above the cap (where it raises)
-    and where there is no kernel.  The first call builds the kernel if it is
-    not built yet, and the instance's kernel arrays (Instance._native), as
-    the first ascent does.  Either way, _topo_order orders the arcs.
+    and where there is no kernel.  On int64 weights, the first call builds
+    the kernel if it is not built yet, and the instance's kernel arrays
+    (Instance._native), as the first ascent does.  Either way, _topo_order
+    orders the arcs.
     """
     native = _orient64(inst)
     arcs, conflict = native if native else _orient_loop(inst)
@@ -416,18 +417,19 @@ def ascent_graph(inst: Instance, start: Sequence[int], cap: int = ASCENT_GRAPH_C
     same search runs in C over uint64 masks (search._ascent_graph64) and
     gives the same graph, or the same error.  The loop runs for more than
     64 variables, for weights at or past 2^62 and where there is no kernel.
-    On an instance of at most 64 variables, the first call builds the
-    kernel if it is not built yet, and the instance's kernel arrays
-    (Instance._native), as the first ascent does.
+    On an instance of at most 64 variables and int64 weights, the first
+    call builds the kernel if it is not built yet, and the instance's
+    kernel arrays (Instance._native), as the first ascent does.
     """
     start = tuple(inst.check_assignment(start))
     f0 = inst.fitness(start)
     d = inst.num_vars
-    native = _ascent_graph64(inst, start, f0, cap)
+    mask = sum(1 << v for v in range(d) if start[v])
+    native = _ascent_graph64(inst, mask, f0, cap)
     if native:
         nodes, fitness, offsets, edges, peaks = native
     else:
-        index = {sum(1 << v for v in range(d) if start[v]): 0}
+        index = {mask: 0}
         nodes, fitness, offsets, edges = list(index), [f0], [0], []
         for x, fx in zip(nodes, fitness):  # both lists grow as nodes are found
             for v, gain in inst.improving_moves(_bits(x, d)):

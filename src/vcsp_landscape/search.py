@@ -72,10 +72,11 @@ Python on either path.  So have generator._validate_weights, _validate64
 (vcsp_semismooth64), on the int64 width: each only decides pass or fail,
 and its Python loop runs after a fail, so every message and every face
 violation is the loop's.  Those loops stay the reference for everything
-else.  The first call of any of these on an instance builds its kernel
-arrays, as the first ascent does; a chain's first is its validation.
-Validation and the semismoothness count build nothing where the arrays
-would be wider than int64.
+else.  These five int64 passes (replay, the ascent graph, orient,
+validation, semismoothness) call their C functions by name on arrays from
+one gate, _kernel_arrays(inst, int64_only=True): a first call builds the
+instance's kernel arrays, as the first ascent does, but only where they are
+int64, and declines wider ones.  A chain's first call is its validation.
 
 The random engine draws from Python's Mersenne Twister (random.Random), whose
 bitstream is stable across platforms and versions; a run is reproducible from
@@ -470,22 +471,20 @@ def _copy_out(address: int | None, code: str, count: int) -> array:
 class _Int64:
     """The kernel at int64 (vcsp_ascend): exact while |constant| + sum of
     |weights| < 2^62.  Its integers, the constant included, are ctypes int64
-    arrays.  fn is the width's vcsp_ascend and free is vcsp_free.  steps
-    makes a recorded run's records a Steps; the 128-bit width reads them into
-    a tuple of tuples instead.  replay, csv_rows, ascent_graph, orient,
-    validate and semismooth are vcsp_replay64, vcsp_csv_rows64,
-    vcsp_ascent_graph64, vcsp_orient64, vcsp_validate64 and
-    vcsp_semismooth64 at this width, None at the others."""
+    arrays.  fn is the width's vcsp_ascend and lib the loaded library, whose
+    vcsp_free frees what the kernel allocates.  steps makes a recorded run's
+    records a Steps; the 128-bit width reads them into a tuple of tuples
+    instead.  The int64 passes call lib's vcsp_*64 functions by name, on
+    arrays that _kernel_arrays(inst, int64_only=True) finds on this width."""
 
     symbol = "vcsp_ascend"
     bound = 2 ** 62
     size = 8  # bytes an integer
     Result = ctypes.c_int64 * 7  # the kernel's res[], as in _ascend.c
-    replay = csv_rows = ascent_graph = orient = validate = semismooth = None
 
     def __init__(self, fn, lib):
         self.fn = fn
-        self.free = lib.vcsp_free
+        self.lib = lib
 
     @staticmethod
     def array(values: Sequence[int]):
@@ -570,12 +569,6 @@ def _native_kernel():
         fn = getattr(lib, width.symbol, None)
         if fn is not None:
             widths.append(width(fn, lib))
-    widths[0].replay = lib.vcsp_replay64  # the int64 width, which every build has
-    widths[0].csv_rows = lib.vcsp_csv_rows64
-    widths[0].ascent_graph = lib.vcsp_ascent_graph64
-    widths[0].orient = lib.vcsp_orient64
-    widths[0].validate = lib.vcsp_validate64
-    widths[0].semismooth = lib.vcsp_semismooth64
     return tuple(widths)
 
 
@@ -665,7 +658,7 @@ def _ascend_native(a: _NativeArrays, rule, inst: Instance, start: Sequence[int],
                 break
         finally:
             if out:
-                width.free(out)
+                width.lib.vcsp_free(out)
         words += rule.draw(len(words) // 4)
     return Trace(rule.method, tuple(bits), tuple(x.raw), k, fit0, fit, least if k else None,
                  ties, steps, rule.seed, status == _PEAK)
@@ -674,8 +667,9 @@ def _ascend_native(a: _NativeArrays, rule, inst: Instance, start: Sequence[int],
 def _kernel_arrays(inst: Instance, int64_only: bool = False) -> _NativeArrays | bool | None:
     """inst's kernel arrays, built on first use at the narrowest width that
     is exact on it; False where its weights are too large for every width,
-    None where there is no kernel.  With int64_only, a first use whose
-    weights need a wider width builds nothing and returns None."""
+    None where there is no kernel.  With int64_only, the gate of the int64
+    passes: the arrays only where they are on the int64 width, else None,
+    and nothing is built where they would be wider."""
     widths = _native_kernel()
     if not widths:
         return None
@@ -687,6 +681,8 @@ def _kernel_arrays(inst: Instance, int64_only: bool = False) -> _NativeArrays | 
         if int64_only and width is not widths[0]:
             return None
         arrays = inst._native = _NativeArrays(inst, width) if width else False
+    elif int64_only and (not arrays or arrays.width is not widths[0]):
+        return None
     return arrays
 
 
@@ -806,43 +802,40 @@ def _replay64(inst: Instance, steps, start: list[int], fit: int) -> tuple[Bits, 
     """replay's loop over steps from start, at fitness fit, on the kernel's
     int64 width: the end and its fitness when every step checks, else None,
     also where steps is not a Steps or inst is not on that width."""
-    if type(steps) is not Steps:
-        return None
-    arrays = _kernel_arrays(inst)
-    if not (arrays and arrays.width.replay):
+    arrays = type(steps) is Steps and _kernel_arrays(inst, int64_only=True)
+    if not arrays:
         return None
     x = ctypes.create_string_buffer(bytes(start), len(start))
     f = (ctypes.c_int64 * 1)(fit)
-    if arrays.width.replay(inst.num_vars, arrays.block, x, ctypes.c_int64(len(steps)),
-                           ctypes.c_void_p(steps._array.buffer_info()[0]), f):
+    if arrays.width.lib.vcsp_replay64(inst.num_vars, arrays.block, x, ctypes.c_int64(len(steps)),
+                                      ctypes.c_void_p(steps._array.buffer_info()[0]), f):
         return None
     return tuple(x.raw), f[0]
 
 
-def _ascent_graph64(inst: Instance, start: Bits, fit: int, cap: int):
-    """landscape.ascent_graph's search from start, of fitness fit, on the
-    kernel's int64 width (vcsp_ascent_graph64): its nodes, fitness, offsets
-    and edges as PackedInts, and a list of the masks of its sinks.  None
-    where inst has more than 64 variables or is not on that width, or cap is
-    not an int.  Raises TooLargeError with the reference's message at the
-    cap, and MemoryError where the kernel runs out of memory.
+def _ascent_graph64(inst: Instance, mask: int, fit: int, cap: int):
+    """landscape.ascent_graph's search from the start whose set variables
+    are mask's bits, of fitness fit, on the kernel's int64 width
+    (vcsp_ascent_graph64): its nodes, fitness, offsets and edges as
+    PackedInts, and a list of the masks of its sinks.  None where inst has
+    more than 64 variables or is not on that width, or cap is not an int.
+    Raises TooLargeError with the reference's message at the cap, and
+    MemoryError where the kernel runs out of memory.
 
     Each C array is copied by _copy_out (uint64 masks, int64 fitness, int32
     offsets and edges) and freed before the next is copied."""
-    if inst.num_vars > 64 or not isinstance(cap, int):
+    arrays = (inst.num_vars <= 64 and isinstance(cap, int)
+              and _kernel_arrays(inst, int64_only=True))
+    if not arrays:
         return None
-    arrays = _kernel_arrays(inst)
-    if not (arrays and arrays.width.ascent_graph):
-        return None
-    width = arrays.width
-    mask = sum(1 << v for v, b in enumerate(start) if b)
+    lib = arrays.width.lib
     graph = (ctypes.c_void_p * 4)()
     size = (ctypes.c_int64 * 2)()
     try:
-        status = width.ascent_graph(inst.num_vars, arrays.block, ctypes.c_uint64(mask),
-                                    ctypes.c_int64(fit),
-                                    ctypes.c_int64(min(max(cap, -2 ** 63), 2 ** 63 - 1)),
-                                    graph, size)
+        status = lib.vcsp_ascent_graph64(inst.num_vars, arrays.block, ctypes.c_uint64(mask),
+                                         ctypes.c_int64(fit),
+                                         ctypes.c_int64(min(max(cap, -2 ** 63), 2 ** 63 - 1)),
+                                         graph, size)
         if status == _LIMIT:
             raise TooLargeError(f"ascent graph exceeds the node cap {cap}")
         if status == _NO_MEMORY:
@@ -851,7 +844,7 @@ def _ascent_graph64(inst: Instance, start: Bits, fit: int, cap: int):
 
         def read(slot, code, count):
             values = _copy_out(graph[slot], code, count)
-            width.free(graph[slot])
+            lib.vcsp_free(graph[slot])
             graph[slot] = None
             return values
 
@@ -859,7 +852,7 @@ def _ascent_graph64(inst: Instance, start: Bits, fit: int, cap: int):
         offsets, edges = read(2, "i", n + 1), read(3, "i", m)
     finally:
         for p in graph:
-            width.free(p)
+            lib.vcsp_free(p)
     # A node has at most 64 out-edges, so the low bytes of its two offsets
     # are equal exactly when it has none.  One XOR of two ints compares the
     # low bytes of all consecutive offsets; its zero bytes are the sinks.
@@ -881,13 +874,13 @@ def _orient64(inst: Instance):
     depend on each other, and then arcs is empty.  None where inst is not on
     that width or has a degree above core.TABLE_DEGREE_CAP, read at call
     time.  Raises MemoryError where the kernel cannot allocate its scratch."""
-    arrays = _kernel_arrays(inst)
-    if not (arrays and arrays.width.orient):
+    arrays = _kernel_arrays(inst, int64_only=True)
+    if not arrays:
         return None
     arcs = (ctypes.c_int32 * (2 * len(inst.binaries)))()
     info = (ctypes.c_int32 * 2)()
-    status = arrays.width.orient(inst.num_vars, arrays.block, min(core.TABLE_DEGREE_CAP, 31),
-                                 arcs, info)
+    status = arrays.width.lib.vcsp_orient64(inst.num_vars, arrays.block,
+                                            min(core.TABLE_DEGREE_CAP, 31), arcs, info)
     if status == _LIMIT:
         return None
     if status == _NO_MEMORY:
@@ -903,33 +896,29 @@ def _validate64(inst: Instance, n: int, sign: str, top: int) -> bool:
     labelled inst, whose label (top_k, 1) is at index top, on the kernel's
     int64 width (vcsp_validate64): True when every variable passes.  False
     when one fails, and where inst is not on that width, n is outside
-    1 <= n < 2^40 or some n + 1 - k of a label (k, i) does not pack as int64.
-    Builds inst's kernel arrays only where they are int64."""
-    if not 1 <= n < 2 ** 40:
-        return False
-    arrays = _kernel_arrays(inst, int64_only=True)
-    if not (arrays and arrays.width.validate):
+    1 <= n < 2^40 or some n + 1 - k of a label (k, i) does not pack as int64."""
+    arrays = 1 <= n < 2 ** 40 and _kernel_arrays(inst, int64_only=True)
+    if not arrays:
         return False
     labels = inst.labels
     try:
         s = _c_array(ctypes.c_int64, [n + 1 - labels[v][0] for v in range(inst.num_vars)])
     except struct.error:
         return False
-    return not arrays.width.validate(inst.num_vars, arrays.block, ctypes.c_int64(2 * n + 1),
-                                     top if sign == "+" else -1, s)
+    return not arrays.width.lib.vcsp_validate64(
+        inst.num_vars, arrays.block, ctypes.c_int64(2 * n + 1), top if sign == "+" else -1, s)
 
 
 def _semismooth64(inst: Instance) -> bool | None:
     """landscape.check_semismooth's count on the kernel's int64 width
     (vcsp_semismooth64), for at most 24 variables, which check_semismooth
     checks first: True when every face has one peak, False when some face
-    has not, None where inst is not on that width.  Builds inst's kernel
-    arrays only where they are int64.  Raises MemoryError where the kernel
-    cannot allocate its tables."""
+    has not, None where inst is not on that width.  Raises MemoryError where
+    the kernel cannot allocate its tables."""
     arrays = _kernel_arrays(inst, int64_only=True)
-    if not (arrays and arrays.width.semismooth):
+    if not arrays:
         return None
-    status = arrays.width.semismooth(inst.num_vars, arrays.block)
+    status = arrays.width.lib.vcsp_semismooth64(inst.num_vars, arrays.block)
     if status == _NO_MEMORY:
         raise MemoryError("the semismoothness kernel could not allocate its tables")
     return not status
@@ -1021,6 +1010,6 @@ def write_trace_csv(trace: Trace, inst: Instance, path) -> None:
         fh.write(header)
         fh.flush()
         for t in range(0, n, _CHUNK):
-            size = widths[0].csv_rows(ctypes.c_int64(t), ctypes.c_int64(min(_CHUNK, n - t)),
-                                      *args, out)
+            size = widths[0].lib.vcsp_csv_rows64(ctypes.c_int64(t),
+                                                 ctypes.c_int64(min(_CHUNK, n - t)), *args, out)
             fh.buffer.write(memoryview(out)[:size])

@@ -159,18 +159,21 @@ def relabel(inst: Instance, perm) -> Instance:
                     {perm[v]: label for v, label in inst.labels.items()})
 
 
-KERNEL_FUNCTIONS = ("replay", "csv_rows", "ascent_graph", "orient", "validate", "semismooth")
+KERNEL_FUNCTIONS = {"replay": "vcsp_replay64", "csv_rows": "vcsp_csv_rows64",
+                    "ascent_graph": "vcsp_ascent_graph64", "orient": "vcsp_orient64",
+                    "validate": "vcsp_validate64", "semismooth": "vcsp_semismooth64"}
 
 
 def count_calls(monkeypatch, width):
-    """Counts the calls of the int64 width's replay, CSV, ascent-graph,
-    orientation, chain-validation and semismoothness functions."""
+    """Counts the calls of the int64 kernel's replay, CSV, ascent-graph,
+    orientation, chain-validation and semismoothness functions in width's
+    library, by the short names that KERNEL_FUNCTIONS maps to theirs."""
     calls = dict.fromkeys(KERNEL_FUNCTIONS, 0)
-    for name in calls:
-        def counted(*args, fn=getattr(width, name), name=name):
+    for name, symbol in KERNEL_FUNCTIONS.items():
+        def counted(*args, fn=getattr(width.lib, symbol), name=name):
             calls[name] += 1
             return fn(*args)
-        monkeypatch.setattr(width, name, counted)
+        monkeypatch.setattr(width.lib, symbol, counted)
     return calls
 
 

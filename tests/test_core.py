@@ -546,8 +546,10 @@ def test_integers_past_the_digit_limit(tmp_path, digit_limit_640):
 def test_huge_num_vars_fails_fast_under_a_memory_limit():
     # a 10-byte file that names 10^12 variables raises TooLargeError before
     # Instance allocates anything per variable, also when a constraint is
-    # bad too.  It runs in a child process with 1 GiB of address space, so
-    # that a regression fails this test instead of exhausting the host
+    # bad too.  One that names 2^24, the cap, loads: its variables, which no
+    # binary touches, share one empty neighbour row.  It runs in a child
+    # process with 1 GiB of address space, so that a regression fails this
+    # test instead of exhausting the host
     pytest.importorskip("resource")
     code = "\n".join([
         "import resource",
@@ -560,12 +562,15 @@ def test_huge_num_vars_fails_fast_under_a_memory_limit():
         "        from_text(text)",
         "    except TooLargeError as e:",
         "        print(e)",
+        "inst = from_text('vcsp 1\\nn 16777216\\n')",
+        "print(inst.num_vars, set(inst.neighbors))",
     ])
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "line 2: num_vars must be <= 16777216, got 1000000000000\n" * 2
+    assert out.stdout == ("line 2: num_vars must be <= 16777216, got 1000000000000\n" * 2
+                          + "16777216 {()}\n")
 
 
 def test_assignment_string_order_generated(chain22_plus):

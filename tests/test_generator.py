@@ -7,6 +7,7 @@ from conftest import check_validations, validation_outcome
 from vcsp_landscape import (
     Instance,
     generator,
+    ascent_graph,
     build_chain,
     build_gadget,
     canonical_decomposition,
@@ -15,8 +16,11 @@ from vcsp_landscape import (
     expected_arcs,
     expected_peak,
     gadget_constraints,
+    orient,
     predicted_ascent_length,
+    replay,
     search,
+    steepest_ascent,
     validate_chain,
     validate_path_decomposition,
 )
@@ -416,9 +420,32 @@ def test_validation_builds_kernel_arrays_only_at_int64():
     # gets its int64 arrays from it, which orient and the ascents reuse, and
     # chain(60, 60, '+'), whose weight total passes 2^62, gets none
     widths = search._native_kernel()
-    assert build_chain(60, 60, "+")._native is None
+    big = build_chain(60, 60, "+")
+    assert big._native is None
     arrays = build_chain(20, 6, "+")._native
     assert arrays.width is widths[0] if widths else arrays is None
+    # nor do the other int64 passes, which run their Python loops there:
+    # orient on chain(60, 60, '+'), and the ascent graph and the replay of a
+    # zero-step Steps trace on chain(3, 3, '+') with every weight times
+    # 2^64 + 1, past int64 and under 2^126.  A steepest ascent afterwards
+    # still builds the 128-bit arrays where that width exists
+    orient(big)
+    assert big._native is None
+    chain, scale = build_chain(3, 3, "+"), 2 ** 64 + 1
+    start = expected_peak(3, 3, "-")
+    scaled = Instance(18, scale * chain.constant,
+                      {v: scale * w for v, w in chain.unaries.items()},
+                      {e: scale * w for e, w in chain.binaries.items()}, chain.labels)
+    assert ascent_graph(scaled, start).nodes == ascent_graph(chain, start).nodes
+    assert scaled._native is None
+    fit = scaled.fitness(start)
+    replay(scaled, search.Trace("steepest", start, start, 0, fit, fit, None, 0,
+                                search.Steps(), complete=False))
+    assert scaled._native is None
+    for inst in (big, scaled):
+        steepest_ascent(inst, (0,) * inst.num_vars, max_steps=1)
+        assert (inst._native.width is widths[1] if len(widths or ()) == 2
+                else not inst._native)
 
 
 @pytest.mark.parametrize("incoming,hub_unary", [
